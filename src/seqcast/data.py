@@ -2,9 +2,10 @@
 
 The pipeline is: parse a daily OHLCV CSV, clean it (drop rows with a
 missing close, impute missing open/high/low from the previous retained
-close, reject rows whose prices violate the low/high envelope), compute
-monthwise statistics and unit-root diagnostics, then scale closes to
-[0, 1] with training-set extremes only and cut them into lookback windows.
+close, reject rows with an infinite value or with prices that violate the
+low/high envelope), compute monthwise statistics and unit-root
+diagnostics, then scale closes to [0, 1] with training-set extremes only
+and cut them into lookback windows.
 """
 
 from __future__ import annotations
@@ -159,6 +160,7 @@ class CleanReport:
     dropped_missing_close: int = 0
     dropped_envelope: int = 0
     dropped_unimputable: int = 0
+    dropped_nonfinite: int = 0
     imputed_open: int = 0
     imputed_high: int = 0
     imputed_low: int = 0
@@ -169,7 +171,7 @@ class CleanReport:
 
     @property
     def total_dropped(self) -> int:
-        return self.dropped_missing_close + self.dropped_envelope + self.dropped_unimputable
+        return sum(v for k, v in self.as_dict().items() if k.startswith("dropped_"))
 
     @property
     def all_zero(self) -> bool:
@@ -183,12 +185,17 @@ def clean(series: OhlcvSeries) -> tuple[OhlcvSeries, CleanReport]:
     would contaminate evaluation). Missing open/high/low are imputed from
     the previous retained row's close; a row needing imputation with no
     retained predecessor is dropped. Missing volume is imputed as 0. Rows
-    whose prices break low <= min(open, close) <= max(open, close) <= high,
-    or are not strictly positive, are dropped.
+    that still hold an infinite price or volume are dropped. Rows whose
+    prices break low <= min(open, close) <= max(open, close) <= high, or
+    are not strictly positive, are dropped.
     """
     report = CleanReport()
     kept: list[dict] = []
     prev_close: float | None = None
+    # Imputation only replaces NaN, so a row's infinities survive it.
+    has_inf = np.zeros(len(series), dtype=bool)
+    for c in (*_PRICE_COLUMNS, "volume"):
+        has_inf |= np.isinf(getattr(series, c))
     for i in range(len(series)):
         row = series.row(i)
         if math.isnan(row["close"]):
@@ -204,6 +211,9 @@ def clean(series: OhlcvSeries) -> tuple[OhlcvSeries, CleanReport]:
         if math.isnan(row["volume"]):
             row["volume"] = 0.0
             report.imputed_volume += 1
+        if has_inf[i]:
+            report.dropped_nonfinite += 1
+            continue
         lo, hi = min(row["open"], row["close"]), max(row["open"], row["close"])
         if not (row["low"] <= lo <= hi <= row["high"]) or row["low"] <= 0 or row["volume"] < 0:
             report.dropped_envelope += 1

@@ -19,9 +19,6 @@ from .data import OhlcvSeries, Scaler, WindowedDataset
 from .models import MODEL_KINDS, ModelConfig
 from .training import TrainConfig, TrainHistory, TrainingError
 
-# Per-model seed = run seed + offset, so models never share an init stream.
-SEED_OFFSETS = {"lstm": 1, "gru": 2, "transformer": 3}
-
 
 @dataclass(frozen=True)
 class Metrics:
@@ -168,7 +165,7 @@ def compare(
                 "forecast": [float(v) for v in path],
                 "history": history.as_dict(),
                 "config": {
-                    "model": _model_cfg_dict(model_cfgs[name]),
+                    "model": model_cfgs[name].as_dict(),
                     "train": train_cfgs[name].as_dict(),
                     "lookback": lookback,
                     "horizon": horizon,
@@ -178,18 +175,6 @@ def compare(
         )
     report = {"dataset": fingerprint, "models": entries}
     return report, trained, forecasts, test
-
-
-def _model_cfg_dict(cfg: ModelConfig) -> dict:
-    if cfg.kind == "transformer":
-        return {
-            "kind": cfg.kind,
-            "d_model": cfg.d_model,
-            "n_heads": cfg.n_heads,
-            "n_layers": cfg.n_layers,
-            "d_ff": cfg.d_ff,
-        }
-    return {"kind": cfg.kind, "hidden": cfg.hidden}
 
 
 def plot_rows(test: OhlcvSeries, forecasts: dict[str, np.ndarray]) -> list[tuple]:

@@ -1,14 +1,16 @@
 """The three sequence forecasters and their shared dispatch surface.
 
 Each model module exposes a parameter dataclass plus ``init_params``,
-``forward`` and ``backward``; everything here routes on the parameter type
-so training and forecasting stay model-agnostic. Forward/backward are pure
-given (params, input): params are never mutated by model code.
+``forward`` and ``backward``. ``REGISTRY`` is the one place that says what
+a model kind is; everything here dispatches through it so training and
+forecasting stay model-agnostic. Forward/backward are pure given
+(params, input): params are never mutated by model code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import ModuleType
 
 import numpy as np
 
@@ -17,14 +19,36 @@ from .gru import GruParams
 from .lstm import LstmParams
 from .transformer import TransformerParams
 
-MODEL_KINDS = ("lstm", "gru", "transformer")
 
-_KIND_BY_TYPE = {
-    LstmParams: "lstm",
-    GruParams: "gru",
-    TransformerParams: "transformer",
+@dataclass(frozen=True)
+class ModelKind:
+    """What differs between model kinds.
+
+    arch_keys name the architecture values in the order the weight-file
+    header states them and reports echo them. Each is an attribute of
+    ModelConfig and of the params class, and a keyword of the module's
+    ``init_params`` and the class's ``from_arrays``. Per-model seed = run
+    seed + seed_offset, so models never share an init stream.
+    """
+
+    params_class: type
+    module: ModuleType
+    arch_keys: tuple[str, ...]
+    seed_offset: int
+
+    def dims(self, source) -> dict[str, int]:
+        """The architecture values of a ModelConfig or params object, in key order."""
+        return {key: getattr(source, key) for key in self.arch_keys}
+
+
+REGISTRY = {
+    "lstm": ModelKind(LstmParams, lstm, ("hidden",), 1),
+    "gru": ModelKind(GruParams, gru, ("hidden",), 2),
+    "transformer": ModelKind(
+        TransformerParams, transformer, ("d_model", "n_heads", "n_layers", "d_ff"), 3
+    ),
 }
-_MODULE_BY_KIND = {"lstm": lstm, "gru": gru, "transformer": transformer}
+MODEL_KINDS = tuple(REGISTRY)
 
 
 @dataclass(frozen=True)
@@ -47,39 +71,37 @@ class ModelConfig:
         if self.kind == "transformer" and self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.n_heads} heads")
 
+    def as_dict(self) -> dict:
+        """The kind and its own architecture keys, as echoed in reports."""
+        return {"kind": self.kind, **REGISTRY[self.kind].dims(self)}
 
-def init_params(cfg: ModelConfig, rng: np.random.Generator, input_size: int = 1):
-    if cfg.kind == "lstm":
-        return lstm.init_params(rng, cfg.hidden, input_size)
-    if cfg.kind == "gru":
-        return gru.init_params(rng, cfg.hidden, input_size)
-    return transformer.init_params(
-        rng, cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.d_ff, input_size
-    )
+
+def init_params(cfg: ModelConfig, rng: np.random.Generator):
+    entry = REGISTRY[cfg.kind]
+    return entry.module.init_params(rng, **entry.dims(cfg))
 
 
 def rebuild(params, arrays: dict[str, np.ndarray]):
     """New params of the same type with arrays swapped in (optimizer plumbing)."""
-    if isinstance(params, TransformerParams):
-        return TransformerParams.from_arrays(arrays, n_heads=params.n_heads)
-    return type(params).from_arrays(arrays)
+    entry = REGISTRY[kind_of(params)]
+    return entry.params_class.from_arrays(arrays, **entry.dims(params))
 
 
 def kind_of(params) -> str:
-    try:
-        return _KIND_BY_TYPE[type(params)]
-    except KeyError:
-        raise TypeError(f"not a model parameter collection: {type(params)!r}") from None
+    for kind, entry in REGISTRY.items():
+        if type(params) is entry.params_class:
+            return kind
+    raise TypeError(f"not a model parameter collection: {type(params)!r}")
 
 
 def forward(params, x: np.ndarray):
     """Batched forward pass: x is (batch, steps), result is ((batch,), cache)."""
-    return _MODULE_BY_KIND[kind_of(params)].forward(params, x)
+    return REGISTRY[kind_of(params)].module.forward(params, x)
 
 
 def backward(params, cache, d_preds: np.ndarray):
     """Gradient of sum_b d_preds[b] * prediction_b w.r.t. every parameter."""
-    return _MODULE_BY_KIND[kind_of(params)].backward(params, cache, d_preds)
+    return REGISTRY[kind_of(params)].module.backward(params, cache, d_preds)
 
 
 def predict(params, window: np.ndarray) -> float:

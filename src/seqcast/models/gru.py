@@ -58,12 +58,13 @@ class GruParams:
         ]
 
     @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "GruParams":
+    def from_arrays(cls, arrays: dict[str, np.ndarray], **dims: int) -> "GruParams":
+        """The array shapes fix every dimension, so architecture keywords go unused."""
         return cls(**arrays)
 
 
-def init_params(rng: np.random.Generator, hidden: int, input_size: int = 1) -> GruParams:
-    d = hidden + input_size
+def init_params(rng: np.random.Generator, hidden: int) -> GruParams:
+    d = hidden + 1
     return GruParams(
         w_z=init_xavier(rng, hidden, d),
         w_r=init_xavier(rng, hidden, d),

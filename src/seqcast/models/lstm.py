@@ -64,20 +64,19 @@ class LstmParams:
         ]
 
     @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "LstmParams":
+    def from_arrays(cls, arrays: dict[str, np.ndarray], **dims: int) -> "LstmParams":
+        """The array shapes fix every dimension, so architecture keywords go unused."""
         return cls(**arrays)
 
 
-def init_params(
-    rng: np.random.Generator, hidden: int, input_size: int = 1, forget_bias: float = 1.0
-) -> LstmParams:
+def init_params(rng: np.random.Generator, hidden: int) -> LstmParams:
     """Xavier-uniform gate matrices, zero biases except the forget gate.
 
-    forget_bias defaults to 1.0, which keeps early cell-state retention high
-    and stabilizes training; pass 0.0 to disable.
+    The forget bias is 1.0, which keeps early cell-state retention high and
+    stabilizes training.
     """
-    d = hidden + input_size
-    b_f = np.full(hidden, forget_bias, dtype=np.float64)
+    d = hidden + 1
+    b_f = np.ones(hidden)
     return LstmParams(
         w_f=init_xavier(rng, hidden, d),
         w_i=init_xavier(rng, hidden, d),

@@ -61,6 +61,10 @@ class TransformerParams:
         return self.w_in.shape[0]
 
     @property
+    def n_layers(self) -> int:
+        return len(self.layers)
+
+    @property
     def d_ff(self) -> int:
         return self.layers[0].w_ff1.shape[0]
 
@@ -73,7 +77,10 @@ class TransformerParams:
         return out
 
     @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray], n_heads: int) -> "TransformerParams":
+    def from_arrays(
+        cls, arrays: dict[str, np.ndarray], n_heads: int, **dims: int
+    ) -> "TransformerParams":
+        """n_heads is the one dimension the array shapes do not fix; the others go unused."""
         n_layers = 1 + max(int(key.split(".")[1]) for key in arrays if key.startswith("layers."))
         layers = [
             TransformerLayerParams(**{name: arrays[f"layers.{idx}.{name}"] for name in _LAYER_FIELDS})
@@ -86,12 +93,7 @@ class TransformerParams:
 
 
 def init_params(
-    rng: np.random.Generator,
-    d_model: int,
-    n_heads: int,
-    n_layers: int,
-    d_ff: int,
-    input_size: int = 1,
+    rng: np.random.Generator, d_model: int, n_heads: int, n_layers: int, d_ff: int
 ) -> TransformerParams:
     """Xavier weights, unit layer-norm gains, zero biases and shifts."""
     if d_model % n_heads != 0:
@@ -115,7 +117,7 @@ def init_params(
             )
         )
     return TransformerParams(
-        w_in=init_xavier(rng, d_model, input_size),
+        w_in=init_xavier(rng, d_model, 1),
         layers=layers,
         head_w=init_xavier(rng, 1, d_model),
         head_b=np.zeros(1),
@@ -164,14 +166,8 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, t, nh * dh)
 
 
-def forward(
-    params: TransformerParams, x: np.ndarray, use_positions: bool = True
-) -> tuple[np.ndarray, dict]:
-    """Encode x of shape (batch, steps) and predict from the final position.
-
-    use_positions=False drops the positional codes, which makes the encoder
-    permutation-equivariant (useful for tests, not for forecasting).
-    """
+def forward(params: TransformerParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Encode x of shape (batch, steps) and predict from the final position."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError(f"expected input of shape (batch, steps), got {x.shape}")
@@ -181,8 +177,7 @@ def forward(
     scale = 1.0 / np.sqrt(d // nh)
 
     h = x[:, :, None] @ params.w_in.T  # (batch, steps, d_model)
-    if use_positions:
-        h = h + positional_encoding(steps, d)[None, :, :]
+    h = h + positional_encoding(steps, d)[None, :, :]
     cache = {"x": x, "layers": [], "d_model": d, "n_heads": nh, "scale": scale}
     for layer in params.layers:
         lc = {"h_in": h}

@@ -24,21 +24,12 @@ class WeightsFormatError(ValueError):
     pass
 
 
-def _dims_line(params) -> str:
-    from . import kind_of
-    from .transformer import TransformerParams
+def save_weights(path: str | Path, params) -> None:
+    from . import REGISTRY, kind_of
 
     kind = kind_of(params)
-    if isinstance(params, TransformerParams):
-        return (
-            f"transformer d_model={params.d_model} n_heads={params.n_heads} "
-            f"n_layers={len(params.layers)} d_ff={params.d_ff} input=1"
-        )
-    return f"{kind} hidden={params.hidden} input={params.input_size}"
-
-
-def save_weights(path: str | Path, params) -> None:
-    lines = [MAGIC, _dims_line(params)]
+    dims = REGISTRY[kind].dims(params)
+    lines = [MAGIC, " ".join([kind, *(f"{k}={v}" for k, v in dims.items()), "input=1"])]
     for name, arr in params.named_arrays():
         if arr.ndim == 1:
             lines.append(f"{name} {arr.shape[0]} 0")
@@ -68,10 +59,7 @@ def load_weights(path: str | Path, expect_kind: str | None = None):
     Returns (params, kind). expect_kind turns a kind mismatch into an error
     up front, before any arrays are parsed.
     """
-    from . import MODEL_KINDS
-    from .gru import GruParams
-    from .lstm import LstmParams
-    from .transformer import TransformerParams
+    from . import REGISTRY
 
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -81,10 +69,15 @@ def load_weights(path: str | Path, expect_kind: str | None = None):
     if len(lines) < 2:
         raise WeightsFormatError("file ends before the model header line")
     kind, dims = _parse_header(lines[1])
-    if kind not in MODEL_KINDS:
+    if kind not in REGISTRY:
         raise WeightsFormatError(f"unknown model kind {kind!r}")
     if expect_kind is not None and kind != expect_kind:
         raise WeightsFormatError(f"file holds {kind} weights, expected {expect_kind}")
+    entry = REGISTRY[kind]
+    missing = [key for key in entry.arch_keys if key not in dims]
+    if missing:
+        raise WeightsFormatError(f"{kind} model header lacks {', '.join(missing)}")
+    stated = {key: dims[key] for key in entry.arch_keys}
 
     arrays: dict[str, np.ndarray] = {}
     pos = 2
@@ -112,31 +105,10 @@ def load_weights(path: str | Path, expect_kind: str | None = None):
         pos += 1 + count
 
     try:
-        if kind == "lstm":
-            params = LstmParams.from_arrays(arrays)
-        elif kind == "gru":
-            params = GruParams.from_arrays(arrays)
-        else:
-            params = TransformerParams.from_arrays(arrays, n_heads=dims["n_heads"])
+        params = entry.params_class.from_arrays(arrays, **stated)
     except (KeyError, TypeError, ValueError) as exc:
         raise WeightsFormatError(f"missing or extra blocks for {kind}: {exc}") from None
-
-    _check_dims(kind, dims, params)
+    for key, actual in entry.dims(params).items():
+        if stated[key] != actual:
+            raise WeightsFormatError(f"header says {key}={stated[key]}, arrays say {actual}")
     return params, kind
-
-
-def _check_dims(kind: str, dims: dict[str, int], params) -> None:
-    if kind in ("lstm", "gru"):
-        stated = dims.get("hidden")
-        if stated is not None and stated != params.hidden:
-            raise WeightsFormatError(f"header says hidden={stated}, arrays say {params.hidden}")
-    else:
-        checks = {
-            "d_model": params.d_model,
-            "n_layers": len(params.layers),
-            "d_ff": params.d_ff,
-        }
-        for key, actual in checks.items():
-            stated = dims.get(key)
-            if stated is not None and stated != actual:
-                raise WeightsFormatError(f"header says {key}={stated}, arrays say {actual}")

@@ -22,23 +22,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check.
-
-    Raises ValueError naming both shapes on an inner-dimension mismatch.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D arrays, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul shape mismatch: {a.shape} @ {b.shape} "
-            f"(inner dimensions {a.shape[1]} != {b.shape[0]})"
-        )
-    return a @ b
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, stable for large |x|.
 
@@ -52,11 +35,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    """Elementwise hyperbolic tangent."""
-    return np.tanh(np.asarray(x, dtype=np.float64))
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:

@@ -28,8 +28,7 @@ import io
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .forecast_eval import SEED_OFFSETS
-from .models import MODEL_KINDS, ModelConfig
+from .models import MODEL_KINDS, REGISTRY, ModelConfig
 from .training import TrainConfig
 
 ADF_CHOICES = ("monthly-high", "daily-high")
@@ -43,11 +42,6 @@ _TRAIN_KEYS = {
     "max_epochs": int,
     "patience": int,
     "grad_clip_norm": float,
-}
-_ARCH_KEYS = {
-    "lstm": {"hidden": int},
-    "gru": {"hidden": int},
-    "transformer": {"d_model": int, "n_heads": int, "n_layers": int, "d_ff": int},
 }
 _RUN_KEYS = {
     "data": str,
@@ -90,7 +84,7 @@ class RunConfig:
         for kind, key, _ in self.model_overrides:
             if kind not in MODEL_KINDS:
                 raise ConfigError(f"unknown model section [{kind}]")
-            if key not in _TRAIN_KEYS and key not in _ARCH_KEYS[kind]:
+            if key not in _TRAIN_KEYS and key not in REGISTRY[kind].arch_keys:
                 raise ConfigError(f"unknown key {key!r} in section [{kind}]")
         # Surface invalid values now rather than mid-run.
         for kind in MODEL_KINDS:
@@ -105,17 +99,13 @@ class RunConfig:
 
     def model_config(self, kind: str) -> ModelConfig:
         sect = self._section(kind)
-        arch = {
-            key: kast(sect[key])
-            for key, kast in _ARCH_KEYS[kind].items()
-            if key in sect
-        }
+        arch = {key: int(sect[key]) for key in REGISTRY[kind].arch_keys if key in sect}
         return ModelConfig(kind=kind, **arch)
 
     def train_config(self, kind: str) -> TrainConfig:
         sect = self._section(kind)
         kwargs = {key: kast(sect[key]) for key, kast in _TRAIN_KEYS.items() if key in sect}
-        return TrainConfig(seed=self.seed + SEED_OFFSETS[kind], **kwargs)
+        return TrainConfig(seed=self.seed + REGISTRY[kind].seed_offset, **kwargs)
 
 
 def _convert(section: str, key: str, raw: str, kast):
@@ -143,7 +133,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
                 value = _convert(section, key, raw, _RUN_KEYS[key])
                 run_kwargs["data_path" if key == "data" else key] = value
         elif section in MODEL_KINDS:
-            known = _ARCH_KEYS[section] | _TRAIN_KEYS
+            known = dict.fromkeys(REGISTRY[section].arch_keys, int) | _TRAIN_KEYS
             for key, raw in parser.items(section):
                 if key not in known:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
@@ -188,9 +178,8 @@ def canonical_text(cfg: RunConfig) -> str:
     out.write(f"adf_on = {cfg.adf_on}\n")
     for kind in MODEL_KINDS:
         out.write(f"\n[{kind}]\n")
-        model = cfg.model_config(kind)
-        for key in _ARCH_KEYS[kind]:
-            out.write(f"{key} = {getattr(model, key)}\n")
+        for key, value in REGISTRY[kind].dims(cfg.model_config(kind)).items():
+            out.write(f"{key} = {value}\n")
         train = cfg.train_config(kind)
         for key, kast in _TRAIN_KEYS.items():
             value = getattr(train, key)
@@ -210,13 +199,10 @@ def config_echo(cfg: RunConfig) -> dict:
         "adf_on": cfg.adf_on,
         "models": {
             kind: {
-                "model": _arch_dict(cfg.model_config(kind)),
+                "model": cfg.model_config(kind).as_dict(),
                 "train": cfg.train_config(kind).as_dict(),
             }
             for kind in MODEL_KINDS
         },
     }
 
-
-def _arch_dict(model: ModelConfig) -> dict:
-    return {key: getattr(model, key) for key in ["kind", *_ARCH_KEYS[model.kind]]}

@@ -20,7 +20,7 @@ from seqcast import data as dat
 from seqcast import models
 from seqcast.cli import main
 from seqcast.forecast_eval import compute_metrics, recursive_forecast
-from seqcast.models import ModelConfig
+from seqcast.models import MODEL_KINDS, ModelConfig
 from seqcast.numerics import grad_check, make_rng
 from seqcast.stationarity import adf_test
 from seqcast.training import train
@@ -159,7 +159,7 @@ def test_criterion_4_models_learn_sine(capsys):
 
     test_r2, times = {}, {}
     lstm_val_r2 = None
-    for kind in ("lstm", "gru", "transformer"):
+    for kind in MODEL_KINDS:
         started = time.perf_counter()
         params, _ = train(
             run_cfg.model_config(kind), train_ds, val_ds, run_cfg.train_config(kind)
@@ -192,7 +192,7 @@ def test_criterion_5_pipeline_determinism(capsys, tmp_path, sine_csv):
     out = tmp_path / "out"
     cfg = tmp_path / "run.ini"
     cfg.write_text(tiny_config_text(sine_csv, str(out), seed=3, horizon=10))
-    tracked = ["report.json"] + [f"weights-{k}.txt" for k in ("lstm", "gru", "transformer")]
+    tracked = ["report.json"] + [f"weights-{k}.txt" for k in MODEL_KINDS]
 
     assert main(["compare", "--config", str(cfg)]) == 0
     first = {name: (out / name).read_bytes() for name in tracked}

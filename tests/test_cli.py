@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seqcast.cli import main
+from seqcast.models import MODEL_KINDS
 
 from conftest import tiny_config_text
 
@@ -169,12 +170,8 @@ class TestCompare:
             "report.json",
             "plot.csv",
             "plot.svg",
-            "weights-lstm.txt",
-            "weights-gru.txt",
-            "weights-transformer.txt",
-            "train-lstm.ndjson",
-            "train-gru.ndjson",
-            "train-transformer.ndjson",
+            *(f"weights-{k}.txt" for k in MODEL_KINDS),
+            *(f"train-{k}.ndjson" for k in MODEL_KINDS),
         ):
             assert (out / name).exists(), name
 
@@ -183,7 +180,7 @@ class TestCompare:
         report = json.loads((out / "report.json").read_text())
         assert set(report) == {"dataset", "models", "config"}
         names = [e["name"] for e in report["models"]]
-        assert names == ["lstm", "gru", "transformer"]
+        assert tuple(names) == MODEL_KINDS
         for entry in report["models"]:
             assert set(entry["metrics"]) == {"r2", "mae", "mse", "rmse", "fit_degree_pct"}
             assert len(entry["forecast"]) == 10

@@ -13,6 +13,9 @@ HEADER = "Date,Open,High,Low,Close,Volume\n"
 ROW0 = "2015/1/2, 14.858, 14.883333, 14.217333, 14.620667, 71466000\n"
 ROW1 = "2015/1/5, 14.303333, 14.433333, 13.810667, 14.006, 80527500\n"
 
+VALUE_COLUMNS = ("open", "high", "low", "close", "volume")
+CLEAN_GRID = dat.synth_ohlcv("sine+noise", 60, 3)  # cleaning leaves it untouched
+
 
 def write_csv(tmp_path, body: str, header: str = HEADER):
     p = tmp_path / "prices.csv"
@@ -105,6 +108,29 @@ class TestClean:
         body = "2015/1/2, 1, 2, 0.5, , 10\n"
         with pytest.raises(ValueError, match="every row"):
             dat.clean(dat.parse_csv(write_csv(tmp_path, body)))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(CLEAN_GRID) - 1),
+                st.sampled_from(VALUE_COLUMNS),
+                st.sampled_from([np.inf, -np.inf]),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    @settings(max_examples=60)
+    def test_infinite_cells_dropped_and_counted(self, cells):
+        columns = {c: getattr(CLEAN_GRID, c).copy() for c in VALUE_COLUMNS}
+        for i, c, v in cells:
+            columns[c][i] = v
+        dirty = dat.OhlcvSeries(dates=CLEAN_GRID.dates, **columns)
+        cleaned, report = dat.clean(dirty)
+        for c in VALUE_COLUMNS:
+            assert np.isfinite(getattr(cleaned, c)).all()
+        assert len(dirty) - len(cleaned) == report.total_dropped
+        assert report.dropped_nonfinite == len({i for i, _, _ in cells})
 
     def test_idempotent(self, tmp_path):
         body = ROW0 + "2015/1/5, , 14.7, 13.8, 14.006, 100\n" + "2015/1/6, 14.0, 13.0, 15.0, 14.1, 10\n"

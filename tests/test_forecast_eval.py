@@ -5,7 +5,6 @@ from seqcast import data as dat
 from seqcast import models
 from seqcast.data import Scaler
 from seqcast.forecast_eval import (
-    SEED_OFFSETS,
     Metrics,
     compare,
     compute_metrics,
@@ -14,7 +13,7 @@ from seqcast.forecast_eval import (
     prepare_windows,
     recursive_forecast,
 )
-from seqcast.models import ModelConfig
+from seqcast.models import MODEL_KINDS, REGISTRY, ModelConfig
 from seqcast.numerics import make_rng
 from seqcast.training import TrainConfig, TrainHistory
 
@@ -162,7 +161,7 @@ def result(sine_series):
         ),
     }
     train_cfgs = {
-        name: TrainConfig(max_epochs=4, patience=4, seed=SEED_OFFSETS[name])
+        name: TrainConfig(max_epochs=4, patience=4, seed=REGISTRY[name].seed_offset)
         for name in model_cfgs
     }
     return compare(sine_series, model_cfgs, train_cfgs, lookback=24, horizon=10)
@@ -172,8 +171,8 @@ class TestCompare:
     def test_report_shape(self, result):
         report, trained, forecasts, test = result
         assert set(report) == {"dataset", "models"}
-        assert [e["name"] for e in report["models"]] == ["lstm", "gru", "transformer"]
-        assert set(trained) == set(forecasts) == {"lstm", "gru", "transformer"}
+        assert tuple(e["name"] for e in report["models"]) == MODEL_KINDS
+        assert set(trained) == set(forecasts) == set(MODEL_KINDS)
         assert len(test) == 10
 
     def test_entries_carry_forecast_and_config(self, result):
@@ -193,7 +192,8 @@ class TestCompare:
 
 class TestHelpers:
     def test_seed_offsets_are_distinct_per_model(self):
-        assert SEED_OFFSETS == {"lstm": 1, "gru": 2, "transformer": 3}
+        offsets = [REGISTRY[kind].seed_offset for kind in MODEL_KINDS]
+        assert len(set(offsets)) == len(offsets)
 
     def test_plot_rows_layout(self):
         series = dat.synth_ohlcv("sine+noise", 40, seed=9)

@@ -19,7 +19,7 @@ def mse_setup(params, x, y):
 
 class TestForward:
     def test_all_zero_params_gates_half_prediction_is_head_bias(self):
-        p = lstm.init_params(make_rng(0), hidden=3, forget_bias=0.0)
+        p = lstm.init_params(make_rng(0), hidden=3)
         zeros = {name: np.zeros_like(a) for name, a in p.named_arrays()}
         zeros["head_b"] = np.array([0.37])
         p = lstm.LstmParams.from_arrays(zeros)
@@ -136,8 +136,6 @@ class TestParams:
     def test_forget_bias_default_one(self):
         p = lstm.init_params(make_rng(0), hidden=4)
         assert np.all(p.b_f == 1.0)
-        p0 = lstm.init_params(make_rng(0), hidden=4, forget_bias=0.0)
-        assert not p0.b_f.any()
 
     def test_init_deterministic(self):
         a = lstm.init_params(make_rng(7), hidden=4)

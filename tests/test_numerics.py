@@ -8,58 +8,14 @@ from seqcast.numerics import (
     grad_check,
     init_xavier,
     make_rng,
-    matmul,
     sigmoid,
     softmax_rows,
-    tanh,
 )
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[3.0, 4.0], [5.0, 6.0]])
-        assert np.array_equal(matmul(np.eye(2), m), m)
-
-    def test_known_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        assert np.array_equal(matmul(a, b), np.array([[19.0, 22.0], [43.0, 50.0]]))
-
-    def test_naive_triple_loop_oracle(self, rng):
-        a = rng.normal(size=(4, 3))
-        b = rng.normal(size=(3, 5))
-        expected = np.zeros((4, 5))
-        for i in range(4):
-            for j in range(5):
-                for k in range(3):
-                    expected[i, j] += a[i, k] * b[k, j]
-        np.testing.assert_allclose(matmul(a, b), expected, rtol=1e-12)
-
-    def test_zero_annihilates(self, rng):
-        b = rng.normal(size=(3, 4))
-        assert not matmul(np.zeros((2, 3)), b).any()
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_associativity_on_random_chains(self, rng):
-        for _ in range(10):
-            a = rng.normal(size=(4, 6))
-            b = rng.normal(size=(6, 3))
-            c = rng.normal(size=(3, 5))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            rel = np.linalg.norm(left - right) / max(np.linalg.norm(left), 1e-30)
-            assert rel < 1e-9
 
 
 class TestActivations:
     def test_sigmoid_at_zero(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5
-
-    def test_tanh_at_zero(self):
-        assert tanh(np.array([0.0]))[0] == 0.0
 
     def test_sigmoid_saturates_without_overflow(self):
         out = sigmoid(np.array([-500.0, 500.0]))

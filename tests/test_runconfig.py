@@ -1,5 +1,6 @@
 import pytest
 
+from seqcast.models import MODEL_KINDS
 from seqcast.runconfig import (
     ConfigError,
     RunConfig,
@@ -154,7 +155,7 @@ class TestCanonical:
 
     def test_canonical_lists_every_section(self):
         text = canonical_text(RunConfig())
-        for header in ("[run]", "[lstm]", "[gru]", "[transformer]"):
+        for header in ("[run]", *(f"[{kind}]" for kind in MODEL_KINDS)):
             assert header in text
 
 
@@ -163,7 +164,7 @@ class TestEcho:
         echo = config_echo(parse_config_text(SAMPLE))
         assert echo["data"] == "prices.csv"
         assert echo["seed"] == 7
-        assert set(echo["models"]) == {"lstm", "gru", "transformer"}
+        assert set(echo["models"]) == set(MODEL_KINDS)
         assert echo["models"]["lstm"]["model"] == {"kind": "lstm", "hidden": 16}
         assert echo["models"]["lstm"]["train"]["seed"] == 8
 

@@ -59,12 +59,15 @@ class TestForward:
         b, _ = transformer.forward(p, x[:, perm])
         assert abs(a[0] - b[0]) > 1e-8
 
-    def test_permutation_equivariance_without_positions(self):
+    def test_permutation_equivariance_without_positions(self, monkeypatch):
+        monkeypatch.setattr(
+            transformer, "positional_encoding", lambda steps, d: np.zeros((steps, d))
+        )
         p = small_params(seed=10)
         x = make_rng(11).normal(size=(2, 6))
         perm = np.array([4, 0, 5, 2, 1, 3])
-        _, cache = transformer.forward(p, x, use_positions=False)
-        _, cache_p = transformer.forward(p, x[:, perm], use_positions=False)
+        _, cache = transformer.forward(p, x)
+        _, cache_p = transformer.forward(p, x[:, perm])
         np.testing.assert_allclose(
             cache_p["h_final"], cache["h_final"][:, perm, :], atol=1e-10
         )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqcast.models import ModelConfig, init_params, kind_of
+from seqcast.models import MODEL_KINDS, REGISTRY, ModelConfig, init_params, kind_of
 from seqcast.models.weights_io import WeightsFormatError, load_weights, save_weights
 from seqcast.numerics import make_rng
 
@@ -11,7 +11,7 @@ def build(kind, seed=0):
     return init_params(cfg, make_rng(seed))
 
 
-@pytest.mark.parametrize("kind", ["lstm", "gru", "transformer"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_round_trip_is_bit_exact(tmp_path, kind):
     params = build(kind)
     path = tmp_path / "w.txt"
@@ -75,11 +75,26 @@ def test_non_numeric_payload_rejected(tmp_path):
         load_weights(path)
 
 
-def test_dims_header_mismatch_rejected(tmp_path):
+# n_heads is the one dimension the arrays do not fix, so no array can contradict it.
+@pytest.mark.parametrize(
+    "kind,key",
+    [(kind, key) for kind in MODEL_KINDS for key in REGISTRY[kind].arch_keys if key != "n_heads"],
+)
+def test_dims_header_mismatch_rejected(tmp_path, kind, key):
+    params = build(kind)
+    stated = getattr(params, key)
     path = tmp_path / "w.txt"
-    save_weights(path, build("lstm"))
-    path.write_text(path.read_text().replace("hidden=5", "hidden=9"))
-    with pytest.raises(WeightsFormatError):
+    save_weights(path, params)
+    path.write_text(path.read_text().replace(f" {key}={stated} ", f" {key}={stated + 1} ", 1))
+    with pytest.raises(WeightsFormatError, match=f"header says {key}={stated + 1}"):
+        load_weights(path)
+
+
+def test_header_without_n_heads_rejected(tmp_path):
+    path = tmp_path / "w.txt"
+    save_weights(path, build("transformer"))
+    path.write_text(path.read_text().replace(" n_heads=2 ", " ", 1))
+    with pytest.raises(WeightsFormatError, match="lacks n_heads"):
         load_weights(path)
 
 

@@ -1,10 +1,11 @@
 """The three sequence forecasters and their shared dispatch surface.
 
-Each model module exposes a parameter dataclass plus ``init_params``,
-``forward`` and ``backward``. ``REGISTRY`` is the one place that says what
-a model kind is; everything here dispatches through it so training and
-forecasting stay model-agnostic. Forward/backward are pure given
-(params, input): params are never mutated by model code.
+Each model module exposes ``shapes`` (its ordered name -> shape table) plus
+``init_params``, ``forward`` and ``backward``; every kind's parameters are
+one ``Params``. ``REGISTRY`` is the one place that says what a model kind
+is; everything here dispatches through it so training and forecasting stay
+model-agnostic. Forward/backward are pure given (params, input): params are
+never mutated by model code.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from types import ModuleType
 import numpy as np
 
 from . import gru, lstm, transformer
-from .gru import GruParams
-from .lstm import LstmParams
-from .transformer import TransformerParams
+from .params import Params
 
 
 @dataclass(frozen=True)
@@ -26,27 +25,24 @@ class ModelKind:
 
     arch_keys name the architecture values in the order the weight-file
     header states them and reports echo them. Each is an attribute of
-    ModelConfig and of the params class, and a keyword of the module's
-    ``init_params`` and the class's ``from_arrays``. Per-model seed = run
-    seed + seed_offset, so models never share an init stream.
+    ModelConfig and a keyword of the module's ``shapes`` and ``init_params``.
+    Per-model seed = run seed + seed_offset, so models never share an init
+    stream.
     """
 
-    params_class: type
     module: ModuleType
     arch_keys: tuple[str, ...]
     seed_offset: int
 
-    def dims(self, source) -> dict[str, int]:
-        """The architecture values of a ModelConfig or params object, in key order."""
-        return {key: getattr(source, key) for key in self.arch_keys}
+    def dims(self, cfg) -> dict[str, int]:
+        """The architecture values of a ModelConfig, in key order."""
+        return {key: getattr(cfg, key) for key in self.arch_keys}
 
 
 REGISTRY = {
-    "lstm": ModelKind(LstmParams, lstm, ("hidden",), 1),
-    "gru": ModelKind(GruParams, gru, ("hidden",), 2),
-    "transformer": ModelKind(
-        TransformerParams, transformer, ("d_model", "n_heads", "n_layers", "d_ff"), 3
-    ),
+    "lstm": ModelKind(lstm, ("hidden",), 1),
+    "gru": ModelKind(gru, ("hidden",), 2),
+    "transformer": ModelKind(transformer, ("d_model", "n_heads", "n_layers", "d_ff"), 3),
 }
 MODEL_KINDS = tuple(REGISTRY)
 
@@ -76,35 +72,27 @@ class ModelConfig:
         return {"kind": self.kind, **REGISTRY[self.kind].dims(self)}
 
 
-def init_params(cfg: ModelConfig, rng: np.random.Generator):
+def init_params(cfg: ModelConfig, rng: np.random.Generator) -> Params:
     entry = REGISTRY[cfg.kind]
     return entry.module.init_params(rng, **entry.dims(cfg))
 
 
-def rebuild(params, arrays: dict[str, np.ndarray]):
-    """New params of the same type with arrays swapped in (optimizer plumbing)."""
-    entry = REGISTRY[kind_of(params)]
-    return entry.params_class.from_arrays(arrays, **entry.dims(params))
+def rebuild(params: Params, theta: np.ndarray) -> Params:
+    """Params of the same kind and dims over theta (optimizer plumbing)."""
+    return Params(params.kind, params.dims, theta)
 
 
-def kind_of(params) -> str:
-    for kind, entry in REGISTRY.items():
-        if type(params) is entry.params_class:
-            return kind
-    raise TypeError(f"not a model parameter collection: {type(params)!r}")
-
-
-def forward(params, x: np.ndarray):
+def forward(params: Params, x: np.ndarray):
     """Batched forward pass: x is (batch, steps), result is ((batch,), cache)."""
-    return REGISTRY[kind_of(params)].module.forward(params, x)
+    return REGISTRY[params.kind].module.forward(params, x)
 
 
-def backward(params, cache, d_preds: np.ndarray):
+def backward(params: Params, cache, d_preds: np.ndarray) -> Params:
     """Gradient of sum_b d_preds[b] * prediction_b w.r.t. every parameter."""
-    return REGISTRY[kind_of(params)].module.backward(params, cache, d_preds)
+    return REGISTRY[params.kind].module.backward(params, cache, d_preds)
 
 
-def predict(params, window: np.ndarray) -> float:
+def predict(params: Params, window: np.ndarray) -> float:
     """Single-window prediction: window is (steps,), result a scalar."""
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 1:

@@ -16,82 +16,36 @@ upstream gradient yields the mean of per-sample gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..numerics import init_xavier, sigmoid
+from .params import Params
 
 
-@dataclass
-class LstmParams:
-    w_f: np.ndarray  # (hidden, hidden + input)
-    w_i: np.ndarray
-    w_c: np.ndarray
-    w_o: np.ndarray
-    b_f: np.ndarray  # (hidden,)
-    b_i: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
-    head_w: np.ndarray  # (1, hidden)
-    head_b: np.ndarray  # (1,)
-
-    def __post_init__(self):
-        shape = self.w_f.shape
-        for name in ("w_i", "w_c", "w_o"):
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"gate matrix {name} has shape {getattr(self, name).shape}, expected {shape}")
-        h = shape[0]
-        for name in ("b_f", "b_i", "b_c", "b_o"):
-            if getattr(self, name).shape != (h,):
-                raise ValueError(f"bias {name} has shape {getattr(self, name).shape}, expected ({h},)")
-        if self.head_w.shape != (1, h) or self.head_b.shape != (1,):
-            raise ValueError("head shapes do not match the hidden width")
-
-    @property
-    def hidden(self) -> int:
-        return self.w_f.shape[0]
-
-    @property
-    def input_size(self) -> int:
-        return self.w_f.shape[1] - self.w_f.shape[0]
-
-    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [
-            ("w_f", self.w_f), ("w_i", self.w_i), ("w_c", self.w_c), ("w_o", self.w_o),
-            ("b_f", self.b_f), ("b_i", self.b_i), ("b_c", self.b_c), ("b_o", self.b_o),
-            ("head_w", self.head_w), ("head_b", self.head_b),
-        ]
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray], **dims: int) -> "LstmParams":
-        """The array shapes fix every dimension, so architecture keywords go unused."""
-        return cls(**arrays)
+def shapes(hidden: int) -> dict[str, tuple[int, ...]]:
+    """Gate matrices act on [h_{t-1}, x_t], so they have hidden + 1 columns."""
+    gate, bias = (hidden, hidden + 1), (hidden,)
+    return {
+        "w_f": gate, "w_i": gate, "w_c": gate, "w_o": gate,
+        "b_f": bias, "b_i": bias, "b_c": bias, "b_o": bias,
+        "head_w": (1, hidden), "head_b": (1,),
+    }
 
 
-def init_params(rng: np.random.Generator, hidden: int) -> LstmParams:
+def init_params(rng: np.random.Generator, hidden: int) -> Params:
     """Xavier-uniform gate matrices, zero biases except the forget gate.
 
     The forget bias is 1.0, which keeps early cell-state retention high and
     stabilizes training.
     """
-    d = hidden + 1
-    b_f = np.ones(hidden)
-    return LstmParams(
-        w_f=init_xavier(rng, hidden, d),
-        w_i=init_xavier(rng, hidden, d),
-        w_c=init_xavier(rng, hidden, d),
-        w_o=init_xavier(rng, hidden, d),
-        b_f=b_f,
-        b_i=np.zeros(hidden),
-        b_c=np.zeros(hidden),
-        b_o=np.zeros(hidden),
-        head_w=init_xavier(rng, 1, hidden),
-        head_b=np.zeros(1),
-    )
+    p = Params("lstm", {"hidden": hidden})
+    for w in (p.w_f, p.w_i, p.w_c, p.w_o, p.head_w):
+        w[...] = init_xavier(rng, *w.shape)
+    p.b_f[...] = 1.0
+    return p
 
 
-def forward(params: LstmParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
+def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """Run the cell over x of shape (batch, steps); h_0 = c_0 = 0.
 
     Returns predictions (batch,) and the cache the backward pass needs.
@@ -99,10 +53,8 @@ def forward(params: LstmParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError(f"expected input of shape (batch, steps), got {x.shape}")
-    if params.input_size != 1:
-        raise ValueError(f"scalar sequences need input_size 1, params have {params.input_size}")
     batch, steps = x.shape
-    h = params.hidden
+    h = params.dims["hidden"]
     h_t = np.zeros((batch, h))
     c_t = np.zeros((batch, h))
     cache = {"x": x, "z": [], "f": [], "i": [], "g": [], "o": [],
@@ -124,21 +76,20 @@ def forward(params: LstmParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
     return preds, cache
 
 
-def backward(params: LstmParams, cache: dict, d_preds: np.ndarray) -> LstmParams:
+def backward(params: Params, cache: dict, d_preds: np.ndarray) -> Params:
     """BPTT: gradient of sum_b d_preds[b] * pred_b, shaped like the params."""
-    if cache.get("hidden") != params.hidden:
+    if cache.get("hidden") != params.dims["hidden"]:
         raise ValueError("cache does not match these parameters")
     d_preds = np.asarray(d_preds, dtype=np.float64).ravel()
     x = cache["x"]
     batch, steps = x.shape
     if d_preds.shape != (batch,):
         raise ValueError(f"need one upstream gradient per sample, got {d_preds.shape}")
-    h = params.hidden
+    h = params.dims["hidden"]
 
-    grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
-    h_last = cache["h_last"]
-    grads["head_w"] += d_preds[None, :] @ h_last
-    grads["head_b"] += d_preds.sum(keepdims=True)
+    grads = Params("lstm", params.dims)
+    grads.head_w += d_preds[None, :] @ cache["h_last"]
+    grads.head_b += d_preds.sum(keepdims=True)
 
     dh = d_preds[:, None] * params.head_w  # (batch, hidden)
     dc = np.zeros((batch, h))
@@ -152,14 +103,14 @@ def backward(params: LstmParams, cache: dict, d_preds: np.ndarray) -> LstmParams
         da_g = dc * i * (1.0 - g**2)
         da_o = do * o * (1.0 - o)
         dc = dc * f
-        grads["w_f"] += da_f.T @ z
-        grads["w_i"] += da_i.T @ z
-        grads["w_c"] += da_g.T @ z
-        grads["w_o"] += da_o.T @ z
-        grads["b_f"] += da_f.sum(axis=0)
-        grads["b_i"] += da_i.sum(axis=0)
-        grads["b_c"] += da_g.sum(axis=0)
-        grads["b_o"] += da_o.sum(axis=0)
+        grads.w_f += da_f.T @ z
+        grads.w_i += da_i.T @ z
+        grads.w_c += da_g.T @ z
+        grads.w_o += da_o.T @ z
+        grads.b_f += da_f.sum(axis=0)
+        grads.b_i += da_i.sum(axis=0)
+        grads.b_c += da_g.sum(axis=0)
+        grads.b_o += da_o.sum(axis=0)
         dz = da_f @ params.w_f + da_i @ params.w_i + da_g @ params.w_c + da_o @ params.w_o
         dh = dz[:, :h]
-    return LstmParams.from_arrays(grads)
+    return grads

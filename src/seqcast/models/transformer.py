@@ -14,115 +14,52 @@ suite is the ground truth for every branch here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..numerics import init_xavier, softmax_rows
+from .params import Params
 
 _LN_EPS = 1e-5
 
-_LAYER_FIELDS = (
-    "ln1_g", "ln1_b", "w_q", "w_k", "w_v", "w_o",
-    "ln2_g", "ln2_b", "w_ff1", "b_ff1", "w_ff2", "b_ff2",
-)
 
+def shapes(d_model: int, n_heads: int, n_layers: int, d_ff: int) -> dict[str, tuple[int, ...]]:
+    """Input embedding, then each block's arrays as layers.<i>.<field>, then the head.
 
-@dataclass
-class TransformerLayerParams:
-    ln1_g: np.ndarray  # (d_model,)
-    ln1_b: np.ndarray
-    w_q: np.ndarray  # (d_model, d_model), acting as x @ w
-    w_k: np.ndarray
-    w_v: np.ndarray
-    w_o: np.ndarray
-    ln2_g: np.ndarray
-    ln2_b: np.ndarray
-    w_ff1: np.ndarray  # (d_ff, d_model)
-    b_ff1: np.ndarray  # (d_ff,)
-    w_ff2: np.ndarray  # (d_model, d_ff)
-    b_ff2: np.ndarray  # (d_model,)
-
-
-@dataclass
-class TransformerParams:
-    w_in: np.ndarray  # (d_model, 1) input embedding
-    layers: list[TransformerLayerParams]
-    head_w: np.ndarray  # (1, d_model)
-    head_b: np.ndarray  # (1,)
-    n_heads: int
-
-    def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise ValueError(f"d_model {self.d_model} not divisible by {self.n_heads} heads")
-
-    @property
-    def d_model(self) -> int:
-        return self.w_in.shape[0]
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
-
-    @property
-    def d_ff(self) -> int:
-        return self.layers[0].w_ff1.shape[0]
-
-    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        out = [("w_in", self.w_in)]
-        for idx, layer in enumerate(self.layers):
-            out.extend((f"layers.{idx}.{name}", getattr(layer, name)) for name in _LAYER_FIELDS)
-        out.append(("head_w", self.head_w))
-        out.append(("head_b", self.head_b))
-        return out
-
-    @classmethod
-    def from_arrays(
-        cls, arrays: dict[str, np.ndarray], n_heads: int, **dims: int
-    ) -> "TransformerParams":
-        """n_heads is the one dimension the array shapes do not fix; the others go unused."""
-        n_layers = 1 + max(int(key.split(".")[1]) for key in arrays if key.startswith("layers."))
-        layers = [
-            TransformerLayerParams(**{name: arrays[f"layers.{idx}.{name}"] for name in _LAYER_FIELDS})
-            for idx in range(n_layers)
-        ]
-        return cls(
-            w_in=arrays["w_in"], layers=layers,
-            head_w=arrays["head_w"], head_b=arrays["head_b"], n_heads=n_heads,
-        )
+    Attention matrices act as x @ w; FFN matrices as x @ w'.
+    """
+    if d_model % n_heads != 0:
+        raise ValueError(f"d_model {d_model} not divisible by {n_heads} heads")
+    d, f = (d_model,), (d_ff,)
+    square = (d_model, d_model)
+    block = {
+        "ln1_g": d, "ln1_b": d, "w_q": square, "w_k": square, "w_v": square, "w_o": square,
+        "ln2_g": d, "ln2_b": d, "w_ff1": (d_ff, d_model), "b_ff1": f,
+        "w_ff2": (d_model, d_ff), "b_ff2": d,
+    }
+    table = {"w_in": (d_model, 1)}
+    for idx in range(n_layers):
+        table.update((f"layers.{idx}.{name}", shape) for name, shape in block.items())
+    table.update(head_w=(1, d_model), head_b=(1,))
+    return table
 
 
 def init_params(
     rng: np.random.Generator, d_model: int, n_heads: int, n_layers: int, d_ff: int
-) -> TransformerParams:
-    """Xavier weights, unit layer-norm gains, zero biases and shifts."""
-    if d_model % n_heads != 0:
-        raise ValueError(f"d_model {d_model} not divisible by {n_heads} heads")
-    layers = []
-    for _ in range(n_layers):
-        layers.append(
-            TransformerLayerParams(
-                ln1_g=np.ones(d_model),
-                ln1_b=np.zeros(d_model),
-                w_q=init_xavier(rng, d_model, d_model),
-                w_k=init_xavier(rng, d_model, d_model),
-                w_v=init_xavier(rng, d_model, d_model),
-                w_o=init_xavier(rng, d_model, d_model),
-                ln2_g=np.ones(d_model),
-                ln2_b=np.zeros(d_model),
-                w_ff1=init_xavier(rng, d_ff, d_model),
-                b_ff1=np.zeros(d_ff),
-                w_ff2=init_xavier(rng, d_model, d_ff),
-                b_ff2=np.zeros(d_model),
-            )
-        )
-    return TransformerParams(
-        w_in=init_xavier(rng, d_model, 1),
-        layers=layers,
-        head_w=init_xavier(rng, 1, d_model),
-        head_b=np.zeros(1),
-        n_heads=n_heads,
-    )
+) -> Params:
+    """Xavier weights, unit layer-norm gains, zero biases and shifts.
+
+    Draw order: every block's matrices, then the embedding, then the head.
+    """
+    dims = {"d_model": d_model, "n_heads": n_heads, "n_layers": n_layers, "d_ff": d_ff}
+    p = Params("transformer", dims)
+    for layer in p.layers:
+        layer.ln1_g[...] = 1.0
+        layer.ln2_g[...] = 1.0
+        for w in (layer.w_q, layer.w_k, layer.w_v, layer.w_o, layer.w_ff1, layer.w_ff2):
+            w[...] = init_xavier(rng, *w.shape)
+    for w in (p.w_in, p.head_w):
+        w[...] = init_xavier(rng, *w.shape)
+    return p
 
 
 def positional_encoding(steps: int, d_model: int) -> np.ndarray:
@@ -166,14 +103,14 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, t, nh * dh)
 
 
-def forward(params: TransformerParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
+def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """Encode x of shape (batch, steps) and predict from the final position."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError(f"expected input of shape (batch, steps), got {x.shape}")
     batch, steps = x.shape
-    d = params.d_model
-    nh = params.n_heads
+    d = params.dims["d_model"]
+    nh = params.dims["n_heads"]
     scale = 1.0 / np.sqrt(d // nh)
 
     h = x[:, :, None] @ params.w_in.T  # (batch, steps, d_model)
@@ -202,9 +139,10 @@ def forward(params: TransformerParams, x: np.ndarray) -> tuple[np.ndarray, dict]
     return preds, cache
 
 
-def backward(params: TransformerParams, cache: dict, d_preds: np.ndarray) -> TransformerParams:
+def backward(params: Params, cache: dict, d_preds: np.ndarray) -> Params:
     """Gradient of sum_b d_preds[b] * pred_b, shaped like the params."""
-    if cache.get("d_model") != params.d_model or cache.get("n_heads") != params.n_heads:
+    dims = params.dims
+    if cache.get("d_model") != dims["d_model"] or cache.get("n_heads") != dims["n_heads"]:
         raise ValueError("cache does not match these parameters")
     d_preds = np.asarray(d_preds, dtype=np.float64).ravel()
     x = cache["x"]
@@ -213,36 +151,32 @@ def backward(params: TransformerParams, cache: dict, d_preds: np.ndarray) -> Tra
         raise ValueError(f"need one upstream gradient per sample, got {d_preds.shape}")
     scale = cache["scale"]
 
-    grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
+    grads = Params("transformer", dims)
     h_final = cache["h_final"]
-    grads["head_w"] += d_preds[None, :] @ h_final[:, -1, :]
-    grads["head_b"] += d_preds.sum(keepdims=True)
+    grads.head_w += d_preds[None, :] @ h_final[:, -1, :]
+    grads.head_b += d_preds.sum(keepdims=True)
 
     dh = np.zeros_like(h_final)
     dh[:, -1, :] = d_preds[:, None] * params.head_w
 
-    for idx in reversed(range(len(params.layers))):
-        layer = params.layers[idx]
-        lc = cache["layers"][idx]
-        pre = f"layers.{idx}."
-
+    for layer, grad, lc in zip(params.layers[::-1], grads.layers[::-1], cache["layers"][::-1]):
         # FFN branch: h_out = a + relu(n2 W1' + b1) W2' + b2
         df = dh
-        grads[pre + "w_ff2"] += np.einsum("btd,btf->df", df, lc["rel"])
-        grads[pre + "b_ff2"] += df.sum(axis=(0, 1))
+        grad.w_ff2 += np.einsum("btd,btf->df", df, lc["rel"])
+        grad.b_ff2 += df.sum(axis=(0, 1))
         d_y1 = (df @ layer.w_ff2) * (lc["y1"] > 0)
-        grads[pre + "w_ff1"] += np.einsum("btf,btd->fd", d_y1, lc["n2"])
-        grads[pre + "b_ff1"] += d_y1.sum(axis=(0, 1))
+        grad.w_ff1 += np.einsum("btf,btd->fd", d_y1, lc["n2"])
+        grad.b_ff1 += d_y1.sum(axis=(0, 1))
         d_n2 = d_y1 @ layer.w_ff1
         d_a, d_g2, d_b2 = _layer_norm_backward(d_n2, layer.ln2_g, lc["ln2"])
-        grads[pre + "ln2_g"] += d_g2
-        grads[pre + "ln2_b"] += d_b2
+        grad.ln2_g += d_g2
+        grad.ln2_b += d_b2
         da = dh + d_a  # residual plus normalized branch
 
         # Attention branch: a = h_in + merge(softmax(QK' * scale) V) W_o
         d_merged = da @ layer.w_o.T
-        grads[pre + "w_o"] += np.einsum("bti,btj->ij", lc["merged"], da)
-        d_oh = _split_heads(d_merged, params.n_heads)
+        grad.w_o += np.einsum("bti,btj->ij", lc["merged"], da)
+        d_oh = _split_heads(d_merged, cache["n_heads"])
         d_attn = d_oh @ lc["vh"].transpose(0, 1, 3, 2)
         d_vh = lc["attn_w"].transpose(0, 1, 3, 2) @ d_oh
         attn_w = lc["attn_w"]
@@ -253,15 +187,15 @@ def backward(params: TransformerParams, cache: dict, d_preds: np.ndarray) -> Tra
         d_k = _merge_heads(d_kh)
         d_v = _merge_heads(d_vh)
         n1 = lc["n1"]
-        grads[pre + "w_q"] += np.einsum("bti,btj->ij", n1, d_q)
-        grads[pre + "w_k"] += np.einsum("bti,btj->ij", n1, d_k)
-        grads[pre + "w_v"] += np.einsum("bti,btj->ij", n1, d_v)
+        grad.w_q += np.einsum("bti,btj->ij", n1, d_q)
+        grad.w_k += np.einsum("bti,btj->ij", n1, d_k)
+        grad.w_v += np.einsum("bti,btj->ij", n1, d_v)
         d_n1 = d_q @ layer.w_q.T + d_k @ layer.w_k.T + d_v @ layer.w_v.T
         d_h1, d_g1, d_b1 = _layer_norm_backward(d_n1, layer.ln1_g, lc["ln1"])
-        grads[pre + "ln1_g"] += d_g1
-        grads[pre + "ln1_b"] += d_b1
+        grad.ln1_g += d_g1
+        grad.ln1_b += d_b1
         dh = da + d_h1
 
     # Embedding: h0 = x[:, :, None] @ w_in' (+ constant position codes)
-    grads["w_in"] += np.einsum("btd,bt->d", dh, x)[:, None]
-    return TransformerParams.from_arrays(grads, params.n_heads)
+    grads.w_in += np.einsum("btd,bt->d", dh, x)[:, None]
+    return grads

@@ -8,6 +8,8 @@ Layout:
 
 A vector of length n is written with cols=0 so its shape survives the
 round trip; 17 significant digits make every float64 value bit-exact.
+Blocks follow the kind's layout order. On load the header's dims fix the
+layout, and every block is checked against it by name and shape.
 Files always use LF newlines so identical weights produce identical bytes.
 """
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
+from .params import Params
 
 MAGIC = "SEQCAST-W v1"
 
@@ -24,12 +26,12 @@ class WeightsFormatError(ValueError):
     pass
 
 
-def save_weights(path: str | Path, params) -> None:
-    from . import REGISTRY, kind_of
+def _dims_text(kind: str, dims: dict[str, int]) -> str:
+    return " ".join([kind, *(f"{k}={v}" for k, v in dims.items())])
 
-    kind = kind_of(params)
-    dims = REGISTRY[kind].dims(params)
-    lines = [MAGIC, " ".join([kind, *(f"{k}={v}" for k, v in dims.items()), "input=1"])]
+
+def save_weights(path: str | Path, params: Params) -> None:
+    lines = [MAGIC, _dims_text(params.kind, params.dims) + " input=1"]
     for name, arr in params.named_arrays():
         if arr.ndim == 1:
             lines.append(f"{name} {arr.shape[0]} 0")
@@ -54,7 +56,7 @@ def _parse_header(line: str) -> tuple[str, dict[str, int]]:
 
 
 def load_weights(path: str | Path, expect_kind: str | None = None):
-    """Read a weights file back into a params object.
+    """Read a weights file back into a Params.
 
     Returns (params, kind). expect_kind turns a kind mismatch into an error
     up front, before any arrays are parsed.
@@ -78,37 +80,49 @@ def load_weights(path: str | Path, expect_kind: str | None = None):
     if missing:
         raise WeightsFormatError(f"{kind} model header lacks {', '.join(missing)}")
     stated = {key: dims[key] for key in entry.arch_keys}
-
-    arrays: dict[str, np.ndarray] = {}
+    header = _dims_text(kind, stated)
+    try:
+        params = Params(kind, stated)
+    except ValueError as exc:
+        raise WeightsFormatError(f"header {header}: {exc}") from None
+    views = dict(params.named_arrays())
+    seen: set[str] = set()
     pos = 2
     while pos < len(lines):
         if not lines[pos].strip():
             pos += 1
             continue
-        header = lines[pos].split()
-        if len(header) != 3:
+        fields = lines[pos].split()
+        if len(fields) != 3:
             raise WeightsFormatError(f"line {pos + 1}: expected 'name rows cols', got {lines[pos]!r}")
-        name = header[0]
+        name = fields[0]
         try:
-            rows, cols = int(header[1]), int(header[2])
+            rows, cols = int(fields[1]), int(fields[2])
         except ValueError:
             raise WeightsFormatError(f"line {pos + 1}: non-integer shape in {lines[pos]!r}") from None
-        count = rows * max(cols, 1)
+        if name not in views:
+            raise WeightsFormatError(f"block {name!r} is not in the layout of header {header}")
+        if name in seen:
+            raise WeightsFormatError(f"block {name!r} appears twice")
+        shape = (rows,) if cols == 0 else (rows, cols)
+        if shape != views[name].shape:
+            raise WeightsFormatError(
+                f"block {name!r} has shape {shape}, header {header} implies {views[name].shape}"
+            )
+        count = views[name].size
         chunk = lines[pos + 1 : pos + 1 + count]
         if len(chunk) < count:
             raise WeightsFormatError(f"block {name!r}: file truncated, {len(chunk)} of {count} values")
         try:
-            flat = np.array([float(v) for v in chunk], dtype=np.float64)
+            views[name].flat = [float(v) for v in chunk]
         except ValueError:
             raise WeightsFormatError(f"block {name!r}: non-numeric value") from None
-        arrays[name] = flat if cols == 0 else flat.reshape(rows, cols)
+        seen.add(name)
         pos += 1 + count
 
-    try:
-        params = entry.params_class.from_arrays(arrays, **stated)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WeightsFormatError(f"missing or extra blocks for {kind}: {exc}") from None
-    for key, actual in entry.dims(params).items():
-        if stated[key] != actual:
-            raise WeightsFormatError(f"header says {key}={stated[key]}, arrays say {actual}")
+    absent = [name for name in views if name not in seen]
+    if absent:
+        raise WeightsFormatError(
+            f"header {header} needs blocks the file lacks: {', '.join(absent)}"
+        )
     return params, kind

@@ -57,7 +57,7 @@ def _iter_arrays(params) -> Iterable[tuple[str, np.ndarray]]:
     """Yield (name, array) views of a parameter collection.
 
     Accepts a bare ndarray, a dict of ndarrays, or any object exposing
-    ``named_arrays()`` (the model parameter classes).
+    ``named_arrays()`` (a model's ``Params``).
     """
     if isinstance(params, np.ndarray):
         yield "theta", params

@@ -11,18 +11,17 @@ bit-identical parameters and history.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import models
 from .data import WindowedDataset
-from .models import ModelConfig
+from .models import ModelConfig, Params
 from .numerics import make_rng
 
 
@@ -102,17 +101,13 @@ class TrainHistory:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
-def init_adam(arrays: dict[str, np.ndarray]) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(a) for k, a in arrays.items()},
-        v={k: np.zeros_like(a) for k, a in arrays.items()},
-        t=0,
-    )
+def init_adam(theta: np.ndarray) -> AdamState:
+    return AdamState(m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
 def mse_loss(pred, target) -> float:
@@ -125,43 +120,33 @@ def mse_loss(pred, target) -> float:
     return float(np.mean((pred - target) ** 2))
 
 
-def clip_global_norm(
-    grads: dict[str, np.ndarray], max_norm: float
-) -> tuple[dict[str, np.ndarray], float]:
-    """Scale all gradients together so their joint L2 norm is at most max_norm."""
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+def clip_global_norm(grads: Params, max_norm: float) -> tuple[np.ndarray, float]:
+    """Scale the gradient vector so its L2 norm is at most max_norm.
+
+    Returns the vector and its pre-clip norm. The norm adds up per-array
+    sums in layout order instead of summing the vector at once: the two can
+    differ in the last bits, and the per-array form keeps trained weights
+    bit-identical to those of earlier releases.
+    """
+    total = math.sqrt(sum(float(np.sum(g * g)) for _, g in grads.named_arrays()))
     if total <= max_norm or total == 0.0:
-        return grads, total
-    scale = max_norm / total
-    return {k: g * scale for k, g in grads.items()}, total
+        return grads.theta, total
+    return grads.theta * (max_norm / total), total
 
 
 def adam_step(
-    arrays: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    cfg: TrainConfig,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One Adam update. Returns new arrays and state; inputs stay untouched."""
-    if set(arrays) != set(grads):
-        raise ValueError("parameter and gradient names differ")
-    for key in arrays:
-        if arrays[key].shape != grads[key].shape:
-            raise ValueError(
-                f"shape mismatch for {key}: {arrays[key].shape} vs {grads[key].shape}"
-            )
+    theta: np.ndarray, grad: np.ndarray, state: AdamState, cfg: TrainConfig
+) -> tuple[np.ndarray, AdamState]:
+    """One Adam update. Returns the new vector and state; inputs stay untouched."""
+    if theta.shape != grad.shape:
+        raise ValueError(f"shape mismatch: {theta.shape} vs {grad.shape}")
     t = state.t + 1
-    new_m, new_v, out = {}, {}, {}
+    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
+    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad * grad
     bc1 = 1.0 - cfg.beta1**t
     bc2 = 1.0 - cfg.beta2**t
-    for key, theta in arrays.items():
-        g = grads[key]
-        m = cfg.beta1 * state.m[key] + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * state.v[key] + (1.0 - cfg.beta2) * g * g
-        new_m[key] = m
-        new_v[key] = v
-        out[key] = theta - cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
-    return out, AdamState(m=new_m, v=new_v, t=t)
+    out = theta - cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+    return out, AdamState(m=m, v=v, t=t)
 
 
 def train(
@@ -174,19 +159,21 @@ def train(
     """Train one model; returns (params from the best-validation epoch, history).
 
     log_path, when given, receives one JSON line per epoch:
-    {"epoch": ..., "train_loss": ..., "val_loss": ..., "seconds": ...}.
+    {"epoch", "train_loss", "val_loss", "seconds", "grad_norm_max",
+    "clipped_batches", "best"}. grad_norm_max is the epoch's largest pre-clip
+    gradient norm, clipped_batches counts the batches whose norm exceeded
+    grad_clip_norm, and best marks a new best validation loss.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise TrainingError("train and validation sets must both be non-empty")
 
     rng = make_rng(cfg.seed)
     params = models.init_params(model_cfg, rng)
-    arrays = dict(params.named_arrays())
-    state = init_adam(arrays)
+    state = init_adam(params.theta)
     n = len(train_set)
 
     best_val = math.inf
-    best_arrays = copy.deepcopy(arrays)
+    best_theta = params.theta.copy()
     best_epoch = 0
     epochs_since_best = 0
     train_losses: list[float] = []
@@ -199,6 +186,8 @@ def train(
             started = time.perf_counter()
             order = rng.permutation(n)
             sq_err_sum = 0.0
+            grad_norm_max = 0.0
+            clipped_batches = 0
             for start in range(0, n, cfg.batch_size):
                 batch_no = start // cfg.batch_size
                 idx = order[start : start + cfg.batch_size]
@@ -213,13 +202,15 @@ def train(
                     )
                 sq_err_sum += batch_loss * len(idx)
                 d_preds = 2.0 * (preds - y) / len(idx)
-                grad_params = models.backward(params, cache, d_preds)
-                grads, _ = clip_global_norm(dict(grad_params.named_arrays()), cfg.grad_clip_norm)
-                arrays, state = adam_step(arrays, grads, state, cfg)
-                params = models.rebuild(params, arrays)
+                grads = models.backward(params, cache, d_preds)
+                grad, norm = clip_global_norm(grads, cfg.grad_clip_norm)
+                grad_norm_max = max(grad_norm_max, norm)
+                clipped_batches += norm > cfg.grad_clip_norm
+                theta, state = adam_step(params.theta, grad, state, cfg)
+                params = models.rebuild(params, theta)
 
             train_loss = sq_err_sum / n
-            val_preds, _ = models.forward(params, val_set.inputs)
+            val_preds = models.forward(params, val_set.inputs)[0]  # drop the cache now
             val_loss = mse_loss(val_preds, val_set.targets)
             if not math.isfinite(val_loss):
                 raise TrainingError(
@@ -228,18 +219,22 @@ def train(
                 )
             train_losses.append(train_loss)
             val_losses.append(val_loss)
+            improved = val_loss < best_val
             if log_file:
                 record = {
                     "epoch": epoch,
                     "train_loss": train_loss,
                     "val_loss": val_loss,
                     "seconds": round(time.perf_counter() - started, 6),
+                    "grad_norm_max": grad_norm_max,
+                    "clipped_batches": clipped_batches,
+                    "best": improved,
                 }
                 log_file.write(json.dumps(record) + "\n")
 
-            if val_loss < best_val:
+            if improved:
                 best_val = val_loss
-                best_arrays = copy.deepcopy(arrays)
+                best_theta = params.theta.copy()
                 best_epoch = epoch
                 epochs_since_best = 0
             else:
@@ -257,4 +252,4 @@ def train(
         best_epoch=best_epoch,
         stopped_early=stopped_early,
     )
-    return models.rebuild(params, best_arrays), history
+    return models.rebuild(params, best_theta), history

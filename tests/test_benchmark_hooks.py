@@ -1,0 +1,58 @@
+"""The benchmark in perfbench/ wraps seqcast from outside; these tests pin what it hooks into."""
+
+import importlib
+import importlib.util
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from seqcast import data as dat
+from seqcast import forecast_eval, models, training
+from seqcast.models import ModelConfig
+from seqcast.numerics import make_rng
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def span_targets():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [(target[0], target[1]) for target in module.TARGETS]
+
+
+@pytest.mark.parametrize("module,attr", span_targets())
+def test_traced_attribute_exists(module, attr):
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
+def counting(monkeypatch, module, attr):
+    calls = []
+    original = getattr(module, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_train_calls_adam_step_once_per_batch(monkeypatch):
+    windows = dat.make_windows(make_rng(5).random(80), 8)
+    train_set = dat.WindowedDataset(windows.inputs[:57], windows.targets[:57], 8)
+    val_set = dat.WindowedDataset(windows.inputs[57:], windows.targets[57:], 8)
+    cfg = training.TrainConfig(max_epochs=3, patience=3, batch_size=16, seed=6)
+    calls = counting(monkeypatch, training, "adam_step")
+    _, history = training.train(ModelConfig(kind="gru", hidden=4), train_set, val_set, cfg)
+    assert len(calls) == history.n_epochs * math.ceil(len(train_set) / cfg.batch_size)
+
+
+def test_recursive_forecast_calls_predict_once_per_step(monkeypatch):
+    params = models.init_params(ModelConfig(kind="lstm", hidden=4), make_rng(0))
+    calls = counting(monkeypatch, models, "predict")
+    window, scaler = np.linspace(0.0, 1.0, 6), dat.Scaler(0.0, 1.0)
+    path = forecast_eval.recursive_forecast(params, window, 7, scaler)
+    assert len(path) == len(calls) == 7

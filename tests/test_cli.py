@@ -97,7 +97,9 @@ class TestTrain:
         assert (out / "weights-lstm.txt").exists()
         log_lines = (out / "train-lstm.ndjson").read_text().splitlines()
         assert 1 <= len(log_lines) <= 6
-        assert {"epoch", "train_loss", "val_loss", "seconds"} == set(json.loads(log_lines[0]))
+        assert set(json.loads(log_lines[0])) == {
+            "epoch", "train_loss", "val_loss", "seconds", "grad_norm_max", "clipped_batches", "best",
+        }
         assert "best epoch" in capsys.readouterr().out
 
     def test_same_seed_identical_weights(self, tmp_path, sine_csv):

@@ -20,10 +20,9 @@ from seqcast.training import TrainConfig, TrainHistory
 
 def constant_predictor(value: float):
     """LSTM whose every weight is zero except the output bias."""
-    params = models.init_params(ModelConfig(kind="lstm", hidden=4), make_rng(0))
-    arrays = {k: np.zeros_like(a) for k, a in params.named_arrays()}
-    arrays["head_b"] = np.array([value])
-    return models.rebuild(params, arrays)
+    params = models.Params("lstm", {"hidden": 4})
+    params.head_b[0] = value
+    return params
 
 
 class TestComputeMetrics:

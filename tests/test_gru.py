@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqcast.models import gru
+from seqcast.models import Params, gru
 from seqcast.numerics import grad_check, make_rng
 
 
@@ -17,10 +17,8 @@ def mse_setup(params, x, y):
 
 class TestForward:
     def test_all_zero_params_prediction_is_head_bias(self):
-        p = gru.init_params(make_rng(0), hidden=3)
-        arrays = {name: np.zeros_like(a) for name, a in p.named_arrays()}
-        arrays["head_b"] = np.array([-0.25])
-        p = gru.GruParams.from_arrays(arrays)
+        p = Params("gru", {"hidden": 3})
+        p.head_b[0] = -0.25
         preds, cache = gru.forward(p, np.array([[0.4, -0.2, 0.9]]))
         for t in range(3):
             np.testing.assert_allclose(cache["z"][t], 0.5, atol=1e-15)
@@ -31,9 +29,7 @@ class TestForward:
 
     def test_update_gate_forced_shut_freezes_state(self):
         p = gru.init_params(make_rng(1), hidden=4)
-        arrays = dict(p.named_arrays())
-        arrays["b_z"] = np.full(4, -1e3)  # z ~ 0: h_t stays at h_0 = 0
-        p = gru.GruParams.from_arrays(arrays)
+        p.b_z[:] = -1e3  # z ~ 0: h_t stays at h_0 = 0
         preds, cache = gru.forward(p, make_rng(2).normal(size=(2, 7)))
         np.testing.assert_allclose(cache["h_last"], 0.0, atol=1e-12)
         np.testing.assert_allclose(preds, float(p.head_b[0]), atol=1e-12)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from seqcast.data import WindowedDataset, make_windows
-from seqcast.models import ModelConfig
+from seqcast import models
+from seqcast.models import ModelConfig, Params
 from seqcast.numerics import make_rng
 from seqcast.training import (
     TrainConfig,
@@ -92,78 +93,83 @@ class TestTrainConfig:
 class TestAdam:
     def test_first_step_magnitude_near_learning_rate(self):
         cfg = TrainConfig(learning_rate=0.05)
-        arrays = {"w": np.array([1.0, -2.0])}
-        grads = {"w": np.array([3.0, -0.4])}
-        out, state = adam_step(arrays, grads, init_adam(arrays), cfg)
+        theta = np.array([1.0, -2.0])
+        out, state = adam_step(theta, np.array([3.0, -0.4]), init_adam(theta), cfg)
         # bias correction makes |update| ~= lr regardless of gradient scale
-        update = out["w"] - arrays["w"]
-        np.testing.assert_allclose(np.abs(update), cfg.learning_rate, rtol=1e-6)
+        np.testing.assert_allclose(np.abs(out - theta), cfg.learning_rate, rtol=1e-6)
         assert state.t == 1
 
     def test_matches_reference_formula(self):
         cfg = TrainConfig(learning_rate=0.1, beta1=0.9, beta2=0.999, epsilon=1e-8)
         theta = np.array([0.5])
         g = np.array([2.0])
-        out, _ = adam_step({"w": theta}, {"w": g}, init_adam({"w": theta}), cfg)
+        out, _ = adam_step(theta, g, init_adam(theta), cfg)
         m_hat = (0.1 * g) / (1 - 0.9)
         v_hat = (0.001 * g * g) / (1 - 0.999)
         expected = theta - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
-        np.testing.assert_allclose(out["w"], expected, atol=1e-15)
+        np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_zero_gradient_leaves_params_unchanged(self):
-        arrays = {"w": np.array([1.0, 2.0])}
-        grads = {"w": np.zeros(2)}
-        out, _ = adam_step(arrays, grads, init_adam(arrays), TrainConfig())
-        np.testing.assert_array_equal(out["w"], arrays["w"])
+        theta = np.array([1.0, 2.0])
+        out, _ = adam_step(theta, np.zeros(2), init_adam(theta), TrainConfig())
+        np.testing.assert_array_equal(out, theta)
 
     def test_converges_on_quadratic(self):
         cfg = TrainConfig(learning_rate=0.1)
-        arrays = {"theta": np.array([0.0])}
-        state = init_adam(arrays)
+        theta = np.array([0.0])
+        state = init_adam(theta)
         for _ in range(100):
-            grads = {"theta": arrays["theta"] - 3.0}
-            arrays, state = adam_step(arrays, grads, state, cfg)
-        assert abs(arrays["theta"][0] - 3.0) < 0.05
-
-    def test_name_mismatch_rejected(self):
-        arrays = {"w": np.zeros(2)}
-        with pytest.raises(ValueError, match="names differ"):
-            adam_step(arrays, {"b": np.zeros(2)}, init_adam(arrays), TrainConfig())
+            theta, state = adam_step(theta, theta - 3.0, state, cfg)
+        assert abs(theta[0] - 3.0) < 0.05
 
     def test_shape_mismatch_rejected(self):
-        arrays = {"w": np.zeros(2)}
+        theta = np.zeros(2)
         with pytest.raises(ValueError, match="shape mismatch"):
-            adam_step(arrays, {"w": np.zeros(3)}, init_adam(arrays), TrainConfig())
+            adam_step(theta, np.zeros(3), init_adam(theta), TrainConfig())
 
     def test_inputs_not_mutated(self):
-        arrays = {"w": np.ones(3)}
-        grads = {"w": np.full(3, 2.0)}
-        state = init_adam(arrays)
-        adam_step(arrays, grads, state, TrainConfig())
-        np.testing.assert_array_equal(arrays["w"], np.ones(3))
-        np.testing.assert_array_equal(state.m["w"], np.zeros(3))
+        theta = np.ones(3)
+        state = init_adam(theta)
+        adam_step(theta, np.full(3, 2.0), state, TrainConfig())
+        np.testing.assert_array_equal(theta, np.ones(3))
+        np.testing.assert_array_equal(state.m, np.zeros(3))
         assert state.t == 0
+
+
+def lstm_grads(*values):
+    """An LSTM-shaped gradient (hidden 1, 14 entries): values first, zeros after."""
+    grads = Params("lstm", {"hidden": 1})
+    grads.theta[: len(values)] = values
+    return grads
 
 
 class TestClip:
     def test_below_threshold_untouched(self):
-        grads = {"a": np.array([0.3, 0.4])}
+        grads = lstm_grads(0.3, 0.4)
         out, norm = clip_global_norm(grads, 5.0)
-        assert out is grads
+        assert out is grads.theta
         assert norm == pytest.approx(0.5)
 
     def test_scales_to_max_norm(self):
-        grads = {"a": np.array([3.0, 4.0]), "b": np.array([12.0])}
+        grads = lstm_grads(3.0, 4.0, 12.0)  # spans w_f and w_i
         out, norm = clip_global_norm(grads, 5.0)
         assert norm == pytest.approx(13.0)
-        clipped = math.sqrt(sum(float(np.sum(g * g)) for g in out.values()))
-        assert clipped <= 5.0 + 1e-9
-        assert clipped == pytest.approx(5.0)
+        assert float(np.linalg.norm(out)) == pytest.approx(5.0)
+        np.testing.assert_array_equal(grads.theta[:3], [3.0, 4.0, 12.0])
 
     def test_zero_gradients(self):
-        out, norm = clip_global_norm({"a": np.zeros(4)}, 1.0)
+        out, norm = clip_global_norm(lstm_grads(), 1.0)
         assert norm == 0.0
-        assert not out["a"].any()
+        assert not out.any()
+
+    def test_norm_sums_per_array_in_layout_order(self):
+        cfg = ModelConfig(kind="transformer", d_model=8, n_heads=2, n_layers=2, d_ff=16)
+        params = models.init_params(cfg, make_rng(0))
+        grads = models.rebuild(params, make_rng(1).normal(size=params.theta.size))
+        per_array = math.sqrt(sum(float(np.sum(g * g)) for _, g in grads.named_arrays()))
+        # for this draw one sum over the whole vector differs in the last bits
+        assert per_array != math.sqrt(float(np.sum(grads.theta * grads.theta)))
+        assert clip_global_norm(grads, 1e9)[1] == per_array
 
 
 class TestTrain:
@@ -227,11 +233,26 @@ class TestTrain:
         )
         lines = log.read_text().splitlines()
         assert len(lines) == history.n_epochs
-        for i, line in enumerate(lines, start=1):
-            rec = json.loads(line)
-            assert set(rec) == {"epoch", "train_loss", "val_loss", "seconds"}
+        n_batches = math.ceil(len(train_set) / cfg.batch_size)
+        records = [json.loads(line) for line in lines]
+        for i, rec in enumerate(records, start=1):
+            assert set(rec) == {
+                "epoch", "train_loss", "val_loss", "seconds",
+                "grad_norm_max", "clipped_batches", "best",
+            }
             assert rec["epoch"] == i
             assert rec["val_loss"] == pytest.approx(history.val_loss[i - 1])
+            assert rec["grad_norm_max"] > 0.0
+            assert 0 <= rec["clipped_batches"] <= n_batches
+            earlier = history.val_loss[: i - 1]
+            assert rec["best"] == (rec["val_loss"] < min(earlier, default=math.inf))
+        assert max(rec["epoch"] for rec in records if rec["best"]) == history.best_epoch
+
+        # a clip threshold below every gradient norm clips every batch
+        tight = TrainConfig(max_epochs=3, patience=3, seed=6, grad_clip_norm=1e-9)
+        train(ModelConfig(kind="lstm", hidden=4), train_set, val_set, tight, log_path=log)
+        for line in log.read_text().splitlines():
+            assert json.loads(line)["clipped_batches"] == n_batches
 
     def test_history_as_dict(self):
         train_set, val_set = identity_task(n=80, lookback=8)

@@ -8,6 +8,10 @@ codes are added, and L pre-layer-norm encoder blocks follow:
 
 Attention is scaled dot-product, softmax(Q K' / sqrt(d_k)) V per head.
 The prediction head reads the final position's vector of the last block.
+Nothing else of that block reaches the output, so it computes K and V over
+every position but its queries, attention row, output projection, LN2 and
+FFN for the final position only; the earlier blocks run on every position,
+because the last block attends to all of them.
 All gradients are hand-derived; the finite-difference oracle in the test
 suite is the ground truth for every branch here.
 """
@@ -116,17 +120,19 @@ def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
     h = x[:, :, None] @ params.w_in.T  # (batch, steps, d_model)
     h = h + positional_encoding(steps, d)[None, :, :]
     cache = {"x": x, "layers": [], "d_model": d, "n_heads": nh, "scale": scale}
-    for layer in params.layers:
-        lc = {"h_in": h}
+    last = len(params.layers) - 1
+    for idx, layer in enumerate(params.layers):
+        rows = slice(steps - 1, steps) if idx == last else slice(None)
+        lc = {"rows": rows}
         n1, lc["ln1"] = _layer_norm(h, layer.ln1_g, layer.ln1_b)
         lc["n1"] = n1
-        qh = _split_heads(n1 @ layer.w_q, nh)
+        qh = _split_heads(n1[:, rows] @ layer.w_q, nh)
         kh = _split_heads(n1 @ layer.w_k, nh)
         vh = _split_heads(n1 @ layer.w_v, nh)
         attn_w = softmax_rows(qh @ kh.transpose(0, 1, 3, 2) * scale)
         merged = _merge_heads(attn_w @ vh)
-        a = h + merged @ layer.w_o
-        lc.update(qh=qh, kh=kh, vh=vh, attn_w=attn_w, merged=merged, a=a)
+        a = h[:, rows] + merged @ layer.w_o
+        lc.update(qh=qh, kh=kh, vh=vh, attn_w=attn_w, merged=merged)
         n2, lc["ln2"] = _layer_norm(a, layer.ln2_g, layer.ln2_b)
         lc["n2"] = n2
         y1 = n2 @ layer.w_ff1.T + layer.b_ff1
@@ -134,9 +140,14 @@ def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
         lc.update(y1=y1, rel=rel)
         h = a + rel @ layer.w_ff2.T + layer.b_ff2
         cache["layers"].append(lc)
-    cache["h_final"] = h
+    cache["h_final"] = h  # (batch, 1, d_model): the final position only
     preds = (h[:, -1, :] @ params.head_w.T + params.head_b).ravel()
     return preds, cache
+
+
+def _weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over every leading index of outer(a[..., i], b[..., j]), as one GEMM."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
 def backward(params: Params, cache: dict, d_preds: np.ndarray) -> Params:
@@ -156,16 +167,15 @@ def backward(params: Params, cache: dict, d_preds: np.ndarray) -> Params:
     grads.head_w += d_preds[None, :] @ h_final[:, -1, :]
     grads.head_b += d_preds.sum(keepdims=True)
 
-    dh = np.zeros_like(h_final)
-    dh[:, -1, :] = d_preds[:, None] * params.head_w
+    dh = (d_preds[:, None] * params.head_w)[:, None, :]
 
     for layer, grad, lc in zip(params.layers[::-1], grads.layers[::-1], cache["layers"][::-1]):
         # FFN branch: h_out = a + relu(n2 W1' + b1) W2' + b2
         df = dh
-        grad.w_ff2 += np.einsum("btd,btf->df", df, lc["rel"])
+        grad.w_ff2 += _weight_grad(df, lc["rel"])
         grad.b_ff2 += df.sum(axis=(0, 1))
         d_y1 = (df @ layer.w_ff2) * (lc["y1"] > 0)
-        grad.w_ff1 += np.einsum("btf,btd->fd", d_y1, lc["n2"])
+        grad.w_ff1 += _weight_grad(d_y1, lc["n2"])
         grad.b_ff1 += d_y1.sum(axis=(0, 1))
         d_n2 = d_y1 @ layer.w_ff1
         d_a, d_g2, d_b2 = _layer_norm_backward(d_n2, layer.ln2_g, lc["ln2"])
@@ -173,9 +183,9 @@ def backward(params: Params, cache: dict, d_preds: np.ndarray) -> Params:
         grad.ln2_b += d_b2
         da = dh + d_a  # residual plus normalized branch
 
-        # Attention branch: a = h_in + merge(softmax(QK' * scale) V) W_o
+        # Attention branch: a = h_in[rows] + merge(softmax(Q K' * scale) V) W_o
         d_merged = da @ layer.w_o.T
-        grad.w_o += np.einsum("bti,btj->ij", lc["merged"], da)
+        grad.w_o += _weight_grad(lc["merged"], da)
         d_oh = _split_heads(d_merged, cache["n_heads"])
         d_attn = d_oh @ lc["vh"].transpose(0, 1, 3, 2)
         d_vh = lc["attn_w"].transpose(0, 1, 3, 2) @ d_oh
@@ -186,16 +196,17 @@ def backward(params: Params, cache: dict, d_preds: np.ndarray) -> Params:
         d_q = _merge_heads(d_qh)
         d_k = _merge_heads(d_kh)
         d_v = _merge_heads(d_vh)
-        n1 = lc["n1"]
-        grad.w_q += np.einsum("bti,btj->ij", n1, d_q)
-        grad.w_k += np.einsum("bti,btj->ij", n1, d_k)
-        grad.w_v += np.einsum("bti,btj->ij", n1, d_v)
-        d_n1 = d_q @ layer.w_q.T + d_k @ layer.w_k.T + d_v @ layer.w_v.T
-        d_h1, d_g1, d_b1 = _layer_norm_backward(d_n1, layer.ln1_g, lc["ln1"])
+        n1, rows = lc["n1"], lc["rows"]
+        grad.w_q += _weight_grad(n1[:, rows], d_q)
+        grad.w_k += _weight_grad(n1, d_k)
+        grad.w_v += _weight_grad(n1, d_v)
+        d_n1 = d_k @ layer.w_k.T + d_v @ layer.w_v.T
+        d_n1[:, rows] += d_q @ layer.w_q.T  # queries come from the kept rows only
+        dh, d_g1, d_b1 = _layer_norm_backward(d_n1, layer.ln1_g, lc["ln1"])
         grad.ln1_g += d_g1
         grad.ln1_b += d_b1
-        dh = da + d_h1
+        dh[:, rows] += da  # residual into the kept rows
 
     # Embedding: h0 = x[:, :, None] @ w_in' (+ constant position codes)
-    grads.w_in += np.einsum("btd,bt->d", dh, x)[:, None]
+    grads.w_in += _weight_grad(dh, x[:, :, None])
     return grads

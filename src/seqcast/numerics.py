@@ -29,12 +29,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     overflowing; sigmoid(-v) + sigmoid(v) == 1 exactly for the same v.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))  # exp(-x) for x >= 0, exp(x) below: never overflows
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,33 @@ class TestForward:
             lo = np.minimum(h_prev, g) - 1e-12
             hi = np.maximum(h_prev, g) + 1e-12
             assert np.all(h_t >= lo) and np.all(h_t <= hi)
+
+    def test_matches_scalar_reimplementation(self):
+        # independent straight-line oracle: plain-float loops, no shared code
+        hidden, steps = 4, 5
+        p = gru.init_params(make_rng(321), hidden=hidden)
+        for bias in (p.b_z, p.b_r, p.b_h):
+            bias[:] = make_rng(322).normal(size=hidden)
+        xs = [0.3, -0.1, 0.7, 0.05, -0.4]
+
+        def sig(v):
+            return 1.0 / (1.0 + math.exp(-v))
+
+        def affine(w, b, v, j):
+            return sum(w[j][k] * v[k] for k in range(hidden + 1)) + b[j]
+
+        h = [0.0] * hidden
+        for t in range(steps):
+            v = h + [xs[t]]
+            z = [sig(affine(p.w_z, p.b_z, v, j)) for j in range(hidden)]
+            r = [sig(affine(p.w_r, p.b_r, v, j)) for j in range(hidden)]
+            u = [r[j] * h[j] for j in range(hidden)] + [xs[t]]
+            g = [math.tanh(affine(p.w_h, p.b_h, u, j)) for j in range(hidden)]
+            h = [(1.0 - z[j]) * h[j] + z[j] * g[j] for j in range(hidden)]
+        expected = sum(p.head_w[0][j] * h[j] for j in range(hidden)) + p.head_b[0]
+
+        preds, _ = gru.forward(p, np.array([xs]))
+        assert abs(preds[0] - expected) < 1e-12
 
     def test_shape_mismatch_rejected(self):
         p = gru.init_params(make_rng(0), hidden=2)

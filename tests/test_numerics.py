@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqcast import numerics
@@ -26,6 +26,22 @@ class TestActivations:
     def test_sigmoid_complement(self, v):
         s = sigmoid(np.array([v, -v]))
         assert abs(s[0] + s[1] - 1.0) < 1e-12
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+    @example([0.0, -0.0])
+    @example([745.2, -745.2, 800.0, -800.0])
+    @example([float("inf"), float("-inf")])
+    @example([5e-324, -5e-324, 2.2250738585072009e-308, -1e-310])
+    def test_sigmoid_matches_two_branch_form_bitwise(self, values):
+        x = np.array(values)
+        # the masked two-branch form: 1/(1+exp(-x)) for x >= 0, e^x/(1+e^x) below
+        expected = np.empty_like(x)
+        pos = x >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        expected[~pos] = ex / (1.0 + ex)
+        np.testing.assert_array_equal(sigmoid(x).view(np.int64), expected.view(np.int64))
 
     def test_softmax_uniform_row(self):
         np.testing.assert_allclose(softmax_rows(np.zeros((1, 3))), np.full((1, 3), 1 / 3))

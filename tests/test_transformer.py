@@ -1,5 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqcast.models import transformer
 from seqcast.models.transformer import positional_encoding
@@ -29,7 +34,9 @@ class TestForward:
         x = make_rng(5).normal(size=(2, 6))
         preds, cache = transformer.forward(p, x)
         embedded = x[:, :, None] @ p.w_in.T + positional_encoding(6, 8)[None, :, :]
-        np.testing.assert_allclose(cache["h_final"], embedded, atol=1e-12)
+        # the last block keeps only the final position
+        assert cache["h_final"].shape == (2, 1, 8)
+        np.testing.assert_allclose(cache["h_final"][:, -1], embedded[:, -1], atol=1e-12)
         expected = (embedded[:, -1, :] @ p.head_w.T + p.head_b).ravel()
         np.testing.assert_allclose(preds, expected, atol=1e-12)
 
@@ -59,21 +66,85 @@ class TestForward:
         assert abs(a[0] - b[0]) > 1e-8
 
     def test_permutation_equivariance_without_positions(self, monkeypatch):
+        # Without position codes every block is permutation-equivariant, so
+        # the prediction read at the last step ignores the order of the rest.
         monkeypatch.setattr(
             transformer, "positional_encoding", lambda steps, d: np.zeros((steps, d))
         )
-        p = small_params(seed=10)
-        x = make_rng(11).normal(size=(2, 6))
-        perm = np.array([4, 0, 5, 2, 1, 3])
-        _, cache = transformer.forward(p, x)
-        _, cache_p = transformer.forward(p, x[:, perm])
-        np.testing.assert_allclose(
-            cache_p["h_final"], cache["h_final"][:, perm, :], atol=1e-10
-        )
+        x = make_rng(11).normal(size=(2, 5))
+        for n_layers in (1, 2):
+            p = small_params(seed=10, n_layers=n_layers)
+            preds, _ = transformer.forward(p, x)
+            for head in itertools.permutations(range(4)):
+                perm = np.array([*head, 4])
+                preds_p, _ = transformer.forward(p, x[:, perm])
+                np.testing.assert_allclose(preds_p, preds, rtol=1e-12, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             transformer.forward(small_params(), np.zeros(6))
+
+
+def reference_forward(params, x):
+    """Per-sample, per-head loops; every block runs over all positions."""
+    d = params.dims["d_model"]
+    nh = params.dims["n_heads"]
+    dk = d // nh
+    steps = x.shape[1]
+
+    def layer_norm(v, gain, shift):
+        mu = v.mean()
+        var = ((v - mu) ** 2).mean()
+        return gain * (v - mu) / math.sqrt(var + 1e-5) + shift
+
+    def code(t, j):
+        angle = t / 10000.0 ** ((j - j % 2) / d)
+        return math.sin(angle) if j % 2 == 0 else math.cos(angle)
+
+    preds = []
+    for sample in x:
+        h = np.array([[sample[t] * params.w_in[j, 0] + code(t, j) for j in range(d)]
+                      for t in range(steps)])
+        for layer in params.layers:
+            n1 = np.array([layer_norm(row, layer.ln1_g, layer.ln1_b) for row in h])
+            q, k, v = n1 @ layer.w_q, n1 @ layer.w_k, n1 @ layer.w_v
+            heads = np.zeros((steps, d))
+            for head in range(nh):
+                cols = slice(head * dk, (head + 1) * dk)
+                for t in range(steps):
+                    scores = [q[t, cols] @ k[s, cols] / math.sqrt(dk) for s in range(steps)]
+                    top = max(scores)
+                    w = np.array([math.exp(sc - top) for sc in scores])
+                    heads[t, cols] = (w / w.sum()) @ v[:, cols]
+            a = h + heads @ layer.w_o
+            n2 = np.array([layer_norm(row, layer.ln2_g, layer.ln2_b) for row in a])
+            hidden = np.maximum(n2 @ layer.w_ff1.T + layer.b_ff1, 0.0)
+            h = a + hidden @ layer.w_ff2.T + layer.b_ff2
+        preds.append(float(h[-1] @ params.head_w[0] + params.head_b[0]))
+    return np.array(preds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_heads=st.integers(1, 2),
+    head_dim=st.integers(1, 4),
+    n_layers=st.integers(1, 3),
+    d_ff=st.integers(1, 6),
+    batch=st.integers(1, 3),
+    steps=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_forward_matches_reference(n_heads, head_dim, n_layers, d_ff, batch, steps, seed):
+    rng = make_rng(seed)
+    p = transformer.init_params(rng, n_heads * head_dim, n_heads, n_layers, d_ff)
+    # non-trivial layer-norm gains and shifts, nonzero FFN biases
+    for layer in p.layers:
+        for arr in (layer.ln1_g, layer.ln1_b, layer.ln2_g, layer.ln2_b, layer.b_ff1, layer.b_ff2):
+            arr += rng.normal(scale=0.3, size=arr.shape)
+    p.head_b[0] = rng.normal()
+    x = rng.normal(size=(batch, steps))
+    preds, _ = transformer.forward(p, x)
+    np.testing.assert_allclose(preds, reference_forward(p, x), rtol=1e-12, atol=1e-12)
 
 
 class TestBackward:
@@ -98,6 +169,21 @@ class TestBackward:
         p = small_params(seed=15, n_layers=2)
         x = make_rng(25).normal(size=(2, 5))
         y = make_rng(35).normal(size=2)
+        loss_fn, analytic = mse_setup(p, x, y)
+        assert grad_check(loss_fn, p, analytic) < 1e-4
+
+    def test_grad_check_single_step(self):
+        # one position: each block's query row is its only row
+        p = small_params(seed=18, n_layers=2)
+        x = make_rng(28).normal(size=(3, 1))
+        y = make_rng(38).normal(size=3)
+        loss_fn, analytic = mse_setup(p, x, y)
+        assert grad_check(loss_fn, p, analytic) < 1e-4
+
+    def test_grad_check_three_layers(self):
+        p = small_params(seed=19, n_layers=3)
+        x = make_rng(29).normal(size=(2, 4))
+        y = make_rng(39).normal(size=2)
         loss_fn, analytic = mse_setup(p, x, y)
         assert grad_check(loss_fn, p, analytic) < 1e-4
 

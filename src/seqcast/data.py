@@ -13,15 +13,20 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import re
 from dataclasses import dataclass, fields
-from datetime import date, datetime, timedelta
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 
 from .numerics import make_rng
 
-_DATE_FORMATS = ("%Y/%m/%d", "%Y-%m-%d")
+# Exactly what datetime.strptime accepts for "%Y/%m/%d" and "%Y-%m-%d":
+# its own patterns for %Y, %m and %d, one separator used twice.
+_DATE_RE = re.compile(
+    r"(\d\d\d\d)([/-])(1[0-2]|0[1-9]|[1-9])\2(3[01]|[12]\d|0[1-9]|[1-9]| [1-9])"
+)
 _MISSING_TOKENS = {"", "nan", "na", "n/a", "null", "none"}
 _PRICE_COLUMNS = ("open", "high", "low", "close")
 
@@ -75,30 +80,28 @@ class OhlcvSeries:
         )
 
 
-def _series_from_rows(rows: list[dict]) -> OhlcvSeries:
-    return OhlcvSeries(
-        dates=tuple(r["date"] for r in rows),
-        open=np.array([r["open"] for r in rows], dtype=np.float64),
-        high=np.array([r["high"] for r in rows], dtype=np.float64),
-        low=np.array([r["low"] for r in rows], dtype=np.float64),
-        close=np.array([r["close"] for r in rows], dtype=np.float64),
-        volume=np.array([r["volume"] for r in rows], dtype=np.float64),
-    )
+def _series_from_table(dates, table: np.ndarray) -> OhlcvSeries:
+    """Build a series from dates and a (rows, 5) open/high/low/close/volume table."""
+    return OhlcvSeries(tuple(dates), *(np.ascontiguousarray(col) for col in table.T))
 
 
 def _parse_date(text: str) -> date:
-    for fmt in _DATE_FORMATS:
+    m = _DATE_RE.fullmatch(text)
+    if m is not None:
         try:
-            return datetime.strptime(text, fmt).date()
+            return date(int(m[1]), int(m[3]), int(m[4]))
         except ValueError:
-            continue
+            pass
     raise ValueError(f"unrecognized date {text!r} (expected YYYY/M/D or YYYY-MM-DD)")
 
 
 def _parse_cell(text: str) -> float:
-    if text.strip().lower() in _MISSING_TOKENS:
-        return math.nan
-    return float(text)
+    try:
+        return float(text)
+    except ValueError:
+        if text.strip().lower() in _MISSING_TOKENS:
+            return math.nan
+        raise
 
 
 def parse_csv(path) -> OhlcvSeries:
@@ -126,31 +129,27 @@ def parse_csv(path) -> OhlcvSeries:
         if missing:
             raise ValueError(f"{path}: header lacks columns {sorted(missing)}")
 
-        rows: list[dict] = []
+        i_date = col_idx["date"]
+        value_idx = [col_idx[c] for c in (*_PRICE_COLUMNS, "volume")]
+        dates: list[date] = []
+        values: list[list[float]] = []
         for lineno, raw in enumerate(reader, start=2):
-            if not raw or all(not cell.strip() for cell in raw):
+            if not "".join(raw).strip():
                 continue
             try:
-                rows.append(
-                    {
-                        "date": _parse_date(raw[col_idx["date"]].strip()),
-                        "open": _parse_cell(raw[col_idx["open"]]),
-                        "high": _parse_cell(raw[col_idx["high"]]),
-                        "low": _parse_cell(raw[col_idx["low"]]),
-                        "close": _parse_cell(raw[col_idx["close"]]),
-                        "volume": _parse_cell(raw[col_idx["volume"]]),
-                    }
-                )
+                dates.append(_parse_date(raw[i_date].strip()))
+                values.append([_parse_cell(raw[i]) for i in value_idx])
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
 
-    if not rows:
+    if not dates:
         raise ValueError(f"{path}: no data rows")
-    rows.sort(key=lambda r: r["date"])
-    for a, b in zip(rows, rows[1:]):
-        if a["date"] == b["date"]:
-            raise ValueError(f"{path}: duplicate date {a['date']}")
-    return _series_from_rows(rows)
+    order = sorted(range(len(dates)), key=dates.__getitem__)
+    dates = [dates[i] for i in order]
+    for a, b in zip(dates, dates[1:]):
+        if a == b:
+            raise ValueError(f"{path}: duplicate date {a}")
+    return _series_from_table(dates, np.array(values, dtype=np.float64)[order])
 
 
 @dataclass
@@ -190,39 +189,41 @@ def clean(series: OhlcvSeries) -> tuple[OhlcvSeries, CleanReport]:
     are not strictly positive, are dropped.
     """
     report = CleanReport()
-    kept: list[dict] = []
+    kept_dates: list[date] = []
+    kept: list[tuple[float, ...]] = []
     prev_close: float | None = None
     # Imputation only replaces NaN, so a row's infinities survive it.
     has_inf = np.zeros(len(series), dtype=bool)
     for c in (*_PRICE_COLUMNS, "volume"):
         has_inf |= np.isinf(getattr(series, c))
-    for i in range(len(series)):
-        row = series.row(i)
-        if math.isnan(row["close"]):
+    columns = (getattr(series, c).tolist() for c in (*_PRICE_COLUMNS, "volume"))
+    for d, op, hi, lo, cl, vol, inf in zip(series.dates, *columns, has_inf.tolist()):
+        if math.isnan(cl):
             report.dropped_missing_close += 1
             continue
-        needs = [c for c in ("open", "high", "low") if math.isnan(row[c])]
-        if needs and prev_close is None:
-            report.dropped_unimputable += 1
-            continue
-        for c in needs:
-            row[c] = prev_close
-            setattr(report, f"imputed_{c}", getattr(report, f"imputed_{c}") + 1)
-        if math.isnan(row["volume"]):
-            row["volume"] = 0.0
+        if math.isnan(op) or math.isnan(hi) or math.isnan(lo):
+            if prev_close is None:
+                report.dropped_unimputable += 1
+                continue
+            report.imputed_open += math.isnan(op)
+            report.imputed_high += math.isnan(hi)
+            report.imputed_low += math.isnan(lo)
+            op, hi, lo = (prev_close if math.isnan(v) else v for v in (op, hi, lo))
+        if math.isnan(vol):
+            vol = 0.0
             report.imputed_volume += 1
-        if has_inf[i]:
+        if inf:
             report.dropped_nonfinite += 1
             continue
-        lo, hi = min(row["open"], row["close"]), max(row["open"], row["close"])
-        if not (row["low"] <= lo <= hi <= row["high"]) or row["low"] <= 0 or row["volume"] < 0:
+        if not (lo <= min(op, cl) <= max(op, cl) <= hi) or lo <= 0 or vol < 0:
             report.dropped_envelope += 1
             continue
-        kept.append(row)
-        prev_close = row["close"]
-    if not kept:
+        kept_dates.append(d)
+        kept.append((op, hi, lo, cl, vol))
+        prev_close = cl
+    if not kept_dates:
         raise ValueError("clean dropped every row")
-    return _series_from_rows(kept), report
+    return _series_from_table(kept_dates, np.array(kept, dtype=np.float64)), report
 
 
 def monthwise_means(series: OhlcvSeries) -> dict[int, tuple[float, float]]:
@@ -232,13 +233,13 @@ def monthwise_means(series: OhlcvSeries) -> dict[int, tuple[float, float]]:
     """
     if len(series) == 0:
         raise ValueError("monthwise_means needs a non-empty series")
-    sums: dict[int, list[float]] = {}
-    for i, d in enumerate(series.dates):
-        acc = sums.setdefault(d.month, [0.0, 0.0, 0])
-        acc[0] += series.open[i]
-        acc[1] += series.close[i]
-        acc[2] += 1
-    return {m: (acc[0] / acc[2], acc[1] / acc[2]) for m, acc in sorted(sums.items())}
+    # bincount adds the weights in row order, as a running sum would.
+    month = np.fromiter((d.month for d in series.dates), np.int64, len(series))
+    counts = np.bincount(month)
+    present = np.flatnonzero(counts)
+    opens = np.bincount(month, weights=series.open)[present] / counts[present]
+    closes = np.bincount(month, weights=series.close)[present] / counts[present]
+    return dict(zip(present.tolist(), zip(opens.tolist(), closes.tolist())))
 
 
 def monthly_mean_series(series: OhlcvSeries, column: str = "high") -> np.ndarray:
@@ -248,14 +249,9 @@ def monthly_mean_series(series: OhlcvSeries, column: str = "high") -> np.ndarray
     """
     if column not in ("open", "high", "low", "close", "volume"):
         raise ValueError(f"unknown column {column!r}")
-    values = getattr(series, column)
-    keyed: dict[tuple[int, int], list[float]] = {}
-    for i, d in enumerate(series.dates):
-        acc = keyed.setdefault((d.year, d.month), [0.0, 0])
-        acc[0] += values[i]
-        acc[1] += 1
-    means = [keyed[k][0] / keyed[k][1] for k in sorted(keyed)]
-    return np.array(means, dtype=np.float64)
+    months = np.fromiter((d.year * 12 + d.month for d in series.dates), np.int64, len(series))
+    _, key = np.unique(months, return_inverse=True)
+    return np.bincount(key, weights=getattr(series, column)) / np.bincount(key)
 
 
 @dataclass(frozen=True)

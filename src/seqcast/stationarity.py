@@ -7,8 +7,10 @@ The ADF regression is the constant-only variant
 estimated by OLS; the reported statistic is the t-ratio on gamma. The lag
 order p is either fixed by the caller or chosen by minimizing AIC over
 0..max_lag, with every candidate fitted on the common sample trimmed to
-max_lag so the criteria are comparable. Approximate p-values come from the
-MacKinnon (1994/2010) response-surface polynomials for the constant case.
+max_lag so the criteria are comparable. The candidates' designs are nested,
+so one QR factorisation of the widest design gives every candidate's
+residual sum of squares. Approximate p-values come from the MacKinnon
+(1994/2010) response-surface polynomials for the constant case.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ def default_max_lag(n: int) -> int:
     return int(12.0 * (n / 100.0) ** 0.25)
 
 
-def _ols_tratio(design: np.ndarray, y: np.ndarray, col: int) -> tuple[float, float]:
-    """(t-ratio of coefficient `col`, residual SSR) for y ~ design."""
+def _ols_tratio(design: np.ndarray, y: np.ndarray, col: int) -> float:
+    """t-ratio of coefficient `col` for y ~ design."""
     n, k = design.shape
     beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < k:
@@ -92,7 +94,14 @@ def _ols_tratio(design: np.ndarray, y: np.ndarray, col: int) -> tuple[float, flo
     sigma2 = ssr / (n - k)
     xtx_inv = np.linalg.inv(design.T @ design)
     se = math.sqrt(sigma2 * xtx_inv[col, col])
-    return float(beta[col] / se), ssr
+    return float(beta[col] / se)
+
+
+def _check_length(n: int, lag: int, name: str) -> None:
+    """The widest regression needs 10 observations and a residual degree of freedom."""
+    need = max(lag + 10, 2 * lag + 4)
+    if n < need:
+        raise ValueError(f"series too short for {name} {lag}: {n} < {need}")
 
 
 def _build_regression(y: np.ndarray, p: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,6 +119,27 @@ def _build_regression(y: np.ndarray, p: int, rows: int) -> tuple[np.ndarray, np.
     return np.column_stack(cols), target
 
 
+def _candidate_ssrs(y: np.ndarray, max_lag: int) -> np.ndarray:
+    """Residual SSR of every lag 0..max_lag on the common sample, from one QR.
+
+    Lag p's design is the first p + 2 columns of the widest design. With the
+    response appended as a last column, R's last column holds the response
+    in the orthonormal basis of the design, so the SSR of the first k
+    columns is the sum of squares of that column from row k down. The
+    widest design is singular, by lstsq's default threshold on its singular
+    values, exactly when some candidate's is.
+    """
+    rows = (y.size - 1) - max_lag
+    design, target = _build_regression(y, max_lag, rows)
+    k = design.shape[1]
+    r = np.linalg.qr(np.column_stack([design, target]), mode="r")
+    s = np.linalg.svd(r[:k, :k], compute_uv=False)
+    if s[-1] <= np.finfo(np.float64).eps * max(rows, k) * s[0]:
+        raise ValueError("degenerate series: ADF regression is singular")
+    suffix = np.cumsum(r[::-1, k] ** 2)[::-1]
+    return suffix[2:]
+
+
 def adf_test(values, max_lag: int | None = None, fixed_lag: int | None = None) -> AdfResult:
     """Constant-only augmented Dickey-Fuller test.
 
@@ -122,6 +152,8 @@ def adf_test(values, max_lag: int | None = None, fixed_lag: int | None = None) -
     if y.ndim != 1:
         raise ValueError("adf_test expects a 1-D sequence")
     n = y.size
+    if not np.isfinite(y).all():
+        raise ValueError("adf_test needs finite values")
     if np.max(y) == np.min(y):
         raise ValueError("degenerate series: input is constant")
 
@@ -129,31 +161,26 @@ def adf_test(values, max_lag: int | None = None, fixed_lag: int | None = None) -
         if fixed_lag < 0:
             raise ValueError(f"fixed_lag must be >= 0, got {fixed_lag}")
         lag = fixed_lag
-        if n < lag + 10:
-            raise ValueError(f"series too short for lag {lag}: {n} < {lag + 10}")
+        _check_length(n, lag, "lag")
     else:
         if max_lag is None:
             max_lag = min(default_max_lag(n), n // 2 - 2)
         if max_lag < 0:
             raise ValueError(f"max_lag must be >= 0, got {max_lag}")
-        if n < max_lag + 10:
-            raise ValueError(f"series too short for max_lag {max_lag}: {n} < {max_lag + 10}")
+        _check_length(n, max_lag, "max_lag")
         # Candidates share the sample trimmed to max_lag so AICs compare
         # like for like; the chosen lag is then refit on its full sample.
         rows = (n - 1) - max_lag
         best = None
-        for p in range(0, max_lag + 1):
-            design, target = _build_regression(y, p, rows)
-            _, ssr = _ols_tratio(design, target, col=1)
-            k = design.shape[1]
-            aic = rows * math.log(ssr / rows) + 2.0 * k
+        for p, ssr in enumerate(_candidate_ssrs(y, max_lag).tolist()):
+            aic = rows * math.log(ssr / rows) + 2.0 * (p + 2)
             if best is None or aic < best[0]:
                 best = (aic, p)
         lag = best[1]
 
     rows = (n - 1) - lag
     design, target = _build_regression(y, lag, rows)
-    stat, _ = _ols_tratio(design, target, col=1)
+    stat = _ols_tratio(design, target, col=1)
     return AdfResult(
         statistic=stat,
         p_value=mackinnon_pvalue(stat),

@@ -1,8 +1,12 @@
-from datetime import date
+import math
+import random
+import tempfile
+from datetime import date, datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqcast import data as dat
@@ -15,12 +19,109 @@ ROW1 = "2015/1/5, 14.303333, 14.433333, 13.810667, 14.006, 80527500\n"
 
 VALUE_COLUMNS = ("open", "high", "low", "close", "volume")
 CLEAN_GRID = dat.synth_ohlcv("sine+noise", 60, 3)  # cleaning leaves it untouched
+# Defects to plant in one cell: missing, infinite, non-positive, or off the envelope.
+CELL_EDITS = {
+    "nan": lambda v: np.nan,
+    "inf": lambda v: np.inf,
+    "-inf": lambda v: -np.inf,
+    "negative": lambda v: -v,
+    "zero": lambda v: 0.0,
+    "halved": lambda v: v * 0.5,
+    "doubled": lambda v: v * 2.0,
+}
+MISSING_TOKENS = ["", "NaN", "nan", "NA", "n/a", " N/A ", "null", "None"]
 
 
 def write_csv(tmp_path, body: str, header: str = HEADER):
     p = tmp_path / "prices.csv"
     p.write_text(header + body, encoding="utf-8")
     return p
+
+
+def _number(lo: int, hi: int):
+    """Decimal strings of lo..hi: bare, zero-padded to 2-5 digits, or after a space."""
+    n = st.integers(lo, hi)
+    return st.one_of(
+        n.map(str),
+        st.tuples(n, st.integers(2, 5)).map(lambda t: str(t[0]).zfill(t[1])),
+        n.map(lambda v: f" {v}"),
+    )
+
+
+@st.composite
+def _valid_dates(draw):
+    """Real dates in the two accepted layouts, months and days bare or zero-padded."""
+    d = draw(st.dates())
+    sep = draw(st.sampled_from("/-"))
+    month = draw(st.sampled_from([str(d.month), f"{d.month:02d}"]))
+    day = draw(st.sampled_from([str(d.day), f"{d.day:02d}", f"{d.day:2d}"]))
+    return f"{d.year:04d}{sep}{month}{sep}{day}"
+
+
+@st.composite
+def _near_misses(draw):
+    """3-5 digit years, out-of-range fields such as Feb 30, mixed or doubled separators."""
+    seps = st.sampled_from(["/", "-", ".", "//", "--", "/-", ""])
+    first = draw(seps)
+    second = draw(st.one_of(st.just(first), seps))
+    return (
+        draw(st.one_of(st.integers(1, 9999).map(lambda y: f"{y:04d}"), _number(0, 99999)))
+        + first
+        + draw(st.one_of(_number(1, 12), _number(0, 13)))
+        + second
+        + draw(st.one_of(_number(1, 31), _number(0, 32)))
+    )
+
+
+def _date_strings():
+    """Dates strptime accepts and near misses, sometimes in full-width digits."""
+    # strptime's \d matches any Unicode decimal digit.
+    wide = {ord(c): ord(c) + 0xFF10 - ord("0") for c in "0123456789"}
+    text = st.one_of(_valid_dates(), _near_misses())
+    return st.one_of(text, text.map(lambda t: t.translate(wide)))
+
+
+def _clean_reference(series: dat.OhlcvSeries) -> tuple[dat.OhlcvSeries, dat.CleanReport]:
+    """Row-at-a-time statement of clean's rules, kept to pin the columnar version."""
+    report = dat.CleanReport()
+    kept = []
+    prev_close = None
+    for i in range(len(series)):
+        row = series.row(i)
+        if math.isnan(row["close"]):
+            report.dropped_missing_close += 1
+            continue
+        needs = [c for c in ("open", "high", "low") if math.isnan(row[c])]
+        if needs and prev_close is None:
+            report.dropped_unimputable += 1
+            continue
+        for c in needs:
+            row[c] = prev_close
+            setattr(report, f"imputed_{c}", getattr(report, f"imputed_{c}") + 1)
+        if math.isnan(row["volume"]):
+            row["volume"] = 0.0
+            report.imputed_volume += 1
+        if any(math.isinf(row[c]) for c in VALUE_COLUMNS):
+            report.dropped_nonfinite += 1
+            continue
+        lo, hi = min(row["open"], row["close"]), max(row["open"], row["close"])
+        if not (row["low"] <= lo <= hi <= row["high"]) or row["low"] <= 0 or row["volume"] < 0:
+            report.dropped_envelope += 1
+            continue
+        kept.append(row)
+        prev_close = row["close"]
+    columns = {c: np.array([r[c] for r in kept]) for c in VALUE_COLUMNS}
+    return dat.OhlcvSeries(dates=tuple(r["date"] for r in kept), **columns), report
+
+
+def _group_means_reference(keys, values) -> dict:
+    """Running per-key sums in row order, then one division per key."""
+    acc = {}
+    for k, v in zip(keys, values):
+        s = acc.setdefault(k, [0.0, 0])
+        s[0] += v
+        s[1] += 1
+    return {k: s / c for k, (s, c) in sorted(acc.items())}
 
 
 class TestParseCsv:
@@ -77,6 +178,28 @@ class TestParseCsv:
         p = write_csv(tmp_path, ROW0 + ROW0)
         with pytest.raises(ValueError, match="duplicate"):
             dat.parse_csv(p)
+
+    @given(_date_strings())
+    @example("2015/1/ 5")
+    @example("2016-02-30")
+    @example("2015/1-2")
+    @example("2015//1/2")
+    @example("２０１５-０１-０２")
+    @example("２０１５/1/1５")
+    @settings(max_examples=400)
+    def test_date_parser_matches_strptime(self, text):
+        want = None
+        for fmt in ("%Y/%m/%d", "%Y-%m-%d"):
+            try:
+                want = datetime.strptime(text, fmt).date()
+                break
+            except ValueError:
+                pass
+        if want is None:
+            with pytest.raises(ValueError, match="unrecognized date"):
+                dat._parse_date(text)
+        else:
+            assert dat._parse_date(text) == want
 
 
 class TestClean:
@@ -140,6 +263,34 @@ class TestClean:
         assert twice.dates == once.dates
         np.testing.assert_array_equal(twice.open, once.open)
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(CLEAN_GRID) - 1),
+                st.sampled_from(VALUE_COLUMNS),
+                st.sampled_from(sorted(CELL_EDITS)),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=100)
+    def test_matches_row_reference(self, cells):
+        columns = {c: getattr(CLEAN_GRID, c).copy() for c in VALUE_COLUMNS}
+        for i, c, edit in cells:
+            columns[c][i] = CELL_EDITS[edit](columns[c][i])
+        dirty = dat.OhlcvSeries(dates=CLEAN_GRID.dates, **columns)
+        try:
+            want, want_report = _clean_reference(dirty)
+        except ValueError:
+            with pytest.raises(ValueError, match="every row"):
+                dat.clean(dirty)
+            return
+        got, got_report = dat.clean(dirty)
+        assert got_report == want_report
+        assert got.dates == want.dates
+        for c in VALUE_COLUMNS:
+            assert getattr(got, c).tobytes() == getattr(want, c).tobytes()
+
 
 class TestMonthwise:
     def test_single_month_series(self):
@@ -186,6 +337,24 @@ class TestMonthwise:
         assert m.ndim == 1
         months = {(d.year, d.month) for d in sine_series.dates}
         assert m.size == len(months)
+
+    @given(st.integers(1, 700), st.integers(0, 2**32 - 1), st.integers(0, 4000))
+    @settings(max_examples=60)
+    def test_means_equal_running_sums_bitwise(self, n, seed, start):
+        # Prices spanning many magnitudes, so a different summation order would show.
+        g = np.random.default_rng(seed)
+        v = np.exp(g.normal(size=(5, n)) * 8.0)
+        dates = dat.weekday_dates(date(2000, 1, 3) + timedelta(days=start), n)
+        s = dat.OhlcvSeries(dates=dates, open=v[0], high=v[1], low=v[2], close=v[3], volume=v[4])
+        months = [d.month for d in dates]
+        want_open = _group_means_reference(months, v[0].tolist())
+        want_close = _group_means_reference(months, v[3].tolist())
+        assert dat.monthwise_means(s) == {m: (want_open[m], want_close[m]) for m in want_open}
+        year_months = [(d.year, d.month) for d in dates]
+        for c in VALUE_COLUMNS:
+            want = _group_means_reference(year_months, getattr(s, c).tolist())
+            got = dat.monthly_mean_series(s, c)
+            assert got.tobytes() == np.array(list(want.values())).tobytes()
 
 
 class TestScaler:
@@ -334,3 +503,56 @@ def test_weekday_dates_skip_weekends():
     ds = dat.weekday_dates(date(2015, 1, 2), 4)  # Friday start
     assert ds == (date(2015, 1, 2), date(2015, 1, 5), date(2015, 1, 6), date(2015, 1, 7))
     assert all(d.weekday() < 5 for d in ds)
+
+
+@given(
+    n=st.integers(45, 150),
+    seed=st.integers(0, 2**16),
+    layout_seed=st.integers(0, 2**32 - 1),
+    n_missing=st.integers(0, 8),
+)
+@settings(max_examples=40, deadline=None)
+def test_csv_pipeline_properties(n, seed, layout_seed, n_missing):
+    """Shuffled rows, mixed date formats and missing tokens through the whole data chain."""
+    series = dat.synth_ohlcv("gbm", n, seed)
+    layout = random.Random(layout_seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prices.csv"
+        dat.write_ohlcv_csv(series, path)
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        rows = [line.split(",") for line in lines]
+        missing = {(layout.randrange(n), layout.randrange(1, 6)) for _ in range(n_missing)}
+        for i, cell in missing:
+            rows[i][cell] = layout.choice(MISSING_TOKENS)
+        for row, d in zip(rows, series.dates):
+            row[0] = layout.choice([
+                d.isoformat(),
+                f"{d.year}-{d.month}-{d.day}",
+                f"{d.year}/{d.month}/{d.day}",
+                f"{d.year}/{d.month:02d}/{d.day:02d}",
+            ])
+        layout.shuffle(rows)
+        path.write_text("\n".join([header, *(",".join(r) for r in rows)]) + "\n", encoding="utf-8")
+        parsed = dat.parse_csv(path)
+
+    assert all(a < b for a, b in zip(parsed.dates, parsed.dates[1:]))
+    assert parsed.dates == series.dates
+    planted = np.zeros((n, 5), dtype=bool)
+    for i, cell in missing:
+        planted[i, cell - 1] = True
+    for j, c in enumerate(VALUE_COLUMNS):
+        got = getattr(parsed, c)
+        assert np.isnan(got[planted[:, j]]).all()
+        np.testing.assert_array_equal(got[~planted[:, j]], getattr(series, c)[~planted[:, j]])
+
+    cleaned, _ = dat.clean(parsed)
+    again, report = dat.clean(cleaned)
+    assert report.all_zero
+    assert again.dates == cleaned.dates
+    for c in VALUE_COLUMNS:
+        np.testing.assert_array_equal(getattr(again, c), getattr(cleaned, c))
+
+    train, _, _ = dat.chronological_split(cleaned, test_len=5, val_frac=0.1)
+    scaled = dat.fit_scaler(train.close).transform(train.close)
+    assert scaled.min() == 0.0 and scaled.max() == 1.0
+    assert ((scaled >= 0.0) & (scaled <= 1.0)).all()

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from seqcast import stationarity
 from seqcast.numerics import make_rng
 from seqcast.stationarity import (
     AdfResult,
@@ -113,6 +118,24 @@ class TestAdfContracts:
         with pytest.raises(ValueError, match="degenerate"):
             adf_test(np.full(100, 5.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        y = random_walk()
+        y[N // 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            adf_test(y)
+
+    @given(st.integers(7, 60), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_no_residual_degree_of_freedom_is_too_short(self, lag, data):
+        # Lags >= 7 with n < 2 * lag + 4 leave the widest fit no residual.
+        n = data.draw(st.integers(lag + 10, 2 * lag + 3))
+        y = np.cumsum(make_rng(n).normal(size=n))
+        for kwargs in ({"max_lag": lag}, {"fixed_lag": lag}):
+            with pytest.raises(ValueError, match="too short"):
+                adf_test(y, **kwargs)
+        adf_test(np.cumsum(make_rng(n).normal(size=2 * lag + 4)), max_lag=lag)
+
     def test_linear_ramp_differenced_is_degenerate(self):
         ramp = np.arange(200, dtype=np.float64)
         d = difference(ramp, 1)
@@ -146,3 +169,74 @@ class TestAdfContracts:
         d = res.as_dict()
         assert set(d) == {"statistic", "p_value", "lags_used", "n_obs"}
         assert isinstance(res, AdfResult)
+
+
+def _brute_force_fits(y: np.ndarray, max_lag: int) -> tuple[np.ndarray, bool]:
+    """(SSR of every candidate lag on the common sample, whether any is rank-deficient).
+
+    One lstsq fit per candidate.
+    """
+    dy = np.diff(y)
+    rows = dy.size - max_lag
+    target = dy[max_lag:]
+    ssrs, singular = [], False
+    for p in range(max_lag + 1):
+        cols = [np.ones(rows), y[max_lag : max_lag + rows]]
+        cols += [dy[max_lag - i : max_lag - i + rows] for i in range(1, p + 1)]
+        design = np.column_stack(cols)
+        beta, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+        resid = target - design @ beta
+        ssrs.append(float(resid @ resid))
+        singular |= rank < design.shape[1]
+    return np.array(ssrs), singular
+
+
+@st.composite
+def adf_series(draw):
+    """Random walks, AR(1) and white noise of 30-600 points at varied scales."""
+    n = draw(st.integers(30, 600))
+    g = make_rng(draw(st.integers(0, 2**32 - 1)))
+    eps = g.normal(size=n) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    phi = draw(st.sampled_from([1.0, 0.9, 0.5, 0.0, -0.4]))
+    y = np.empty(n)
+    y[0] = eps[0]
+    for t in range(1, n):
+        y[t] = phi * y[t - 1] + eps[t]
+    return y + draw(st.sampled_from([0.0, 100.0]))
+
+
+class TestLagSearch:
+    @given(adf_series())
+    @settings(max_examples=60, deadline=None)
+    def test_one_qr_matches_lstsq_per_candidate(self, y):
+        max_lag = min(default_max_lag(y.size), y.size // 2 - 2)
+        got = stationarity._candidate_ssrs(y, max_lag)
+        want, singular = _brute_force_fits(y, max_lag)
+        assert not singular
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize(
+        "pattern", [[0.0, 1.0], [0.0, 1.0, 3.0], *(make_rng(p).normal(size=p) for p in (7, 10))]
+    )
+    def test_singular_candidate_is_degenerate(self, pattern):
+        # A repeating pattern makes the lagged differences collinear with the constant.
+        y = np.tile(pattern, 200 // len(pattern))
+        max_lag = min(default_max_lag(y.size), y.size // 2 - 2)
+        assert _brute_force_fits(y, max_lag)[1]
+        with pytest.raises(ValueError, match="degenerate"):
+            stationarity._candidate_ssrs(y, max_lag)
+        with pytest.raises(ValueError, match="degenerate"):
+            adf_test(y)
+
+    @given(adf_series())
+    @settings(max_examples=60, deadline=None)
+    def test_selected_lag_minimises_brute_force_aic(self, y):
+        max_lag = min(default_max_lag(y.size), y.size // 2 - 2)
+        rows = y.size - 1 - max_lag
+        aic = [
+            rows * math.log(ssr / rows) + 2.0 * (p + 2)
+            for p, ssr in enumerate(_brute_force_fits(y, max_lag)[0])
+        ]
+        best = min(aic)
+        # A relative bound, so candidates tied to rounding may swap either way.
+        assert abs(aic[adf_test(y).lags_used] - best) <= 1e-9 * abs(best)

@@ -32,7 +32,7 @@ class Metrics:
             raise ValueError("error metrics cannot be negative")
         if self.r2 > 1.0 + 1e-12:
             raise ValueError(f"r2 cannot exceed 1, got {self.r2}")
-        if abs(self.rmse**2 - self.mse) > 1e-9:
+        if abs(self.rmse**2 - self.mse) > 1e-9 * max(1.0, self.mse):  # sqrt rounds at any scale
             raise ValueError(f"rmse^2 != mse ({self.rmse**2} vs {self.mse})")
 
     @property

@@ -1,4 +1,4 @@
-"""GRU cell with a scalar head.
+"""GRU cell, unrolled over the lookback window.
 
 Per step, with v_t = [h_{t-1}, x_t]:
 
@@ -8,7 +8,8 @@ Per step, with v_t = [h_{t-1}, x_t]:
     h_t = (1 - z_t) * h_{t-1} + z_t * g_t
 
 The update gate weights the candidate, so a saturated-low z freezes the
-state. The new state is a convex combination of h_{t-1} and g_t.
+state. The new state is a convex combination of h_{t-1} and g_t. The
+encoder state is h_T; the scalar head on it lives in ``seqcast.models``.
 """
 
 from __future__ import annotations
@@ -38,14 +39,11 @@ def init_params(rng: np.random.Generator, hidden: int) -> Params:
 
 
 def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Run the cell over x of shape (batch, steps); h_0 = 0."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ValueError(f"expected input of shape (batch, steps), got {x.shape}")
+    """Run the cell over x of shape (batch, steps); h_0 = 0. Returns h_T and the cache."""
     batch, steps = x.shape
     h = params.dims["hidden"]
     h_t = np.zeros((batch, h))
-    cache = {"x": x, "v": [], "z": [], "r": [], "g": [], "u": [], "h_prev": [], "hidden": h}
+    cache = {"v": [], "z": [], "r": [], "g": [], "u": [], "h_prev": []}
     for t in range(steps):
         x_t = x[:, t : t + 1]
         v = np.concatenate([h_t, x_t], axis=1)
@@ -57,28 +55,13 @@ def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
         h_t = (1.0 - z) * h_t + z * g
         for key, val in (("v", v), ("z", z), ("r", r), ("g", g), ("u", u)):
             cache[key].append(val)
-    cache["h_last"] = h_t
-    preds = (h_t @ params.head_w.T + params.head_b).ravel()
-    return preds, cache
+    return h_t, cache
 
 
-def backward(params: Params, cache: dict, d_preds: np.ndarray) -> Params:
-    """BPTT gradient of sum_b d_preds[b] * pred_b, shaped like the params."""
-    if cache.get("hidden") != params.dims["hidden"]:
-        raise ValueError("cache does not match these parameters")
-    d_preds = np.asarray(d_preds, dtype=np.float64).ravel()
-    x = cache["x"]
-    batch, steps = x.shape
-    if d_preds.shape != (batch,):
-        raise ValueError(f"need one upstream gradient per sample, got {d_preds.shape}")
+def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params) -> None:
+    """BPTT from dh, the gradient w.r.t. h_T; adds the cell's gradients into grads."""
     h = params.dims["hidden"]
-
-    grads = Params("gru", params.dims)
-    grads.head_w += d_preds[None, :] @ cache["h_last"]
-    grads.head_b += d_preds.sum(keepdims=True)
-
-    dh = d_preds[:, None] * params.head_w
-    for t in reversed(range(steps)):
+    for t in reversed(range(len(cache["v"]))):
         v, z, r, g, u = (cache[k][t] for k in ("v", "z", "r", "g", "u"))
         h_prev = cache["h_prev"][t]
         dz_gate = dh * (g - h_prev)
@@ -99,4 +82,3 @@ def backward(params: Params, cache: dict, d_preds: np.ndarray) -> Params:
         grads.b_r += da_r.sum(axis=0)
         dv = da_z @ params.w_z + da_r @ params.w_r
         dh = dh_prev + dv[:, :h]
-    return grads

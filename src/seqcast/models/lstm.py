@@ -9,9 +9,10 @@ Per step, with z_t = [h_{t-1}, x_t]:
     o_t = sigmoid(W_o z_t + b_o)        output gate
     h_t = o_t * tanh(c_t)
 
-prediction = head_w h_T + head_b. The backward pass is hand-derived BPTT
-through the full window; gradients sum over the batch so that a mean-loss
-upstream gradient yields the mean of per-sample gradients.
+The encoder state is h_T; the scalar head on it lives in ``seqcast.models``.
+The backward pass is hand-derived BPTT through the full window; gradients
+sum over the batch so that a mean-loss upstream gradient yields the mean of
+per-sample gradients.
 """
 
 from __future__ import annotations
@@ -48,17 +49,13 @@ def init_params(rng: np.random.Generator, hidden: int) -> Params:
 def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """Run the cell over x of shape (batch, steps); h_0 = c_0 = 0.
 
-    Returns predictions (batch,) and the cache the backward pass needs.
+    Returns h_T (batch, hidden) and the cache the backward pass needs.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ValueError(f"expected input of shape (batch, steps), got {x.shape}")
     batch, steps = x.shape
     h = params.dims["hidden"]
     h_t = np.zeros((batch, h))
     c_t = np.zeros((batch, h))
-    cache = {"x": x, "z": [], "f": [], "i": [], "g": [], "o": [],
-             "c_prev": [], "tanh_c": [], "hidden": h}
+    cache = {"z": [], "f": [], "i": [], "g": [], "o": [], "c_prev": [], "tanh_c": []}
     for t in range(steps):
         z = np.concatenate([h_t, x[:, t : t + 1]], axis=1)
         f = sigmoid(z @ params.w_f.T + params.b_f)
@@ -71,29 +68,14 @@ def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
         h_t = o * tanh_c
         for key, val in (("z", z), ("f", f), ("i", i), ("g", g), ("o", o), ("tanh_c", tanh_c)):
             cache[key].append(val)
-    cache["h_last"] = h_t
-    preds = (h_t @ params.head_w.T + params.head_b).ravel()
-    return preds, cache
+    return h_t, cache
 
 
-def backward(params: Params, cache: dict, d_preds: np.ndarray) -> Params:
-    """BPTT: gradient of sum_b d_preds[b] * pred_b, shaped like the params."""
-    if cache.get("hidden") != params.dims["hidden"]:
-        raise ValueError("cache does not match these parameters")
-    d_preds = np.asarray(d_preds, dtype=np.float64).ravel()
-    x = cache["x"]
-    batch, steps = x.shape
-    if d_preds.shape != (batch,):
-        raise ValueError(f"need one upstream gradient per sample, got {d_preds.shape}")
+def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params) -> None:
+    """BPTT from dh, the gradient w.r.t. h_T; adds the cell's gradients into grads."""
     h = params.dims["hidden"]
-
-    grads = Params("lstm", params.dims)
-    grads.head_w += d_preds[None, :] @ cache["h_last"]
-    grads.head_b += d_preds.sum(keepdims=True)
-
-    dh = d_preds[:, None] * params.head_w  # (batch, hidden)
-    dc = np.zeros((batch, h))
-    for t in reversed(range(steps)):
+    dc = np.zeros_like(dh)
+    for t in reversed(range(len(cache["z"]))):
         z, f, i, g, o = (cache[k][t] for k in ("z", "f", "i", "g", "o"))
         c_prev, tanh_c = cache["c_prev"][t], cache["tanh_c"][t]
         do = dh * tanh_c
@@ -113,4 +95,3 @@ def backward(params: Params, cache: dict, d_preds: np.ndarray) -> Params:
         grads.b_o += da_o.sum(axis=0)
         dz = da_f @ params.w_f + da_i @ params.w_i + da_g @ params.w_c + da_o @ params.w_o
         dh = dz[:, :h]
-    return grads

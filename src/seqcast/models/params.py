@@ -24,10 +24,7 @@ class Params:
 
         entry = REGISTRY[kind]
         dims = {key: dims[key] for key in entry.arch_keys}
-        for key, value in dims.items():
-            if value < 1:
-                raise ValueError(f"{key} must be >= 1, got {value}")
-        shapes = entry.module.shapes(**dims)
+        shapes = entry.shapes(dims)
         size = sum(math.prod(shape) for shape in shapes.values())
         if theta is None:
             theta = np.zeros(size)

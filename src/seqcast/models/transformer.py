@@ -7,7 +7,8 @@ codes are added, and L pre-layer-norm encoder blocks follow:
     h' = a + FFN(LN2(a))          FFN: relu(x W1' + b1) W2' + b2
 
 Attention is scaled dot-product, softmax(Q K' / sqrt(d_k)) V per head.
-The prediction head reads the final position's vector of the last block.
+The encoder state is the final position's vector of the last block; the
+scalar head on it lives in ``seqcast.models``.
 Nothing else of that block reaches the output, so it computes K and V over
 every position but its queries, attention row, output projection, LN2 and
 FFN for the final position only; the earlier blocks run on every position,
@@ -108,18 +109,15 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Encode x of shape (batch, steps) and predict from the final position."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ValueError(f"expected input of shape (batch, steps), got {x.shape}")
-    batch, steps = x.shape
+    """Encode x of shape (batch, steps); returns the final position's (batch, d_model) vector."""
+    steps = x.shape[1]
     d = params.dims["d_model"]
     nh = params.dims["n_heads"]
     scale = 1.0 / np.sqrt(d // nh)
 
     h = x[:, :, None] @ params.w_in.T  # (batch, steps, d_model)
     h = h + positional_encoding(steps, d)[None, :, :]
-    cache = {"x": x, "layers": [], "d_model": d, "n_heads": nh, "scale": scale}
+    cache = {"layers": [], "scale": scale}
     last = len(params.layers) - 1
     for idx, layer in enumerate(params.layers):
         rows = slice(steps - 1, steps) if idx == last else slice(None)
@@ -140,9 +138,7 @@ def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
         lc.update(y1=y1, rel=rel)
         h = a + rel @ layer.w_ff2.T + layer.b_ff2
         cache["layers"].append(lc)
-    cache["h_final"] = h  # (batch, 1, d_model): the final position only
-    preds = (h[:, -1, :] @ params.head_w.T + params.head_b).ravel()
-    return preds, cache
+    return h[:, -1, :], cache  # the last block kept the final position only
 
 
 def _weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,24 +146,10 @@ def _weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
-def backward(params: Params, cache: dict, d_preds: np.ndarray) -> Params:
-    """Gradient of sum_b d_preds[b] * pred_b, shaped like the params."""
-    dims = params.dims
-    if cache.get("d_model") != dims["d_model"] or cache.get("n_heads") != dims["n_heads"]:
-        raise ValueError("cache does not match these parameters")
-    d_preds = np.asarray(d_preds, dtype=np.float64).ravel()
-    x = cache["x"]
-    batch, steps = x.shape
-    if d_preds.shape != (batch,):
-        raise ValueError(f"need one upstream gradient per sample, got {d_preds.shape}")
-    scale = cache["scale"]
-
-    grads = Params("transformer", dims)
-    h_final = cache["h_final"]
-    grads.head_w += d_preds[None, :] @ h_final[:, -1, :]
-    grads.head_b += d_preds.sum(keepdims=True)
-
-    dh = (d_preds[:, None] * params.head_w)[:, None, :]
+def backward(params: Params, cache: dict, d_state: np.ndarray, grads: Params) -> None:
+    """Backpropagate d_state, the gradient w.r.t. the final vector; adds into grads."""
+    scale, nh = cache["scale"], params.dims["n_heads"]
+    dh = d_state[:, None, :]
 
     for layer, grad, lc in zip(params.layers[::-1], grads.layers[::-1], cache["layers"][::-1]):
         # FFN branch: h_out = a + relu(n2 W1' + b1) W2' + b2
@@ -186,7 +168,7 @@ def backward(params: Params, cache: dict, d_preds: np.ndarray) -> Params:
         # Attention branch: a = h_in[rows] + merge(softmax(Q K' * scale) V) W_o
         d_merged = da @ layer.w_o.T
         grad.w_o += _weight_grad(lc["merged"], da)
-        d_oh = _split_heads(d_merged, cache["n_heads"])
+        d_oh = _split_heads(d_merged, nh)
         d_attn = d_oh @ lc["vh"].transpose(0, 1, 3, 2)
         d_vh = lc["attn_w"].transpose(0, 1, 3, 2) @ d_oh
         attn_w = lc["attn_w"]
@@ -208,5 +190,4 @@ def backward(params: Params, cache: dict, d_preds: np.ndarray) -> Params:
         dh[:, rows] += da  # residual into the kept rows
 
     # Embedding: h0 = x[:, :, None] @ w_in' (+ constant position codes)
-    grads.w_in += _weight_grad(dh, x[:, :, None])
-    return grads
+    grads.w_in += _weight_grad(dh, cache["x"][:, :, None])

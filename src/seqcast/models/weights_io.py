@@ -9,13 +9,17 @@ Layout:
 A vector of length n is written with cols=0 so its shape survives the
 round trip; 17 significant digits make every float64 value bit-exact.
 Blocks follow the kind's layout order. On load the header's dims fix the
-layout, and every block is checked against it by name and shape.
+layout, and every block is checked against it by name and shape. The header
+must state each of its kind's dims once, plus at most ``input=1``, and every
+value must be finite.
 Files always use LF newlines so identical weights produce identical bytes.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+
+import numpy as np
 
 from .params import Params
 
@@ -48,6 +52,8 @@ def _parse_header(line: str) -> tuple[str, dict[str, int]]:
     kind, dims = tokens[0], {}
     for tok in tokens[1:]:
         key, _, value = tok.partition("=")
+        if key in dims:
+            raise WeightsFormatError(f"model header states {key} twice")
         try:
             dims[key] = int(value)
         except ValueError:
@@ -76,6 +82,13 @@ def load_weights(path: str | Path, expect_kind: str | None = None):
     if expect_kind is not None and kind != expect_kind:
         raise WeightsFormatError(f"file holds {kind} weights, expected {expect_kind}")
     entry = REGISTRY[kind]
+    unknown = [key for key in dims if key not in entry.arch_keys and key != "input"]
+    if unknown:
+        raise WeightsFormatError(f"{kind} model header has unknown key {unknown[0]!r}")
+    if dims.get("input", 1) != 1:
+        raise WeightsFormatError(
+            f"model header input={dims['input']}: models take one value per step"
+        )
     missing = [key for key in entry.arch_keys if key not in dims]
     if missing:
         raise WeightsFormatError(f"{kind} model header lacks {', '.join(missing)}")
@@ -117,6 +130,8 @@ def load_weights(path: str | Path, expect_kind: str | None = None):
             views[name].flat = [float(v) for v in chunk]
         except ValueError:
             raise WeightsFormatError(f"block {name!r}: non-numeric value") from None
+        if not np.isfinite(views[name]).all():
+            raise WeightsFormatError(f"block {name!r}: non-finite value")
         seen.add(name)
         pos += 1 + count
 

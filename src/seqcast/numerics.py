@@ -9,7 +9,7 @@ from its seed.
 from __future__ import annotations
 
 import copy
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -49,22 +49,6 @@ def init_xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
-def _iter_arrays(params) -> Iterable[tuple[str, np.ndarray]]:
-    """Yield (name, array) views of a parameter collection.
-
-    Accepts a bare ndarray, a dict of ndarrays, or any object exposing
-    ``named_arrays()`` (a model's ``Params``).
-    """
-    if isinstance(params, np.ndarray):
-        yield "theta", params
-    elif isinstance(params, dict):
-        yield from params.items()
-    elif hasattr(params, "named_arrays"):
-        yield from params.named_arrays()
-    else:
-        raise TypeError(f"unsupported parameter collection: {type(params)!r}")
-
-
 def grad_check(
     loss_fn: Callable,
     params,
@@ -73,25 +57,19 @@ def grad_check(
 ) -> float:
     """Compare an analytic gradient against central finite differences.
 
-    ``loss_fn(params)`` must be a deterministic scalar function; ``analytic``
-    mirrors the shape of ``params``. Returns the max over all coordinates of
+    ``params`` and ``analytic`` are a model's ``Params`` and its gradient, of
+    one kind and dims; ``loss_fn(params)`` must be a deterministic scalar
+    function. Returns the max over all coordinates of
     |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if (analytic.kind, analytic.dims) != (params.kind, params.dims):
+        raise ValueError("analytic gradient does not mirror the parameters")
     work = copy.deepcopy(params)
-    arrays = dict(_iter_arrays(work))
-    grads = dict(_iter_arrays(analytic))
-    if set(arrays) != set(grads):
-        raise ValueError("analytic gradient does not mirror the parameter names")
 
     worst = 0.0
-    for name, arr in arrays.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != arr.shape:
-            raise ValueError(f"gradient shape mismatch for {name}: {g.shape} vs {arr.shape}")
-        # Index-wise mutation so the perturbation is visible through `work`
-        # regardless of array memory layout.
+    for (name, arr), (_, g) in zip(work.named_arrays(), analytic.named_arrays()):
         for idx in np.ndindex(arr.shape):
             orig = arr[idx]
             arr[idx] = orig + eps

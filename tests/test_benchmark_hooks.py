@@ -10,7 +10,7 @@ import pytest
 
 from seqcast import data as dat
 from seqcast import forecast_eval, models, training
-from seqcast.models import ModelConfig
+from seqcast.models import MODEL_KINDS, REGISTRY, ModelConfig
 from seqcast.numerics import make_rng
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -56,3 +56,16 @@ def test_recursive_forecast_calls_predict_once_per_step(monkeypatch):
     window, scaler = np.linspace(0.0, 1.0, 6), dat.Scaler(0.0, 1.0)
     path = forecast_eval.recursive_forecast(params, window, 7, scaler)
     assert len(path) == len(calls) == 7
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_models_dispatch_reaches_module_attributes(monkeypatch, kind):
+    # The per-kind forward and backward spans wrap these module attributes, so
+    # models.forward and models.backward must look them up at call time.
+    module = REGISTRY[kind].module
+    forwards = counting(monkeypatch, module, "forward")
+    backwards = counting(monkeypatch, module, "backward")
+    params = models.init_params(ModelConfig(kind=kind, hidden=3, d_model=4, d_ff=5), make_rng(0))
+    preds, cache = models.forward(params, make_rng(1).random((2, 5)))
+    models.backward(params, cache, np.ones_like(preds))
+    assert (len(forwards), len(backwards)) == (1, 1)

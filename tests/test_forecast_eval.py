@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from seqcast import data as dat
 from seqcast import models
@@ -74,6 +78,10 @@ class TestMetricsType:
             Metrics(r2=1.5, mae=0.1, mse=1.0, rmse=1.0)
         with pytest.raises(ValueError):
             Metrics(r2=0.5, mae=0.1, mse=1.0, rmse=3.0)
+        with pytest.raises(ValueError):  # the rmse bound is relative above mse = 1 ...
+            Metrics(r2=0.5, mae=1.0, mse=1e7, rmse=math.sqrt(1e7) * (1 + 1e-9))
+        with pytest.raises(ValueError):  # ... and absolute, 1e-9, below it
+            Metrics(r2=0.5, mae=0.1, mse=0.25, rmse=0.5 + 2e-9)
 
     def test_fit_degree_is_r2_in_percent(self):
         m = Metrics(r2=0.875, mae=0.1, mse=0.04, rmse=0.2)
@@ -82,6 +90,26 @@ class TestMetricsType:
     def test_as_dict_keys(self):
         m = Metrics(r2=0.5, mae=0.1, mse=0.04, rmse=0.2)
         assert set(m.as_dict()) == {"r2", "mae", "mse", "rmse", "fit_degree_pct"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    exponent=st.integers(-3, 9),
+    level=st.floats(-2.0, 2.0),
+    pairs=st.lists(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=2, max_size=60
+    ),
+)
+def test_compute_metrics_accepts_finite_inputs_at_any_scale(exponent, level, pairs):
+    # Closes and errors of one size, from 1e-3 up to 1e9: the rmse^2 == mse
+    # check must not trip on sqrt's last-bit rounding once mse is large.
+    # Closes that vary by less than 1e-6 of their scale are left out: their
+    # squared deviations can underflow to zero, where R² is undefined.
+    scale = 10.0**exponent
+    y_true = np.array([scale * (level + u) for u, _ in pairs])
+    assume(np.ptp(y_true) > 1e-6 * scale)
+    y_pred = y_true + scale * np.array([e for _, e in pairs])
+    compute_metrics(y_true, y_pred)
 
 
 class TestRecursiveForecast:

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqcast import numerics
+from seqcast.models import Params
 from seqcast.numerics import (
     grad_check,
     init_xavier,
@@ -94,34 +95,35 @@ class TestRng:
         assert not np.array_equal(make_rng(1).random(10), make_rng(2).random(10))
 
 
+def small_params(theta):
+    """A 14-value LSTM Params: the grad check only walks its named arrays."""
+    return Params("lstm", {"hidden": 1}, theta)
+
+
+def half_square(p):
+    return 0.5 * float(np.sum(p.theta**2))
+
+
 class TestGradCheck:
     def test_quadratic_is_near_exact(self, rng):
-        theta = {"w": rng.normal(size=(3, 4))}
-
-        def loss(p):
-            return 0.5 * float(np.sum(p["w"] ** 2))
-
-        err = grad_check(loss, theta, {"w": theta["w"].copy()})
+        p = small_params(rng.normal(size=14))
+        err = grad_check(half_square, p, small_params(p.theta.copy()))
         assert err < 1e-7
 
     def test_scaled_gradient_detected(self, rng):
-        theta = {"w": rng.normal(size=(2, 2)) + 3.0}
-
-        def loss(p):
-            return 0.5 * float(np.sum(p["w"] ** 2))
-
+        p = small_params(rng.normal(size=14) + 3.0)
         # |2g - g| / (|2g| + |g|) = 1/3 per coordinate
-        err = grad_check(loss, theta, {"w": 2.0 * theta["w"]})
+        err = grad_check(half_square, p, small_params(2.0 * p.theta))
         assert abs(err - 1 / 3) < 1e-3
 
     def test_nonfinite_loss_rejected(self):
-        theta = {"w": np.ones((2, 2))}
+        p = small_params(np.ones(14))
 
         def loss(p):
             return float("nan")
 
         with pytest.raises(ValueError):
-            grad_check(loss, theta, {"w": np.ones((2, 2))})
+            grad_check(loss, p, small_params(np.ones(14)))
 
 
 @settings(max_examples=30)

@@ -162,6 +162,37 @@ def test_header_dims_without_layout_rejected(tmp_path, stated, bad, message):
         load_weights(path)
 
 
+@pytest.mark.parametrize(
+    "stated,bad,message",
+    [
+        ("lstm hidden=5 ", "lstm hidden=9 hidden=5 ", "states hidden twice"),
+        (" input=1", " input=1 input=1", "states input twice"),
+        (" input=1", " input=1 bogus=3", "unknown key 'bogus'"),
+        (" input=1", " input=1 d_model=8", "unknown key 'd_model'"),
+        (" input=1", " input=7", "input=7"),
+    ],
+    ids=["repeated-dim", "repeated-input", "unknown-key", "other-kinds-key", "input-width"],
+)
+def test_header_tokens_rejected(tmp_path, stated, bad, message):
+    path = tmp_path / "w.txt"
+    save_weights(path, build("lstm"))
+    path.write_text(path.read_text().replace(stated, bad, 1))
+    with pytest.raises(WeightsFormatError, match=message):
+        load_weights(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "infinity"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_non_finite_value_rejected(tmp_path, kind, token):
+    path = tmp_path / "w.txt"
+    save_weights(path, build(kind))
+    lines = path.read_text().splitlines()
+    lines[-1] = token  # the last value of the head_b block
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(WeightsFormatError, match="block 'head_b': non-finite value"):
+        load_weights(path)
+
+
 def test_header_without_n_heads_rejected(tmp_path):
     path = tmp_path / "w.txt"
     save_weights(path, build("transformer"))

@@ -10,6 +10,13 @@ Per step, with v_t = [h_{t-1}, x_t]:
 The update gate weights the candidate, so a saturated-low z freezes the
 state. The new state is a convex combination of h_{t-1} and g_t. The
 encoder state is h_T; the scalar head on it lives in ``seqcast.models``.
+
+The steps run gate-major. W_z and W_r are adjacent in ``theta``, so they
+are one (2, h, h+1) view and b_z, b_r one (2, 1, h) view. A step makes one
+stacked matmul and one ``sigmoid`` call for both gates, then the candidate's
+own matmul and ``tanh``. Each gate's arithmetic is the per-gate form's, in
+the same order, so outputs and gradients are bit-identical to it. The cache
+holds step-major arrays, allocated once per call and filled in place.
 """
 
 from __future__ import annotations
@@ -38,47 +45,69 @@ def init_params(rng: np.random.Generator, hidden: int) -> Params:
     return p
 
 
+def _gate_views(theta: np.ndarray, hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """w_z, w_r as one (2, h, h+1) view of theta and b_z, b_r as one (2, 1, h) view."""
+    gate = hidden * (hidden + 1)  # b_z follows w_z, w_r and w_h in the layout
+    w = theta[: 2 * gate].reshape(2, hidden, hidden + 1)
+    return w, theta[3 * gate : 3 * gate + 2 * hidden].reshape(2, 1, hidden)
+
+
 def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Run the cell over x of shape (batch, steps); h_0 = 0. Returns h_T and the cache."""
+    """Run the cell over x of shape (batch, steps); h_0 = 0. Returns h_T and the cache.
+
+    The cache is step-major: ``v`` and ``u`` (steps, batch, h+1) hold v_t and
+    [r_t * h_{t-1}, x_t]; ``gates`` (steps, 2, batch, h) holds z_t and r_t;
+    ``g`` (steps, batch, h) holds the candidate. h_{t-1} is ``v[t, :, :h]``.
+    """
     batch, steps = x.shape
     h = params.dims["hidden"]
-    h_t = np.zeros((batch, h))
-    cache = {"v": [], "z": [], "r": [], "g": [], "u": [], "h_prev": []}
-    for t in range(steps):
-        x_t = x[:, t : t + 1]
-        v = np.concatenate([h_t, x_t], axis=1)
-        z = sigmoid(v @ params.w_z.T + params.b_z)
-        r = sigmoid(v @ params.w_r.T + params.b_r)
-        u = np.concatenate([r * h_t, x_t], axis=1)
-        g = np.tanh(u @ params.w_h.T + params.b_h)
-        cache["h_prev"].append(h_t)
-        h_t = (1.0 - z) * h_t + z * g
-        for key, val in (("v", v), ("z", z), ("r", r), ("g", g), ("u", u)):
-            cache[key].append(val)
-    return h_t, cache
+    w, b = _gate_views(params.theta, h)
+    # Transposed views, not copies: each gate's product is then the same BLAS
+    # call as v @ w_z.T, bit for bit, where a transposed copy is not.
+    wt, wt_h = w.transpose(0, 2, 1), params.w_h.T
+    v = np.zeros((steps, batch, h + 1))
+    v[:, :, h] = x.T
+    u = v.copy()
+    gates = np.empty((steps, 2, batch, h))
+    g = np.empty((steps, batch, h))
+    b_h = params.b_h
+    for t, (v_t, u_t, a, g_t) in enumerate(zip(v, u, gates, g)):
+        np.matmul(v_t, wt, out=a)
+        a += b
+        a[...] = sigmoid(a)
+        z, r = a
+        h_prev = v_t[:, :h]
+        np.multiply(r, h_prev, out=u_t[:, :h])
+        np.matmul(u_t, wt_h, out=g_t)
+        g_t += b_h
+        np.tanh(g_t, out=g_t)
+        h_t = np.add((1.0 - z) * h_prev, z * g_t, out=v[t + 1, :, :h] if t + 1 < steps else None)
+    return h_t, {"v": v, "u": u, "gates": gates, "g": g}
 
 
 def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params) -> None:
     """BPTT from dh, the gradient w.r.t. h_T; adds the cell's gradients into grads."""
     h = params.dims["hidden"]
-    for t in reversed(range(len(cache["v"]))):
-        v, z, r, g, u = (cache[k][t] for k in ("v", "z", "r", "g", "u"))
-        h_prev = cache["h_prev"][t]
-        dz_gate = dh * (g - h_prev)
+    w, _ = _gate_views(params.theta, h)
+    gw, gb = _gate_views(grads.theta, h)
+    v, u, gates, g_all = (cache[k] for k in ("v", "u", "gates", "g"))
+    d_pre = np.empty((2,) + dh.shape)  # gradients w.r.t. z_t and r_t, then their pre-activations
+    for t in reversed(range(len(v))):
+        zr = gates[t]
+        z, r = zr
+        g, h_prev = g_all[t], v[t, :, :h]
+        np.multiply(dh, g - h_prev, out=d_pre[0])
         dg = dh * z
         dh_prev = dh * (1.0 - z)
         da_g = dg * (1.0 - g**2)
-        grads.w_h += da_g.T @ u
+        grads.w_h += da_g.T @ u[t]
         grads.b_h += da_g.sum(axis=0)
-        du = da_g @ params.w_h
-        drh = du[:, :h]  # gradient w.r.t. r * h_prev
-        dr = drh * h_prev
+        drh = (da_g @ params.w_h)[:, :h]  # gradient w.r.t. r * h_prev
+        np.multiply(drh, h_prev, out=d_pre[1])
         dh_prev = dh_prev + drh * r
-        da_z = dz_gate * z * (1.0 - z)
-        da_r = dr * r * (1.0 - r)
-        grads.w_z += da_z.T @ v
-        grads.b_z += da_z.sum(axis=0)
-        grads.w_r += da_r.T @ v
-        grads.b_r += da_r.sum(axis=0)
-        dv = da_z @ params.w_z + da_r @ params.w_r
-        dh = dh_prev + dv[:, :h]
+        d_pre *= zr
+        d_pre *= 1.0 - zr
+        gw += np.matmul(d_pre.transpose(0, 2, 1), v[t])
+        gb += d_pre.sum(axis=1, keepdims=True)
+        dv = np.matmul(d_pre, w)
+        dh = dh_prev + (dv[0] + dv[1])[:, :h]

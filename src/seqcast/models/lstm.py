@@ -13,6 +13,14 @@ The encoder state is h_T; the scalar head on it lives in ``seqcast.models``.
 The backward pass is hand-derived BPTT through the full window; gradients
 sum over the batch so that a mean-loss upstream gradient yields the mean of
 per-sample gradients.
+
+The steps run gate-major. W_f, W_i, W_c, W_o are adjacent in ``theta``, so
+they are one (4, h, h+1) view and the biases one (4, 1, h) view. A step
+makes one stacked matmul, one ``sigmoid`` call for f, i and o, and one
+``tanh`` for the candidate; backward adds all four weight gradients with one
+stacked matmul per step. Each gate's arithmetic is the per-gate form's, in
+the same order, so outputs and gradients are bit-identical to it. The cache
+holds step-major arrays, allocated once per call and filled in place.
 """
 
 from __future__ import annotations
@@ -46,52 +54,71 @@ def init_params(rng: np.random.Generator, hidden: int) -> Params:
     return p
 
 
+def _gate_views(theta: np.ndarray, hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """The four gate matrices as one (4, h, h+1) view of theta and the biases as (4, 1, h).
+
+    Both stacks follow the layout order f, i, c, o of ``shapes``.
+    """
+    n = 4 * hidden * (hidden + 1)
+    w = theta[:n].reshape(4, hidden, hidden + 1)
+    return w, theta[n : n + 4 * hidden].reshape(4, 1, hidden)
+
+
+# Forward order of the gates: the three sigmoid gates f, i, o, then the candidate.
+_FORWARD_ORDER = [0, 1, 3, 2]
+
+
 def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """Run the cell over x of shape (batch, steps); h_0 = c_0 = 0.
 
-    Returns h_T (batch, hidden) and the cache the backward pass needs.
+    Returns h_T (batch, hidden) and the step-major cache the backward pass
+    needs: ``z`` (steps, batch, h+1) holds z_t; ``gates`` (steps, 4, batch, h)
+    holds f_t, i_t, o_t, g_t in that order; ``c`` (steps+1, batch, h) holds
+    c_0 ... c_T; ``tanh_c`` (steps, batch, h) holds tanh(c_t).
     """
     batch, steps = x.shape
     h = params.dims["hidden"]
-    h_t = np.zeros((batch, h))
-    c_t = np.zeros((batch, h))
-    cache = {"z": [], "f": [], "i": [], "g": [], "o": [], "c_prev": [], "tanh_c": []}
-    for t in range(steps):
-        z = np.concatenate([h_t, x[:, t : t + 1]], axis=1)
-        f = sigmoid(z @ params.w_f.T + params.b_f)
-        i = sigmoid(z @ params.w_i.T + params.b_i)
-        g = np.tanh(z @ params.w_c.T + params.b_c)
-        o = sigmoid(z @ params.w_o.T + params.b_o)
-        cache["c_prev"].append(c_t)
-        c_t = f * c_t + i * g
-        tanh_c = np.tanh(c_t)
-        h_t = o * tanh_c
-        for key, val in (("z", z), ("f", f), ("i", i), ("g", g), ("o", o), ("tanh_c", tanh_c)):
-            cache[key].append(val)
-    return h_t, cache
+    w, b = _gate_views(params.theta, h)
+    # Reordering copies the stack but keeps each gate matrix row-major. The
+    # transpose must stay a view: each gate's product is then the same BLAS
+    # call as z @ w_f.T, bit for bit, where a transposed copy is not.
+    wt, b = w[_FORWARD_ORDER].transpose(0, 2, 1), b[_FORWARD_ORDER]
+    z = np.zeros((steps, batch, h + 1))
+    z[:, :, h] = x.T
+    gates = np.empty((steps, 4, batch, h))
+    c = np.zeros((steps + 1, batch, h))
+    tanh_c = np.empty((steps, batch, h))
+    for t, (z_t, a, c_prev, c_t, tanh_c_t) in enumerate(zip(z, gates, c, c[1:], tanh_c)):
+        np.matmul(z_t, wt, out=a)
+        a += b
+        a[:3] = sigmoid(a[:3])
+        f, i, o, g = a
+        np.tanh(g, out=g)
+        np.multiply(f, c_prev, out=c_t)
+        c_t += i * g
+        np.tanh(c_t, out=tanh_c_t)
+        h_t = np.multiply(o, tanh_c_t, out=z[t + 1, :, :h] if t + 1 < steps else None)
+    return h_t, {"z": z, "gates": gates, "c": c, "tanh_c": tanh_c}
 
 
 def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params) -> None:
     """BPTT from dh, the gradient w.r.t. h_T; adds the cell's gradients into grads."""
     h = params.dims["hidden"]
+    w, _ = _gate_views(params.theta, h)
+    gw, gb = _gate_views(grads.theta, h)
+    z, gates, c, tanh_c = (cache[k] for k in ("z", "gates", "c", "tanh_c"))
+    da = np.empty((4,) + dh.shape)  # pre-activation gradients in layout order f, i, c, o
     dc = np.zeros_like(dh)
-    for t in reversed(range(len(cache["z"]))):
-        z, f, i, g, o = (cache[k][t] for k in ("z", "f", "i", "g", "o"))
-        c_prev, tanh_c = cache["c_prev"][t], cache["tanh_c"][t]
-        do = dh * tanh_c
-        dc = dc + dh * o * (1.0 - tanh_c**2)
-        da_f = dc * c_prev * f * (1.0 - f)
-        da_i = dc * g * i * (1.0 - i)
-        da_g = dc * i * (1.0 - g**2)
-        da_o = do * o * (1.0 - o)
+    for t in reversed(range(len(z))):
+        f, i, o, g = gates[t]
+        do = dh * tanh_c[t]
+        dc = dc + dh * o * (1.0 - tanh_c[t] ** 2)
+        np.multiply(dc * c[t] * f, 1.0 - f, out=da[0])
+        np.multiply(dc * g * i, 1.0 - i, out=da[1])
+        np.multiply(dc * i, 1.0 - g**2, out=da[2])
+        np.multiply(do * o, 1.0 - o, out=da[3])
         dc = dc * f
-        grads.w_f += da_f.T @ z
-        grads.w_i += da_i.T @ z
-        grads.w_c += da_g.T @ z
-        grads.w_o += da_o.T @ z
-        grads.b_f += da_f.sum(axis=0)
-        grads.b_i += da_i.sum(axis=0)
-        grads.b_c += da_g.sum(axis=0)
-        grads.b_o += da_o.sum(axis=0)
-        dz = da_f @ params.w_f + da_i @ params.w_i + da_g @ params.w_c + da_o @ params.w_o
-        dh = dz[:, :h]
+        gw += np.matmul(da.transpose(0, 2, 1), z[t])
+        gb += da.sum(axis=1, keepdims=True)
+        dz = np.matmul(da, w)
+        dh = (dz[0] + dz[1] + dz[2] + dz[3])[:, :h]

@@ -26,7 +26,9 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, stable for large |x|.
 
     Saturating inputs clamp to 0/1 within float precision instead of
-    overflowing; sigmoid(-v) + sigmoid(v) == 1 exactly for the same v.
+    overflowing. Both halves share one rounded exp(-|v|), so for every
+    finite v the float sum sigmoid(v) + sigmoid(-v) is within 2**-52 of 1;
+    it is not exactly 1 for every v.
     """
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))  # exp(-x) for x >= 0, exp(x) below: never overflows

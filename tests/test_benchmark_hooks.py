@@ -69,3 +69,14 @@ def test_models_dispatch_reaches_module_attributes(monkeypatch, kind):
     preds, cache = models.forward(params, make_rng(1).random((2, 5)))
     models.backward(params, cache, np.ones_like(preds))
     assert (len(forwards), len(backwards)) == (1, 1)
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_rnn_forward_calls_sigmoid_once_per_step(monkeypatch, kind):
+    # The numerics.sigmoid span wraps these module attributes. A gate-major
+    # step activates all of its sigmoid gates in one call.
+    calls = counting(monkeypatch, REGISTRY[kind].module, "sigmoid")
+    params = models.init_params(ModelConfig(kind=kind, hidden=3), make_rng(0))
+    steps = 7
+    models.forward(params, make_rng(1).random((2, steps)))
+    assert len(calls) == steps

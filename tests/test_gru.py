@@ -23,8 +23,9 @@ class TestForward:
         p.head_b[0] = -0.25
         preds, cache = models.forward(p, np.array([[0.4, -0.2, 0.9]]))
         for t in range(3):
-            np.testing.assert_allclose(cache["z"][t], 0.5, atol=1e-15)
-            np.testing.assert_allclose(cache["r"][t], 0.5, atol=1e-15)
+            z, r = cache["gates"][t]
+            np.testing.assert_allclose(z, 0.5, atol=1e-15)
+            np.testing.assert_allclose(r, 0.5, atol=1e-15)
             np.testing.assert_allclose(cache["g"][t], 0.0, atol=1e-15)
         assert not cache["state"].any()
         np.testing.assert_allclose(preds, [-0.25], atol=1e-15)
@@ -41,9 +42,9 @@ class TestForward:
         x = make_rng(4).normal(size=(3, 9))
         _, cache = models.forward(p, x)
         for t in range(9):
-            h_prev = cache["h_prev"][t]
+            h_prev = cache["v"][t, :, :5]
             g = cache["g"][t]
-            z = cache["z"][t]
+            z = cache["gates"][t, 0]
             h_t = (1.0 - z) * h_prev + z * g
             lo = np.minimum(h_prev, g) - 1e-12
             hi = np.maximum(h_prev, g) + 1e-12

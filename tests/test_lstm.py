@@ -23,10 +23,11 @@ class TestForward:
         p.head_b[0] = 0.37
         preds, cache = models.forward(p, np.array([[0.2, 0.8, 0.5]]))
         for t in range(3):
-            np.testing.assert_allclose(cache["f"][t], 0.5, atol=1e-15)
-            np.testing.assert_allclose(cache["i"][t], 0.5, atol=1e-15)
-            np.testing.assert_allclose(cache["o"][t], 0.5, atol=1e-15)
-            np.testing.assert_allclose(cache["g"][t], 0.0, atol=1e-15)
+            f, i, o, g = cache["gates"][t]
+            np.testing.assert_allclose(f, 0.5, atol=1e-15)
+            np.testing.assert_allclose(i, 0.5, atol=1e-15)
+            np.testing.assert_allclose(o, 0.5, atol=1e-15)
+            np.testing.assert_allclose(g, 0.0, atol=1e-15)
         assert not cache["state"].any()
         np.testing.assert_allclose(preds, [0.37], atol=1e-15)
 
@@ -38,7 +39,8 @@ class TestForward:
             bias[0] = 1e3
         steps = 6
         _, cache = models.forward(p, np.zeros((1, steps)))
-        c_final = cache["c_prev"][-1] * cache["f"][-1] + cache["i"][-1] * cache["g"][-1]
+        f, i, _, g = cache["gates"][-1]
+        c_final = cache["c"][-2] * f + i * g
         assert abs(float(c_final[0, 0]) - steps) < 1e-6
 
     def test_matches_scalar_reimplementation(self):
@@ -74,7 +76,8 @@ class TestForward:
         x = make_rng(6).random((4, 12))
         _, cache = models.forward(p, x)
         for t in range(12):
-            c_t = cache["c_prev"][t] * cache["f"][t] + cache["i"][t] * cache["g"][t]
+            f, i, _, g = cache["gates"][t]
+            c_t = cache["c"][t] * f + i * g
             assert np.all(np.abs(c_t) <= t + 1 + 1e-12)
 
 

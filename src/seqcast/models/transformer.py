@@ -9,10 +9,19 @@ codes are added, and L pre-layer-norm encoder blocks follow:
 Attention is scaled dot-product, softmax(Q K' / sqrt(d_k)) V per head.
 The encoder state is the final position's vector of the last block; the
 scalar head on it lives in ``seqcast.models``.
-Nothing else of that block reaches the output, so it computes K and V over
-every position but its queries, attention row, output projection, LN2 and
-FFN for the final position only; the earlier blocks run on every position,
-because the last block attends to all of them.
+
+Nothing else of the last block reaches the output, so it computes its
+attention, LN2 and FFN for the final position only, and it projects no
+keys or values at all. With n1 = LN1(h) over every position, q_h the final
+query's head-h slice and W_k,h, W_v,h the head's column blocks:
+
+    scores_h = (q_h W_k,h') n1' * scale        head_h = (attn_h n1) W_v,h
+
+so one query is scored straight against the normed rows (the cache keeps
+q_h as ``q_h``, q_h W_k,h' as ``qk`` and attn_h n1 as ``ctx``). The earlier
+blocks run on every position, because the last block attends to all of
+them; they keep their split heads as ``qh``, ``kh`` and ``vh``. Every block
+keeps ``ln1``, ``n1``, ``attn_w``, ``merged``, ``ln2``, ``n2`` and ``rel``.
 All gradients are hand-derived; the finite-difference oracle in the test
 suite is the ground truth for every branch here.
 """
@@ -79,33 +88,113 @@ def positional_encoding(steps: int, d_model: int) -> np.ndarray:
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = centered * inv
-    return gain * xhat + shift, (xhat, inv)
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    out = np.square(xhat)  # scratch for the variance, then the output
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + _LN_EPS)
+    xhat *= inv
+    np.multiply(xhat, gain, out=out)
+    out += shift
+    return out, (xhat, inv)
 
 def _layer_norm_backward(d_out, gain, ln_cache):
+    """d_x, d_gain, d_shift for d_out, the gradient w.r.t. the output; overwrites d_out."""
     xhat, inv = ln_cache
-    d_gain = (d_out * xhat).sum(axis=(0, 1))
     d_shift = d_out.sum(axis=(0, 1))
-    d_xhat = d_out * gain
-    d_x = inv * (
-        d_xhat
-        - d_xhat.mean(axis=-1, keepdims=True)
-        - xhat * (d_xhat * xhat).mean(axis=-1, keepdims=True)
-    )
-    return d_x, d_gain, d_shift
+    tmp = d_out * xhat
+    d_gain = tmp.sum(axis=(0, 1))
+    d_out *= gain  # d_xhat, turned into d_x in place
+    np.multiply(d_out, xhat, out=tmp)
+    np.multiply(xhat, tmp.mean(axis=-1, keepdims=True), out=tmp)
+    d_out -= d_out.mean(axis=-1, keepdims=True)
+    d_out -= tmp
+    d_out *= inv
+    return d_out, d_gain, d_shift
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """(b, t, d) as a (b, heads, t, d / heads) view."""
     b, t, d = x.shape
     return x.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    b, nh, t, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, nh * dh)
+def _heads(w: np.ndarray, n_heads: int) -> np.ndarray:
+    """A (d, d) matrix's head column blocks as a (heads, d, d / heads) view."""
+    d = w.shape[0]
+    return w.reshape(d, n_heads, d // n_heads).transpose(1, 0, 2)
+
+def _merged_matmul(a: np.ndarray, b: np.ndarray, shape: tuple, n_heads: int) -> np.ndarray:
+    """The per-head product a @ b, (batch, heads, t, dh), as a new array of shape (batch, t, d)."""
+    out = np.empty(shape)
+    np.matmul(a, b, out=_split_heads(out, n_heads))
+    return out
+
+def _softmax_backward(w: np.ndarray, d_w: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the scores of w = softmax(scores) along the last axis; overwrites d_w."""
+    d_w -= np.einsum("...i,...i->...", d_w, w)[..., None]
+    d_w *= w
+    return d_w
+
+
+def _attend_all(layer, n1: np.ndarray, nh: int, scale: float, lc: dict) -> np.ndarray:
+    """Every position queries every position; the merged heads, (b, t, d)."""
+    qh, kh, vh = (_split_heads(n1 @ w, nh) for w in (layer.w_q, layer.w_k, layer.w_v))
+    scores = qh @ kh.transpose(0, 1, 3, 2)
+    scores *= scale
+    attn_w = softmax_rows(scores)
+    merged = _merged_matmul(attn_w, vh, n1.shape, nh)
+    lc.update(qh=qh, kh=kh, vh=vh, attn_w=attn_w, merged=merged)
+    return merged
+
+def _attend_all_backward(layer, grad, lc: dict, d_merged: np.ndarray, nh: int, scale: float):
+    """Adds the W_q, W_k and W_v gradients into grad; returns d_n1, (b, t, d)."""
+    n1, attn_w = lc["n1"], lc["attn_w"]
+    d_oh = _split_heads(d_merged, nh)
+    d_scores = _softmax_backward(attn_w, d_oh @ lc["vh"].transpose(0, 1, 3, 2))
+    d_v = _merged_matmul(attn_w.transpose(0, 1, 3, 2), d_oh, n1.shape, nh)
+    d_q = _merged_matmul(d_scores, lc["kh"], n1.shape, nh)
+    d_q *= scale
+    d_k = _merged_matmul(d_scores.transpose(0, 1, 3, 2), lc["qh"], n1.shape, nh)
+    d_k *= scale
+    grad.w_q += _weight_grad(n1, d_q)
+    grad.w_k += _weight_grad(n1, d_k)
+    grad.w_v += _weight_grad(n1, d_v)
+    d_n1 = d_k @ layer.w_k.T
+    d_n1 += d_v @ layer.w_v.T
+    d_n1 += d_q @ layer.w_q.T
+    return d_n1
+
+
+def _attend_last(layer, n1: np.ndarray, nh: int, scale: float, lc: dict) -> np.ndarray:
+    """The final position's query against every normed row; its merged heads, (b, 1, d)."""
+    b, _, d = n1.shape
+    q_h = (n1[:, -1] @ layer.w_q).reshape(b, nh, d // nh).transpose(1, 0, 2)  # (nh, b, dh)
+    qk = (q_h @ _heads(layer.w_k, nh).transpose(0, 2, 1)).transpose(1, 0, 2)  # (b, nh, d)
+    scores = qk @ n1.transpose(0, 2, 1)  # (b, nh, t)
+    scores *= scale
+    attn_w = softmax_rows(scores)
+    ctx = attn_w @ n1  # (b, nh, d)
+    merged = (ctx.transpose(1, 0, 2) @ _heads(layer.w_v, nh)).transpose(1, 0, 2).reshape(b, 1, d)
+    lc.update(q_h=q_h, qk=qk, attn_w=attn_w, ctx=ctx, merged=merged)
+    return merged
+
+def _attend_last_backward(layer, grad, lc: dict, d_merged: np.ndarray, nh: int, scale: float):
+    """Adds the W_q, W_k and W_v gradients into grad; returns d_n1, (b, t, d)."""
+    n1, attn_w, qk = lc["n1"], lc["attn_w"], lc["qk"]
+    b, _, d = n1.shape
+    d_head = d_merged.reshape(b, nh, d // nh).transpose(1, 0, 2)  # (nh, b, dh)
+    g_v = _heads(grad.w_v, nh)
+    g_v += lc["ctx"].transpose(1, 2, 0) @ d_head
+    d_ctx = (d_head @ _heads(layer.w_v, nh).transpose(0, 2, 1)).transpose(1, 0, 2)  # (b, nh, d)
+    d_n1 = attn_w.transpose(0, 2, 1) @ d_ctx
+    d_scores = _softmax_backward(attn_w, d_ctx @ n1.transpose(0, 2, 1))
+    d_scores *= scale
+    d_n1 += d_scores.transpose(0, 2, 1) @ qk
+    d_qk = d_scores @ n1  # (b, nh, d)
+    g_k = _heads(grad.w_k, nh)
+    g_k += d_qk.transpose(1, 2, 0) @ lc["q_h"]
+    d_q = (d_qk.transpose(1, 0, 2) @ _heads(layer.w_k, nh)).transpose(1, 0, 2).reshape(b, d)
+    grad.w_q += n1[:, -1].T @ d_q
+    d_n1[:, -1] += d_q @ layer.w_q.T  # the query row
+    return d_n1
 
 
 def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -115,28 +204,30 @@ def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
     nh = params.dims["n_heads"]
     scale = 1.0 / np.sqrt(d // nh)
 
-    h = x[:, :, None] @ params.w_in.T  # (batch, steps, d_model)
-    h = h + positional_encoding(steps, d)[None, :, :]
+    h = x[:, :, None] * params.w_in[:, 0]  # (batch, steps, d_model)
+    h += positional_encoding(steps, d)
     cache = {"layers": [], "scale": scale}
     last = len(params.layers) - 1
     for idx, layer in enumerate(params.layers):
-        rows = slice(steps - 1, steps) if idx == last else slice(None)
-        lc = {"rows": rows}
+        lc = {}
         n1, lc["ln1"] = _layer_norm(h, layer.ln1_g, layer.ln1_b)
         lc["n1"] = n1
-        qh = _split_heads(n1[:, rows] @ layer.w_q, nh)
-        kh = _split_heads(n1 @ layer.w_k, nh)
-        vh = _split_heads(n1 @ layer.w_v, nh)
-        attn_w = softmax_rows(qh @ kh.transpose(0, 1, 3, 2) * scale)
-        merged = _merge_heads(attn_w @ vh)
-        a = h[:, rows] + merged @ layer.w_o
-        lc.update(qh=qh, kh=kh, vh=vh, attn_w=attn_w, merged=merged)
+        if idx < last:
+            merged = _attend_all(layer, n1, nh, scale, lc)
+        else:
+            merged = _attend_last(layer, n1, nh, scale, lc)
+            h = h[:, -1:]  # from here on the final position only
+        a = merged @ layer.w_o
+        a += h
         n2, lc["ln2"] = _layer_norm(a, layer.ln2_g, layer.ln2_b)
         lc["n2"] = n2
-        y1 = n2 @ layer.w_ff1.T + layer.b_ff1
-        rel = np.maximum(y1, 0.0)
-        lc.update(y1=y1, rel=rel)
-        h = a + rel @ layer.w_ff2.T + layer.b_ff2
+        rel = n2 @ layer.w_ff1.T
+        rel += layer.b_ff1
+        np.maximum(rel, 0.0, out=rel)
+        lc["rel"] = rel
+        h = rel @ layer.w_ff2.T
+        h += a
+        h += layer.b_ff2
         cache["layers"].append(lc)
     return h[:, -1, :], cache  # the last block kept the final position only
 
@@ -150,44 +241,31 @@ def backward(params: Params, cache: dict, d_state: np.ndarray, grads: Params) ->
     """Backpropagate d_state, the gradient w.r.t. the final vector; adds into grads."""
     scale, nh = cache["scale"], params.dims["n_heads"]
     dh = d_state[:, None, :]
+    last = len(params.layers) - 1
 
-    for layer, grad, lc in zip(params.layers[::-1], grads.layers[::-1], cache["layers"][::-1]):
+    for idx in range(last, -1, -1):
+        layer, grad, lc = params.layers[idx], grads.layers[idx], cache["layers"][idx]
         # FFN branch: h_out = a + relu(n2 W1' + b1) W2' + b2
-        df = dh
-        grad.w_ff2 += _weight_grad(df, lc["rel"])
-        grad.b_ff2 += df.sum(axis=(0, 1))
-        d_y1 = (df @ layer.w_ff2) * (lc["y1"] > 0)
+        grad.w_ff2 += _weight_grad(dh, lc["rel"])
+        grad.b_ff2 += dh.sum(axis=(0, 1))
+        d_y1 = dh @ layer.w_ff2
+        d_y1 *= lc["rel"] > 0  # relu' from its output: rel > 0 exactly where y1 > 0
         grad.w_ff1 += _weight_grad(d_y1, lc["n2"])
         grad.b_ff1 += d_y1.sum(axis=(0, 1))
-        d_n2 = d_y1 @ layer.w_ff1
-        d_a, d_g2, d_b2 = _layer_norm_backward(d_n2, layer.ln2_g, lc["ln2"])
+        da, d_g2, d_b2 = _layer_norm_backward(d_y1 @ layer.w_ff1, layer.ln2_g, lc["ln2"])
         grad.ln2_g += d_g2
         grad.ln2_b += d_b2
-        da = dh + d_a  # residual plus normalized branch
+        da += dh  # normalized branch plus residual
 
-        # Attention branch: a = h_in[rows] + merge(softmax(Q K' * scale) V) W_o
-        d_merged = da @ layer.w_o.T
+        # Attention branch: a = h_in + merge(softmax(Q K' * scale) V) W_o, the last block's
+        # a and h_in at the final position only
         grad.w_o += _weight_grad(lc["merged"], da)
-        d_oh = _split_heads(d_merged, nh)
-        d_attn = d_oh @ lc["vh"].transpose(0, 1, 3, 2)
-        d_vh = lc["attn_w"].transpose(0, 1, 3, 2) @ d_oh
-        attn_w = lc["attn_w"]
-        d_scores = attn_w * (d_attn - (d_attn * attn_w).sum(axis=-1, keepdims=True))
-        d_qh = d_scores @ lc["kh"] * scale
-        d_kh = d_scores.transpose(0, 1, 3, 2) @ lc["qh"] * scale
-        d_q = _merge_heads(d_qh)
-        d_k = _merge_heads(d_kh)
-        d_v = _merge_heads(d_vh)
-        n1, rows = lc["n1"], lc["rows"]
-        grad.w_q += _weight_grad(n1[:, rows], d_q)
-        grad.w_k += _weight_grad(n1, d_k)
-        grad.w_v += _weight_grad(n1, d_v)
-        d_n1 = d_k @ layer.w_k.T + d_v @ layer.w_v.T
-        d_n1[:, rows] += d_q @ layer.w_q.T  # queries come from the kept rows only
+        attend_backward = _attend_all_backward if idx < last else _attend_last_backward
+        d_n1 = attend_backward(layer, grad, lc, da @ layer.w_o.T, nh, scale)
         dh, d_g1, d_b1 = _layer_norm_backward(d_n1, layer.ln1_g, lc["ln1"])
         grad.ln1_g += d_g1
         grad.ln1_b += d_b1
-        dh[:, rows] += da  # residual into the kept rows
+        dh[:, -da.shape[1]:] += da  # residual into the rows the block kept
 
-    # Embedding: h0 = x[:, :, None] @ w_in' (+ constant position codes)
+    # Embedding: h0 = x[:, :, None] * w_in[:, 0] (+ constant position codes)
     grads.w_in += _weight_grad(dh, cache["x"][:, :, None])

@@ -36,11 +36,16 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for overflow safety."""
+    """Row-wise softmax with max subtraction for overflow safety.
+
+    The exp and the divide run in place on the shifted copy, so x is never
+    modified and the result is the only full-size array allocated.
+    """
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    out = x - x.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def init_xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

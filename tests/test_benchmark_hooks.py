@@ -80,3 +80,14 @@ def test_rnn_forward_calls_sigmoid_once_per_step(monkeypatch, kind):
     steps = 7
     models.forward(params, make_rng(1).random((2, steps)))
     assert len(calls) == steps
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_transformer_forward_calls_softmax_once_per_block(monkeypatch, n_layers):
+    # The numerics.softmax_rows span wraps this module attribute: one call per
+    # block, the last block's single query included.
+    calls = counting(monkeypatch, REGISTRY["transformer"].module, "softmax_rows")
+    cfg = ModelConfig(kind="transformer", d_model=4, n_heads=2, n_layers=n_layers, d_ff=5)
+    params = models.init_params(cfg, make_rng(0))
+    models.forward(params, make_rng(1).random((2, 7)))
+    assert len(calls) == n_layers

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from seqcast import numerics
 from seqcast.models import Params
@@ -72,6 +73,22 @@ class TestActivations:
         out = softmax_rows(np.array([[1000.0, 0.0, -1000.0]]))
         assert np.all(np.isfinite(out))
         assert abs(out.sum() - 1.0) < 1e-12
+
+    @settings(max_examples=200)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=4, max_side=7),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(np.array([[1000.0, 0.0, -1000.0]]))
+    @example(np.array([1e308, -1e308, 0.0]))
+    @example(np.array([[5e-324, -0.0, 0.0]]))
+    def test_softmax_matches_three_temporary_form_bitwise(self, x):
+        before = x.copy()
+        with np.errstate(over="ignore"):  # a row spanning +-1e308 shifts to -inf
+            shifted = x - x.max(axis=-1, keepdims=True)
+            e = np.exp(shifted)
+            expected = e / e.sum(axis=-1, keepdims=True)
+            out = softmax_rows(x)
+        np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
+        np.testing.assert_array_equal(x.view(np.int64), before.view(np.int64))
 
 
 class TestInitXavier:

@@ -81,6 +81,16 @@ class TestForward:
                 preds_p, _ = models.forward(p, x[:, perm])
                 np.testing.assert_allclose(preds_p, preds, rtol=1e-12, atol=1e-12)
 
+    def test_position_codes_read_on_every_call(self, monkeypatch):
+        p = small_params(seed=12)
+        x = make_rng(13).normal(size=(2, 6))  # distinct values, so their order matters
+        with_codes, _ = models.forward(p, x)
+        monkeypatch.setattr(
+            transformer, "positional_encoding", lambda steps, d: np.zeros((steps, d))
+        )
+        without_codes, _ = models.forward(p, x)
+        assert np.abs(with_codes - without_codes).min() > 1e-8
+
 
 def reference_forward(params, x):
     """Per-sample, per-head loops; every block runs over all positions."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from datetime import timedelta
 from pathlib import Path
 
@@ -43,19 +43,13 @@ def _json_text(payload: dict) -> str:
 def _load_config(args) -> RunConfig:
     config_path = getattr(args, "config", None)
     cfg = parse_config_file(config_path) if config_path else RunConfig()
-    return apply_flags(
-        cfg,
-        data=getattr(args, "data", None),
-        seed=getattr(args, "seed", None),
-        horizon=getattr(args, "horizon", None),
-        out=getattr(args, "out", None),
-    )
+    return apply_flags(cfg, **{f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
 
 
 def _require_data(cfg: RunConfig) -> Path:
-    if not cfg.data_path:
+    if not cfg.data:
         raise ConfigError("no input data: pass --data PATH or set data in [run]")
-    path = Path(cfg.data_path)
+    path = Path(cfg.data)
     if not path.is_file():
         raise ConfigError(f"data file not found: {path}")
     return path
@@ -191,15 +185,7 @@ def cmd_forecast(cfg: RunConfig, args) -> int:
 def cmd_compare(cfg: RunConfig, args) -> int:
     series, _ = _load_clean(cfg)
     out = _outdir(cfg)
-    report, trained, forecasts, test = forecast_eval.compare(
-        series,
-        {k: cfg.model_config(k) for k in MODEL_KINDS},
-        {k: cfg.train_config(k) for k in MODEL_KINDS},
-        lookback=cfg.lookback,
-        horizon=cfg.horizon,
-        val_frac=cfg.val_frac,
-        log_paths={k: str(out / f"train-{k}.ndjson") for k in MODEL_KINDS},
-    )
+    report, trained, forecasts, test = forecast_eval.compare(series, cfg, log_dir=out)
     report["config"] = config_echo(cfg)
     (out / "report.json").write_text(_json_text(report), encoding="utf-8")
     for name in MODEL_KINDS:
@@ -249,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", help="input OHLCV CSV (overrides config)")
         p.add_argument("--seed", type=int, help="run seed (overrides config)")
         p.add_argument("--horizon", type=int, help="forecast steps (overrides config)")
-        p.add_argument("--out", help="output directory (overrides config)")
+        p.add_argument("--out", dest="output_dir", help="output directory (overrides config)")
         p.add_argument(
             "--print-config",
             action="store_true",
@@ -279,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--kind", choices=dat.SYNTH_KINDS, default="sine+noise")
     p_synth.add_argument("--n", type=int, default=1000)
     p_synth.add_argument("--seed", type=int, help="generator seed")
-    p_synth.add_argument("--out", help="output directory")
+    p_synth.add_argument("--out", dest="output_dir", help="output directory")
     p_synth.set_defaults(func=cmd_synth)
     return parser
 
@@ -288,8 +274,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        if getattr(args, "adf_on", None):
-            cfg = replace(cfg, adf_on=args.adf_on)
         if getattr(args, "print_config", False):
             print(canonical_text(cfg), end="")
             return 0

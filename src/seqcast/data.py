@@ -14,7 +14,7 @@ import csv
 import hashlib
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -28,7 +28,7 @@ _DATE_RE = re.compile(
     r"(\d\d\d\d)([/-])(1[0-2]|0[1-9]|[1-9])\2(3[01]|[12]\d|0[1-9]|[1-9]| [1-9])"
 )
 _MISSING_TOKENS = {"", "nan", "na", "n/a", "null", "none"}
-_PRICE_COLUMNS = ("open", "high", "low", "close")
+_COLUMNS = ("open", "high", "low", "close", "volume")
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class OhlcvSeries:
 
     def __post_init__(self):
         n = len(self.dates)
-        for name in ("open", "high", "low", "close", "volume"):
+        for name in _COLUMNS:
             col = getattr(self, name)
             if col.shape != (n,):
                 raise ValueError(f"column {name} has {col.shape[0]} values for {n} dates")
@@ -60,23 +60,11 @@ class OhlcvSeries:
         return len(self.dates)
 
     def row(self, i: int) -> dict:
-        return {
-            "date": self.dates[i],
-            "open": float(self.open[i]),
-            "high": float(self.high[i]),
-            "low": float(self.low[i]),
-            "close": float(self.close[i]),
-            "volume": float(self.volume[i]),
-        }
+        return {"date": self.dates[i], **{c: float(getattr(self, c)[i]) for c in _COLUMNS}}
 
     def slice(self, start: int, stop: int) -> "OhlcvSeries":
         return OhlcvSeries(
-            dates=self.dates[start:stop],
-            open=self.open[start:stop].copy(),
-            high=self.high[start:stop].copy(),
-            low=self.low[start:stop].copy(),
-            close=self.close[start:stop].copy(),
-            volume=self.volume[start:stop].copy(),
+            self.dates[start:stop], *(getattr(self, c)[start:stop].copy() for c in _COLUMNS)
         )
 
 
@@ -119,7 +107,7 @@ def parse_csv(path) -> OhlcvSeries:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        wanted = {"date", "open", "high", "low", "close", "volume"}
+        wanted = {"date", *_COLUMNS}
         col_idx: dict[str, int] = {}
         for i, name in enumerate(header):
             key = name.strip().lower()
@@ -130,7 +118,7 @@ def parse_csv(path) -> OhlcvSeries:
             raise ValueError(f"{path}: header lacks columns {sorted(missing)}")
 
         i_date = col_idx["date"]
-        value_idx = [col_idx[c] for c in (*_PRICE_COLUMNS, "volume")]
+        value_idx = [col_idx[c] for c in _COLUMNS]
         dates: list[date] = []
         values: list[list[float]] = []
         for lineno, raw in enumerate(reader, start=2):
@@ -166,7 +154,7 @@ class CleanReport:
     imputed_volume: int = 0
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
     @property
     def total_dropped(self) -> int:
@@ -194,9 +182,9 @@ def clean(series: OhlcvSeries) -> tuple[OhlcvSeries, CleanReport]:
     prev_close: float | None = None
     # Imputation only replaces NaN, so a row's infinities survive it.
     has_inf = np.zeros(len(series), dtype=bool)
-    for c in (*_PRICE_COLUMNS, "volume"):
+    for c in _COLUMNS:
         has_inf |= np.isinf(getattr(series, c))
-    columns = (getattr(series, c).tolist() for c in (*_PRICE_COLUMNS, "volume"))
+    columns = (getattr(series, c).tolist() for c in _COLUMNS)
     for d, op, hi, lo, cl, vol, inf in zip(series.dates, *columns, has_inf.tolist()):
         if math.isnan(cl):
             report.dropped_missing_close += 1
@@ -247,7 +235,7 @@ def monthly_mean_series(series: OhlcvSeries, column: str = "high") -> np.ndarray
 
     This is the monthly aggregation the unit-root diagnostics run on.
     """
-    if column not in ("open", "high", "low", "close", "volume"):
+    if column not in _COLUMNS:
         raise ValueError(f"unknown column {column!r}")
     months = np.fromiter((d.year * 12 + d.month for d in series.dates), np.int64, len(series))
     _, key = np.unique(months, return_inverse=True)
@@ -447,12 +435,9 @@ def write_ohlcv_csv(series: OhlcvSeries, path) -> None:
 def fingerprint(series: OhlcvSeries) -> dict:
     """Row count, date range, and content hash identifying a dataset."""
     digest = hashlib.sha256()
-    for i in range(len(series)):
-        r = series.row(i)
-        digest.update(
-            f"{r['date'].isoformat()},{r['open']!r},{r['high']!r},"
-            f"{r['low']!r},{r['close']!r},{r['volume']!r}\n".encode()
-        )
+    columns = (getattr(series, c).tolist() for c in _COLUMNS)
+    for d, op, hi, lo, cl, vol in zip(series.dates, *columns):
+        digest.update(f"{d.isoformat()},{op!r},{hi!r},{lo!r},{cl!r},{vol!r}\n".encode())
     return {
         "n_rows": len(series),
         "start_date": series.dates[0].isoformat(),

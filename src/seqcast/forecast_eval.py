@@ -9,15 +9,17 @@ and metrics against the held-out closes in currency units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import data as dat
 from . import models, training
 from .data import OhlcvSeries, Scaler, WindowedDataset
-from .models import MODEL_KINDS, ModelConfig
-from .training import TrainConfig, TrainHistory, TrainingError
+from .models import MODEL_KINDS
+from .runconfig import RunConfig
+from .training import TrainHistory, TrainingError
 
 
 @dataclass(frozen=True)
@@ -40,13 +42,7 @@ class Metrics:
         return self.r2 * 100.0
 
     def as_dict(self) -> dict:
-        return {
-            "r2": self.r2,
-            "mae": self.mae,
-            "mse": self.mse,
-            "rmse": self.rmse,
-            "fit_degree_pct": self.fit_degree_pct,
-        }
+        return {**asdict(self), "fit_degree_pct": self.fit_degree_pct}
 
 
 def compute_metrics(y_true, y_pred) -> Metrics:
@@ -120,26 +116,17 @@ def prepare_windows(
     return train_ds, val_ds, joint[-lookback:], scaler, test
 
 
-def compare(
-    series: OhlcvSeries,
-    model_cfgs: dict[str, ModelConfig],
-    train_cfgs: dict[str, TrainConfig],
-    lookback: int,
-    horizon: int = 30,
-    val_frac: float = 0.10,
-    log_paths: dict[str, str] | None = None,
-):
+def compare(series: OhlcvSeries, cfg: RunConfig, log_dir: str | Path | None = None):
     """Train the three models on one shared split and evaluate each forecast.
 
+    The models, their training and the split come from cfg. With log_dir,
+    each model's training log is written there as train-<kind>.ndjson.
     Returns (report dict ready for JSON, trained params by model name,
     forecast paths by model name, the held-out test rows). Model order in
     the report is always lstm, gru, transformer.
     """
-    missing = [k for k in MODEL_KINDS if k not in model_cfgs or k not in train_cfgs]
-    if missing:
-        raise ValueError(f"missing configs for: {', '.join(missing)}")
     train_ds, val_ds, seed_window, scaler, test = prepare_windows(
-        series, lookback, horizon, val_frac
+        series, cfg.lookback, cfg.horizon, cfg.val_frac
     )
 
     fingerprint = dat.fingerprint(series)
@@ -147,12 +134,12 @@ def compare(
     trained: dict[str, object] = {}
     forecasts: dict[str, np.ndarray] = {}
     for name in MODEL_KINDS:
-        log_path = (log_paths or {}).get(name)
+        log_path = None if log_dir is None else Path(log_dir) / f"train-{name}.ndjson"
         try:
             params, history = training.train(
-                model_cfgs[name], train_ds, val_ds, train_cfgs[name], log_path=log_path
+                cfg.model_config(name), train_ds, val_ds, cfg.train_config(name), log_path=log_path
             )
-            path = recursive_forecast(params, seed_window, horizon, scaler)
+            path = recursive_forecast(params, seed_window, cfg.horizon, scaler)
         except (TrainingError, ValueError) as exc:
             raise TrainingError(f"{name}: {exc}") from exc
         metrics = compute_metrics(test.close, path)
@@ -165,11 +152,10 @@ def compare(
                 "forecast": [float(v) for v in path],
                 "history": history.as_dict(),
                 "config": {
-                    "model": model_cfgs[name].as_dict(),
-                    "train": train_cfgs[name].as_dict(),
-                    "lookback": lookback,
-                    "horizon": horizon,
-                    "val_frac": val_frac,
+                    **cfg.kind_echo(name),
+                    "lookback": cfg.lookback,
+                    "horizon": cfg.horizon,
+                    "val_frac": cfg.val_frac,
                 },
             }
         )

@@ -14,44 +14,29 @@ Layout (all keys optional, defaults below):
     [lstm] / [gru]             ; hidden, plus any training key
     [transformer]              ; d_model, n_heads, n_layers, d_ff, training keys
 
-Training keys: learning_rate, beta1, beta2, epsilon, batch_size,
-max_epochs, patience, grad_clip_norm. Per-model seeds are derived
-(run seed + fixed offset), never read from the file. Unknown sections or
-keys are errors, not warnings. ``canonical_text`` emits the fully merged
-form; parsing that text back yields an identical config.
+One table states the schema: ``_section_keys(section)``, each INI
+section's key -> type map. The ``[run]`` keys are ``RunConfig``'s fields
+less ``model_overrides``; each is also the CLI flag's argparse dest and the
+echo key. A model section takes its kind's ``REGISTRY`` architecture keys
+and the training keys, ``TrainConfig``'s fields less ``seed``. The parser,
+the flags, ``config_echo`` and ``canonical_text`` all follow that table,
+and ``canonical_text`` renders ``config_echo``, so the printed config and
+the artifacts' echo cannot drift apart; parsing the text back yields an
+identical config. Per-model seeds are derived (run seed + fixed offset),
+never read from the file. Unknown sections or keys are errors, not
+warnings.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .models import MODEL_KINDS, REGISTRY, ModelConfig
 from .training import TrainConfig
 
 ADF_CHOICES = ("monthly-high", "daily-high")
-
-_TRAIN_KEYS = {
-    "learning_rate": float,
-    "beta1": float,
-    "beta2": float,
-    "epsilon": float,
-    "batch_size": int,
-    "max_epochs": int,
-    "patience": int,
-    "grad_clip_norm": float,
-}
-_RUN_KEYS = {
-    "data": str,
-    "output_dir": str,
-    "lookback": int,
-    "horizon": int,
-    "val_frac": float,
-    "seed": int,
-    "adf_on": str,
-}
 
 
 class ConfigError(ValueError):
@@ -60,7 +45,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    data_path: str | None = None
+    data: str | None = None
     output_dir: str = "out"
     lookback: int = 60
     horizon: int = 30
@@ -76,15 +61,17 @@ class RunConfig:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
         if not 0.0 < self.val_frac < 1.0:
             raise ConfigError(f"val_frac must be in (0, 1), got {self.val_frac}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.adf_on not in ADF_CHOICES:
             raise ConfigError(f"adf_on must be one of {ADF_CHOICES}, got {self.adf_on!r}")
-        if self.data_path is not None:
-            if Path(self.data_path).resolve() == Path(self.output_dir).resolve():
+        if self.data is not None:
+            if Path(self.data).resolve() == Path(self.output_dir).resolve():
                 raise ConfigError("data path and output_dir must be distinct")
         for kind, key, _ in self.model_overrides:
             if kind not in MODEL_KINDS:
                 raise ConfigError(f"unknown model section [{kind}]")
-            if key not in _TRAIN_KEYS and key not in REGISTRY[kind].arch_keys:
+            if key not in _section_keys(kind):
                 raise ConfigError(f"unknown key {key!r} in section [{kind}]")
         # Surface invalid values now rather than mid-run.
         for kind in MODEL_KINDS:
@@ -107,6 +94,32 @@ class RunConfig:
         kwargs = {key: kast(sect[key]) for key, kast in _TRAIN_KEYS.items() if key in sect}
         return TrainConfig(seed=self.seed + REGISTRY[kind].seed_offset, **kwargs)
 
+    def kind_echo(self, kind: str) -> dict:
+        """One model kind's settings as echoed in artifacts."""
+        return {
+            "model": self.model_config(kind).as_dict(),
+            "train": self.train_config(kind).as_dict(),
+        }
+
+
+def _key_types(cls, skip: str) -> dict[str, type]:
+    """Field name -> INI type, taken from the default; a None default is a path string."""
+    return {
+        f.name: str if f.default is None else type(f.default)
+        for f in fields(cls)
+        if f.name != skip
+    }
+
+
+_RUN_KEYS = _key_types(RunConfig, skip="model_overrides")
+_TRAIN_KEYS = _key_types(TrainConfig, skip="seed")
+
+
+def _section_keys(section: str) -> dict[str, type]:
+    if section == "run":
+        return _RUN_KEYS
+    return dict.fromkeys(REGISTRY[section].arch_keys, int) | _TRAIN_KEYS
+
 
 def _convert(section: str, key: str, raw: str, kast):
     try:
@@ -126,20 +139,17 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     run_kwargs: dict = {}
     overrides: list[tuple[str, str, float]] = []
     for section in parser.sections():
-        if section == "run":
-            for key, raw in parser.items(section):
-                if key not in _RUN_KEYS:
-                    raise ConfigError(f"unknown key {key!r} in section [run]")
-                value = _convert(section, key, raw, _RUN_KEYS[key])
-                run_kwargs["data_path" if key == "data" else key] = value
-        elif section in MODEL_KINDS:
-            known = dict.fromkeys(REGISTRY[section].arch_keys, int) | _TRAIN_KEYS
-            for key, raw in parser.items(section):
-                if key not in known:
-                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                overrides.append((section, key, _convert(section, key, raw, known[key])))
-        else:
+        if section != "run" and section not in MODEL_KINDS:
             raise ConfigError(f"unknown section [{section}]")
+        known = _section_keys(section)
+        for key, raw in parser.items(section):
+            if key not in known:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            value = _convert(section, key, raw, known[key])
+            if section == "run":
+                run_kwargs[key] = value
+            else:
+                overrides.append((section, key, value))
     return RunConfig(model_overrides=tuple(overrides), **run_kwargs)
 
 
@@ -150,59 +160,35 @@ def parse_config_file(path: str | Path) -> RunConfig:
     return parse_config_text(p.read_text(encoding="utf-8"), source=str(p))
 
 
-def apply_flags(cfg: RunConfig, *, data=None, seed=None, horizon=None, out=None) -> RunConfig:
-    """Command-line flags win over file values."""
-    updates = {}
-    if data is not None:
-        updates["data_path"] = str(data)
-    if seed is not None:
-        updates["seed"] = int(seed)
-    if horizon is not None:
-        updates["horizon"] = int(horizon)
-    if out is not None:
-        updates["output_dir"] = str(out)
+def apply_flags(cfg: RunConfig, **flags) -> RunConfig:
+    """Command-line flags win over file values.
+
+    Each flag is named by its [run] key; one left at None keeps the file's value.
+    """
+    updates = {key: value for key, value in flags.items() if value is not None}
     return replace(cfg, **updates) if updates else cfg
-
-
-def canonical_text(cfg: RunConfig) -> str:
-    """The fully merged config as INI text; parses back to an equal config."""
-    out = io.StringIO()
-    out.write("[run]\n")
-    if cfg.data_path is not None:
-        out.write(f"data = {cfg.data_path}\n")
-    out.write(f"output_dir = {cfg.output_dir}\n")
-    out.write(f"lookback = {cfg.lookback}\n")
-    out.write(f"horizon = {cfg.horizon}\n")
-    out.write(f"val_frac = {cfg.val_frac!r}\n")
-    out.write(f"seed = {cfg.seed}\n")
-    out.write(f"adf_on = {cfg.adf_on}\n")
-    for kind in MODEL_KINDS:
-        out.write(f"\n[{kind}]\n")
-        for key, value in REGISTRY[kind].dims(cfg.model_config(kind)).items():
-            out.write(f"{key} = {value}\n")
-        train = cfg.train_config(kind)
-        for key, kast in _TRAIN_KEYS.items():
-            value = getattr(train, key)
-            out.write(f"{key} = {value!r}\n" if kast is float else f"{key} = {value}\n")
-    return out.getvalue()
 
 
 def config_echo(cfg: RunConfig) -> dict:
     """Config as a JSON-ready dict, embedded in every artifact."""
     return {
-        "data": cfg.data_path,
-        "output_dir": cfg.output_dir,
-        "lookback": cfg.lookback,
-        "horizon": cfg.horizon,
-        "val_frac": cfg.val_frac,
-        "seed": cfg.seed,
-        "adf_on": cfg.adf_on,
-        "models": {
-            kind: {
-                "model": cfg.model_config(kind).as_dict(),
-                "train": cfg.train_config(kind).as_dict(),
-            }
-            for kind in MODEL_KINDS
-        },
+        **{key: getattr(cfg, key) for key in _RUN_KEYS},
+        "models": {kind: cfg.kind_echo(kind) for kind in MODEL_KINDS},
     }
 
+
+def canonical_text(cfg: RunConfig) -> str:
+    """The fully merged config as INI text; parses back to an equal config.
+
+    It renders ``config_echo``: each section lists the keys it accepts, a
+    float as its shortest round-tripping repr, and ``data`` only when set.
+    """
+    echo = config_echo(cfg)
+    sections = {"run": echo}
+    sections.update((kind, e["model"] | e["train"]) for kind, e in echo["models"].items())
+    blocks = []
+    for name, values in sections.items():
+        lines = [f"[{name}]"]
+        lines += [f"{key} = {values[key]}" for key in _section_keys(name) if values[key] is not None]
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)

@@ -16,7 +16,7 @@ residual sum of squares. Approximate p-values come from the MacKinnon
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,12 +41,7 @@ class AdfResult:
     n_obs: int
 
     def as_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "lags_used": self.lags_used,
-            "n_obs": self.n_obs,
-        }
+        return asdict(self)
 
 
 def difference(values, order: int = 1) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,12 +42,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name in ("learning_rate", "epsilon", "grad_clip_norm"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError(f"Adam betas must lie in (0, 1), got {self.beta1}, {self.beta2}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.max_epochs < 1:
@@ -56,21 +56,9 @@ class TrainConfig:
             raise ValueError(
                 f"patience must lie in [1, max_epochs], got {self.patience} with max_epochs {self.max_epochs}"
             )
-        if self.grad_clip_norm <= 0:
-            raise ValueError(f"grad_clip_norm must be positive, got {self.grad_clip_norm}")
 
     def as_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "epsilon": self.epsilon,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "grad_clip_norm": self.grad_clip_norm,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -91,12 +79,7 @@ class TrainHistory:
         return len(self.train_loss)
 
     def as_dict(self) -> dict:
-        return {
-            "train_loss": list(self.train_loss),
-            "val_loss": list(self.val_loss),
-            "best_epoch": self.best_epoch,
-            "stopped_early": self.stopped_early,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -87,6 +87,8 @@ class TestPrintConfig:
         cfg = write_config(tmp_path, sine_csv, str(tmp_path / "out"))
         main(["compare", "--config", cfg, "--print-config", "--seed", "42"])
         assert "seed = 42" in capsys.readouterr().out
+        assert main(["eda", "--config", cfg, "--print-config", "--adf-on", "daily-high"]) == 0
+        assert "\nadf_on = daily-high\n" in capsys.readouterr().out
 
 
 class TestTrain:
@@ -206,3 +208,10 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["analyze"])
         assert exc.value.code == 2
+
+    def test_negative_seed_is_config_error(self, tmp_path, sine_csv, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, sine_csv, str(out))
+        assert main(["compare", "--config", cfg, "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()

@@ -19,6 +19,7 @@ from seqcast.forecast_eval import (
 )
 from seqcast.models import MODEL_KINDS, REGISTRY, ModelConfig
 from seqcast.numerics import make_rng
+from seqcast.runconfig import RunConfig, config_echo
 from seqcast.training import TrainConfig, TrainHistory
 
 
@@ -178,20 +179,23 @@ class TestPrepareWindows:
             prepare_windows(sine_series, 10_000, 10)
 
 
+COMPARE_CFG = RunConfig(
+    lookback=24,
+    horizon=10,
+    model_overrides=(
+        *((kind, key, 4) for kind in MODEL_KINDS for key in ("max_epochs", "patience")),
+        ("lstm", "hidden", 8),
+        ("gru", "hidden", 8),
+        ("transformer", "d_model", 8),
+        ("transformer", "n_layers", 1),
+        ("transformer", "d_ff", 16),
+    ),
+)
+
+
 @pytest.fixture(scope="module")
 def result(sine_series):
-    model_cfgs = {
-        "lstm": ModelConfig(kind="lstm", hidden=8),
-        "gru": ModelConfig(kind="gru", hidden=8),
-        "transformer": ModelConfig(
-            kind="transformer", d_model=8, n_heads=2, n_layers=1, d_ff=16
-        ),
-    }
-    train_cfgs = {
-        name: TrainConfig(max_epochs=4, patience=4, seed=REGISTRY[name].seed_offset)
-        for name in model_cfgs
-    }
-    return compare(sine_series, model_cfgs, train_cfgs, lookback=24, horizon=10)
+    return compare(sine_series, COMPARE_CFG)
 
 
 class TestCompare:
@@ -212,9 +216,16 @@ class TestCompare:
             recomputed = compute_metrics(test.close, forecasts[entry["name"]])
             assert entry["metrics"]["r2"] == pytest.approx(recomputed.r2)
 
-    def test_missing_config_rejected(self, sine_series):
-        with pytest.raises(ValueError, match="missing configs"):
-            compare(sine_series, {}, {}, lookback=24, horizon=10)
+    def test_entry_config_matches_run_echo(self, result):
+        report, _, _, _ = result
+        echo = config_echo(COMPARE_CFG)
+        for entry in report["models"]:
+            assert entry["config"] == {
+                **echo["models"][entry["name"]],
+                "lookback": 24,
+                "horizon": 10,
+                "val_frac": COMPARE_CFG.val_frac,
+            }
 
 
 class TestHelpers:

@@ -1,4 +1,10 @@
+import json
+import math
+from dataclasses import fields
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from seqcast.models import MODEL_KINDS
 from seqcast.runconfig import (
@@ -10,6 +16,7 @@ from seqcast.runconfig import (
     parse_config_file,
     parse_config_text,
 )
+from seqcast.training import TrainConfig
 
 SAMPLE = """\
 [run]
@@ -29,10 +36,128 @@ n_heads = 4
 """
 
 
+# Pinned byte forms of SAMPLE: --print-config prints the first, and every
+# artifact embeds the second, so neither may change under a refactor.
+SAMPLE_CANONICAL = """\
+[run]
+data = prices.csv
+output_dir = results
+lookback = 48
+horizon = 20
+val_frac = 0.1
+seed = 7
+adf_on = monthly-high
+
+[lstm]
+hidden = 16
+learning_rate = 0.005
+beta1 = 0.9
+beta2 = 0.999
+epsilon = 1e-08
+batch_size = 32
+max_epochs = 100
+patience = 10
+grad_clip_norm = 5.0
+
+[gru]
+hidden = 64
+learning_rate = 0.001
+beta1 = 0.9
+beta2 = 0.999
+epsilon = 1e-08
+batch_size = 32
+max_epochs = 100
+patience = 10
+grad_clip_norm = 5.0
+
+[transformer]
+d_model = 16
+n_heads = 4
+n_layers = 2
+d_ff = 128
+learning_rate = 0.001
+beta1 = 0.9
+beta2 = 0.999
+epsilon = 1e-08
+batch_size = 32
+max_epochs = 100
+patience = 10
+grad_clip_norm = 5.0
+"""
+
+SAMPLE_ECHO_JSON = """\
+{
+  "data": "prices.csv",
+  "output_dir": "results",
+  "lookback": 48,
+  "horizon": 20,
+  "val_frac": 0.1,
+  "seed": 7,
+  "adf_on": "monthly-high",
+  "models": {
+    "lstm": {
+      "model": {
+        "kind": "lstm",
+        "hidden": 16
+      },
+      "train": {
+        "learning_rate": 0.005,
+        "beta1": 0.9,
+        "beta2": 0.999,
+        "epsilon": 1e-08,
+        "batch_size": 32,
+        "max_epochs": 100,
+        "patience": 10,
+        "grad_clip_norm": 5.0,
+        "seed": 8
+      }
+    },
+    "gru": {
+      "model": {
+        "kind": "gru",
+        "hidden": 64
+      },
+      "train": {
+        "learning_rate": 0.001,
+        "beta1": 0.9,
+        "beta2": 0.999,
+        "epsilon": 1e-08,
+        "batch_size": 32,
+        "max_epochs": 100,
+        "patience": 10,
+        "grad_clip_norm": 5.0,
+        "seed": 9
+      }
+    },
+    "transformer": {
+      "model": {
+        "kind": "transformer",
+        "d_model": 16,
+        "n_heads": 4,
+        "n_layers": 2,
+        "d_ff": 128
+      },
+      "train": {
+        "learning_rate": 0.001,
+        "beta1": 0.9,
+        "beta2": 0.999,
+        "epsilon": 1e-08,
+        "batch_size": 32,
+        "max_epochs": 100,
+        "patience": 10,
+        "grad_clip_norm": 5.0,
+        "seed": 10
+      }
+    }
+  }
+}
+"""
+
+
 class TestDefaults:
     def test_field_defaults(self):
         cfg = RunConfig()
-        assert cfg.data_path is None
+        assert cfg.data is None
         assert cfg.output_dir == "out"
         assert (cfg.lookback, cfg.horizon) == (60, 30)
         assert cfg.val_frac == 0.1
@@ -54,7 +179,7 @@ class TestDefaults:
 class TestParse:
     def test_sample_file(self):
         cfg = parse_config_text(SAMPLE)
-        assert cfg.data_path == "prices.csv"
+        assert cfg.data == "prices.csv"
         assert cfg.output_dir == "results"
         assert cfg.lookback == 48
         assert cfg.horizon == 20
@@ -103,6 +228,7 @@ class TestValidation:
             {"val_frac": 0.0},
             {"val_frac": 1.0},
             {"adf_on": "weekly-low"},
+            {"seed": -1},
         ],
     )
     def test_bad_run_values(self, kwargs):
@@ -111,7 +237,7 @@ class TestValidation:
 
     def test_data_path_equal_to_output_dir(self):
         with pytest.raises(ConfigError, match="distinct"):
-            RunConfig(data_path="out", output_dir="out")
+            RunConfig(data="out", output_dir="out")
 
     def test_bad_model_value_surfaces_early(self):
         with pytest.raises(ConfigError, match=r"\[gru\]"):
@@ -121,6 +247,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"\[lstm\]"):
             RunConfig(model_overrides=(("lstm", "learning_rate", -1.0),))
 
+    @given(
+        kind=st.sampled_from(MODEL_KINDS),
+        key=st.sampled_from([f.name for f in fields(TrainConfig) if f.type == "float"]),
+        value=st.sampled_from([math.inf, -math.inf, math.nan]),
+    )
+    def test_non_finite_train_value_rejected(self, kind, key, value):
+        with pytest.raises(ValueError):
+            TrainConfig(**{key: value})
+        with pytest.raises(ConfigError, match=rf"\[{kind}\]"):
+            parse_config_text(f"[{kind}]\n{key} = {value}\n")
+
     def test_unknown_override_key(self):
         with pytest.raises(ConfigError, match="unknown key"):
             RunConfig(model_overrides=(("lstm", "dropout", 0.5),))
@@ -129,8 +266,8 @@ class TestValidation:
 class TestFlags:
     def test_flags_override_file_values(self):
         cfg = parse_config_text(SAMPLE)
-        out = apply_flags(cfg, data="other.csv", seed=9, horizon=5, out="elsewhere")
-        assert out.data_path == "other.csv"
+        out = apply_flags(cfg, data="other.csv", seed=9, horizon=5, output_dir="elsewhere")
+        assert out.data == "other.csv"
         assert out.seed == 9
         assert out.horizon == 5
         assert out.output_dir == "elsewhere"
@@ -150,8 +287,11 @@ class TestCanonical:
         assert canonical_text(parse_config_text(text)) == text
 
     def test_round_trip_from_defaults(self):
-        text = canonical_text(RunConfig(data_path="x.csv", seed=3))
+        text = canonical_text(RunConfig(data="x.csv", seed=3))
         assert canonical_text(parse_config_text(text)) == text
+
+    def test_sample_canonical_bytes(self):
+        assert canonical_text(parse_config_text(SAMPLE)) == SAMPLE_CANONICAL
 
     def test_canonical_lists_every_section(self):
         text = canonical_text(RunConfig())
@@ -168,8 +308,9 @@ class TestEcho:
         assert echo["models"]["lstm"]["model"] == {"kind": "lstm", "hidden": 16}
         assert echo["models"]["lstm"]["train"]["seed"] == 8
 
-    def test_echo_is_deterministic(self):
-        import json
+    def test_sample_echo_bytes(self):
+        assert json.dumps(config_echo(parse_config_text(SAMPLE)), indent=2) + "\n" == SAMPLE_ECHO_JSON
 
+    def test_echo_is_deterministic(self):
         cfg = parse_config_text(SAMPLE)
         assert json.dumps(config_echo(cfg)) == json.dumps(config_echo(cfg))

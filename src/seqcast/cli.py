@@ -74,8 +74,17 @@ def _adf_input(series: dat.OhlcvSeries, adf_on: str):
 def cmd_eda(cfg: RunConfig, args) -> int:
     series, report = _load_clean(cfg)
     values = _adf_input(series, cfg.adf_on)
-    level = stationarity.adf_test(values)
-    differenced = stationarity.adf_test(stationarity.difference(values, 1))
+    try:
+        level = stationarity.adf_test(values)
+        differenced = stationarity.adf_test(stationarity.difference(values, 1))
+    except ValueError as exc:
+        if cfg.adf_on != "monthly-high":
+            raise
+        raise ValueError(
+            f"the unit-root test runs on monthly means of the high by default, and this "
+            f"series has {len(values)}: {exc}; pass --adf-on daily-high to test its "
+            f"{len(series)} daily highs instead"
+        ) from exc
     means = dat.monthwise_means(series)
     monthwise = [
         {

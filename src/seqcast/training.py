@@ -3,7 +3,11 @@
 The loop is deliberately plain. Each epoch shuffles the window indices
 with its own seeded generator, walks the batches (last one may be short),
 and does forward / loss / backward / clip / Adam. Validation loss decides
-early stopping and which epoch's parameters are returned.
+early stopping and which epoch's parameters are returned. The validation
+pass runs in chunks of ``batch_size`` windows, sliced like the training
+batches: a forward builds a backward cache, and one forward over the whole
+validation set would hold a cache several times the size of a training
+step's, only to drop it.
 
 Everything is deterministic given (seed, data, config): two runs produce
 bit-identical parameters and history.
@@ -47,7 +51,11 @@ class TrainConfig:
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError(f"Adam betas must lie in (0, 1), got {self.beta1}, {self.beta2}")
+            raise ValueError(
+                f"Adam beta1 and beta2 must lie in (0, 1), got {self.beta1}, {self.beta2}"
+            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.max_epochs < 1:
@@ -132,6 +140,19 @@ def adam_step(
     return out, AdamState(m=m, v=v, t=t)
 
 
+def validation_loss(params: Params, val_set: WindowedDataset, batch_size: int) -> float:
+    """MSE over val_set, forwarded in chunks of batch_size windows (last one may be short).
+
+    Each chunk's cache is dropped before the next forward, so the pass never
+    holds more than one training batch's cache.
+    """
+    preds = [
+        models.forward(params, val_set.inputs[start : start + batch_size])[0]
+        for start in range(0, len(val_set), batch_size)
+    ]
+    return mse_loss(np.concatenate(preds), val_set.targets)
+
+
 def train(
     model_cfg: ModelConfig,
     train_set: WindowedDataset,
@@ -146,6 +167,10 @@ def train(
     "clipped_batches", "best"}. grad_norm_max is the epoch's largest pre-clip
     gradient norm, clipped_batches counts the batches whose norm exceeded
     grad_clip_norm, and best marks a new best validation loss.
+
+    Validation runs through :func:`validation_loss` in chunks of
+    cfg.batch_size windows, so no forward holds more than one training
+    batch's cache.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise TrainingError("train and validation sets must both be non-empty")
@@ -193,8 +218,7 @@ def train(
                 params = models.rebuild(params, theta)
 
             train_loss = sq_err_sum / n
-            val_preds = models.forward(params, val_set.inputs)[0]  # drop the cache now
-            val_loss = mse_loss(val_preds, val_set.targets)
+            val_loss = validation_loss(params, val_set, cfg.batch_size)
             if not math.isfinite(val_loss):
                 raise TrainingError(
                     f"non-finite validation loss at epoch {epoch} "

@@ -57,6 +57,21 @@ class TestEda:
         # daily series has far more observations than the monthly means
         assert payload["adf"]["level"]["n_obs"] > 300
 
+    def test_too_few_months_names_monthly_means_and_the_way_out(self, tmp_path, capsys):
+        # 300 weekdays span 14 calendar months, one short of the default ADF's need.
+        main(["synth", "--n", "300", "--out", str(tmp_path / "fx")])
+        data = str(tmp_path / "fx" / "synth.csv")
+        capsys.readouterr()
+        assert main(["eda", "--data", data, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "monthly means" in err
+        assert "has 14:" in err
+        assert "--adf-on daily-high" in err
+        assert "series too short" in err
+        assert not (tmp_path / "o" / "eda.json").exists()
+        daily = ["eda", "--data", data, "--out", str(tmp_path / "o"), "--adf-on", "daily-high"]
+        assert main(daily) == 0
+
     def test_missing_data_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "never"
         assert main(["eda", "--out", str(out)]) == 2

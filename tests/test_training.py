@@ -1,12 +1,15 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqcast.data import WindowedDataset, make_windows
 from seqcast import models
-from seqcast.models import ModelConfig, Params
+from seqcast.models import MODEL_KINDS, ModelConfig, Params
 from seqcast.numerics import make_rng
 from seqcast.training import (
     TrainConfig,
@@ -16,6 +19,7 @@ from seqcast.training import (
     init_adam,
     mse_loss,
     train,
+    validation_loss,
 )
 
 
@@ -79,10 +83,11 @@ class TestTrainConfig:
             {"patience": 20, "max_epochs": 5},
             {"beta1": 1.0},
             {"grad_clip_norm": 0.0},
+            {"seed": -1},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="|".join(kwargs)):
             TrainConfig(**kwargs)
 
     def test_as_dict_round_trips(self):
@@ -170,6 +175,58 @@ class TestClip:
         # for this draw one sum over the whole vector differs in the last bits
         assert per_array != math.sqrt(float(np.sum(grads.theta * grads.theta)))
         assert clip_global_norm(grads, 1e9)[1] == per_array
+
+
+SMALL = {
+    "lstm": ModelConfig(kind="lstm", hidden=6),
+    "gru": ModelConfig(kind="gru", hidden=6),
+    "transformer": ModelConfig(kind="transformer", d_model=8, n_heads=2, n_layers=2, d_ff=16),
+}
+
+
+class TestValidationLoss:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        batch_size=st.sampled_from([1, 2, 3, 5, 8, 32]),
+        size=st.sampled_from(["1", "b-1", "b", "b+1", "3b+1"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_chunked_equals_one_full_batch(self, kind, batch_size, size, seed):
+        b = batch_size
+        n = max(1, {"1": 1, "b-1": b - 1, "b": b, "b+1": b + 1, "3b+1": 3 * b + 1}[size])
+        rng = make_rng(seed)
+        params = models.init_params(SMALL[kind], rng)
+        val = WindowedDataset(rng.random((n, 7)), rng.random(n), 7)
+        whole = mse_loss(models.forward(params, val.inputs)[0], val.targets)
+        assert validation_loss(params, val, batch_size) == pytest.approx(whole, rel=1e-12, abs=0)
+
+    def test_peak_memory_is_at_most_half_a_full_batch_forward(self):
+        batch_size, lookback = 32, 60
+        rng = make_rng(0)
+        params = models.init_params(ModelConfig(kind="transformer"), rng)
+        n = 4 * batch_size
+        val = WindowedDataset(rng.random((n, lookback)), rng.random(n), lookback)
+
+        def traced_peak(fn) -> int:
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        full = traced_peak(lambda: models.forward(params, val.inputs))
+        chunked = traced_peak(lambda: validation_loss(params, val, batch_size))
+        assert chunked <= full / 2
+
+    def test_train_reports_the_chunked_loss_of_its_best_params(self):
+        train_set, val_set = identity_task(n=120, lookback=8)
+        cfg = TrainConfig(max_epochs=3, patience=3, seed=5, batch_size=7)
+        params, history = train(SMALL["transformer"], train_set, val_set, cfg)
+        assert len(val_set) % cfg.batch_size != 0  # a short last chunk is exercised
+        best = history.val_loss[history.best_epoch - 1]
+        assert validation_loss(params, val_set, cfg.batch_size) == best
 
 
 class TestTrain:

@@ -37,7 +37,7 @@ from .training import TrainingError, train
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _load_config(args) -> RunConfig:
@@ -127,7 +127,7 @@ def cmd_eda(cfg: RunConfig, args) -> int:
 
 def cmd_train(cfg: RunConfig, args) -> int:
     series, _ = _load_clean(cfg)
-    train_ds, val_ds, _, _, _ = forecast_eval.prepare_windows(
+    train_ds, val_ds, _, scaler, _ = forecast_eval.prepare_windows(
         series, cfg.lookback, cfg.horizon, cfg.val_frac
     )
     out = _outdir(cfg)
@@ -139,7 +139,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
         cfg.train_config(name),
         log_path=out / f"train-{name}.ndjson",
     )
-    weights_io.save_weights(out / f"weights-{name}.txt", params)
+    weights_io.save_weights(out / f"weights-{name}.txt", params, cfg.lookback, scaler)
     summary = forecast_eval.history_summary(history)
     print(
         f"{name}: best epoch {summary['best_epoch']}/{summary['n_epochs']}, "
@@ -154,13 +154,12 @@ def cmd_forecast(cfg: RunConfig, args) -> int:
     if not weights_path.is_file():
         raise ConfigError(f"weights not found: {weights_path} (run the train command first)")
     series, _ = _load_clean(cfg)
-    params, _ = weights_io.load_weights(weights_path, expect_kind=name)
-    # Scale exactly as training did: min-max fit on the training slice only.
-    train_part, _, _ = dat.chronological_split(series, cfg.horizon, cfg.val_frac)
-    scaler = dat.fit_scaler(train_part.close)
-    if len(series) < cfg.lookback:
-        raise ValueError(f"series of {len(series)} rows is shorter than lookback {cfg.lookback}")
-    window = scaler.transform(series.close[-cfg.lookback :])
+    params, (lookback, scaler) = weights_io.load_weights(weights_path, expect_kind=name)
+    if lookback != cfg.lookback:
+        raise ValueError(f"{weights_path} was trained at lookback {lookback}, not {cfg.lookback}")
+    if len(series) < lookback:
+        raise ValueError(f"series of {len(series)} rows is shorter than lookback {lookback}")
+    window = scaler.transform(series.close[-lookback:])
     path = forecast_eval.recursive_forecast(params, window, cfg.horizon, scaler)
     future = dat.weekday_dates(series.dates[-1] + timedelta(days=1), cfg.horizon)
 
@@ -194,11 +193,11 @@ def cmd_forecast(cfg: RunConfig, args) -> int:
 def cmd_compare(cfg: RunConfig, args) -> int:
     series, _ = _load_clean(cfg)
     out = _outdir(cfg)
-    report, trained, forecasts, test = forecast_eval.compare(series, cfg, log_dir=out)
+    report, trained, forecasts, test, scaler = forecast_eval.compare(series, cfg, log_dir=out)
     report["config"] = config_echo(cfg)
     (out / "report.json").write_text(_json_text(report), encoding="utf-8")
     for name in MODEL_KINDS:
-        weights_io.save_weights(out / f"weights-{name}.txt", trained[name])
+        weights_io.save_weights(out / f"weights-{name}.txt", trained[name], cfg.lookback, scaler)
 
     rows = forecast_eval.plot_rows(test, forecasts)
     csv_lines = ["date,actual," + ",".join(MODEL_KINDS)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 import re
 from dataclasses import asdict, dataclass
@@ -101,34 +102,37 @@ def parse_csv(path) -> OhlcvSeries:
     1-based line number of the offending row.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        wanted = {"date", *_COLUMNS}
-        col_idx: dict[str, int] = {}
-        for i, name in enumerate(header):
-            key = name.strip().lower()
-            if key in wanted and key not in col_idx:
-                col_idx[key] = i
-        missing = wanted - set(col_idx)
-        if missing:
-            raise ValueError(f"{path}: header lacks columns {sorted(missing)}")
+    try:
+        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text, {exc.reason} at byte {exc.start}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    wanted = {"date", *_COLUMNS}
+    col_idx: dict[str, int] = {}
+    for i, name in enumerate(header):
+        key = name.strip().lower()
+        if key in wanted and key not in col_idx:
+            col_idx[key] = i
+    missing = wanted - set(col_idx)
+    if missing:
+        raise ValueError(f"{path}: header lacks columns {sorted(missing)}")
 
-        i_date = col_idx["date"]
-        value_idx = [col_idx[c] for c in _COLUMNS]
-        dates: list[date] = []
-        values: list[list[float]] = []
-        for lineno, raw in enumerate(reader, start=2):
-            if not "".join(raw).strip():
-                continue
-            try:
-                dates.append(_parse_date(raw[i_date].strip()))
-                values.append([_parse_cell(raw[i]) for i in value_idx])
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    i_date = col_idx["date"]
+    value_idx = [col_idx[c] for c in _COLUMNS]
+    dates: list[date] = []
+    values: list[list[float]] = []
+    for lineno, raw in enumerate(reader, start=2):
+        if not "".join(raw).strip():
+            continue
+        try:
+            dates.append(_parse_date(raw[i_date].strip()))
+            values.append([_parse_cell(raw[i]) for i in value_idx])
+        except (ValueError, IndexError) as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
 
     if not dates:
         raise ValueError(f"{path}: no data rows")
@@ -155,14 +159,6 @@ class CleanReport:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-    @property
-    def total_dropped(self) -> int:
-        return sum(v for k, v in self.as_dict().items() if k.startswith("dropped_"))
-
-    @property
-    def all_zero(self) -> bool:
-        return all(v == 0 for v in self.as_dict().values())
 
 
 def clean(series: OhlcvSeries) -> tuple[OhlcvSeries, CleanReport]:

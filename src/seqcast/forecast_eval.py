@@ -9,7 +9,7 @@ and metrics against the held-out closes in currency units.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,9 @@ class Metrics:
     rmse: float
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"metric {f.name} is not finite: {getattr(self, f.name)}")
         if self.mae < 0 or self.mse < 0 or self.rmse < 0:
             raise ValueError("error metrics cannot be negative")
         if self.r2 > 1.0 + 1e-12:
@@ -52,14 +55,19 @@ def compute_metrics(y_true, y_pred) -> Metrics:
         raise ValueError(f"need at least 2 values, got {y_true.size}")
     if y_true.shape != y_pred.shape:
         raise ValueError(f"length mismatch: {y_true.size} vs {y_pred.size}")
-    centered = y_true - y_true.mean()
-    ss_tot = float(np.sum(centered**2))
-    if ss_tot == 0.0:
+    with np.errstate(all="ignore"):  # checked below: squares leave float64 near 1e±154
+        spread, err = float(np.ptp(y_true)), y_pred - y_true
+        ss_tot, ss_err = float(np.sum((y_true - y_true.mean()) ** 2)), float(np.sum(err**2))
+    if spread == 0.0:
         raise ValueError("R² undefined: y_true is constant")
-    err = y_pred - y_true
-    mse = float(np.mean(err**2))
+    if not (np.finfo(np.float64).tiny <= ss_tot < math.inf and ss_err < math.inf):
+        raise ValueError(
+            f"values spread over {spread:.3g} with errors up to {float(np.max(np.abs(err))):.3g}: "
+            "their squares leave float64's range, so R² and MSE cannot be computed"
+        )
+    mse = ss_err / err.size
     return Metrics(
-        r2=1.0 - float(np.sum(err**2)) / ss_tot,
+        r2=1.0 - ss_err / ss_tot,
         mae=float(np.mean(np.abs(err))),
         mse=mse,
         rmse=math.sqrt(mse),
@@ -122,8 +130,8 @@ def compare(series: OhlcvSeries, cfg: RunConfig, log_dir: str | Path | None = No
     The models, their training and the split come from cfg. With log_dir,
     each model's training log is written there as train-<kind>.ndjson.
     Returns (report dict ready for JSON, trained params by model name,
-    forecast paths by model name, the held-out test rows). Model order in
-    the report is always lstm, gru, transformer.
+    forecast paths by model name, the held-out test rows, the training
+    scaler). Model order in the report is always lstm, gru, transformer.
     """
     train_ds, val_ds, seed_window, scaler, test = prepare_windows(
         series, cfg.lookback, cfg.horizon, cfg.val_frac
@@ -160,7 +168,7 @@ def compare(series: OhlcvSeries, cfg: RunConfig, log_dir: str | Path | None = No
             }
         )
     report = {"dataset": fingerprint, "models": entries}
-    return report, trained, forecasts, test
+    return report, trained, forecasts, test, scaler
 
 
 def plot_rows(test: OhlcvSeries, forecasts: dict[str, np.ndarray]) -> list[tuple]:

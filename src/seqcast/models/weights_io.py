@@ -1,17 +1,18 @@
 """Plain-text weight files.
 
 Layout:
-    line 1   magic "SEQCAST-W v1"
-    line 2   model kind plus its dimensions as key=value tokens
+    line 1   magic "SEQCAST-W v2"
+    line 2   model kind, its dimensions and lookback=L as key=value tokens
     then     one block per array: "name rows cols" header, followed by
-             rows*cols decimal floats (17 significant digits), one per line
+             rows*cols decimal floats (17 significant digits), one per line;
+             the last block, "scaler 2 0", holds the training scaler's min, max
 
 A vector of length n is written with cols=0 so its shape survives the
 round trip; 17 significant digits make every float64 value bit-exact.
 Blocks follow the kind's layout order. On load the header's dims fix the
 layout, and every block is checked against it by name and shape. The header
-must state each of its kind's dims once, plus at most ``input=1``, and every
-value must be finite.
+must state each dim and the lookback once, every value must be finite and
+the scaler needs max > min. Any other magic line, v1 included, means retrain.
 Files always use LF newlines so identical weights produce identical bytes.
 """
 
@@ -21,9 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
+from ..data import Scaler
 from .params import Params
 
-MAGIC = "SEQCAST-W v1"
+MAGIC = "SEQCAST-W v2"
 
 
 class WeightsFormatError(ValueError):
@@ -34,13 +36,10 @@ def _dims_text(kind: str, dims: dict[str, int]) -> str:
     return " ".join([kind, *(f"{k}={v}" for k, v in dims.items())])
 
 
-def save_weights(path: str | Path, params: Params) -> None:
-    lines = [MAGIC, _dims_text(params.kind, params.dims) + " input=1"]
-    for name, arr in params.named_arrays():
-        if arr.ndim == 1:
-            lines.append(f"{name} {arr.shape[0]} 0")
-        else:
-            lines.append(f"{name} {arr.shape[0]} {arr.shape[1]}")
+def save_weights(path: str | Path, params: Params, lookback: int, scaler: Scaler) -> None:
+    lines = [MAGIC, _dims_text(params.kind, {**params.dims, "lookback": lookback})]
+    for name, arr in [*params.named_arrays(), ("scaler", np.array([scaler.min, scaler.max]))]:
+        lines.append(f"{name} {arr.shape[0]} {arr.shape[1] if arr.ndim == 2 else 0}")
         lines.extend(f"{v:.17g}" for v in arr.ravel())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
@@ -64,16 +63,15 @@ def _parse_header(line: str) -> tuple[str, dict[str, int]]:
 def load_weights(path: str | Path, expect_kind: str | None = None):
     """Read a weights file back into a Params.
 
-    Returns (params, kind). expect_kind turns a kind mismatch into an error
-    up front, before any arrays are parsed.
+    Returns (params, (lookback, scaler)). expect_kind turns a kind mismatch
+    into an error up front, before any arrays are parsed.
     """
     from . import REGISTRY
 
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != MAGIC:
         found = lines[0] if lines else ""
-        raise WeightsFormatError(f"bad magic line {found!r}, expected {MAGIC!r}")
+        raise WeightsFormatError(f"bad magic line {found!r}, expected {MAGIC!r}: retrain the model")
     if len(lines) < 2:
         raise WeightsFormatError("file ends before the model header line")
     kind, dims = _parse_header(lines[1])
@@ -82,23 +80,21 @@ def load_weights(path: str | Path, expect_kind: str | None = None):
     if expect_kind is not None and kind != expect_kind:
         raise WeightsFormatError(f"file holds {kind} weights, expected {expect_kind}")
     entry = REGISTRY[kind]
-    unknown = [key for key in dims if key not in entry.arch_keys and key != "input"]
+    keys = (*entry.arch_keys, "lookback")
+    unknown = [key for key in dims if key not in keys]
     if unknown:
         raise WeightsFormatError(f"{kind} model header has unknown key {unknown[0]!r}")
-    if dims.get("input", 1) != 1:
-        raise WeightsFormatError(
-            f"model header input={dims['input']}: models take one value per step"
-        )
-    missing = [key for key in entry.arch_keys if key not in dims]
+    missing = [key for key in keys if key not in dims]
     if missing:
         raise WeightsFormatError(f"{kind} model header lacks {', '.join(missing)}")
-    stated = {key: dims[key] for key in entry.arch_keys}
-    header = _dims_text(kind, stated)
+    if dims["lookback"] < 1:
+        raise WeightsFormatError(f"model header lookback={dims['lookback']}: must be >= 1")
+    header = _dims_text(kind, {key: dims[key] for key in entry.arch_keys})
     try:
-        params = Params(kind, stated)
+        params = Params(kind, dims)
     except ValueError as exc:
         raise WeightsFormatError(f"header {header}: {exc}") from None
-    views = dict(params.named_arrays())
+    views = dict([*params.named_arrays(), ("scaler", np.empty(2))])
     seen: set[str] = set()
     pos = 2
     while pos < len(lines):
@@ -140,4 +136,8 @@ def load_weights(path: str | Path, expect_kind: str | None = None):
         raise WeightsFormatError(
             f"header {header} needs blocks the file lacks: {', '.join(absent)}"
         )
-    return params, kind
+    try:
+        scaler = Scaler(*views["scaler"].tolist())
+    except ValueError as exc:
+        raise WeightsFormatError(f"block 'scaler': {exc}") from None
+    return params, (dims["lookback"], scaler)

@@ -237,7 +237,7 @@ def train(
                     "clipped_batches": clipped_batches,
                     "best": improved,
                 }
-                log_file.write(json.dumps(record) + "\n")
+                log_file.write(json.dumps(record, allow_nan=False) + "\n")
 
             if improved:
                 best_val = val_loss

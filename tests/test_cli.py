@@ -1,10 +1,15 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from seqcast.cli import main
-from seqcast.models import MODEL_KINDS
+from seqcast import data as dat
+from seqcast import models
+from seqcast.cli import _json_text, main
+from seqcast.models import MODEL_KINDS, weights_io
 
 from conftest import tiny_config_text
 
@@ -83,9 +88,16 @@ class TestEda:
 
     def test_malformed_csv_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
-        bad.write_text("Date, Open, High, Low, Close, Volume\n2020/1/6, 1, 2, 0.5, oops, 100\n")
-        assert main(["eda", "--data", str(bad), "--out", str(tmp_path / "o")]) == 1
-        assert "error" in capsys.readouterr().err
+        header = b"Date, Open, High, Low, Close, Volume\n"
+        latin1 = header + b"2020/1/6, 1, 2, 0.5, 1\xff, 100\n"
+        cases = [
+            (header + b"2020/1/6, 1, 2, 0.5, oops, 100\n", "line 2"),
+            (latin1, f"{bad}: not UTF-8 text, invalid start byte at byte {latin1.index(0xFF)}"),
+        ]
+        for text, message in cases:
+            bad.write_bytes(text)
+            assert main(["eda", "--data", str(bad), "--out", str(tmp_path / "o")]) == 1
+            assert message in capsys.readouterr().err
 
 
 class TestPrintConfig:
@@ -170,6 +182,34 @@ class TestForecast:
         assert payload["forecast"] == values
         assert (out / "forecast-gru.svg").read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @settings(
+        max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(horizon=st.integers(1, 40), val_frac=st.sampled_from([0.02, 0.1, 0.35, 0.8]))
+    def test_first_step_uses_the_stored_recipe(
+        self, tmp_path, trained, sine_csv, sine_series, kind, horizon, val_frac
+    ):
+        # Neither --horizon nor val_frac reaches the scaling: the first step is
+        # the saved model's prediction from the training scaler and lookback.
+        text = tiny_config_text(sine_csv, str(trained))
+        (tmp_path / "fc.ini").write_text(text.replace("val_frac = 0.1", f"val_frac = {val_frac}"))
+        argv = ["forecast", "--config", str(tmp_path / "fc.ini"), "--model", kind]
+        assert main(argv + ["--horizon", str(horizon)]) == 0
+        payload = json.loads((trained / f"forecast-{kind}.json").read_text())
+        params, (lookback, scaler) = weights_io.load_weights(trained / f"weights-{kind}.txt")
+        window = scaler.transform(sine_series.close[-lookback:])
+        assert len(payload["forecast"]) == horizon
+        assert payload["forecast"][0] == scaler.inverse(models.predict(params, window))
+
+    @pytest.mark.parametrize("lookback", [23, 25])
+    def test_lookback_mismatch_is_runtime_error(self, tmp_path, trained, sine_csv, capsys, lookback):
+        text = tiny_config_text(sine_csv, str(trained))
+        (tmp_path / "fc.ini").write_text(text.replace("lookback = 24", f"lookback = {lookback}"))
+        assert main(["forecast", "--config", str(tmp_path / "fc.ini"), "--model", "lstm"]) == 1
+        err = capsys.readouterr().err
+        assert f"trained at lookback 24, not {lookback}" in err
+
 
 @pytest.fixture(scope="module")
 def run(tmp_path_factory, sine_csv):
@@ -179,6 +219,15 @@ def run(tmp_path_factory, sine_csv):
     cfg.write_text(tiny_config_text(sine_csv, str(out), seed=1, horizon=10))
     code = main(["compare", "--config", str(cfg)])
     return code, out
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory, run):
+    """A copy of the compare run's weight files, trained at lookback 24, for forecasts."""
+    out = tmp_path_factory.mktemp("trained")
+    for kind in MODEL_KINDS:
+        shutil.copy(run[1] / f"weights-{kind}.txt", out)
+    return out
 
 
 class TestCompare:
@@ -211,6 +260,28 @@ class TestCompare:
         assert lines[0] == "date,actual,lstm,gru,transformer"
         assert len(lines) == 11
         assert all(len(line.split(",")) == 5 for line in lines[1:])
+
+
+class TestNonFinite:
+    def test_prices_whose_squares_overflow_exit_1(self, tmp_path, sine_series, capsys):
+        # Forecast errors near 1e160 square past float64's range: no metric,
+        # and no report.json holding NaN or Infinity.
+        huge = dat.OhlcvSeries(
+            sine_series.dates,
+            *(getattr(sine_series, c) * 1e160 for c in ("open", "high", "low", "close")),
+            sine_series.volume,
+        )
+        dat.write_ohlcv_csv(huge, tmp_path / "huge.csv")
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, str(tmp_path / "huge.csv"), str(out))
+        assert main(["compare", "--config", cfg]) == 1
+        assert "their squares leave float64's range" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_json_artifacts_refuse_non_finite_values(self, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _json_text({"r2": value})
 
 
 class TestUsage:

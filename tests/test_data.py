@@ -206,7 +206,7 @@ class TestClean:
     def test_clean_series_is_noop(self, sine_series):
         cleaned, report = dat.clean(sine_series)
         assert len(cleaned) == len(sine_series)
-        assert report.all_zero
+        assert report == dat.CleanReport()
         np.testing.assert_array_equal(cleaned.close, sine_series.close)
 
     def test_envelope_violation_dropped(self, tmp_path):
@@ -252,14 +252,16 @@ class TestClean:
         cleaned, report = dat.clean(dirty)
         for c in VALUE_COLUMNS:
             assert np.isfinite(getattr(cleaned, c)).all()
-        assert len(dirty) - len(cleaned) == report.total_dropped
+        dropped = report.dropped_missing_close + report.dropped_envelope
+        dropped += report.dropped_unimputable + report.dropped_nonfinite
+        assert len(dirty) - len(cleaned) == dropped
         assert report.dropped_nonfinite == len({i for i, _, _ in cells})
 
     def test_idempotent(self, tmp_path):
         body = ROW0 + "2015/1/5, , 14.7, 13.8, 14.006, 100\n" + "2015/1/6, 14.0, 13.0, 15.0, 14.1, 10\n"
         once, _ = dat.clean(dat.parse_csv(write_csv(tmp_path, body)))
         twice, report = dat.clean(once)
-        assert report.all_zero
+        assert report == dat.CleanReport()
         assert twice.dates == once.dates
         np.testing.assert_array_equal(twice.open, once.open)
 
@@ -459,7 +461,7 @@ class TestSynth:
     def test_ohlcv_fixture_is_valid_and_clean(self):
         s = dat.synth_ohlcv("gbm", 120, 5)
         cleaned, report = dat.clean(s)
-        assert report.all_zero
+        assert report == dat.CleanReport()
         assert len(cleaned) == 120
 
     def test_csv_round_trip(self, tmp_path, sine_series):
@@ -547,7 +549,7 @@ def test_csv_pipeline_properties(n, seed, layout_seed, n_missing):
 
     cleaned, _ = dat.clean(parsed)
     again, report = dat.clean(cleaned)
-    assert report.all_zero
+    assert report == dat.CleanReport()
     assert again.dates == cleaned.dates
     for c in VALUE_COLUMNS:
         np.testing.assert_array_equal(getattr(again, c), getattr(cleaned, c))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,21 @@ class TestComputeMetrics:
         with pytest.raises(ValueError, match="undefined"):
             compute_metrics([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize(
+        "scale,message",
+        [
+            (1e-320, "values spread over 3e-320 with errors up to 0"),
+            (1e-160, "values spread over 3e-160"),
+            (1e160, "values spread over 3e+160 with errors up to 3e+160"),
+        ],
+    )
+    def test_squares_beyond_float64_rejected(self, scale, message):
+        # Not constant, so R² is defined; its sums of squares are not representable.
+        y = scale * np.array([1.0, 2.0, 3.0, 4.0])
+        pred = y if scale < 1 else y[::-1]
+        with pytest.raises(ValueError, match=re.escape(message) + ".*float64's range"):
+            compute_metrics(y, pred)
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             compute_metrics([1.0], [1.0])
@@ -83,6 +99,13 @@ class TestMetricsType:
             Metrics(r2=0.5, mae=1.0, mse=1e7, rmse=math.sqrt(1e7) * (1 + 1e-9))
         with pytest.raises(ValueError):  # ... and absolute, 1e-9, below it
             Metrics(r2=0.5, mae=0.1, mse=0.25, rmse=0.5 + 2e-9)
+
+    @pytest.mark.parametrize("field", ["r2", "mae", "mse", "rmse"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        values = {"r2": 0.875, "mae": 0.1, "mse": 0.04, "rmse": 0.2, field: value}
+        with pytest.raises(ValueError, match=f"metric {field} is not finite"):
+            Metrics(**values)
 
     def test_fit_degree_is_r2_in_percent(self):
         m = Metrics(r2=0.875, mae=0.1, mse=0.04, rmse=0.2)
@@ -199,15 +222,17 @@ def result(sine_series):
 
 
 class TestCompare:
-    def test_report_shape(self, result):
-        report, trained, forecasts, test = result
+    def test_report_shape(self, result, sine_series):
+        report, trained, forecasts, test, scaler = result
         assert set(report) == {"dataset", "models"}
         assert tuple(e["name"] for e in report["models"]) == MODEL_KINDS
         assert set(trained) == set(forecasts) == set(MODEL_KINDS)
         assert len(test) == 10
+        # the scaler the models were trained with, for their weight files
+        assert scaler == prepare_windows(sine_series, 24, 10, COMPARE_CFG.val_frac)[3]
 
     def test_entries_carry_forecast_and_config(self, result):
-        report, _, forecasts, test = result
+        report, _, forecasts, test, _ = result
         for entry in report["models"]:
             assert len(entry["forecast"]) == 10
             assert all(np.isfinite(entry["forecast"]))
@@ -217,7 +242,7 @@ class TestCompare:
             assert entry["metrics"]["r2"] == pytest.approx(recomputed.r2)
 
     def test_entry_config_matches_run_echo(self, result):
-        report, _, _, _ = result
+        report, _, _, _, _ = result
         echo = config_echo(COMPARE_CFG)
         for entry in report["models"]:
             assert entry["config"] == {
@@ -262,3 +287,22 @@ class TestHelpers:
             "best_val_loss": 0.25,
             "stopped_early": True,
         }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(*2 * [st.floats(allow_nan=False, allow_infinity=False)]), min_size=2, max_size=30
+    )
+)
+def test_compute_metrics_is_finite_or_refuses(pairs):
+    # Any finite closes and forecasts, subnormal to 1e308: either every metric
+    # is finite, or a ValueError says why. Varying closes are never "constant".
+    y_true, y_pred = np.array(pairs).T
+    assume(y_true.min() < y_true.max())
+    try:
+        metrics = compute_metrics(y_true, y_pred)
+    except ValueError as exc:
+        assert "constant" not in str(exc)
+        return
+    assert all(math.isfinite(v) for v in metrics.as_dict().values())

@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
-from datetime import timedelta
+from datetime import date, timedelta
 from pathlib import Path
 
 from . import charts
@@ -159,6 +159,8 @@ def cmd_forecast(cfg: RunConfig, args) -> int:
         raise ValueError(f"{weights_path} was trained at lookback {lookback}, not {cfg.lookback}")
     if len(series) < lookback:
         raise ValueError(f"series of {len(series)} rows is shorter than lookback {lookback}")
+    if series.dates[-1] == date.max:
+        raise ValueError(f"the series ends on {date.max}, the last representable date")
     window = scaler.transform(series.close[-lookback:])
     path = forecast_eval.recursive_forecast(params, window, cfg.horizon, scaler)
     future = dat.weekday_dates(series.dates[-1] + timedelta(days=1), cfg.horizon)
@@ -199,17 +201,13 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     for name in MODEL_KINDS:
         weights_io.save_weights(out / f"weights-{name}.txt", trained[name], cfg.lookback, scaler)
 
-    rows = forecast_eval.plot_rows(test, forecasts)
-    csv_lines = ["date,actual," + ",".join(MODEL_KINDS)]
-    csv_lines += [",".join([r[0]] + [repr(v) for v in r[1:]]) for r in rows]
+    dates = [d.isoformat() for d in test.dates]
+    columns = {"actual": test.close.tolist(), **{k: forecasts[k].tolist() for k in MODEL_KINDS}}
+    csv_lines = ["date," + ",".join(columns)]
+    csv_lines += [",".join([d, *map(repr, row)]) for d, *row in zip(dates, *columns.values())]
     (out / "plot.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
     chart = charts.line_chart_svg(
-        f"Held-out closes vs {cfg.horizon}-step forecasts",
-        [r[0] for r in rows],
-        {
-            "actual": [r[1] for r in rows],
-            **{name: [r[2 + i] for r in rows] for i, name in enumerate(MODEL_KINDS)},
-        },
+        f"Held-out closes vs {cfg.horizon}-step forecasts", dates, columns
     )
     (out / "plot.svg").write_text(chart, encoding="utf-8")
     for entry in report["models"]:

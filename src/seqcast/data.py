@@ -16,7 +16,7 @@ import io
 import math
 import re
 from dataclasses import asdict, dataclass
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -328,70 +328,62 @@ def chronological_split(
 
 SYNTH_KINDS = ("sine+noise", "gbm", "random-walk")
 
+_SINE_AMPLITUDE, _SINE_PERIOD, _SINE_OFFSET, _SINE_NOISE_SD = 1.0, 40.0, 10.0, 0.05
+_GBM_DRIFT, _GBM_VOL, _WALK_STEP_SD = 0.0005, 0.01, 1.0
+_SYNTH_START = 100.0
+_SYNTH_START_DATE = date(2015, 1, 2)
 
-def synth_series(
-    kind: str,
-    n: int,
-    seed: int,
-    *,
-    amplitude: float = 1.0,
-    period: float = 40.0,
-    offset: float = 10.0,
-    noise_sd: float = 0.05,
-    start: float = 100.0,
-    drift: float = 0.0005,
-    vol: float = 0.01,
-    step_sd: float = 1.0,
-) -> np.ndarray:
+
+def synth_series(kind: str, n: int, seed: int) -> np.ndarray:
     """Deterministic synthetic value sequences for tests and fixtures.
 
-    kinds: "sine+noise" (amplitude, period, offset, noise_sd),
-    "gbm" (start, drift, vol), "random-walk" (start, step_sd).
+    "sine+noise": sin(2 pi t / 40) + 10 plus N(0, 0.05^2) noise; "gbm": a
+    geometric Brownian motion from 100 with drift 0.0005 and volatility 0.01
+    per step; "random-walk": N(0, 1) steps from 100.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    for name, sd in (("noise_sd", noise_sd), ("vol", vol), ("step_sd", step_sd)):
-        if sd < 0:
-            raise ValueError(f"{name} must be >= 0, got {sd}")
     rng = make_rng(seed)
     t = np.arange(n, dtype=np.float64)
     if kind == "sine+noise":
-        if period <= 0:
-            raise ValueError(f"period must be > 0, got {period}")
-        return amplitude * np.sin(2.0 * np.pi * t / period) + offset + noise_sd * rng.standard_normal(n)
+        wave = _SINE_AMPLITUDE * np.sin(2.0 * np.pi * t / _SINE_PERIOD)
+        return wave + _SINE_OFFSET + _SINE_NOISE_SD * rng.standard_normal(n)
     if kind == "gbm":
-        if start <= 0:
-            raise ValueError(f"gbm start must be > 0, got {start}")
-        log_path = (drift - 0.5 * vol**2) * t
-        log_path[1:] += vol * np.cumsum(rng.standard_normal(n - 1))
-        return start * np.exp(log_path)
+        log_path = (_GBM_DRIFT - 0.5 * _GBM_VOL**2) * t
+        log_path[1:] += _GBM_VOL * np.cumsum(rng.standard_normal(n - 1))
+        return _SYNTH_START * np.exp(log_path)
     if kind == "random-walk":
         path = np.empty(n)
-        path[0] = start
-        path[1:] = start + np.cumsum(step_sd * rng.standard_normal(n - 1))
+        path[0] = _SYNTH_START
+        path[1:] = _SYNTH_START + np.cumsum(_WALK_STEP_SD * rng.standard_normal(n - 1))
         return path
     raise ValueError(f"unknown kind {kind!r}, expected one of {SYNTH_KINDS}")
 
 
 def weekday_dates(start_date: date, n: int) -> tuple[date, ...]:
+    """The first n weekdays from start_date on."""
     out = []
-    d = start_date
+    day = start_date.toordinal()
     while len(out) < n:
+        if day > date.max.toordinal():
+            raise ValueError(
+                f"{n} weekdays from {start_date.isoformat()} run past "
+                f"{date.max.isoformat()}, the last representable date"
+            )
+        d = date.fromordinal(day)
         if d.weekday() < 5:
             out.append(d)
-        d += timedelta(days=1)
+        day += 1
     return tuple(out)
 
 
-def synth_ohlcv(
-    kind: str, n: int, seed: int, *, start_date: date = date(2015, 1, 2), **params
-) -> OhlcvSeries:
+def synth_ohlcv(kind: str, n: int, seed: int) -> OhlcvSeries:
     """Wrap a synthetic close path into a valid OHLCV series on weekdays.
 
     Opens carry the previous close; highs/lows are the envelope extremes of
     each day's open/close, so cleaning is a no-op on the result.
     """
-    closes = synth_series(kind, n, seed, **params)
+    closes = synth_series(kind, n, seed)
     if np.min(closes) <= 0:
         raise ValueError("synthetic closes must stay positive to form an OHLCV fixture")
     opens = np.empty_like(closes)
@@ -399,7 +391,7 @@ def synth_ohlcv(
     opens[1:] = closes[:-1]
     volume = make_rng(seed + 1).integers(1_000_000, 100_000_000, size=n).astype(np.float64)
     return OhlcvSeries(
-        dates=weekday_dates(start_date, n),
+        dates=weekday_dates(_SYNTH_START_DATE, n),
         open=opens,
         high=np.maximum(opens, closes),
         low=np.minimum(opens, closes),

@@ -171,20 +171,6 @@ def compare(series: OhlcvSeries, cfg: RunConfig, log_dir: str | Path | None = No
     return report, trained, forecasts, test, scaler
 
 
-def plot_rows(test: OhlcvSeries, forecasts: dict[str, np.ndarray]) -> list[tuple]:
-    """Rows of (date, actual, lstm, gru, transformer) for the forecast chart."""
-    rows = []
-    for i in range(len(test)):
-        rows.append(
-            (
-                test.dates[i].isoformat(),
-                float(test.close[i]),
-                *(float(forecasts[name][i]) for name in MODEL_KINDS),
-            )
-        )
-    return rows
-
-
 def history_summary(history: TrainHistory) -> dict:
     return {
         "n_epochs": history.n_epochs,

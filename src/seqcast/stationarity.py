@@ -4,13 +4,15 @@ The ADF regression is the constant-only variant
 
     dy_t = alpha + gamma * y_{t-1} + sum_{i=1..p} beta_i * dy_{t-i} + e_t
 
-estimated by OLS; the reported statistic is the t-ratio on gamma. The lag
-order p is either fixed by the caller or chosen by minimizing AIC over
-0..max_lag, with every candidate fitted on the common sample trimmed to
-max_lag so the criteria are comparable. The candidates' designs are nested,
-so one QR factorisation of the widest design gives every candidate's
-residual sum of squares. Approximate p-values come from the MacKinnon
-(1994/2010) response-surface polynomials for the constant case.
+estimated by OLS; the reported statistic is the t-ratio on gamma. That
+ratio does not change under y -> a * y + c, so every fit runs on y rescaled
+to 0 at its first value and unit standard deviation: the price level cannot
+matter. The lag order p is either fixed or chosen by minimizing AIC over
+0..max_lag on the common sample trimmed to max_lag. Every fit is one QR
+routine with one singularity rule: the candidates' designs are nested, so
+the widest one's R gives every candidate's residual sum of squares, and the
+chosen lag's own R gives its t-ratio. Approximate p-values come from the
+MacKinnon (1994/2010) response-surface polynomials for the constant case.
 """
 
 from __future__ import annotations
@@ -78,20 +80,6 @@ def default_max_lag(n: int) -> int:
     return int(12.0 * (n / 100.0) ** 0.25)
 
 
-def _ols_tratio(design: np.ndarray, y: np.ndarray, col: int) -> float:
-    """t-ratio of coefficient `col` for y ~ design."""
-    n, k = design.shape
-    beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < k:
-        raise ValueError("degenerate series: ADF regression is singular")
-    resid = y - design @ beta
-    ssr = float(resid @ resid)
-    sigma2 = ssr / (n - k)
-    xtx_inv = np.linalg.inv(design.T @ design)
-    se = math.sqrt(sigma2 * xtx_inv[col, col])
-    return float(beta[col] / se)
-
-
 def _check_length(n: int, lag: int, name: str) -> None:
     """The widest regression needs 10 observations and a residual degree of freedom."""
     need = max(lag + 10, 2 * lag + 4)
@@ -99,39 +87,38 @@ def _check_length(n: int, lag: int, name: str) -> None:
         raise ValueError(f"series too short for {name} {lag}: {n} < {need}")
 
 
-def _build_regression(y: np.ndarray, p: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Last `rows` observations of the ADF design for lag order p.
+def _regression_r(y: np.ndarray, p: int, rows: int) -> np.ndarray:
+    """R of the QR of the lag-p ADF design over the last `rows` observations.
 
-    Columns: constant, y_{t-1}, dy_{t-1} .. dy_{t-p}. Response: dy_t.
+    Columns: constant, y_{t-1}, dy_{t-1} .. dy_{t-p}, then the response dy_t.
+    With k = p + 2, R[:k, k] is the response in the design's orthonormal
+    basis and R[k, k]**2 the residual SSR. The test's one singularity rule is
+    lstsq's default threshold on the singular values of R[:k, :k]. A zero
+    residual leaves the t-ratio and the AIC undefined.
     """
     dy = np.diff(y)
-    t_end = dy.size
-    t_start = t_end - rows
-    target = dy[t_start:t_end]
-    cols = [np.ones(rows), y[t_start:t_end]]
-    for i in range(1, p + 1):
-        cols.append(dy[t_start - i : t_end - i])
-    return np.column_stack(cols), target
+    t_start = dy.size - rows
+    cols = [np.ones(rows), y[t_start:-1]]
+    cols += [dy[t_start - i : dy.size - i] for i in range(1, p + 1)]
+    r = np.linalg.qr(np.column_stack([*cols, dy[t_start:]]), mode="r")
+    k = p + 2
+    s = np.linalg.svd(r[:k, :k], compute_uv=False)
+    if s[-1] <= np.finfo(np.float64).eps * max(rows, k) * s[0]:
+        raise ValueError("degenerate series: ADF regression is singular")
+    if r[k, k] == 0:
+        raise ValueError("degenerate series: ADF regression fits exactly")
+    return r
 
 
 def _candidate_ssrs(y: np.ndarray, max_lag: int) -> np.ndarray:
     """Residual SSR of every lag 0..max_lag on the common sample, from one QR.
 
-    Lag p's design is the first p + 2 columns of the widest design. With the
-    response appended as a last column, R's last column holds the response
-    in the orthonormal basis of the design, so the SSR of the first k
-    columns is the sum of squares of that column from row k down. The
-    widest design is singular, by lstsq's default threshold on its singular
-    values, exactly when some candidate's is.
+    Lag p's design is the first p + 2 columns of the widest, so its SSR is
+    the sum of squares of R's last column from row p + 2 down, and the widest
+    is singular exactly when some candidate is.
     """
-    rows = (y.size - 1) - max_lag
-    design, target = _build_regression(y, max_lag, rows)
-    k = design.shape[1]
-    r = np.linalg.qr(np.column_stack([design, target]), mode="r")
-    s = np.linalg.svd(r[:k, :k], compute_uv=False)
-    if s[-1] <= np.finfo(np.float64).eps * max(rows, k) * s[0]:
-        raise ValueError("degenerate series: ADF regression is singular")
-    suffix = np.cumsum(r[::-1, k] ** 2)[::-1]
+    r = _regression_r(y, max_lag, (y.size - 1) - max_lag)
+    suffix = np.cumsum(r[::-1, -1] ** 2)[::-1]
     return suffix[2:]
 
 
@@ -140,8 +127,10 @@ def adf_test(values, max_lag: int | None = None, fixed_lag: int | None = None) -
 
     With ``fixed_lag`` the regression uses exactly that many difference lags;
     otherwise the lag is AIC-selected over 0..max_lag (max_lag defaults to
-    :func:`default_max_lag`). Near-constant input raises a degenerate-series
-    error because the regression has no identifying variation.
+    :func:`default_max_lag`). The statistic is invariant under
+    ``values -> a * values + c`` for a != 0. Constant input, and input whose
+    ADF design is singular (such as a repeating pattern), raise a
+    degenerate-series error.
     """
     y = np.asarray(values, dtype=np.float64)
     if y.ndim != 1:
@@ -151,6 +140,11 @@ def adf_test(values, max_lag: int | None = None, fixed_lag: int | None = None) -
         raise ValueError("adf_test needs finite values")
     if np.max(y) == np.min(y):
         raise ValueError("degenerate series: input is constant")
+    # A power-of-two scale first cannot make a varying series constant, and
+    # it keeps the shift and np.std clear of overflow and subnormals.
+    y = np.ldexp(y, -np.frexp(np.max(np.abs(y)))[1])
+    y = y - y[0]
+    y = y / np.std(y)
 
     if fixed_lag is not None:
         if fixed_lag < 0:
@@ -159,23 +153,25 @@ def adf_test(values, max_lag: int | None = None, fixed_lag: int | None = None) -
         _check_length(n, lag, "lag")
     else:
         if max_lag is None:
-            max_lag = min(default_max_lag(n), n // 2 - 2)
+            max_lag = max(0, min(default_max_lag(n), n // 2 - 2))
         if max_lag < 0:
             raise ValueError(f"max_lag must be >= 0, got {max_lag}")
         _check_length(n, max_lag, "max_lag")
         # Candidates share the sample trimmed to max_lag so AICs compare
         # like for like; the chosen lag is then refit on its full sample.
         rows = (n - 1) - max_lag
-        best = None
-        for p, ssr in enumerate(_candidate_ssrs(y, max_lag).tolist()):
-            aic = rows * math.log(ssr / rows) + 2.0 * (p + 2)
-            if best is None or aic < best[0]:
-                best = (aic, p)
-        lag = best[1]
+        ssrs = _candidate_ssrs(y, max_lag).tolist()
+        aics = [rows * math.log(ssr / rows) + 2.0 * (p + 2) for p, ssr in enumerate(ssrs)]
+        lag = aics.index(min(aics))
 
     rows = (n - 1) - lag
-    design, target = _build_regression(y, lag, rows)
-    stat = _ols_tratio(design, target, col=1)
+    k = lag + 2
+    r = _regression_r(y, lag, rows)
+    # beta = R11^-1 Q'dy and (X'X)^-1 = R11^-1 R11^-T, so the standard error
+    # of beta_1 is sigma times the norm of row 1 of R11^-1.
+    row = np.linalg.inv(r[:k, :k])[1]
+    sigma = abs(float(r[k, k])) / math.sqrt(rows - k)
+    stat = float(row @ r[:k, k]) / (sigma * float(np.linalg.norm(row)))
     return AdfResult(
         statistic=stat,
         p_value=mackinnon_pvalue(stat),

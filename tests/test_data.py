@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqcast import data as dat
+from seqcast.numerics import make_rng
 
 HEADER = "Date,Open,High,Low,Close,Volume\n"
 
@@ -420,7 +421,7 @@ class TestWindows:
 
 class TestSplit:
     def test_reference_row_count_arithmetic(self):
-        s = dat.synth_ohlcv("random-walk", 2274, 3, start=100.0)
+        s = dat.synth_ohlcv("random-walk", 2274, 3)
         train, val, test = dat.chronological_split(s, test_len=30, val_frac=0.10)
         assert (len(train), len(val), len(test)) == (2020, 224, 30)
 
@@ -436,23 +437,21 @@ class TestSplit:
 
 
 class TestSynth:
-    def test_sine_noiseless_periodic(self):
-        v = dat.synth_series("sine+noise", 200, 0, noise_sd=0.0, period=40.0)
-        np.testing.assert_allclose(v[:-40], v[40:], atol=1e-12)
+    def test_sine_default_recipe(self):
+        v = dat.synth_series("sine+noise", 200, 0)
+        wave = np.sin(2.0 * np.pi * np.arange(200) / 40.0) + 10.0
+        np.testing.assert_allclose(v - wave, 0.05 * make_rng(0).standard_normal(200), atol=1e-12)
 
-    def test_gbm_noiseless_exponential(self):
-        v = dat.synth_series("gbm", 50, 0, vol=0.0, drift=0.001, start=100.0)
-        t = np.arange(50)
-        np.testing.assert_allclose(v, 100.0 * np.exp(0.001 * t), rtol=1e-12)
+    def test_gbm_default_recipe(self):
+        v = dat.synth_series("gbm", 50, 0)
+        log_path = (0.0005 - 0.5 * 0.01**2) * np.arange(50)
+        log_path[1:] += 0.01 * np.cumsum(make_rng(0).standard_normal(49))
+        np.testing.assert_allclose(v, 100.0 * np.exp(log_path), rtol=1e-12)
 
     def test_same_seed_identical(self):
         a = dat.synth_series("random-walk", 100, 9)
         b = dat.synth_series("random-walk", 100, 9)
         np.testing.assert_array_equal(a, b)
-
-    def test_negative_sd_rejected(self):
-        with pytest.raises(ValueError):
-            dat.synth_series("sine+noise", 50, 0, noise_sd=-1.0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
@@ -505,6 +504,13 @@ def test_weekday_dates_skip_weekends():
     ds = dat.weekday_dates(date(2015, 1, 2), 4)  # Friday start
     assert ds == (date(2015, 1, 2), date(2015, 1, 5), date(2015, 1, 6), date(2015, 1, 7))
     assert all(d.weekday() < 5 for d in ds)
+
+
+def test_weekday_dates_stop_at_the_last_representable_date():
+    # 9999-12-27 is a Monday and date.max, 9999-12-31, a Friday.
+    assert dat.weekday_dates(date(9999, 12, 27), 5)[-1] == date.max
+    with pytest.raises(ValueError, match="6 weekdays from 9999-12-27 run past 9999-12-31"):
+        dat.weekday_dates(date(9999, 12, 27), 6)
 
 
 @given(

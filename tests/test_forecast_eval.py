@@ -14,7 +14,6 @@ from seqcast.forecast_eval import (
     compare,
     compute_metrics,
     history_summary,
-    plot_rows,
     prepare_windows,
     recursive_forecast,
 )
@@ -257,21 +256,6 @@ class TestHelpers:
     def test_seed_offsets_are_distinct_per_model(self):
         offsets = [REGISTRY[kind].seed_offset for kind in MODEL_KINDS]
         assert len(set(offsets)) == len(offsets)
-
-    def test_plot_rows_layout(self):
-        series = dat.synth_ohlcv("sine+noise", 40, seed=9)
-        test = series.slice(35, 40)
-        forecasts = {
-            "lstm": np.arange(5.0),
-            "gru": np.arange(5.0) + 10,
-            "transformer": np.arange(5.0) + 20,
-        }
-        rows = plot_rows(test, forecasts)
-        assert len(rows) == 5
-        date, actual, lstm_v, gru_v, tr_v = rows[2]
-        assert date == test.dates[2].isoformat()
-        assert actual == float(test.close[2])
-        assert (lstm_v, gru_v, tr_v) == (2.0, 12.0, 22.0)
 
     def test_history_summary(self):
         h = TrainHistory(

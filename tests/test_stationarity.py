@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqcast import stationarity
@@ -240,3 +241,57 @@ class TestLagSearch:
         best = min(aic)
         # A relative bound, so candidates tied to rounding may swap either way.
         assert abs(aic[adf_test(y).lags_used] - best) <= 1e-9 * abs(best)
+
+
+class TestAdfScaleFree:
+    # The tolerance, |change| <= 1e-5 * max(1, |statistic|), comes from a
+    # rounding bound, not from observed runs: rounding a * y + c at |c| = 1e8
+    # sd moves each value by about 1e-8 sd, and the steps of a 600-point walk
+    # are about sd / 14, so the fitted data move by a few 1e-7 relative.
+    @given(
+        adf_series(),
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(-8.0, 8.0),
+        st.floats(-1e8, 1e8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_affine_map_keeps_lag_and_statistic(self, y, sign, log10_scale, shift_in_sd):
+        ay = sign * 10.0**log10_scale * y
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = adf_test(y)
+            moved = adf_test(ay + shift_in_sd * np.std(ay))
+        assert moved.lags_used == base.lags_used
+        assert abs(moved.statistic - base.statistic) <= 1e-5 * max(1.0, abs(base.statistic))
+
+    @pytest.mark.parametrize(
+        "transform",
+        [lambda w: w + 1e8, lambda w: w * 1e12, lambda w: 5000.0 + 1e-6 * w,
+         lambda w: w * 1e300, lambda w: w * 1e-310],
+        ids=["plus-1e8", "times-1e12", "5000-plus-1e-6", "times-1e300", "subnormal"],
+    )
+    def test_walk_at_any_level_or_scale(self, transform):
+        walk = np.cumsum(np.random.default_rng(3).normal(size=800))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = adf_test(transform(walk))
+        assert res.lags_used == 0
+        assert abs(res.statistic - -1.0602505) < 1e-6
+
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=2, max_size=60
+        )
+    )
+    @example([0.0, 1.0])  # too short for the default max_lag
+    @example([0.0] * 6 + [1.0] + [0.0] * 10)  # the widest candidate fits exactly
+    @settings(max_examples=200, deadline=None)
+    def test_finite_input_gives_a_result_or_a_named_refusal(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                res = adf_test(values)
+            except ValueError as exc:
+                assert "degenerate" in str(exc) or "too short" in str(exc), str(exc)
+                return
+        assert math.isfinite(res.statistic) and 0.0 <= res.p_value <= 1.0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import math
 import re
 from dataclasses import asdict, dataclass
@@ -28,6 +29,7 @@ from .numerics import make_rng
 _DATE_RE = re.compile(
     r"(\d\d\d\d)([/-])(1[0-2]|0[1-9]|[1-9])\2(3[01]|[12]\d|0[1-9]|[1-9]| [1-9])"
 )
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _MISSING_TOKENS = {"", "nan", "na", "n/a", "null", "none"}
 _COLUMNS = ("open", "high", "low", "close", "volume")
 
@@ -69,18 +71,15 @@ class OhlcvSeries:
         )
 
 
-def _series_from_table(dates, table: np.ndarray) -> OhlcvSeries:
-    """Build a series from dates and a (rows, 5) open/high/low/close/volume table."""
-    return OhlcvSeries(tuple(dates), *(np.ascontiguousarray(col) for col in table.T))
-
-
 def _parse_date(text: str) -> date:
-    m = _DATE_RE.fullmatch(text)
-    if m is not None:
-        try:
+    try:
+        # Python 3.11's fromisoformat also takes 20150102 and 2015-W01-1.
+        if _ISO_DATE.fullmatch(text):
+            return date.fromisoformat(text)
+        if m := _DATE_RE.fullmatch(text):
             return date(int(m[1]), int(m[3]), int(m[4]))
-        except ValueError:
-            pass
+    except ValueError:
+        pass
     raise ValueError(f"unrecognized date {text!r} (expected YYYY/M/D or YYYY-MM-DD)")
 
 
@@ -93,13 +92,28 @@ def _parse_cell(text: str) -> float:
         raise
 
 
+def _parse_column(cells, parse, repair) -> tuple[list, ValueError | None]:
+    """Parse every cell, passing each that parse rejects to repair; stop at
+    the first that repair rejects too, with its error (None if none is)."""
+    values, rest = [], iter(cells)
+    while True:
+        try:
+            values.extend(map(parse, rest))  # keeps the values before a failure
+            return values, None
+        except ValueError:
+            try:
+                values.append(repair(cells[len(values)]))
+            except ValueError as exc:
+                return values, exc
+
+
 def parse_csv(path) -> OhlcvSeries:
     """Load an OHLCV CSV.
 
     The header must contain Date, Open, High, Low, Close, Volume in any
     order, case-insensitively; extra columns (such as an unnamed leading
     index) are ignored. Rows are returned sorted by date. Errors carry the
-    1-based line number of the offending row.
+    1-based line number of the first offending row.
     """
     path = Path(path)
     try:
@@ -112,28 +126,34 @@ def parse_csv(path) -> OhlcvSeries:
     except StopIteration:
         raise ValueError(f"{path}: empty file") from None
     wanted = {"date", *_COLUMNS}
-    col_idx: dict[str, int] = {}
-    for i, name in enumerate(header):
-        key = name.strip().lower()
-        if key in wanted and key not in col_idx:
-            col_idx[key] = i
+    keys = [name.strip().lower() for name in header]
+    col_idx = {key: keys.index(key) for key in wanted.intersection(keys)}
     missing = wanted - set(col_idx)
     if missing:
         raise ValueError(f"{path}: header lacks columns {sorted(missing)}")
 
-    i_date = col_idx["date"]
-    value_idx = [col_idx[c] for c in _COLUMNS]
-    dates: list[date] = []
-    values: list[list[float]] = []
-    for lineno, raw in enumerate(reader, start=2):
-        if not "".join(raw).strip():
-            continue
-        try:
-            dates.append(_parse_date(raw[i_date].strip()))
-            values.append([_parse_cell(raw[i]) for i in value_idx])
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-
+    width = max(col_idx.values()) + 1
+    numbered = enumerate(reader, start=2)
+    dates, values = [], [[] for _ in _COLUMNS]
+    # Blocks of 128 rows bound the raw text held at once.
+    for block in iter(lambda: list(itertools.islice(numbered, 128)), []):
+        kept = [(lineno, raw) for lineno, raw in block if "".join(raw).strip()]
+        linenos, rows = zip(*kept) if kept else ((), ())
+        n = next((k for k, raw in enumerate(rows) if len(raw) < width), len(rows))
+        fields = list(zip(*rows[:n])) or [()] * width
+        texts = list(map(str.strip, fields[col_idx["date"]]))
+        parsed = [_parse_column(texts, _parse_date, _parse_date)]
+        parsed += [_parse_column(fields[col_idx[c]], float, _parse_cell) for c in _COLUMNS]
+        # Rows fail at width, then date, open, high, low, close, volume; the first to fail is named.
+        failures = [(len(column), exc) for column, exc in parsed if exc is not None]
+        if n < len(rows):
+            failures.append((n, f"expected at least {width} fields, found {len(rows[n])}"))
+        if failures:
+            row, exc = min(failures, key=lambda f: f[0])
+            raise ValueError(f"{path}: line {linenos[row]}: {exc}")
+        dates += parsed[0][0]
+        for column, (cells, _) in zip(values, parsed[1:]):
+            column += cells
     if not dates:
         raise ValueError(f"{path}: no data rows")
     order = sorted(range(len(dates)), key=dates.__getitem__)
@@ -141,7 +161,7 @@ def parse_csv(path) -> OhlcvSeries:
     for a, b in zip(dates, dates[1:]):
         if a == b:
             raise ValueError(f"{path}: duplicate date {a}")
-    return _series_from_table(dates, np.array(values, dtype=np.float64)[order])
+    return OhlcvSeries(tuple(dates), *np.array(values)[:, order])
 
 
 @dataclass
@@ -172,42 +192,40 @@ def clean(series: OhlcvSeries) -> tuple[OhlcvSeries, CleanReport]:
     prices break low <= min(open, close) <= max(open, close) <= high, or
     are not strictly positive, are dropped.
     """
-    report = CleanReport()
-    kept_dates: list[date] = []
-    kept: list[tuple[float, ...]] = []
-    prev_close: float | None = None
+    op, hi, lo, cl, vol = (getattr(series, c).copy() for c in _COLUMNS)
+    missing_close, gaps = np.isnan(cl), np.isnan(op) | np.isnan(hi) | np.isnan(lo)
     # Imputation only replaces NaN, so a row's infinities survive it.
-    has_inf = np.zeros(len(series), dtype=bool)
-    for c in _COLUMNS:
-        has_inf |= np.isinf(getattr(series, c))
-    columns = (getattr(series, c).tolist() for c in _COLUMNS)
-    for d, op, hi, lo, cl, vol, inf in zip(series.dates, *columns, has_inf.tolist()):
-        if math.isnan(cl):
-            report.dropped_missing_close += 1
-            continue
-        if math.isnan(op) or math.isnan(hi) or math.isnan(lo):
-            if prev_close is None:
-                report.dropped_unimputable += 1
-                continue
-            report.imputed_open += math.isnan(op)
-            report.imputed_high += math.isnan(hi)
-            report.imputed_low += math.isnan(lo)
-            op, hi, lo = (prev_close if math.isnan(v) else v for v in (op, hi, lo))
-        if math.isnan(vol):
-            vol = 0.0
-            report.imputed_volume += 1
-        if inf:
-            report.dropped_nonfinite += 1
-            continue
-        if not (lo <= min(op, cl) <= max(op, cl) <= hi) or lo <= 0 or vol < 0:
-            report.dropped_envelope += 1
-            continue
-        kept_dates.append(d)
-        kept.append((op, hi, lo, cl, vol))
-        prev_close = cl
-    if not kept_dates:
+    has_inf = np.isinf(op) | np.isinf(hi) | np.isinf(lo) | np.isinf(cl) | np.isinf(vol)
+    envelope = (lo <= np.minimum(op, cl)) & (np.maximum(op, cl) <= hi) & (lo > 0) & ~(vol < 0)
+    keep = envelope & ~(missing_close | gaps | has_inf)
+    plain = np.flatnonzero(keep)
+    # Gap rows before the first row kept as it is have nothing to fill from.
+    reached = ~missing_close & ~(gaps & (np.cumsum(keep) == 0))
+    gap_rows = np.flatnonzero(gaps & reached)
+    # The others fill from the last kept row's close; that row may be a gap row.
+    plain_prev = plain[np.searchsorted(plain, gap_rows) - 1].tolist()
+    cells = (a[gap_rows].tolist() for a in (op, hi, lo, cl, vol, has_inf))
+    closes, prev, filled = cl.tolist(), 0, []
+    for i, p, o, h, l, c, v, inf in zip(gap_rows.tolist(), plain_prev, *cells):
+        prev = max(prev, p)
+        o, h, l = (closes[prev] if math.isnan(x) else x for x in (o, h, l))
+        filled.append((o, h, l))
+        if not inf and l <= min(o, c) <= max(o, c) <= h and l > 0 and not v < 0:
+            keep[i], prev = True, i
+    op[gap_rows], hi[gap_rows], lo[gap_rows] = np.array(filled).reshape(-1, 3).T
+    report = CleanReport(
+        dropped_missing_close=int(missing_close.sum()),
+        dropped_envelope=int((reached & ~has_inf & ~keep).sum()),
+        dropped_unimputable=int((~reached & ~missing_close).sum()),
+        dropped_nonfinite=int((reached & has_inf).sum()),
+        **{f"imputed_{c}": int((reached & np.isnan(getattr(series, c))).sum())
+           for c in ("open", "high", "low", "volume")},
+    )
+    if not keep.any():
         raise ValueError("clean dropped every row")
-    return _series_from_table(kept_dates, np.array(kept, dtype=np.float64)), report
+    vol[np.isnan(vol)] = 0.0
+    dates = tuple(itertools.compress(series.dates, keep.tolist()))
+    return OhlcvSeries(dates, *(a[keep] for a in (op, hi, lo, cl, vol))), report
 
 
 def monthwise_means(series: OhlcvSeries) -> dict[int, tuple[float, float]]:
@@ -422,6 +440,8 @@ def write_ohlcv_csv(series: OhlcvSeries, path) -> None:
 
 def fingerprint(series: OhlcvSeries) -> dict:
     """Row count, date range, and content hash identifying a dataset."""
+    if len(series) == 0:
+        raise ValueError("fingerprint needs a non-empty series")
     digest = hashlib.sha256()
     columns = (getattr(series, c).tolist() for c in _COLUMNS)
     for d, op, hi, lo, cl, vol in zip(series.dates, *columns):

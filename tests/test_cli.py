@@ -379,6 +379,11 @@ def hostile_csv(closes, end, constant_column, duplicate_at, missing, bad_byte_at
     return b"\n".join(lines) + b"\n"
 
 
+def _rarely(strategy):
+    """strategy's value one time in four, else None, which examples shrink to."""
+    return st.integers(0, 3).flatmap(lambda k: strategy if k == 3 else st.none())
+
+
 def _refuse_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
@@ -397,38 +402,45 @@ class TestHostileCsv:
         assert adf["differenced"]["p_value"] < 0.01
 
     # Every command on every CSV ends in exit code 0, 1 or 2, and every JSON or
-    # NDJSON file written holds only finite numbers. 100 examples take about
-    # 3.5 s on 2 cores; about one in ten CSVs gets through train and compare.
+    # NDJSON file written holds only finite numbers. Each defect shows up in
+    # about one CSV in four, most series are the plain sine, and half span
+    # about 21 months. So train exits 0 on about 55% of the CSVs, compare on
+    # 45% and the monthly-high eda on 40%. 100 examples take 5-8 s on 2 cores.
     @given(
-        recipe=st.sampled_from(sorted(HOSTILE_CLOSES)),
-        n=st.integers(1, 360),
-        end=st.one_of(
-            st.just(date(2021, 3, 31)),
-            st.integers(0, 20).map(lambda k: date.max - timedelta(days=k)),
+        recipe=st.just("sine") | st.sampled_from(sorted(HOSTILE_CLOSES)),
+        n=st.integers(1, 360) | st.integers(440, 480),
+        end=_rarely(st.integers(0, 20).map(lambda k: date.max - timedelta(days=k))),
+        constant_column=_rarely(st.integers(0, 4)),
+        duplicate_at=_rarely(st.integers(0, 480)),
+        missing=_rarely(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 480),
+                    st.integers(0, 5),
+                    st.sampled_from(["", "nan", "NA", "null", "n/a", "None"]),
+                ),
+                min_size=1,
+                max_size=4,
+            )
         ),
-        constant_column=st.none() | st.integers(0, 4),
-        duplicate_at=st.none() | st.integers(0, 400),
-        missing=st.lists(
-            st.tuples(
-                st.integers(0, 400),
-                st.integers(0, 5),
-                st.sampled_from(["", "nan", "NA", "null", "n/a", "None"]),
-            ),
-            max_size=4,
-        ),
-        bad_byte_at=st.none() | st.integers(0, 400),
+        bad_byte_at=_rarely(st.integers(0, 480)),
         kind=st.sampled_from(MODEL_KINDS),
     )
     @example(  # a clean series ending on 9999-12-31: forecast runs past the last date
         recipe="sine", n=200, end=date.max, constant_column=None, duplicate_at=None,
-        missing=[], bad_byte_at=None, kind="lstm",
+        missing=None, bad_byte_at=None, kind="lstm",
     )
     @settings(max_examples=100, deadline=None)
     def test_every_command_exits_cleanly_and_writes_strict_json(
         self, recipe, n, end, constant_column, duplicate_at, missing, bad_byte_at, kind
     ):
         csv_bytes = hostile_csv(
-            HOSTILE_CLOSES[recipe](n), end, constant_column, duplicate_at, missing, bad_byte_at
+            HOSTILE_CLOSES[recipe](n),
+            end or date(2021, 3, 31),
+            constant_column,
+            duplicate_at,
+            missing or [],
+            bad_byte_at,
         )
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import random
 import tempfile
@@ -111,8 +113,157 @@ def _clean_reference(series: dat.OhlcvSeries) -> tuple[dat.OhlcvSeries, dat.Clea
             continue
         kept.append(row)
         prev_close = row["close"]
+    if not kept:
+        raise ValueError("clean dropped every row")
     columns = {c: np.array([r[c] for r in kept]) for c in VALUE_COLUMNS}
     return dat.OhlcvSeries(dates=tuple(r["date"] for r in kept), **columns), report
+
+
+def _assert_clean_matches_reference(dirty: dat.OhlcvSeries):
+    """clean's result, once it has matched the row reference's bit for bit."""
+    try:
+        want, want_report = _clean_reference(dirty)
+    except ValueError:
+        with pytest.raises(ValueError, match="every row"):
+            dat.clean(dirty)
+        return None, None
+    got, got_report = dat.clean(dirty)
+    assert got_report == want_report
+    assert got.dates == want.dates
+    for c in VALUE_COLUMNS:
+        assert getattr(got, c).tobytes() == getattr(want, c).tobytes()
+    return got, got_report
+
+
+def _parse_reference(path) -> dat.OhlcvSeries:
+    """Row-at-a-time statement of parse_csv's rules, kept to pin the columnar version."""
+    path = Path(path)
+    try:
+        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text, {exc.reason} at byte {exc.start}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    col_idx = {}
+    for i, name in enumerate(header):
+        col_idx.setdefault(name.strip().lower(), i)
+    missing = {"date", *VALUE_COLUMNS} - set(col_idx)
+    if missing:
+        raise ValueError(f"{path}: header lacks columns {sorted(missing)}")
+    width = max(col_idx[c] for c in ("date", *VALUE_COLUMNS)) + 1
+    dates, values = [], []
+    for lineno, raw in enumerate(reader, start=2):
+        if not "".join(raw).strip():
+            continue
+        try:
+            if len(raw) < width:
+                raise ValueError(f"expected at least {width} fields, found {len(raw)}")
+            dates.append(dat._parse_date(raw[col_idx["date"]].strip()))
+            values.append([dat._parse_cell(raw[col_idx[c]]) for c in VALUE_COLUMNS])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    if not dates:
+        raise ValueError(f"{path}: no data rows")
+    order = sorted(range(len(dates)), key=dates.__getitem__)
+    dates = [dates[i] for i in order]
+    for a, b in zip(dates, dates[1:]):
+        if a == b:
+            raise ValueError(f"{path}: duplicate date {a}")
+    table = np.array(values, dtype=np.float64)[order]
+    return dat.OhlcvSeries(tuple(dates), *(np.ascontiguousarray(col) for col in table.T))
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308]
+_EXTRA_CELLS = ["", "x", "a,b", 'say "hi"', "two\nlines"]
+_BAD_CELLS = ["oops", "1.2.3", "1,5", "--1", "nan nan", "N/A/", "0x10"]
+_BAD_DATES = ["20150102", "2015-W01-1", "2015-01-02T00", "2015-02-30", "2015/13/1", "2015.1.2", ""]
+
+
+def _assert_parse_matches_reference(path) -> None:
+    """parse_csv and the row reference return the same bytes or raise the same error."""
+    try:
+        want = _parse_reference(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            dat.parse_csv(path)
+        assert str(got.value) == str(exc)
+        return
+    got = dat.parse_csv(path)
+    assert got.dates == want.dates
+    for c in VALUE_COLUMNS:
+        assert getattr(got, c).tobytes() == getattr(want, c).tobytes()
+
+
+def _recase(rng: random.Random, text: str) -> str:
+    """text with each letter's case drawn and zero to two spaces on either side."""
+    text = "".join(rng.choice((c.lower(), c.upper())) for c in text)
+    return " " * rng.randrange(3) + text + " " * rng.randrange(3)
+
+
+def _cell(rng: random.Random, key: str) -> str:
+    if key == "date":
+        d = date(1990, 1, 1) + timedelta(days=rng.randrange(15000))
+        iso, bare = d.isoformat(), f"{d.year}-{d.month}-{d.day}"
+        return _recase(rng, rng.choice([iso, bare, bare.replace("-", "/")]))
+    if key not in VALUE_COLUMNS:
+        return rng.choice(_EXTRA_CELLS)
+    return _recase(rng, rng.choice([
+        repr(rng.lognormvariate(0, 20) * rng.choice((1, -1))),
+        repr(rng.choice(_SPECIAL_FLOATS)),
+        str(rng.randrange(-(10**20), 10**20)),
+        rng.choice(sorted(dat._MISSING_TOKENS)),
+    ]))
+
+
+@st.composite
+def _csv_texts(draw):
+    """OHLCV CSV text with every quirk parse_csv must handle, and some defects."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    names = ["Date", "Open", "High", "Low", "Close", "Volume"]
+    names += draw(st.lists(st.sampled_from(["", "Adj Close", "note", "Open", "date"]), max_size=2))
+    header = [_recase(rng, name) for name in draw(st.permutations(names))]
+    keys = [name.strip().lower() for name in header]
+    rows = [[_cell(rng, key) for key in keys] for _ in range(draw(st.integers(0, 12)))]
+    # Defects at random rows: duplicate dates, bad cells and dates, short and
+    # long rows. Rows are cut short last, so every other defect finds its cell.
+    defects = draw(st.lists(
+        st.tuples(
+            st.sampled_from(["duplicate", "bad cell", "bad date", "short", "long"]),
+            st.integers(0, 11),
+            st.integers(0, 10),
+        ),
+        max_size=3,
+    ))
+    for kind, at, arg in sorted(defects, key=lambda defect: defect[0] == "short"):
+        if not rows:
+            break
+        row = rows[at % len(rows)]
+        if kind == "duplicate":
+            row[keys.index("date")] = rows[arg % len(rows)][keys.index("date")]
+        elif kind == "bad cell":
+            row[keys.index(VALUE_COLUMNS[arg % 5])] = _BAD_CELLS[arg % len(_BAD_CELLS)]
+        elif kind == "bad date":
+            row[keys.index("date")] = _BAD_DATES[arg % len(_BAD_DATES)]
+        elif kind == "short":
+            del row[arg:]
+        else:
+            row.extend(["extra"] * (arg % 3 + 1))
+    for at, blank in draw(st.lists(
+        st.tuples(st.integers(0, 12), st.sampled_from([[], [""], ["", ""], [" ", "", "  "]])),
+        max_size=3,
+    )):
+        rows.insert(at, blank)
+    out = io.StringIO()
+    writer = csv.writer(
+        out,
+        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+        lineterminator=draw(st.sampled_from(["\n", "\r\n"])),
+    )
+    writer.writerows([header, *rows])
+    return out.getvalue()
 
 
 def _group_means_reference(keys, values) -> dict:
@@ -180,7 +331,58 @@ class TestParseCsv:
         with pytest.raises(ValueError, match="duplicate"):
             dat.parse_csv(p)
 
+    def test_short_row_names_line_and_width(self, tmp_path):
+        p = write_csv(tmp_path, ROW0 + "2015/1/5, 14.3, 14.4\n")
+        with pytest.raises(ValueError, match="line 3: expected at least 6 fields, found 3$"):
+            dat.parse_csv(p)
+        with pytest.raises(ValueError, match="line 3: expected at least 6 fields, found 3$"):
+            _parse_reference(p)
+
+    def test_first_failing_row_is_reported(self, tmp_path):
+        # Row 3 fails on its volume, row 4 on its date and row 5 on its width:
+        # the date column alone would blame row 4.
+        body = ROW0 + "2015/1/5, 1, 2, 0.5, 1, lots\n2015/13/1, 1, 2, 0.5, 1, 5\n2015/1/7\n"
+        with pytest.raises(ValueError, match="line 3: could not convert string to float: ' lots'"):
+            dat.parse_csv(write_csv(tmp_path, body))
+
+    # parse_csv reads rows in blocks of 128: a defect on either side of a
+    # block's edge, then with a bad volume that only a later block holds.
+    @pytest.mark.parametrize("at", [0, 127, 128, 383, 600])
+    @pytest.mark.parametrize("defect", ["bad close", "bad date", "short", "blank", "missing"])
+    def test_blocks_match_row_reference(self, tmp_path, at, defect):
+        path = tmp_path / "prices.csv"
+        dat.write_ohlcv_csv(dat.synth_ohlcv("gbm", 700, 5), path)
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        rows = [line.split(",") for line in lines]
+        if defect == "bad close":
+            rows[at][4] = "oops"
+        elif defect == "bad date":
+            rows[at][0] = "2016-02-30"
+        elif defect == "short":
+            del rows[at][3:]
+        elif defect == "missing":
+            rows[at][4] = "NA"
+        else:
+            rows.insert(at, [])
+        for volume in ("1000", "lots"):
+            rows[-1][5] = volume
+            path.write_text("\n".join([header, *map(",".join, rows)]) + "\n", encoding="utf-8")
+            _assert_parse_matches_reference(path)
+
+    @given(_csv_texts())
+    @example("Date,Open,High,Low,Close,Volume\n")
+    @example("Date,Open,High,Low,Close,Volume\n2015-01-02,1,2,0.5,NA,7\n,,,\n2015/1/5,1\n")
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_reference(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "prices.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            _assert_parse_matches_reference(path)
+
     @given(_date_strings())
+    @example("20150102")
+    @example("2015-W01-1")
+    @example("2015-01-02T00")
     @example("2015/1/ 5")
     @example("2016-02-30")
     @example("2015/1-2")
@@ -281,18 +483,68 @@ class TestClean:
         columns = {c: getattr(CLEAN_GRID, c).copy() for c in VALUE_COLUMNS}
         for i, c, edit in cells:
             columns[c][i] = CELL_EDITS[edit](columns[c][i])
+        _assert_clean_matches_reference(dat.OhlcvSeries(dates=CLEAN_GRID.dates, **columns))
+
+    # Runs of rows that need imputation, where an imputed row the envelope
+    # drops sends the next one further back for its close. On the grid a
+    # missing high on an up day is such a row.
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(CLEAN_GRID) - 1),
+                st.integers(1, 8),
+                st.sampled_from(("open", "high", "low")),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.lists(
+            st.tuples(
+                st.integers(0, len(CLEAN_GRID) - 1),
+                st.sampled_from(VALUE_COLUMNS),
+                st.sampled_from(sorted(CELL_EDITS)),
+            ),
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=100)
+    def test_adjacent_gaps_match_row_reference(self, runs, cells):
+        columns = {c: getattr(CLEAN_GRID, c).copy() for c in VALUE_COLUMNS}
+        for start, length, c in runs:
+            columns[c][start : start + length] = np.nan
+        for i, c, edit in cells:
+            columns[c][i] = CELL_EDITS[edit](columns[c][i])
+        _assert_clean_matches_reference(dat.OhlcvSeries(dates=CLEAN_GRID.dates, **columns))
+
+    def test_dropped_imputed_row_sends_the_next_further_back(self, tmp_path):
+        body = (
+            "2015/1/2, 10, 11, 9, 10, 5\n"
+            "2015/1/5, , 12, 9, 11, 5\n"  # open from row 1's close: kept
+            "2015/1/6, 11, , 10, 12, 5\n"  # high from row 2's close, 11 < 12: dropped
+            "2015/1/7, 12, 13, , 12.5, 5\n"  # low from row 2's close again, not row 3's
+        )
+        dirty = dat.parse_csv(write_csv(tmp_path, body))
+        cleaned, report = _assert_clean_matches_reference(dirty)
+        assert cleaned.dates == (date(2015, 1, 2), date(2015, 1, 5), date(2015, 1, 7))
+        assert cleaned.open[1] == 10.0 and cleaned.low[2] == 11.0
+        assert report == dat.CleanReport(
+            dropped_envelope=1, imputed_open=1, imputed_high=1, imputed_low=1
+        )
+
+    def test_every_row_needing_imputation(self):
+        columns = {c: getattr(CLEAN_GRID, c).copy() for c in VALUE_COLUMNS}
+        columns["open"][1:] = np.nan  # each row fills from the row before it
+        cleaned, report = _assert_clean_matches_reference(
+            dat.OhlcvSeries(dates=CLEAN_GRID.dates, **columns)
+        )
+        assert report == dat.CleanReport(imputed_open=len(CLEAN_GRID) - 1)
+        np.testing.assert_array_equal(cleaned.open, CLEAN_GRID.open)
+        columns["open"][0] = np.nan  # now no row has a kept row before it
         dirty = dat.OhlcvSeries(dates=CLEAN_GRID.dates, **columns)
-        try:
-            want, want_report = _clean_reference(dirty)
-        except ValueError:
-            with pytest.raises(ValueError, match="every row"):
-                dat.clean(dirty)
-            return
-        got, got_report = dat.clean(dirty)
-        assert got_report == want_report
-        assert got.dates == want.dates
-        for c in VALUE_COLUMNS:
-            assert getattr(got, c).tobytes() == getattr(want, c).tobytes()
+        with pytest.raises(ValueError, match="every row"):
+            _clean_reference(dirty)
+        with pytest.raises(ValueError, match="every row"):
+            dat.clean(dirty)
 
 
 class TestMonthwise:
@@ -480,6 +732,10 @@ class TestFingerprint:
         other = dat.fingerprint(sine_series.slice(0, len(sine_series) - 1))
         assert other["sha256"] != a["sha256"]
         assert a["n_rows"] == len(sine_series)
+
+    def test_empty_series_rejected(self, sine_series):
+        with pytest.raises(ValueError, match="fingerprint needs a non-empty series"):
+            dat.fingerprint(sine_series.slice(0, 0))
 
 
 def test_series_invariants_enforced():

@@ -2,8 +2,8 @@
 
 The comparison pipeline: one chronological split shared by all models,
 min-max scaling fit on training closes only, per-model training with its
-own derived seed, a 30-step recursive forecast from the end of train+val,
-and metrics against the held-out closes in currency units.
+own derived seed, a 30-step ``models.forecast`` from the end of train+val,
+rescaled here, and metrics against the held-out closes in currency units.
 """
 
 from __future__ import annotations
@@ -75,24 +75,17 @@ def compute_metrics(y_true, y_pred) -> Metrics:
 
 
 def recursive_forecast(params, last_window, horizon: int, scaler: Scaler) -> np.ndarray:
-    """Iterate one-step predictions `horizon` times, then undo the scaling.
+    """``models.forecast`` of `horizon` steps from last_window, then undo the scaling.
 
     last_window holds the final `lookback` scaled values of the history;
     each prediction is appended and the oldest value dropped.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    window = np.asarray(last_window, dtype=np.float64).copy()
+    window = np.asarray(last_window, dtype=np.float64)
     if window.ndim != 1 or window.size < 1:
         raise ValueError(f"last_window must be a non-empty 1-D sequence, got shape {window.shape}")
-    scaled_path = np.empty(horizon)
-    for step in range(horizon):
-        nxt = models.predict(params, window)
-        if not math.isfinite(nxt):
-            raise ValueError(f"non-finite prediction at forecast step {step}")
-        scaled_path[step] = nxt
-        window = np.concatenate([window[1:], [nxt]])
-    return scaler.inverse(scaled_path)
+    return scaler.inverse(models.forecast(params, window, horizon))
 
 
 def prepare_windows(

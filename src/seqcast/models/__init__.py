@@ -1,17 +1,17 @@
 """The three sequence forecasters and their shared dispatch surface.
 
 Each model module exposes ``shapes`` (its ordered name -> shape table) plus
-``init_params``, ``forward`` and ``backward``; every kind's parameters are
-one ``Params``. ``REGISTRY`` is the one place that says what a model kind
-is; everything here dispatches through it so training and forecasting stay
-model-agnostic.
+``init_params``, ``forward`` and ``backward``, and a recurrent one ``lanes``;
+every kind's parameters are one ``Params``. ``REGISTRY`` is the one place
+that says what a model kind is; everything here dispatches through it so
+training and forecasting stay model-agnostic.
 
 Every kind is an encoder under one scalar head, prediction = head_w s + head_b,
 where s is the (batch, width) state the module's ``forward`` returns. This
 module owns what the kinds share: the input checks, the head and its
-gradient, and the check that a cache belongs to the params it is used with.
-Forward/backward are pure given (params, input): params are never mutated by
-model code.
+gradient, the check that a cache belongs to the params it is used with, and
+the recursive forecast. Forward/backward are pure given (params, input):
+params are never mutated by model code.
 """
 
 from __future__ import annotations
@@ -101,7 +101,11 @@ def forward(params: Params, x: np.ndarray):
         raise ValueError(f"expected input of shape (batch, steps), got {x.shape}")
     state, cache = REGISTRY[params.kind].module.forward(params, x)
     cache.update(kind=params.kind, dims=params.dims, x=x, state=state)
-    return (state @ params.head_w.T + params.head_b).ravel(), cache
+    return _head(params, state), cache
+
+
+def _head(params: Params, state: np.ndarray) -> np.ndarray:
+    return (state @ params.head_w.T + params.head_b).ravel()
 
 
 def backward(params: Params, cache: dict, d_preds: np.ndarray) -> Params:
@@ -128,3 +132,29 @@ def predict(params: Params, window: np.ndarray) -> float:
         raise ValueError(f"predict expects a 1-D window, got shape {window.shape}")
     preds, _ = forward(params, window[None, :])
     return float(preds[0])
+
+
+def forecast(params: Params, window: np.ndarray, horizon: int) -> np.ndarray:
+    """The scaled recursive path: step s predicts from values s .. s+L-1 of window + path.
+
+    Step 0 is ``predict``, and so is every step of a kind without ``lanes``.
+    The others run on a ring of exactly L = len(window) lanes: window s resets
+    lane s mod L at tick s and ends at tick s+L-1, and every lane reads value
+    t at tick t. With the width fixed, a path's prefix has the same bits at
+    every horizon, though a step can differ from ``predict`` in the last bits.
+    """
+    seq = np.concatenate([window, np.empty(horizon)])
+    size = len(window)
+    lanes = getattr(REGISTRY[params.kind].module, "lanes", None)
+    advance = lanes(params, size) if lanes else None
+    for s in range(horizon):
+        if s == 0 or advance is None:
+            value = predict(params, seq[s : s + size])
+        else:
+            for tick in range(s + size - 1 if s > 1 else 1, s + size):
+                state = advance(seq[tick], tick % size)
+            value = float(_head(params, state[s % size : s % size + 1])[0])
+        if not np.isfinite(value):
+            raise ValueError(f"non-finite prediction at forecast step {s}")
+        seq[size + s] = value
+    return seq[size:]

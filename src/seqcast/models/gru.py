@@ -15,8 +15,8 @@ The steps run gate-major. W_z and W_r are adjacent in ``theta``, so they
 are one (2, h, h+1) view and b_z, b_r one (2, 1, h) view. A step makes one
 stacked matmul and one ``sigmoid`` call for both gates, then the candidate's
 own matmul and ``tanh``. Each gate's arithmetic is the per-gate form's, in
-the same order, so outputs and gradients are bit-identical to it. The cache
-holds step-major arrays, allocated once per call and filled in place.
+the same order, so outputs and gradients are bit-identical to it. ``cell``
+fills the step-major cache, allocated once per call; ``lanes`` runs it too.
 """
 
 from __future__ import annotations
@@ -52,6 +52,26 @@ def _gate_views(theta: np.ndarray, hidden: int) -> tuple[np.ndarray, np.ndarray]
     return w, theta[3 * gate : 3 * gate + 2 * hidden].reshape(2, 1, hidden)
 
 
+def cell(params: Params):
+    """The step v_t (n, h+1) -> h_t; u_t[:, -1] must hold x_t, and h_out may be v_t[:, :-1]."""
+    w, b = _gate_views(params.theta, params.dims["hidden"])
+    # Transposed views, not copies: each gate's product is then the same BLAS
+    # call as v @ w_z.T, bit for bit, where a transposed copy is not.
+    wt, wt_h, b_h = w.transpose(0, 2, 1), params.w_h.T, params.b_h
+    def step(v_t, u_t, a, g_t, h_out=None) -> np.ndarray:
+        np.matmul(v_t, wt, out=a)
+        a += b
+        a[...] = sigmoid(a)
+        z, r = a
+        h_prev = v_t[:, :-1]
+        np.multiply(r, h_prev, out=u_t[:, :-1])
+        np.matmul(u_t, wt_h, out=g_t)
+        g_t += b_h
+        np.tanh(g_t, out=g_t)
+        return np.add((1.0 - z) * h_prev, z * g_t, out=h_out)
+    return step
+
+
 def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """Run the cell over x of shape (batch, steps); h_0 = 0. Returns h_T and the cache.
 
@@ -61,28 +81,26 @@ def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """
     batch, steps = x.shape
     h = params.dims["hidden"]
-    w, b = _gate_views(params.theta, h)
-    # Transposed views, not copies: each gate's product is then the same BLAS
-    # call as v @ w_z.T, bit for bit, where a transposed copy is not.
-    wt, wt_h = w.transpose(0, 2, 1), params.w_h.T
+    step = cell(params)
     v = np.zeros((steps, batch, h + 1))
     v[:, :, h] = x.T
     u = v.copy()
     gates = np.empty((steps, 2, batch, h))
     g = np.empty((steps, batch, h))
-    b_h = params.b_h
     for t, (v_t, u_t, a, g_t) in enumerate(zip(v, u, gates, g)):
-        np.matmul(v_t, wt, out=a)
-        a += b
-        a[...] = sigmoid(a)
-        z, r = a
-        h_prev = v_t[:, :h]
-        np.multiply(r, h_prev, out=u_t[:, :h])
-        np.matmul(u_t, wt_h, out=g_t)
-        g_t += b_h
-        np.tanh(g_t, out=g_t)
-        h_t = np.add((1.0 - z) * h_prev, z * g_t, out=v[t + 1, :, :h] if t + 1 < steps else None)
+        h_t = step(v_t, u_t, a, g_t, v[t + 1, :, :h] if t + 1 < steps else None)
     return h_t, {"v": v, "u": u, "gates": gates, "g": g}
+
+
+def lanes(params: Params, n: int):
+    """advance(x, reset) over n cells for ``seqcast.models.forecast``: zero lane reset, step all."""
+    h, step = params.dims["hidden"], cell(params)
+    v, u, a, g = np.zeros((n, h + 1)), np.zeros((n, h + 1)), np.empty((2, n, h)), np.empty((n, h))
+    def advance(x: float, reset: int) -> np.ndarray:
+        v[reset] = 0.0
+        v[:, h] = u[:, h] = x
+        return step(v, u, a, g, v[:, :h])
+    return advance
 
 
 def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params) -> None:

@@ -19,8 +19,8 @@ they are one (4, h, h+1) view and the biases one (4, 1, h) view. A step
 makes one stacked matmul, one ``sigmoid`` call for f, i and o, and one
 ``tanh`` for the candidate; backward adds all four weight gradients with one
 stacked matmul per step. Each gate's arithmetic is the per-gate form's, in
-the same order, so outputs and gradients are bit-identical to it. The cache
-holds step-major arrays, allocated once per call and filled in place.
+the same order, so outputs and gradients are bit-identical to it. ``cell``
+fills the step-major cache, allocated once per call; ``lanes`` runs it too.
 """
 
 from __future__ import annotations
@@ -64,8 +64,24 @@ def _gate_views(theta: np.ndarray, hidden: int) -> tuple[np.ndarray, np.ndarray]
     return w, theta[n : n + 4 * hidden].reshape(4, 1, hidden)
 
 
-# Forward order of the gates: the three sigmoid gates f, i, o, then the candidate.
-_FORWARD_ORDER = [0, 1, 3, 2]
+def cell(params: Params):
+    """The step z_t (n, h+1) -> h_t; a gets f, i, o, g, c_t may be c_prev, h_out z_t[:, :-1]."""
+    w, b = _gate_views(params.theta, params.dims["hidden"])
+    # Reordering copies the stack but keeps each gate matrix row-major. The
+    # transpose must stay a view: each gate's product is then the same BLAS
+    # call as z @ w_f.T, bit for bit, where a transposed copy is not.
+    wt, b = w[[0, 1, 3, 2]].transpose(0, 2, 1), b[[0, 1, 3, 2]]
+    def step(z_t, a, c_prev, c_t, tanh_c_t, h_out=None) -> np.ndarray:
+        np.matmul(z_t, wt, out=a)
+        a += b
+        a[:3] = sigmoid(a[:3])
+        f, i, o, g = a
+        np.tanh(g, out=g)
+        np.multiply(f, c_prev, out=c_t)
+        c_t += i * g
+        np.tanh(c_t, out=tanh_c_t)
+        return np.multiply(o, tanh_c_t, out=h_out)
+    return step
 
 
 def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -78,27 +94,26 @@ def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """
     batch, steps = x.shape
     h = params.dims["hidden"]
-    w, b = _gate_views(params.theta, h)
-    # Reordering copies the stack but keeps each gate matrix row-major. The
-    # transpose must stay a view: each gate's product is then the same BLAS
-    # call as z @ w_f.T, bit for bit, where a transposed copy is not.
-    wt, b = w[_FORWARD_ORDER].transpose(0, 2, 1), b[_FORWARD_ORDER]
+    step = cell(params)
     z = np.zeros((steps, batch, h + 1))
     z[:, :, h] = x.T
     gates = np.empty((steps, 4, batch, h))
     c = np.zeros((steps + 1, batch, h))
     tanh_c = np.empty((steps, batch, h))
     for t, (z_t, a, c_prev, c_t, tanh_c_t) in enumerate(zip(z, gates, c, c[1:], tanh_c)):
-        np.matmul(z_t, wt, out=a)
-        a += b
-        a[:3] = sigmoid(a[:3])
-        f, i, o, g = a
-        np.tanh(g, out=g)
-        np.multiply(f, c_prev, out=c_t)
-        c_t += i * g
-        np.tanh(c_t, out=tanh_c_t)
-        h_t = np.multiply(o, tanh_c_t, out=z[t + 1, :, :h] if t + 1 < steps else None)
+        h_t = step(z_t, a, c_prev, c_t, tanh_c_t, z[t + 1, :, :h] if t + 1 < steps else None)
     return h_t, {"z": z, "gates": gates, "c": c, "tanh_c": tanh_c}
+
+
+def lanes(params: Params, n: int):
+    """advance(x, reset) over n cells for ``seqcast.models.forecast``: zero lane reset, step all."""
+    h, step = params.dims["hidden"], cell(params)
+    z, c, a, tanh_c = np.zeros((n, h + 1)), np.zeros((n, h)), np.empty((4, n, h)), np.empty((n, h))
+    def advance(x: float, reset: int) -> np.ndarray:
+        z[reset] = c[reset] = 0.0
+        z[:, h] = x
+        return step(z, a, c, c, tanh_c, z[:, :h])
+    return advance
 
 
 def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params) -> None:

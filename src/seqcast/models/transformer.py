@@ -28,6 +28,8 @@ suite is the ground truth for every branch here.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..numerics import init_xavier, softmax_rows
@@ -76,14 +78,16 @@ def init_params(
     return p
 
 
+@functools.lru_cache(maxsize=32)
 def positional_encoding(steps: int, d_model: int) -> np.ndarray:
-    """Sinusoidal position codes, (steps, d_model)."""
+    """Sinusoidal position codes, (steps, d_model); computed once per shape, read-only."""
     pos = np.arange(steps, dtype=np.float64)[:, None]
     idx = np.arange(0, d_model, 2, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, idx / d_model)
     pe = np.zeros((steps, d_model))
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle[:, : d_model // 2])
+    pe.flags.writeable = False
     return pe
 
 

@@ -50,12 +50,16 @@ def test_train_calls_adam_step_once_per_batch(monkeypatch):
     assert len(calls) == history.n_epochs * math.ceil(len(train_set) / cfg.batch_size)
 
 
-def test_recursive_forecast_calls_predict_once_per_step(monkeypatch):
-    params = models.init_params(ModelConfig(kind="lstm", hidden=4), make_rng(0))
-    calls = counting(monkeypatch, models, "predict")
+@pytest.mark.parametrize("kind,calls", [("lstm", 1), ("gru", 1), ("transformer", 7)])
+def test_recursive_forecast_predict_calls_per_kind(monkeypatch, kind, calls):
+    # forecast-b1 cuts its timed parts into segments at models.predict calls.
+    # The Transformer predicts every step; the LSTM and GRU predict step 0 and
+    # run the later steps on the ring.
+    params = models.init_params(ModelConfig(kind=kind, hidden=4, d_model=4, d_ff=5), make_rng(0))
+    counted = counting(monkeypatch, models, "predict")
     window, scaler = np.linspace(0.0, 1.0, 6), dat.Scaler(0.0, 1.0)
     path = forecast_eval.recursive_forecast(params, window, 7, scaler)
-    assert len(path) == len(calls) == 7
+    assert (len(path), len(counted)) == (7, calls)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

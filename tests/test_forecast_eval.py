@@ -175,6 +175,18 @@ class TestRecursiveForecast:
         with pytest.raises(ValueError, match="step 0"):
             recursive_forecast(params, np.zeros(4), 3, Scaler(0.0, 1.0))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
+    def test_overflow_on_a_ring_step_names_the_step(self):
+        # On a zero window every GRU state stays 0, so step 0 is head_b =
+        # 1.5e308. Fed back, it saturates every gate and the candidate to 1,
+        # and step 1 is 1e308 + 1.5e308, which overflows.
+        params = models.Params("gru", {"hidden": 1})
+        for w in (params.w_z, params.w_r, params.w_h):
+            w[0, 1] = 1.0
+        params.head_w[0, 0], params.head_b[0] = 1e308, 1.5e308
+        with pytest.raises(ValueError, match="non-finite prediction at forecast step 1"):
+            recursive_forecast(params, np.zeros(4), 3, Scaler(0.0, 1.0))
+
 
 class TestPrepareWindows:
     def test_split_sizes_and_seed_window(self, sine_series):

@@ -58,6 +58,14 @@ class TestForward:
         assert pe[0, 0] == 0.0 and pe[0, 1] == 1.0  # sin(0), cos(0)
         np.testing.assert_allclose(pe[2, 0], np.sin(2.0), atol=1e-15)
 
+    def test_positional_encoding_is_cached_read_only(self):
+        pe = positional_encoding(7, 6)
+        assert positional_encoding(7, 6) is pe
+        assert not pe.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pe[0, 0] = 1.0
+        np.testing.assert_array_equal(pe, positional_encoding.__wrapped__(7, 6))
+
     def test_permutation_sensitivity_with_positions(self):
         p = small_params(seed=8)
         x = make_rng(9).normal(size=(1, 6))

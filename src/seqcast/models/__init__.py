@@ -1,10 +1,10 @@
 """The three sequence forecasters and their shared dispatch surface.
 
 Each model module exposes ``shapes`` (its ordered name -> shape table) plus
-``init_params``, ``forward`` and ``backward``, and a recurrent one ``lanes``;
-every kind's parameters are one ``Params``. ``REGISTRY`` is the one place
-that says what a model kind is; everything here dispatches through it so
-training and forecasting stay model-agnostic.
+``init_params``, which fills a zero ``Params`` of that table in place,
+``forward`` and ``backward``, and a recurrent one ``lanes``. ``REGISTRY`` is
+the one place that says what a model kind is; everything here dispatches
+through it so training and forecasting stay model-agnostic.
 
 Every kind is an encoder under one scalar head, prediction = head_w s + head_b,
 where s is the (batch, width) state the module's ``forward`` returns. This
@@ -31,7 +31,7 @@ class ModelKind:
 
     arch_keys name the architecture values in the order the weight-file
     header states them and reports echo them. Each is an attribute of
-    ModelConfig and a keyword of the module's ``shapes`` and ``init_params``.
+    ModelConfig and a keyword of the module's ``shapes``.
     Per-model seed = run seed + seed_offset, so models never share an init
     stream.
     """
@@ -82,8 +82,10 @@ class ModelConfig:
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> Params:
-    entry = REGISTRY[cfg.kind]
-    return entry.module.init_params(rng, **entry.dims(cfg))
+    """Fresh parameters for cfg, drawn from rng by the kind's module."""
+    params = Params(cfg.kind, REGISTRY[cfg.kind].dims(cfg))
+    REGISTRY[cfg.kind].module.init_params(params, rng)
+    return params
 
 
 def rebuild(params: Params, theta: np.ndarray) -> Params:
@@ -147,14 +149,16 @@ def forecast(params: Params, window: np.ndarray, horizon: int) -> np.ndarray:
     size = len(window)
     lanes = getattr(REGISTRY[params.kind].module, "lanes", None)
     advance = lanes(params, size) if lanes else None
-    for s in range(horizon):
-        if s == 0 or advance is None:
-            value = predict(params, seq[s : s + size])
-        else:
-            for tick in range(s + size - 1 if s > 1 else 1, s + size):
-                state = advance(seq[tick], tick % size)
-            value = float(_head(params, state[s % size : s % size + 1])[0])
-        if not np.isfinite(value):
-            raise ValueError(f"non-finite prediction at forecast step {s}")
-        seq[size + s] = value
+    # An overflow shows as a non-finite value, which the check below names.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(horizon):
+            if s == 0 or advance is None:
+                value = predict(params, seq[s : s + size])
+            else:
+                for tick in range(s + size - 1 if s > 1 else 1, s + size):
+                    state = advance(seq[tick], tick % size)
+                value = float(_head(params, state[s % size : s % size + 1])[0])
+            if not np.isfinite(value):
+                raise ValueError(f"non-finite prediction at forecast step {s}")
+            seq[size + s] = value
     return seq[size:]

@@ -11,8 +11,8 @@ The update gate weights the candidate, so a saturated-low z freezes the
 state. The new state is a convex combination of h_{t-1} and g_t. The
 encoder state is h_T; the scalar head on it lives in ``seqcast.models``.
 
-The steps run gate-major. W_z and W_r are adjacent in ``theta``, so they
-are one (2, h, h+1) view and b_z, b_r one (2, 1, h) view. A step makes one
+The steps run gate-major: ``Params.stacked`` views the adjacent W_z and W_r
+as one (2, h, h+1) array and b_z, b_r as one (2, h). A step makes one
 stacked matmul and one ``sigmoid`` call for both gates, then the candidate's
 own matmul and ``tanh``. Each gate's arithmetic is the per-gate form's, in
 the same order, so outputs and gradients are bit-identical to it. ``cell``
@@ -37,24 +37,20 @@ def shapes(hidden: int) -> dict[str, tuple[int, ...]]:
     }
 
 
-def init_params(rng: np.random.Generator, hidden: int) -> Params:
-    """Xavier-uniform gate matrices and head, zero biases."""
-    p = Params("gru", {"hidden": hidden})
+def init_params(p: Params, rng: np.random.Generator) -> None:
+    """Fill zero p: Xavier-uniform gate matrices and head, zero biases."""
     for w in (p.w_z, p.w_r, p.w_h, p.head_w):
         w[...] = init_xavier(rng, *w.shape)
-    return p
 
 
-def _gate_views(theta: np.ndarray, hidden: int) -> tuple[np.ndarray, np.ndarray]:
-    """w_z, w_r as one (2, h, h+1) view of theta and b_z, b_r as one (2, 1, h) view."""
-    gate = hidden * (hidden + 1)  # b_z follows w_z, w_r and w_h in the layout
-    w = theta[: 2 * gate].reshape(2, hidden, hidden + 1)
-    return w, theta[3 * gate : 3 * gate + 2 * hidden].reshape(2, 1, hidden)
+def _gate_views(p: Params) -> tuple[np.ndarray, np.ndarray]:
+    """w_z, w_r as one (2, h, h+1) view and b_z, b_r as one (2, 1, h) view."""
+    return p.stacked("w_z", "w_r"), p.stacked("b_z", "b_r")[:, None]
 
 
 def cell(params: Params):
     """The step v_t (n, h+1) -> h_t; u_t[:, -1] must hold x_t, and h_out may be v_t[:, :-1]."""
-    w, b = _gate_views(params.theta, params.dims["hidden"])
+    w, b = _gate_views(params)
     # Transposed views, not copies: each gate's product is then the same BLAS
     # call as v @ w_z.T, bit for bit, where a transposed copy is not.
     wt, wt_h, b_h = w.transpose(0, 2, 1), params.w_h.T, params.b_h
@@ -106,8 +102,8 @@ def lanes(params: Params, n: int):
 def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params) -> None:
     """BPTT from dh, the gradient w.r.t. h_T; adds the cell's gradients into grads."""
     h = params.dims["hidden"]
-    w, _ = _gate_views(params.theta, h)
-    gw, gb = _gate_views(grads.theta, h)
+    w, _ = _gate_views(params)
+    gw, gb = _gate_views(grads)
     v, u, gates, g_all = (cache[k] for k in ("v", "u", "gates", "g"))
     d_pre = np.empty((2,) + dh.shape)  # gradients w.r.t. z_t and r_t, then their pre-activations
     for t in reversed(range(len(v))):

@@ -14,8 +14,8 @@ The backward pass is hand-derived BPTT through the full window; gradients
 sum over the batch so that a mean-loss upstream gradient yields the mean of
 per-sample gradients.
 
-The steps run gate-major. W_f, W_i, W_c, W_o are adjacent in ``theta``, so
-they are one (4, h, h+1) view and the biases one (4, 1, h) view. A step
+The steps run gate-major: ``Params.stacked`` views the adjacent W_f, W_i,
+W_c, W_o as one (4, h, h+1) array and their biases as one (4, h). A step
 makes one stacked matmul, one ``sigmoid`` call for f, i and o, and one
 ``tanh`` for the candidate; backward adds all four weight gradients with one
 stacked matmul per step. Each gate's arithmetic is the per-gate form's, in
@@ -41,32 +41,25 @@ def shapes(hidden: int) -> dict[str, tuple[int, ...]]:
     }
 
 
-def init_params(rng: np.random.Generator, hidden: int) -> Params:
-    """Xavier-uniform gate matrices, zero biases except the forget gate.
+def init_params(p: Params, rng: np.random.Generator) -> None:
+    """Fill zero p: Xavier-uniform gate matrices, zero biases except the forget gate.
 
     The forget bias is 1.0, which keeps early cell-state retention high and
     stabilizes training.
     """
-    p = Params("lstm", {"hidden": hidden})
     for w in (p.w_f, p.w_i, p.w_c, p.w_o, p.head_w):
         w[...] = init_xavier(rng, *w.shape)
     p.b_f[...] = 1.0
-    return p
 
 
-def _gate_views(theta: np.ndarray, hidden: int) -> tuple[np.ndarray, np.ndarray]:
-    """The four gate matrices as one (4, h, h+1) view of theta and the biases as (4, 1, h).
-
-    Both stacks follow the layout order f, i, c, o of ``shapes``.
-    """
-    n = 4 * hidden * (hidden + 1)
-    w = theta[:n].reshape(4, hidden, hidden + 1)
-    return w, theta[n : n + 4 * hidden].reshape(4, 1, hidden)
+def _gate_views(p: Params) -> tuple[np.ndarray, np.ndarray]:
+    """The gate matrices as one (4, h, h+1) view and the biases as (4, 1, h), order f, i, c, o."""
+    return p.stacked("w_f", "w_i", "w_c", "w_o"), p.stacked("b_f", "b_i", "b_c", "b_o")[:, None]
 
 
 def cell(params: Params):
     """The step z_t (n, h+1) -> h_t; a gets f, i, o, g, c_t may be c_prev, h_out z_t[:, :-1]."""
-    w, b = _gate_views(params.theta, params.dims["hidden"])
+    w, b = _gate_views(params)
     # Reordering copies the stack but keeps each gate matrix row-major. The
     # transpose must stay a view: each gate's product is then the same BLAS
     # call as z @ w_f.T, bit for bit, where a transposed copy is not.
@@ -119,8 +112,8 @@ def lanes(params: Params, n: int):
 def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params) -> None:
     """BPTT from dh, the gradient w.r.t. h_T; adds the cell's gradients into grads."""
     h = params.dims["hidden"]
-    w, _ = _gate_views(params.theta, h)
-    gw, gb = _gate_views(grads.theta, h)
+    w, _ = _gate_views(params)
+    gw, gb = _gate_views(grads)
     z, gates, c, tanh_c = (cache[k] for k in ("z", "gates", "c", "tanh_c"))
     da = np.empty((4,) + dh.shape)  # pre-activation gradients in layout order f, i, c, o
     dc = np.zeros_like(dh)

@@ -59,15 +59,11 @@ def shapes(d_model: int, n_heads: int, n_layers: int, d_ff: int) -> dict[str, tu
     return table
 
 
-def init_params(
-    rng: np.random.Generator, d_model: int, n_heads: int, n_layers: int, d_ff: int
-) -> Params:
-    """Xavier weights, unit layer-norm gains, zero biases and shifts.
+def init_params(p: Params, rng: np.random.Generator) -> None:
+    """Fill zero p: Xavier weights, unit layer-norm gains, zero biases and shifts.
 
     Draw order: every block's matrices, then the embedding, then the head.
     """
-    dims = {"d_model": d_model, "n_heads": n_heads, "n_layers": n_layers, "d_ff": d_ff}
-    p = Params("transformer", dims)
     for layer in p.layers:
         layer.ln1_g[...] = 1.0
         layer.ln2_g[...] = 1.0
@@ -75,7 +71,6 @@ def init_params(
             w[...] = init_xavier(rng, *w.shape)
     for w in (p.w_in, p.head_w):
         w[...] = init_xavier(rng, *w.shape)
-    return p
 
 
 @functools.lru_cache(maxsize=32)

@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from datetime import date, timedelta
 from pathlib import Path
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from seqcast import data as dat
 from seqcast import models
 from seqcast.cli import _json_text, main
+from seqcast.data import Scaler
 from seqcast.models import MODEL_KINDS, weights_io
 from seqcast.numerics import make_rng
 
@@ -288,6 +292,28 @@ class TestNonFinite:
         assert main(["compare", "--config", cfg]) == 1
         assert "their squares leave float64's range" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_overflowing_forecast_reports_one_error_line(self, tmp_path, sine_csv):
+        # A hidden-1 GRU whose head adds 1e308 and more: its path leaves
+        # float64's range within two steps. A separate interpreter shows all
+        # that reaches stderr, numpy's own warnings included.
+        params = models.Params("gru", {"hidden": 1})
+        for w in (params.w_z, params.w_r, params.w_h):
+            w[0, 1] = 1.0
+        params.head_w[0, 0], params.head_b[0] = 1e308, 1.5e308
+        out = tmp_path / "out"
+        out.mkdir()
+        weights_io.save_weights(out / "weights-gru.txt", params, 24, Scaler(0.0, 1.0))
+        cfg = write_config(tmp_path, sine_csv, str(out))
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        done = subprocess.run(
+            [sys.executable, "-m", "seqcast.cli", "forecast", "--config", cfg, "--model", "gru"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        )
+        assert done.returncode == 1
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error: non-finite prediction at forecast step ")
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_json_artifacts_refuse_non_finite_values(self, value):

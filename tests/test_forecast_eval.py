@@ -175,7 +175,6 @@ class TestRecursiveForecast:
         with pytest.raises(ValueError, match="step 0"):
             recursive_forecast(params, np.zeros(4), 3, Scaler(0.0, 1.0))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
     def test_overflow_on_a_ring_step_names_the_step(self):
         # On a zero window every GRU state stays 0, so step 0 is head_b =
         # 1.5e308. Fed back, it saturates every gate and the candidate to 1,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 
 from seqcast import models
-from seqcast.models import Params, gru
+from seqcast.models import ModelConfig, Params
 from seqcast.numerics import grad_check, make_rng
 
 
@@ -31,14 +31,14 @@ class TestForward:
         np.testing.assert_allclose(preds, [-0.25], atol=1e-15)
 
     def test_update_gate_forced_shut_freezes_state(self):
-        p = gru.init_params(make_rng(1), hidden=4)
+        p = models.init_params(ModelConfig(kind="gru", hidden=4), make_rng(1))
         p.b_z[:] = -1e3  # z ~ 0: h_t stays at h_0 = 0
         preds, cache = models.forward(p, make_rng(2).normal(size=(2, 7)))
         np.testing.assert_allclose(cache["state"], 0.0, atol=1e-12)
         np.testing.assert_allclose(preds, float(p.head_b[0]), atol=1e-12)
 
     def test_hidden_state_is_convex_combination(self):
-        p = gru.init_params(make_rng(3), hidden=5)
+        p = models.init_params(ModelConfig(kind="gru", hidden=5), make_rng(3))
         x = make_rng(4).normal(size=(3, 9))
         _, cache = models.forward(p, x)
         for t in range(9):
@@ -53,7 +53,7 @@ class TestForward:
     def test_matches_scalar_reimplementation(self):
         # independent straight-line oracle: plain-float loops, no shared code
         hidden, steps = 4, 5
-        p = gru.init_params(make_rng(321), hidden=hidden)
+        p = models.init_params(ModelConfig(kind="gru", hidden=hidden), make_rng(321))
         for bias in (p.b_z, p.b_r, p.b_h):
             bias[:] = make_rng(322).normal(size=hidden)
         xs = [0.3, -0.1, 0.7, 0.05, -0.4]
@@ -80,7 +80,7 @@ class TestForward:
 
 class TestBackward:
     def test_grad_check_hidden4_t5(self):
-        p = gru.init_params(make_rng(13), hidden=4)
+        p = models.init_params(ModelConfig(kind="gru", hidden=4), make_rng(13))
         x = make_rng(23).normal(size=(3, 5))
         y = make_rng(33).normal(size=3)
         loss_fn, analytic = mse_setup(p, x, y)
@@ -89,7 +89,7 @@ class TestBackward:
     def test_grad_check_multiple_seeds(self):
         worst = 0.0
         for seed in range(5):
-            p = gru.init_params(make_rng(400 + seed), hidden=4)
+            p = models.init_params(ModelConfig(kind="gru", hidden=4), make_rng(400 + seed))
             x = make_rng(500 + seed).normal(size=(2, 5))
             y = make_rng(600 + seed).normal(size=2)
             loss_fn, analytic = mse_setup(p, x, y)
@@ -97,7 +97,7 @@ class TestBackward:
         assert worst < 1e-4
 
     def test_zero_upstream_gives_zero_grads(self):
-        p = gru.init_params(make_rng(2), hidden=3)
+        p = models.init_params(ModelConfig(kind="gru", hidden=3), make_rng(2))
         _, cache = models.forward(p, make_rng(3).random((2, 4)))
         grads = models.backward(p, cache, np.zeros(2))
         for _, g in grads.named_arrays():
@@ -107,11 +107,11 @@ class TestBackward:
 class TestParams:
     def test_parameter_count_formula(self):
         h = 6
-        p = gru.init_params(make_rng(0), hidden=h)
+        p = models.init_params(ModelConfig(kind="gru", hidden=h), make_rng(0))
         total = sum(a.size for _, a in p.named_arrays())
         assert total == 3 * h * (h + 1 + 1) + h + 1
 
     def test_biases_start_at_zero(self):
-        p = gru.init_params(make_rng(0), hidden=4)
+        p = models.init_params(ModelConfig(kind="gru", hidden=4), make_rng(0))
         for name in ("b_z", "b_r", "b_h"):
             assert not getattr(p, name).any()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 
 from seqcast import models
-from seqcast.models import Params, lstm
+from seqcast.models import ModelConfig, Params
 from seqcast.numerics import grad_check, make_rng
 
 
@@ -47,7 +47,7 @@ class TestForward:
         # independent straight-line oracle: plain-float loops, no shared code
         hidden, steps = 4, 5
         rng = make_rng(123)
-        p = lstm.init_params(rng, hidden=hidden)
+        p = models.init_params(ModelConfig(kind="lstm", hidden=hidden), rng)
         xs = [0.3, -0.1, 0.7, 0.05, -0.4]
 
         def sig(v):
@@ -72,7 +72,7 @@ class TestForward:
     def test_cell_state_bounded_by_step_count(self):
         # inputs in [0,1]: each step adds at most one tanh-bounded unit
         rng = make_rng(5)
-        p = lstm.init_params(rng, hidden=6)
+        p = models.init_params(ModelConfig(kind="lstm", hidden=6), rng)
         x = make_rng(6).random((4, 12))
         _, cache = models.forward(p, x)
         for t in range(12):
@@ -84,21 +84,21 @@ class TestForward:
 class TestBackward:
     def test_grad_check_hidden4_t5(self):
         rng = make_rng(11)
-        p = lstm.init_params(rng, hidden=4)
+        p = models.init_params(ModelConfig(kind="lstm", hidden=4), rng)
         x = make_rng(21).normal(size=(3, 5))
         y = make_rng(31).normal(size=3)
         loss_fn, analytic = mse_setup(p, x, y)
         assert grad_check(loss_fn, p, analytic) < 1e-4
 
     def test_zero_upstream_gives_zero_grads(self):
-        p = lstm.init_params(make_rng(2), hidden=3)
+        p = models.init_params(ModelConfig(kind="lstm", hidden=3), make_rng(2))
         _, cache = models.forward(p, make_rng(3).random((2, 4)))
         grads = models.backward(p, cache, np.zeros(2))
         for _, g in grads.named_arrays():
             assert not g.any()
 
     def test_batch_gradient_is_mean_of_per_sample(self):
-        p = lstm.init_params(make_rng(4), hidden=3)
+        p = models.init_params(ModelConfig(kind="lstm", hidden=3), make_rng(4))
         x = make_rng(5).normal(size=(2, 6))
         y = make_rng(6).normal(size=2)
 
@@ -117,17 +117,17 @@ class TestBackward:
 class TestParams:
     def test_parameter_count_formula(self):
         h = 5
-        p = lstm.init_params(make_rng(0), hidden=h)
+        p = models.init_params(ModelConfig(kind="lstm", hidden=h), make_rng(0))
         total = sum(a.size for _, a in p.named_arrays())
         assert total == 4 * h * (h + 1 + 1) + h + 1
 
     def test_forget_bias_default_one(self):
-        p = lstm.init_params(make_rng(0), hidden=4)
+        p = models.init_params(ModelConfig(kind="lstm", hidden=4), make_rng(0))
         assert np.all(p.b_f == 1.0)
 
     def test_init_deterministic(self):
-        a = lstm.init_params(make_rng(7), hidden=4)
-        b = lstm.init_params(make_rng(7), hidden=4)
+        a = models.init_params(ModelConfig(kind="lstm", hidden=4), make_rng(7))
+        b = models.init_params(ModelConfig(kind="lstm", hidden=4), make_rng(7))
         for (n1, x), (n2, y) in zip(a.named_arrays(), b.named_arrays()):
             assert n1 == n2
             assert np.array_equal(x, y)
@@ -136,7 +136,7 @@ class TestParams:
 def test_grad_check_multiple_seeds():
     worst = 0.0
     for seed in range(5):
-        p = lstm.init_params(make_rng(100 + seed), hidden=4)
+        p = models.init_params(ModelConfig(kind="lstm", hidden=4), make_rng(100 + seed))
         x = make_rng(200 + seed).normal(size=(2, 5))
         y = make_rng(300 + seed).normal(size=2)
         loss_fn, analytic = mse_setup(p, x, y)

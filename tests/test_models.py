@@ -20,7 +20,7 @@ OTHER = {"hidden": 4, "d_model": 6, "n_heads": 1, "n_layers": 2, "d_ff": 6}
 
 def small(kind, **changes):
     dims = SMALL[kind] | changes
-    return REGISTRY[kind].module.init_params(make_rng(0), **dims)
+    return models.init_params(ModelConfig(kind=kind, **dims), make_rng(0))
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqcast import models
-from seqcast.models import transformer
+from seqcast.models import ModelConfig, transformer
 from seqcast.models.transformer import positional_encoding
 from seqcast.numerics import grad_check, make_rng
 
 
 def small_params(seed=0, d_model=8, n_heads=2, n_layers=1, d_ff=16):
-    return transformer.init_params(make_rng(seed), d_model, n_heads, n_layers, d_ff)
+    cfg = ModelConfig("transformer", d_model=d_model, n_heads=n_heads, n_layers=n_layers, d_ff=d_ff)
+    return models.init_params(cfg, make_rng(seed))
 
 
 def mse_setup(params, x, y):
@@ -50,7 +51,7 @@ class TestForward:
 
     def test_indivisible_heads_rejected_at_construction(self):
         with pytest.raises(ValueError, match="divisible"):
-            transformer.init_params(make_rng(0), d_model=8, n_heads=3, n_layers=1, d_ff=16)
+            ModelConfig("transformer", d_model=8, n_heads=3, n_layers=1, d_ff=16)
 
     def test_positional_encoding_values(self):
         pe = positional_encoding(4, 6)
@@ -151,7 +152,9 @@ def reference_forward(params, x):
 )
 def test_forward_matches_reference(n_heads, head_dim, n_layers, d_ff, batch, steps, seed):
     rng = make_rng(seed)
-    p = transformer.init_params(rng, n_heads * head_dim, n_heads, n_layers, d_ff)
+    d_model = n_heads * head_dim
+    cfg = ModelConfig("transformer", d_model=d_model, n_heads=n_heads, n_layers=n_layers, d_ff=d_ff)
+    p = models.init_params(cfg, rng)
     # non-trivial layer-norm gains and shifts, nonzero FFN biases
     for layer in p.layers:
         for arr in (layer.ln1_g, layer.ln1_b, layer.ln2_g, layer.ln2_b, layer.b_ff1, layer.b_ff2):

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqcast import models
-from seqcast.models import transformer
+from seqcast.models import ModelConfig, transformer
 from seqcast.numerics import make_rng, softmax_rows
 
 _LN_EPS = 1e-5
@@ -163,7 +163,9 @@ def test_forward_and_backward_match_reference(
     n_heads, head_dim, n_layers, d_ff, batch, steps, seed
 ):
     rng = make_rng(seed)
-    params = transformer.init_params(rng, n_heads * head_dim, n_heads, n_layers, d_ff)
+    d_model = n_heads * head_dim
+    cfg = ModelConfig("transformer", d_model=d_model, n_heads=n_heads, n_layers=n_layers, d_ff=d_ff)
+    params = models.init_params(cfg, rng)
     params.theta += rng.normal(scale=0.1, size=params.theta.size)  # gains, shifts and biases too
     x = rng.normal(size=(batch, steps))
     d_preds = rng.normal(size=batch)

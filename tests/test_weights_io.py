@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -71,6 +72,105 @@ def test_round_trip_is_bit_exact(tmp_path, kind, data):
     assert bits(loaded_scaler) == bits(scaler)
 
 
+def split_file(text):
+    """The header lines, then each block as its header line and its values."""
+    lines = text.splitlines()
+    blocks, pos = [], 2
+    while pos < len(lines):
+        _, rows, cols = lines[pos].split()
+        end = pos + 1 + int(rows) * max(int(cols), 1)
+        blocks.append(lines[pos:end])
+        pos = end
+    return lines[:2], blocks
+
+
+def edit_blocks(data, blocks):
+    """One edit to the block sequence, drawn by hypothesis."""
+    edit = data.draw(st.sampled_from(["swap", "drop", "duplicate", "blank", "trailing"]))
+    i = data.draw(st.integers(0, len(blocks) - 2 if edit in ("swap", "blank") else len(blocks) - 1))
+    if edit == "swap":
+        blocks[i], blocks[i + 1] = blocks[i + 1], blocks[i]
+    elif edit == "drop":
+        del blocks[i]
+    elif edit == "duplicate":
+        blocks.insert(i, list(blocks[i]))
+    elif edit == "blank":
+        blocks[i] = blocks[i] + [""]
+    else:
+        blocks.append([data.draw(st.sampled_from(["", "0.5", "scaler 2 0", blocks[i][0]]))])
+    return edit
+
+
+def edit_header(data, tokens):
+    """One edit to the header's key=value tokens (tokens[0] is the kind), drawn by hypothesis."""
+    edit = data.draw(st.sampled_from(["missing", "repeated", "out-of-order", "unknown", "non-integer"]))
+    j = data.draw(st.integers(1, len(tokens) - (2 if edit == "out-of-order" else 1)))
+    if edit == "missing":
+        del tokens[j]
+    elif edit == "repeated":
+        tokens.insert(j, tokens[j])
+    elif edit == "out-of-order":
+        tokens[j], tokens[j + 1] = tokens[j + 1], tokens[j]
+    elif edit == "unknown":
+        tokens.insert(j, data.draw(st.sampled_from(["bogus=3", "input=1", "d_model=8"])))
+    else:
+        key = tokens[j].partition("=")[0]
+        tokens[j] = f"{key}={data.draw(st.sampled_from(['', 'x', '1.5', '2e3', '0x10']))}"
+    return edit
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_any_step_off_the_layout_walk_is_named(tmp_path, kind, data):
+    params = init_params(ModelConfig(kind=kind, **data.draw(small_dims(kind))), make_rng(0))
+    path = tmp_path / "w.txt"
+    save_weights(path, params, *RECIPE)
+    clean = path.read_bytes()
+    loaded, _ = load_weights(path)
+    save_weights(path, loaded, *RECIPE)
+    assert path.read_bytes() == clean
+
+    header, blocks = split_file(clean.decode())
+    if data.draw(st.booleans()):
+        edit = edit_blocks(data, blocks)
+        named = r"block '\S+ \d+ \d+'|the end of the file after block 'scaler'"
+    else:
+        tokens = header[1].split()
+        edit = edit_header(data, tokens)
+        header = [header[0], " ".join(tokens)]
+        named = r"\w+=<positive int>|the end of the line after lookback"
+    path.write_text("\n".join(header + [line for block in blocks for line in block]) + "\n")
+    with pytest.raises(WeightsFormatError) as err:
+        load_weights(path)
+    assert re.match(rf"line \d+: expected ({named})", str(err.value)), (edit, str(err.value))
+
+
+GOLDEN = Path(__file__).parent / "data" / "weights_v2"
+GOLDEN_CONFIGS = [
+    ModelConfig(kind="lstm", hidden=2),
+    ModelConfig(kind="gru", hidden=2),
+    ModelConfig(kind="transformer", d_model=4, n_heads=2, n_layers=2, d_ff=3),
+]
+
+
+@pytest.mark.parametrize("cfg", GOLDEN_CONFIGS, ids=lambda cfg: cfg.kind)
+def test_golden_v2_file_loads_and_saves_back(tmp_path, cfg):
+    # Each file was written by an earlier version of save_weights from
+    # init_params(cfg, make_rng(0)), lookback 5 and Scaler(0.5, 2.5). Its bytes
+    # depend only on PCG64 and "%.17g", so they pin the init draw order and
+    # the format.
+    path = GOLDEN / f"{cfg.kind}-v2.txt"
+    params, (lookback, scaler) = load_weights(path, expect_kind=cfg.kind)
+    assert params.theta.tobytes() == init_params(cfg, make_rng(0)).theta.tobytes()
+    assert lookback == 5
+    assert bits(scaler) == bits(Scaler(0.5, 2.5))
+    save_weights(tmp_path / "again.txt", params, lookback, scaler)
+    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+
 def test_save_twice_is_byte_identical(tmp_path):
     params = build("gru", seed=3)
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -106,7 +206,7 @@ def test_wrong_magic_rejected(tmp_path):
 def test_kind_mismatch_rejected(tmp_path):
     path = tmp_path / "w.txt"
     save_weights(path, build("lstm"), *RECIPE)
-    with pytest.raises(WeightsFormatError, match="expected gru"):
+    with pytest.raises(WeightsFormatError, match="line 2: expected model kind gru, got 'lstm'"):
         load_weights(path, expect_kind="gru")
 
 
@@ -151,20 +251,26 @@ def test_block_shape_mismatch_rejected(tmp_path, kind, block):
     corrupt = SimpleNamespace(kind=kind, dims=params.dims, named_arrays=lambda: arrays)
     path = tmp_path / "w.txt"
     save_weights(path, corrupt, *RECIPE)
-    with pytest.raises(WeightsFormatError, match=re.escape(f"block {block!r} has shape")):
+    pattern = rf"line \d+: expected block '{re.escape(block)} \d+ \d+' .*, got '{re.escape(block)} "
+    with pytest.raises(WeightsFormatError, match=pattern):
         load_weights(path)
 
 
 @pytest.mark.parametrize(
     "edit,message",
     [
-        (lambda text: text + "head_b 1 0\n0.5\n", "appears twice"),
-        (lambda text: text.replace("\nhead_b ", "\nhead_c "), "'head_c' is not in the layout"),
-        (lambda text: text[: text.index("head_b 1 0")], "lacks: head_b"),
-        (lambda text: text[: text.index("scaler 2 0")], "lacks: scaler"),
+        (lambda text: text + "head_b 1 0\n0.5\n",
+         r"line 162: expected the end of the file after block 'scaler', got 'head_b 1 0'"),
+        (lambda text: text.replace("\nhead_b ", "\nhead_c "),
+         r"line 157: expected block 'head_b 1 0' .*, got 'head_c 1 0'"),
+        (lambda text: text[: text.index("head_b 1 0")],
+         r"line 157: expected block 'head_b 1 0' .*, got the end"),
+        (lambda text: text[: text.index("scaler 2 0")],
+         r"line 159: expected block 'scaler 2 0' .*, got the end"),
         (lambda text: text.replace("\n0.5\n2.5\n", "\n2.5\n0.5\n"), "scaler needs max > min"),
         (lambda text: text.replace("\n0.5\n2.5\n", "\n2.5\n2.5\n"), "scaler needs max > min"),
-        (lambda text: text.replace("scaler 2 0", "scaler 1 2"), "'scaler' has shape"),
+        (lambda text: text.replace("scaler 2 0", "scaler 1 2"),
+         r"line 159: expected block 'scaler 2 0' .*, got 'scaler 1 2'"),
     ],
     ids=["duplicate", "unknown", "missing", "missing-scaler", "scaler-reversed", "scaler-flat",
          "scaler-shape"],
@@ -180,8 +286,8 @@ def test_block_set_must_match_layout(tmp_path, edit, message):
 @pytest.mark.parametrize(
     "stated,bad,message",
     [
-        (" n_heads=2 ", " n_heads=3 ", "not divisible by 3 heads"),
-        (" d_ff=16 ", " d_ff=0 ", "d_ff must be >= 1"),
+        (" n_heads=2 ", " n_heads=3 ", "line 2: d_model 8 not divisible by 3 heads"),
+        (" d_ff=16 ", " d_ff=0 ", "line 2: expected d_ff=<positive int>, got 'd_ff=0'"),
     ],
     ids=["indivisible-heads", "zero-width"],
 )
@@ -193,19 +299,23 @@ def test_header_dims_without_layout_rejected(tmp_path, stated, bad, message):
         load_weights(path)
 
 
+LOOKBACK = "line 2: expected lookback=<positive int>"
+AFTER_LOOKBACK = "line 2: expected the end of the line after lookback"
+
+
 @pytest.mark.parametrize(
     "stated,bad,message",
     [
-        ("lstm hidden=5 ", "lstm hidden=9 hidden=5 ", "states hidden twice"),
-        (" lookback=12", " lookback=12 input=1 input=1", "states input twice"),
-        (" lookback=12", " lookback=12 bogus=3", "unknown key 'bogus'"),
-        (" lookback=12", " lookback=12 d_model=8", "unknown key 'd_model'"),
-        (" lookback=12", " lookback=12 input=7", "unknown key 'input'"),
-        (" lookback=12", " lookback=12 input=1", "unknown key 'input'"),
-        (" lookback=12", " lookback=12 lookback=12", "states lookback twice"),
-        (" lookback=12", "", "lacks lookback"),
-        (" lookback=12", " lookback=0", "lookback=0: must be >= 1"),
-        (" lookback=12", " lookback=-3", "lookback=-3: must be >= 1"),
+        ("lstm hidden=5 ", "lstm hidden=9 hidden=5 ", f"{LOOKBACK}, got 'hidden=5'"),
+        (" lookback=12", " lookback=12 input=1 input=1", f"{AFTER_LOOKBACK}, got 'input=1'"),
+        (" lookback=12", " lookback=12 bogus=3", f"{AFTER_LOOKBACK}, got 'bogus=3'"),
+        (" lookback=12", " lookback=12 d_model=8", f"{AFTER_LOOKBACK}, got 'd_model=8'"),
+        (" lookback=12", " lookback=12 input=7", f"{AFTER_LOOKBACK}, got 'input=7'"),
+        (" lookback=12", " lookback=12 input=1", f"{AFTER_LOOKBACK}, got 'input=1'"),
+        (" lookback=12", " lookback=12 lookback=12", f"{AFTER_LOOKBACK}, got 'lookback=12'"),
+        (" lookback=12", "", f"{LOOKBACK}, got the end"),
+        (" lookback=12", " lookback=0", f"{LOOKBACK}, got 'lookback=0'"),
+        (" lookback=12", " lookback=-3", f"{LOOKBACK}, got 'lookback=-3'"),
     ],
     ids=["repeated-dim", "repeated-input", "unknown-key", "other-kinds-key", "input-width",
          "input-is-unknown", "repeated-lookback", "missing-lookback", "zero-lookback",
@@ -230,7 +340,8 @@ def test_non_finite_value_rejected(tmp_path, kind, token):
         lines = list(clean)
         lines[at] = token
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(WeightsFormatError, match=f"block '{block}': non-finite value"):
+        message = f"line {len(clean) + at + 1}: expected a finite value in block '{block}'"
+        with pytest.raises(WeightsFormatError, match=message):
             load_weights(path)
 
 
@@ -238,7 +349,8 @@ def test_header_without_n_heads_rejected(tmp_path):
     path = tmp_path / "w.txt"
     save_weights(path, build("transformer"), *RECIPE)
     path.write_text(path.read_text().replace(" n_heads=2 ", " ", 1))
-    with pytest.raises(WeightsFormatError, match="lacks n_heads"):
+    message = "line 2: expected n_heads=<positive int>, got 'n_layers=2'"
+    with pytest.raises(WeightsFormatError, match=message):
         load_weights(path)
 
 

@@ -33,7 +33,8 @@ from .runconfig import (
     config_echo,
     parse_config_file,
 )
-from .training import TrainingError, train
+# perfbench/spans.py wraps seqcast.cli.train, so the name stays importable here.
+from .training import TrainingError, train  # noqa: F401
 
 
 def _json_text(payload: dict) -> str:
@@ -85,7 +86,7 @@ def cmd_eda(cfg: RunConfig, args) -> int:
             f"series has {len(values)}: {exc}; pass --adf-on daily-high to test its "
             f"{len(series)} daily highs instead"
         ) from exc
-    means = dat.monthwise_means(series)
+    means = dat.monthwise_means(series)  # months in calendar order
     monthwise = [
         {
             "month": m,
@@ -111,14 +112,10 @@ def cmd_eda(cfg: RunConfig, args) -> int:
     }
     out = _outdir(cfg)
     (out / "eda.json").write_text(_json_text(payload), encoding="utf-8")
-    labels = [str(m) for m in range(1, 13)]
     chart = charts.bar_chart_svg(
         "Monthwise mean open and close",
-        [lab for lab, row in zip(labels, monthwise) if row["mean_open"] is not None],
-        {
-            "open": [row["mean_open"] for row in monthwise if row["mean_open"] is not None],
-            "close": [row["mean_close"] for row in monthwise if row["mean_close"] is not None],
-        },
+        [str(m) for m in means],
+        {"open": [o for o, _ in means.values()], "close": [c for _, c in means.values()]},
     )
     (out / "monthwise.svg").write_text(chart, encoding="utf-8")
     print(f"wrote {out / 'eda.json'} and {out / 'monthwise.svg'}")
@@ -132,25 +129,18 @@ def cmd_train(cfg: RunConfig, args) -> int:
     )
     out = _outdir(cfg)
     name = args.model
-    params, history = train(
-        cfg.model_config(name),
-        train_ds,
-        val_ds,
-        cfg.train_config(name),
-        log_path=out / f"train-{name}.ndjson",
-    )
-    weights_io.save_weights(out / f"weights-{name}.txt", params, cfg.lookback, scaler)
-    summary = forecast_eval.history_summary(history)
+    _, history = forecast_eval.fit(name, cfg, train_ds, val_ds, scaler, out)
     print(
-        f"{name}: best epoch {summary['best_epoch']}/{summary['n_epochs']}, "
-        f"val loss {summary['best_val_loss']:.6g}; wrote {out / f'weights-{name}.txt'}"
+        f"{name}: best epoch {history.best_epoch}/{history.n_epochs}, "
+        f"val loss {history.val_loss[history.best_epoch - 1]:.6g}; "
+        f"wrote {forecast_eval.weights_file(out, name)}"
     )
     return 0
 
 
 def cmd_forecast(cfg: RunConfig, args) -> int:
     name = args.model
-    weights_path = Path(cfg.output_dir) / f"weights-{name}.txt"
+    weights_path = forecast_eval.weights_file(cfg.output_dir, name)
     if not weights_path.is_file():
         raise ConfigError(f"weights not found: {weights_path} (run the train command first)")
     series, _ = _load_clean(cfg)
@@ -195,14 +185,13 @@ def cmd_forecast(cfg: RunConfig, args) -> int:
 def cmd_compare(cfg: RunConfig, args) -> int:
     series, _ = _load_clean(cfg)
     out = _outdir(cfg)
-    report, trained, forecasts, test, scaler = forecast_eval.compare(series, cfg, log_dir=out)
+    report, test = forecast_eval.compare(series, cfg, out)
     report["config"] = config_echo(cfg)
     (out / "report.json").write_text(_json_text(report), encoding="utf-8")
-    for name in MODEL_KINDS:
-        weights_io.save_weights(out / f"weights-{name}.txt", trained[name], cfg.lookback, scaler)
 
     dates = [d.isoformat() for d in test.dates]
-    columns = {"actual": test.close.tolist(), **{k: forecasts[k].tolist() for k in MODEL_KINDS}}
+    forecasts = {entry["name"]: entry["forecast"] for entry in report["models"]}
+    columns = {"actual": test.close.tolist(), **forecasts}
     csv_lines = ["date," + ",".join(columns)]
     csv_lines += [",".join([d, *map(repr, row)]) for d, *row in zip(dates, *columns.values())]
     (out / "plot.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")

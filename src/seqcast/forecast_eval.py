@@ -17,9 +17,9 @@ import numpy as np
 from . import data as dat
 from . import models, training
 from .data import OhlcvSeries, Scaler, WindowedDataset
-from .models import MODEL_KINDS
-from .runconfig import RunConfig
-from .training import TrainHistory, TrainingError
+from .models import MODEL_KINDS, weights_io
+from .runconfig import ConfigError, RunConfig
+from .training import TrainingError
 
 
 @dataclass(frozen=True)
@@ -117,35 +117,48 @@ def prepare_windows(
     return train_ds, val_ds, joint[-lookback:], scaler, test
 
 
-def compare(series: OhlcvSeries, cfg: RunConfig, log_dir: str | Path | None = None):
-    """Train the three models on one shared split and evaluate each forecast.
+def weights_file(out: str | Path, kind: str) -> Path:
+    """Where a kind's weights live in an output directory."""
+    return Path(out) / f"weights-{kind}.txt"
 
-    The models, their training and the split come from cfg. With log_dir,
-    each model's training log is written there as train-<kind>.ndjson.
-    Returns (report dict ready for JSON, trained params by model name,
-    forecast paths by model name, the held-out test rows, the training
-    scaler). Model order in the report is always lstm, gru, transformer.
+
+def fit(kind: str, cfg: RunConfig, train_ds, val_ds, scaler: Scaler, out: str | Path):
+    """Train one kind as cfg states it; returns (params, history).
+
+    The training log streams to out/train-<kind>.ndjson, and the weights,
+    with cfg's lookback and the training scaler, go to weights_file(out, kind).
     """
+    model_cfg, train_cfg = cfg.model_config(kind), cfg.train_config(kind)
+    log_path = Path(out) / f"train-{kind}.ndjson"
+    params, history = training.train(model_cfg, train_ds, val_ds, train_cfg, log_path=log_path)
+    weights_io.save_weights(weights_file(out, kind), params, cfg.lookback, scaler)
+    return params, history
+
+
+def compare(series: OhlcvSeries, cfg: RunConfig, out: str | Path):
+    """Fit the three models on one shared split and evaluate each forecast.
+
+    The models, their training and the split come from cfg. Each kind is
+    fitted into the existing directory out, so its log and weights are
+    written as it finishes. Returns (report dict ready for JSON, the
+    held-out test rows); each entry's "forecast" is its path. Model order
+    in the report is always lstm, gru, transformer.
+    """
+    if cfg.horizon < 2:
+        raise ConfigError(f"compare needs horizon >= 2 to score a forecast, got {cfg.horizon}")
     train_ds, val_ds, seed_window, scaler, test = prepare_windows(
         series, cfg.lookback, cfg.horizon, cfg.val_frac
     )
 
     fingerprint = dat.fingerprint(series)
     entries = []
-    trained: dict[str, object] = {}
-    forecasts: dict[str, np.ndarray] = {}
     for name in MODEL_KINDS:
-        log_path = None if log_dir is None else Path(log_dir) / f"train-{name}.ndjson"
         try:
-            params, history = training.train(
-                cfg.model_config(name), train_ds, val_ds, cfg.train_config(name), log_path=log_path
-            )
+            params, history = fit(name, cfg, train_ds, val_ds, scaler, out)
             path = recursive_forecast(params, seed_window, cfg.horizon, scaler)
+            metrics = compute_metrics(test.close, path)
         except (TrainingError, ValueError) as exc:
             raise TrainingError(f"{name}: {exc}") from exc
-        metrics = compute_metrics(test.close, path)
-        trained[name] = params
-        forecasts[name] = path
         entries.append(
             {
                 "name": name,
@@ -160,14 +173,4 @@ def compare(series: OhlcvSeries, cfg: RunConfig, log_dir: str | Path | None = No
                 },
             }
         )
-    report = {"dataset": fingerprint, "models": entries}
-    return report, trained, forecasts, test, scaler
-
-
-def history_summary(history: TrainHistory) -> dict:
-    return {
-        "n_epochs": history.n_epochs,
-        "best_epoch": history.best_epoch,
-        "best_val_loss": history.val_loss[history.best_epoch - 1],
-        "stopped_early": history.stopped_early,
-    }
+    return {"dataset": fingerprint, "models": entries}, test

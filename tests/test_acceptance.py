@@ -21,11 +21,12 @@ from seqcast import models
 from seqcast.cli import main
 from seqcast.forecast_eval import compute_metrics, recursive_forecast
 from seqcast.models import MODEL_KINDS, ModelConfig
-from seqcast.numerics import grad_check, make_rng
+from seqcast.numerics import make_rng
 from seqcast.stationarity import adf_test
 from seqcast.training import train
 
 from conftest import tiny_config_text
+from gradcheck import grad_check
 
 # Frozen offline reference values for the unit-root criterion; the same
 # constants are cross-checked in test_stationarity.py.

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from seqcast import data as dat
-from seqcast import models
+from seqcast import models, training
 from seqcast.cli import _json_text, main
 from seqcast.data import Scaler
 from seqcast.models import MODEL_KINDS, weights_io
@@ -276,6 +276,48 @@ class TestCompare:
             assert float(actual) == held_out.close[i]
             assert [float(v) for v in per_model] == [f[i] for f in forecasts]
 
+    def test_train_writes_what_compare_writes(self, tmp_path, sine_csv, run):
+        # One fit per kind: `train --model k` on compare's config gives the
+        # same weight file and the same log, bar the wall-clock seconds.
+        _, compared = run
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(tiny_config_text(sine_csv, str(out), seed=1, horizon=10))
+        for kind in MODEL_KINDS:
+            assert main(["train", "--config", str(cfg), "--model", kind]) == 0
+            weights = f"weights-{kind}.txt"
+            assert (out / weights).read_bytes() == (compared / weights).read_bytes()
+            logs = [
+                [{**json.loads(line), "seconds": None} for line in path.read_text().splitlines()]
+                for path in (out / f"train-{kind}.ndjson", compared / f"train-{kind}.ndjson")
+            ]
+            assert logs[0] == logs[1]
+
+    def test_a_failing_kind_keeps_the_finished_kinds_files(
+        self, tmp_path, sine_csv, monkeypatch, capsys
+    ):
+        # Each kind's log and weights are written as it finishes, so both
+        # come from this run; nothing is written for the kind that failed.
+        original = training.train
+
+        def train_all_but_gru(model_cfg, *args, **kwargs):
+            if model_cfg.kind == "gru":
+                raise training.TrainingError("diverged")
+            return original(model_cfg, *args, **kwargs)
+
+        monkeypatch.setattr(training, "train", train_all_but_gru)
+        out = tmp_path / "out"
+        assert main(["compare", "--config", write_config(tmp_path, sine_csv, str(out))]) == 1
+        assert "error: gru: diverged" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["train-lstm.ndjson", "weights-lstm.txt"]
+
+    def test_horizon_below_2_is_config_error_before_training(self, tmp_path, sine_csv, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, sine_csv, str(out), horizon=1)
+        assert main(["compare", "--config", cfg]) == 2
+        assert "horizon >= 2" in capsys.readouterr().err
+        assert list(out.glob("*")) == []
+
 
 class TestNonFinite:
     def test_prices_whose_squares_overflow_exit_1(self, tmp_path, sine_series, capsys):
@@ -290,7 +332,9 @@ class TestNonFinite:
         out = tmp_path / "out"
         cfg = write_config(tmp_path, str(tmp_path / "huge.csv"), str(out))
         assert main(["compare", "--config", cfg]) == 1
-        assert "their squares leave float64's range" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: lstm: ")
+        assert "their squares leave float64's range" in err
         assert not (out / "report.json").exists()
 
     def test_overflowing_forecast_reports_one_error_line(self, tmp_path, sine_csv):

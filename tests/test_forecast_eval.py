@@ -13,14 +13,12 @@ from seqcast.forecast_eval import (
     Metrics,
     compare,
     compute_metrics,
-    history_summary,
     prepare_windows,
     recursive_forecast,
 )
-from seqcast.models import MODEL_KINDS, REGISTRY, ModelConfig
+from seqcast.models import MODEL_KINDS, REGISTRY, ModelConfig, weights_io
 from seqcast.numerics import make_rng
 from seqcast.runconfig import RunConfig, config_echo
-from seqcast.training import TrainConfig, TrainHistory
 
 
 def constant_predictor(value: float):
@@ -227,32 +225,35 @@ COMPARE_CFG = RunConfig(
 
 
 @pytest.fixture(scope="module")
-def result(sine_series):
-    return compare(sine_series, COMPARE_CFG)
+def compared(sine_series, tmp_path_factory):
+    out = tmp_path_factory.mktemp("compare")
+    return compare(sine_series, COMPARE_CFG, out), out
 
 
 class TestCompare:
-    def test_report_shape(self, result, sine_series):
-        report, trained, forecasts, test, scaler = result
+    def test_report_shape(self, compared, sine_series):
+        (report, test), out = compared
         assert set(report) == {"dataset", "models"}
         assert tuple(e["name"] for e in report["models"]) == MODEL_KINDS
-        assert set(trained) == set(forecasts) == set(MODEL_KINDS)
         assert len(test) == 10
-        # the scaler the models were trained with, for their weight files
-        assert scaler == prepare_windows(sine_series, 24, 10, COMPARE_CFG.val_frac)[3]
+        # every weight file carries the scaler the models were trained with
+        scaler = prepare_windows(sine_series, 24, 10, COMPARE_CFG.val_frac)[3]
+        for kind in MODEL_KINDS:
+            _, (lookback, stored) = weights_io.load_weights(out / f"weights-{kind}.txt", kind)
+            assert (lookback, stored) == (24, scaler)
 
-    def test_entries_carry_forecast_and_config(self, result):
-        report, _, forecasts, test, _ = result
+    def test_entries_carry_forecast_and_config(self, compared):
+        (report, test), _ = compared
         for entry in report["models"]:
             assert len(entry["forecast"]) == 10
             assert all(np.isfinite(entry["forecast"]))
             assert entry["config"]["lookback"] == 24
             assert entry["config"]["horizon"] == 10
-            recomputed = compute_metrics(test.close, forecasts[entry["name"]])
+            recomputed = compute_metrics(test.close, entry["forecast"])
             assert entry["metrics"]["r2"] == pytest.approx(recomputed.r2)
 
-    def test_entry_config_matches_run_echo(self, result):
-        report, _, _, _, _ = result
+    def test_entry_config_matches_run_echo(self, compared):
+        (report, _), _ = compared
         echo = config_echo(COMPARE_CFG)
         for entry in report["models"]:
             assert entry["config"] == {
@@ -267,21 +268,6 @@ class TestHelpers:
     def test_seed_offsets_are_distinct_per_model(self):
         offsets = [REGISTRY[kind].seed_offset for kind in MODEL_KINDS]
         assert len(set(offsets)) == len(offsets)
-
-    def test_history_summary(self):
-        h = TrainHistory(
-            train_loss=(0.5, 0.3, 0.2),
-            val_loss=(0.6, 0.25, 0.4),
-            best_epoch=2,
-            stopped_early=True,
-        )
-        s = history_summary(h)
-        assert s == {
-            "n_epochs": 3,
-            "best_epoch": 2,
-            "best_val_loss": 0.25,
-            "stopped_early": True,
-        }
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,7 +4,9 @@ import numpy as np
 
 from seqcast import models
 from seqcast.models import ModelConfig, Params
-from seqcast.numerics import grad_check, make_rng
+from seqcast.numerics import make_rng
+
+from gradcheck import grad_check
 
 
 def mse_setup(params, x, y):

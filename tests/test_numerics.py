@@ -7,12 +7,13 @@ from hypothesis.extra import numpy as hnp
 from seqcast import numerics
 from seqcast.models import Params
 from seqcast.numerics import (
-    grad_check,
     init_xavier,
     make_rng,
     sigmoid,
     softmax_rows,
 )
+
+from gradcheck import grad_check
 
 
 class TestActivations:

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from seqcast import models
 from seqcast.models import ModelConfig, transformer
 from seqcast.models.transformer import positional_encoding
-from seqcast.numerics import grad_check, make_rng
+from seqcast.numerics import make_rng
+
+from gradcheck import grad_check
 
 
 def small_params(seed=0, d_model=8, n_heads=2, n_layers=1, d_ff=16):

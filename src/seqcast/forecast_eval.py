@@ -9,7 +9,7 @@ rescaled here, and metrics against the held-out closes in currency units.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +30,9 @@ class Metrics:
     rmse: float
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"metric {f.name} is not finite: {getattr(self, f.name)}")
+        for name, value in self.as_dict().items():  # r2 below -1.8e306 is -inf percent
+            if not math.isfinite(value):
+                raise ValueError(f"metric {name} is not finite: {value}")
         if self.mae < 0 or self.mse < 0 or self.rmse < 0:
             raise ValueError("error metrics cannot be negative")
         if self.r2 > 1.0 + 1e-12:

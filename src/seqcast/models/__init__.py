@@ -89,7 +89,7 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> Params:
 
 
 def rebuild(params: Params, theta: np.ndarray) -> Params:
-    """Params of the same kind and dims over theta (optimizer plumbing)."""
+    """Params of the same kind and dims over theta, such as a saved copy of a trained vector."""
     return Params(params.kind, params.dims, theta)
 
 

@@ -55,18 +55,18 @@ def _expected(line: int, what: str, found: str | None) -> WeightsFormatError:
 
 
 def save_weights(path: str | Path, params: Params, lookback: int, scaler: Scaler) -> None:
-    lines = [MAGIC, _dims_text(params.kind, {**params.dims, "lookback": lookback})]
-    for name, arr in [*params.named_arrays(), ("scaler", np.array([scaler.min, scaler.max]))]:
-        lines.append(_block_line(name, arr))
-        lines.extend(f"{v:.17g}" for v in arr.ravel())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write(f"{MAGIC}\n{_dims_text(params.kind, {**params.dims, 'lookback': lookback})}\n")
+        for name, arr in [*params.named_arrays(), ("scaler", np.array([scaler.min, scaler.max]))]:
+            out.write(f"{_block_line(name, arr)}\n")
+            out.write("".join(f"{v:.17g}\n" for v in arr.ravel()))
 
 
-def load_weights(path: str | Path, expect_kind: str | None = None):
-    """Read a weights file back into a Params.
+def load_weights(path: str | Path, expect_kind: str):
+    """Read a weights file of kind expect_kind back into a Params.
 
-    Returns (params, (lookback, scaler)). expect_kind turns a kind mismatch
-    into an error up front, before any arrays are parsed.
+    Returns (params, (lookback, scaler)). A file of another kind is an error
+    up front, before any arrays are parsed.
     """
     from . import REGISTRY
 
@@ -76,9 +76,8 @@ def load_weights(path: str | Path, expect_kind: str | None = None):
         raise WeightsFormatError(f"bad magic line {found!r}, expected {MAGIC!r}: retrain the model")
     tokens = lines[1].split() if len(lines) > 1 else []
     kind = tokens[0] if tokens else ""
-    kinds = [name for name in REGISTRY if expect_kind in (None, name)]
-    if kind not in kinds:
-        raise _expected(2, f"model kind {' or '.join(kinds)}", kind or None)
+    if kind != expect_kind:
+        raise _expected(2, f"model kind {expect_kind}", kind or None)
     keys = (*REGISTRY[kind].arch_keys, "lookback")
     dims = {}
     for at, key in enumerate(keys, start=1):

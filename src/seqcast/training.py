@@ -2,12 +2,13 @@
 
 The loop is deliberately plain. Each epoch shuffles the window indices
 with its own seeded generator, walks the batches (last one may be short),
-and does forward / loss / backward / clip / Adam. Validation loss decides
-early stopping and which epoch's parameters are returned. The validation
-pass runs in chunks of ``batch_size`` windows, sliced like the training
-batches: a forward builds a backward cache, and one forward over the whole
-validation set would hold a cache several times the size of a training
-step's, only to drop it.
+and does forward / loss / backward / clip / Adam. Clipping scales the
+batch's gradient and Adam moves the one trained ``Params`` in place. The
+validation history alone decides early stopping and which epoch's
+parameters are returned. The validation pass runs in chunks of
+``batch_size`` windows, sliced like the training batches: a forward builds
+a backward cache, and one forward over the whole validation set would hold
+a cache several times the size of a training step's, only to drop it.
 
 Everything is deterministic given (seed, data, config): two runs produce
 bit-identical parameters and history.
@@ -90,17 +91,6 @@ class TrainHistory:
         return asdict(self)
 
 
-@dataclass
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-
-def init_adam(theta: np.ndarray) -> AdamState:
-    return AdamState(m=np.zeros_like(theta), v=np.zeros_like(theta))
-
-
 def mse_loss(pred, target) -> float:
     pred = np.asarray(pred, dtype=np.float64).ravel()
     target = np.asarray(target, dtype=np.float64).ravel()
@@ -111,33 +101,32 @@ def mse_loss(pred, target) -> float:
     return float(np.mean((pred - target) ** 2))
 
 
-def clip_global_norm(grads: Params, max_norm: float) -> tuple[np.ndarray, float]:
-    """Scale the gradient vector so its L2 norm is at most max_norm.
+def clip_global_norm(grads: Params, max_norm: float) -> float:
+    """Scale grads.theta in place so its L2 norm is at most max_norm; returns the pre-clip norm.
 
-    Returns the vector and its pre-clip norm. The norm adds up per-array
-    sums in layout order instead of summing the vector at once: the two can
-    differ in the last bits, and the per-array form keeps trained weights
-    bit-identical to those of earlier releases.
+    The norm adds up per-array sums in layout order instead of summing the
+    vector at once: the two can differ in the last bits, and the per-array
+    form keeps trained weights bit-identical to those of earlier releases.
     """
     total = math.sqrt(sum(float(np.sum(g * g)) for _, g in grads.named_arrays()))
-    if total <= max_norm or total == 0.0:
-        return grads.theta, total
-    return grads.theta * (max_norm / total), total
+    if total > max_norm:
+        grads.theta *= max_norm / total
+    return total
 
 
 def adam_step(
-    theta: np.ndarray, grad: np.ndarray, state: AdamState, cfg: TrainConfig
-) -> tuple[np.ndarray, AdamState]:
-    """One Adam update. Returns the new vector and state; inputs stay untouched."""
+    theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, cfg: TrainConfig
+) -> None:
+    """Adam update number t (1-based): theta and the moment vectors m and v change in place."""
     if theta.shape != grad.shape:
         raise ValueError(f"shape mismatch: {theta.shape} vs {grad.shape}")
-    t = state.t + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad * grad
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * grad
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * grad * grad
     bc1 = 1.0 - cfg.beta1**t
     bc2 = 1.0 - cfg.beta2**t
-    out = theta - cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
-    return out, AdamState(m=m, v=v, t=t)
+    theta -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
 
 
 def validation_loss(params: Params, val_set: WindowedDataset, batch_size: int) -> float:
@@ -158,38 +147,32 @@ def train(
     train_set: WindowedDataset,
     val_set: WindowedDataset,
     cfg: TrainConfig,
-    log_path: str | Path | None = None,
+    log_path: str | Path,
 ):
     """Train one model; returns (params from the best-validation epoch, history).
 
-    log_path, when given, receives one JSON line per epoch:
+    One Params is trained in place: clipping and Adam write its theta, so its
+    views stay valid across batches. The best epoch is the first with the
+    lowest validation loss, and training stops once patience epochs have
+    passed without a new best.
+
+    log_path receives one JSON line per epoch:
     {"epoch", "train_loss", "val_loss", "seconds", "grad_norm_max",
     "clipped_batches", "best"}. grad_norm_max is the epoch's largest pre-clip
     gradient norm, clipped_batches counts the batches whose norm exceeded
     grad_clip_norm, and best marks a new best validation loss.
-
-    Validation runs through :func:`validation_loss` in chunks of
-    cfg.batch_size windows, so no forward holds more than one training
-    batch's cache.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise TrainingError("train and validation sets must both be non-empty")
 
     rng = make_rng(cfg.seed)
     params = models.init_params(model_cfg, rng)
-    state = init_adam(params.theta)
+    m, v, step = np.zeros_like(params.theta), np.zeros_like(params.theta), 0
     n = len(train_set)
-
-    best_val = math.inf
-    best_theta = params.theta.copy()
-    best_epoch = 0
-    epochs_since_best = 0
     train_losses: list[float] = []
     val_losses: list[float] = []
-    stopped_early = False
-    log_file = open(log_path, "w", encoding="utf-8", newline="\n") if log_path else None
 
-    try:
+    with open(log_path, "w", encoding="utf-8", newline="\n") as log:
         for epoch in range(1, cfg.max_epochs + 1):
             started = time.perf_counter()
             order = rng.permutation(n)
@@ -211,11 +194,11 @@ def train(
                 sq_err_sum += batch_loss * len(idx)
                 d_preds = 2.0 * (preds - y) / len(idx)
                 grads = models.backward(params, cache, d_preds)
-                grad, norm = clip_global_norm(grads, cfg.grad_clip_norm)
+                norm = clip_global_norm(grads, cfg.grad_clip_norm)
                 grad_norm_max = max(grad_norm_max, norm)
                 clipped_batches += norm > cfg.grad_clip_norm
-                theta, state = adam_step(params.theta, grad, state, cfg)
-                params = models.rebuild(params, theta)
+                step += 1
+                adam_step(params.theta, grads.theta, m, v, step, cfg)
 
             train_loss = sq_err_sum / n
             val_loss = validation_loss(params, val_set, cfg.batch_size)
@@ -226,37 +209,26 @@ def train(
                 )
             train_losses.append(train_loss)
             val_losses.append(val_loss)
-            improved = val_loss < best_val
-            if log_file:
-                record = {
-                    "epoch": epoch,
-                    "train_loss": train_loss,
-                    "val_loss": val_loss,
-                    "seconds": round(time.perf_counter() - started, 6),
-                    "grad_norm_max": grad_norm_max,
-                    "clipped_batches": clipped_batches,
-                    "best": improved,
-                }
-                log_file.write(json.dumps(record, allow_nan=False) + "\n")
-
-            if improved:
-                best_val = val_loss
+            best_epoch = val_losses.index(min(val_losses)) + 1
+            if best_epoch == epoch:
                 best_theta = params.theta.copy()
-                best_epoch = epoch
-                epochs_since_best = 0
-            else:
-                epochs_since_best += 1
-                if epochs_since_best >= cfg.patience:
-                    stopped_early = True
-                    break
-    finally:
-        if log_file:
-            log_file.close()
+            record = {
+                "epoch": epoch,
+                "train_loss": train_loss,
+                "val_loss": val_loss,
+                "seconds": round(time.perf_counter() - started, 6),
+                "grad_norm_max": grad_norm_max,
+                "clipped_batches": clipped_batches,
+                "best": best_epoch == epoch,
+            }
+            log.write(json.dumps(record, allow_nan=False) + "\n")
+            if epoch - best_epoch >= cfg.patience:
+                break
 
     history = TrainHistory(
         train_loss=tuple(train_losses),
         val_loss=tuple(val_losses),
         best_epoch=best_epoch,
-        stopped_early=stopped_early,
+        stopped_early=epoch - best_epoch >= cfg.patience,
     )
     return models.rebuild(params, best_theta), history

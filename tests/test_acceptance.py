@@ -148,7 +148,7 @@ def test_criterion_3_unit_root_reference(capsys):
     assert elapsed < 5.0
 
 
-def test_criterion_4_models_learn_sine(capsys):
+def test_criterion_4_models_learn_sine(capsys, tmp_path):
     from seqcast.forecast_eval import prepare_windows
     from seqcast.runconfig import RunConfig
 
@@ -163,7 +163,8 @@ def test_criterion_4_models_learn_sine(capsys):
     for kind in MODEL_KINDS:
         started = time.perf_counter()
         params, _ = train(
-            run_cfg.model_config(kind), train_ds, val_ds, run_cfg.train_config(kind)
+            run_cfg.model_config(kind), train_ds, val_ds, run_cfg.train_config(kind),
+            tmp_path / f"train-{kind}.ndjson",
         )
         times[kind] = time.perf_counter() - started
         path = recursive_forecast(params, seed_window, run_cfg.horizon, scaler)

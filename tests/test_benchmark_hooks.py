@@ -40,13 +40,15 @@ def counting(monkeypatch, module, attr):
     return calls
 
 
-def test_train_calls_adam_step_once_per_batch(monkeypatch):
+def test_train_calls_adam_step_once_per_batch(monkeypatch, tmp_path):
     windows = dat.make_windows(make_rng(5).random(80), 8)
     train_set = dat.WindowedDataset(windows.inputs[:57], windows.targets[:57], 8)
     val_set = dat.WindowedDataset(windows.inputs[57:], windows.targets[57:], 8)
     cfg = training.TrainConfig(max_epochs=3, patience=3, batch_size=16, seed=6)
     calls = counting(monkeypatch, training, "adam_step")
-    _, history = training.train(ModelConfig(kind="gru", hidden=4), train_set, val_set, cfg)
+    _, history = training.train(
+        ModelConfig(kind="gru", hidden=4), train_set, val_set, cfg, tmp_path / "train.ndjson"
+    )
     assert len(calls) == history.n_epochs * math.ceil(len(train_set) / cfg.batch_size)
 
 

@@ -205,7 +205,7 @@ class TestForecast:
         argv = ["forecast", "--config", str(tmp_path / "fc.ini"), "--model", kind]
         assert main(argv + ["--horizon", str(horizon)]) == 0
         payload = json.loads((trained / f"forecast-{kind}.json").read_text())
-        params, (lookback, scaler) = weights_io.load_weights(trained / f"weights-{kind}.txt")
+        params, (lookback, scaler) = weights_io.load_weights(trained / f"weights-{kind}.txt", kind)
         window = scaler.transform(sine_series.close[-lookback:])
         assert len(payload["forecast"]) == horizon
         assert payload["forecast"][0] == scaler.inverse(models.predict(params, window))

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seqcast import data as dat
@@ -276,6 +276,7 @@ class TestHelpers:
         st.tuples(*2 * [st.floats(allow_nan=False, allow_infinity=False)]), min_size=2, max_size=30
     )
 )
+@example(pairs=[(0.0, 0.0), (6.890004207258824e-138, 6532242053484936.0)])  # r2 * 100 overflows
 def test_compute_metrics_is_finite_or_refuses(pairs):
     # Any finite closes and forecasts, subnormal to 1e308: either every metric
     # is finite, or a ValueError says why. Varying closes are never "constant".

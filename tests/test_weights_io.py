@@ -64,7 +64,7 @@ def test_round_trip_is_bit_exact(tmp_path, kind, data):
     lines = path.read_text().splitlines()[2:]
     blocks = [line.split()[0] for line in lines if line[0].isalpha()]
     assert blocks == [name for name, _ in named] + ["scaler"]
-    loaded, (loaded_lookback, loaded_scaler) = load_weights(path)
+    loaded, (loaded_lookback, loaded_scaler) = load_weights(path, kind)
     assert loaded.kind == kind
     assert loaded.dims == params.dims
     assert loaded.theta.tobytes() == params.theta.tobytes()
@@ -129,7 +129,7 @@ def test_any_step_off_the_layout_walk_is_named(tmp_path, kind, data):
     path = tmp_path / "w.txt"
     save_weights(path, params, *RECIPE)
     clean = path.read_bytes()
-    loaded, _ = load_weights(path)
+    loaded, _ = load_weights(path, kind)
     save_weights(path, loaded, *RECIPE)
     assert path.read_bytes() == clean
 
@@ -144,7 +144,7 @@ def test_any_step_off_the_layout_walk_is_named(tmp_path, kind, data):
         named = r"\w+=<positive int>|the end of the line after lookback"
     path.write_text("\n".join(header + [line for block in blocks for line in block]) + "\n")
     with pytest.raises(WeightsFormatError) as err:
-        load_weights(path)
+        load_weights(path, kind)
     assert re.match(rf"line \d+: expected ({named})", str(err.value)), (edit, str(err.value))
 
 
@@ -200,7 +200,7 @@ def test_wrong_magic_rejected(tmp_path):
     for text in ("SOMETHING-ELSE v9\nlstm hidden=4\n", v1, ""):
         path.write_text(text)
         with pytest.raises(WeightsFormatError, match="bad magic line .*: retrain the model"):
-            load_weights(path)
+            load_weights(path, "gru")
 
 
 def test_kind_mismatch_rejected(tmp_path):
@@ -216,7 +216,7 @@ def test_truncated_file_rejected(tmp_path):
     text = path.read_text()
     path.write_text(text[: len(text) // 2])
     with pytest.raises(WeightsFormatError):
-        load_weights(path)
+        load_weights(path, "gru")
 
 
 def test_non_numeric_payload_rejected(tmp_path):
@@ -224,7 +224,7 @@ def test_non_numeric_payload_rejected(tmp_path):
     save_weights(path, build("lstm"), *RECIPE)
     path.write_text(path.read_text().replace("0.", "zz.", 1))
     with pytest.raises(WeightsFormatError):
-        load_weights(path)
+        load_weights(path, "lstm")
 
 
 # n_heads is the one dimension the arrays do not fix, so no array can contradict it.
@@ -239,7 +239,7 @@ def test_dims_header_mismatch_rejected(tmp_path, kind, key):
     save_weights(path, params, *RECIPE)
     path.write_text(path.read_text().replace(f" {key}={stated} ", f" {key}={stated * 2} ", 1))
     with pytest.raises(WeightsFormatError, match=rf"header {kind} .*\b{key}={stated * 2}\b"):
-        load_weights(path)
+        load_weights(path, kind)
 
 
 @pytest.mark.parametrize(
@@ -253,7 +253,7 @@ def test_block_shape_mismatch_rejected(tmp_path, kind, block):
     save_weights(path, corrupt, *RECIPE)
     pattern = rf"line \d+: expected block '{re.escape(block)} \d+ \d+' .*, got '{re.escape(block)} "
     with pytest.raises(WeightsFormatError, match=pattern):
-        load_weights(path)
+        load_weights(path, kind)
 
 
 @pytest.mark.parametrize(
@@ -280,7 +280,7 @@ def test_block_set_must_match_layout(tmp_path, edit, message):
     save_weights(path, build("lstm"), *RECIPE)
     path.write_text(edit(path.read_text()))
     with pytest.raises(WeightsFormatError, match=message):
-        load_weights(path)
+        load_weights(path, "lstm")
 
 
 @pytest.mark.parametrize(
@@ -296,7 +296,7 @@ def test_header_dims_without_layout_rejected(tmp_path, stated, bad, message):
     save_weights(path, build("transformer"), *RECIPE)
     path.write_text(path.read_text().replace(stated, bad, 1))
     with pytest.raises(WeightsFormatError, match=message):
-        load_weights(path)
+        load_weights(path, "transformer")
 
 
 LOOKBACK = "line 2: expected lookback=<positive int>"
@@ -326,7 +326,7 @@ def test_header_tokens_rejected(tmp_path, stated, bad, message):
     save_weights(path, build("lstm"), *RECIPE)
     path.write_text(path.read_text().replace(stated, bad, 1))
     with pytest.raises(WeightsFormatError, match=message):
-        load_weights(path)
+        load_weights(path, "lstm")
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "infinity"])
@@ -342,7 +342,7 @@ def test_non_finite_value_rejected(tmp_path, kind, token):
         path.write_text("\n".join(lines) + "\n")
         message = f"line {len(clean) + at + 1}: expected a finite value in block '{block}'"
         with pytest.raises(WeightsFormatError, match=message):
-            load_weights(path)
+            load_weights(path, kind)
 
 
 def test_header_without_n_heads_rejected(tmp_path):
@@ -351,7 +351,7 @@ def test_header_without_n_heads_rejected(tmp_path):
     path.write_text(path.read_text().replace(" n_heads=2 ", " ", 1))
     message = "line 2: expected n_heads=<positive int>, got 'n_layers=2'"
     with pytest.raises(WeightsFormatError, match=message):
-        load_weights(path)
+        load_weights(path, "transformer")
 
 
 def test_transformer_header_carries_architecture(tmp_path):
@@ -367,4 +367,4 @@ def test_transformer_header_carries_architecture(tmp_path):
 
 def test_missing_file_raises(tmp_path):
     with pytest.raises(OSError):
-        load_weights(tmp_path / "absent.txt")
+        load_weights(tmp_path / "absent.txt", "lstm")

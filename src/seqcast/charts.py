@@ -11,7 +11,8 @@ import math
 
 _COLORS = ("#4477aa", "#ee6677", "#228833", "#ccbb44")
 _W, _H = 760, 420
-_MARGIN = {"left": 64, "right": 16, "top": 40, "bottom": 56}
+# The plot area's left, top, right and bottom edges, in pixels.
+_X0, _Y0, _X1, _Y1 = 64, 40, _W - 16, _H - 56
 
 
 def _fmt(v: float) -> str:
@@ -25,9 +26,11 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
+def _ypix(v: float, lo: float, hi: float) -> float:
+    return _Y1 - (v - lo) / (hi - lo) * (_Y1 - _Y0)
+
+
 def _frame(title: str, lo: float, hi: float, body: list[str], legend: list[str]) -> str:
-    x0, y0 = _MARGIN["left"], _MARGIN["top"]
-    x1, y1 = _W - _MARGIN["right"], _H - _MARGIN["bottom"]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
@@ -35,13 +38,13 @@ def _frame(title: str, lo: float, hi: float, body: list[str], legend: list[str])
         f'<text x="{_W / 2}" y="20" text-anchor="middle" font-size="15">{title}</text>',
     ]
     for tick in _ticks(lo, hi):
-        y = y1 - (tick - lo) / (hi - lo) * (y1 - y0)
-        parts.append(f'<line x1="{x0}" y1="{_fmt(y)}" x2="{x1}" y2="{_fmt(y)}" stroke="#ddd"/>')
+        y = _ypix(tick, lo, hi)
+        parts.append(f'<line x1="{_X0}" y1="{_fmt(y)}" x2="{_X1}" y2="{_fmt(y)}" stroke="#ddd"/>')
         parts.append(
-            f'<text x="{x0 - 6}" y="{_fmt(y + 4)}" text-anchor="end">{_fmt(tick)}</text>'
+            f'<text x="{_X0 - 6}" y="{_fmt(y + 4)}" text-anchor="end">{_fmt(tick)}</text>'
         )
     parts.extend(body)
-    parts.append(f'<line x1="{x0}" y1="{y1}" x2="{x1}" y2="{y1}" stroke="#333"/>')
+    parts.append(f'<line x1="{_X0}" y1="{_Y1}" x2="{_X1}" y2="{_Y1}" stroke="#333"/>')
     parts.extend(legend)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -49,7 +52,7 @@ def _frame(title: str, lo: float, hi: float, body: list[str], legend: list[str])
 
 def _legend(names: list[str]) -> list[str]:
     out = []
-    x = _MARGIN["left"]
+    x = _X0
     for i, name in enumerate(names):
         color = _COLORS[i % len(_COLORS)]
         out.append(f'<rect x="{x}" y="{_H - 22}" width="12" height="12" fill="{color}"/>')
@@ -76,28 +79,23 @@ def bar_chart_svg(title: str, labels: list[str], series: dict[str, list[float]])
             raise ValueError(f"series {name!r} has {len(vs)} values for {len(labels)} labels")
     lo, hi = _bounds(series)
     lo = min(lo, 0.0)
-    x0, y0 = _MARGIN["left"], _MARGIN["top"]
-    x1, y1 = _W - _MARGIN["right"], _H - _MARGIN["bottom"]
-    group_w = (x1 - x0) / len(labels)
+    group_w = (_X1 - _X0) / len(labels)
     bar_w = group_w * 0.8 / len(series)
-
-    def ypix(v: float) -> float:
-        return y1 - (v - lo) / (hi - lo) * (y1 - y0)
 
     body = []
     for gi, label in enumerate(labels):
-        gx = x0 + gi * group_w
+        gx = _X0 + gi * group_w
         for si, (name, vs) in enumerate(series.items()):
             bx = gx + group_w * 0.1 + si * bar_w
-            top = ypix(vs[gi])
-            base = ypix(max(lo, 0.0))
+            top = _ypix(vs[gi], lo, hi)
+            base = _ypix(max(lo, 0.0), lo, hi)
             y, h = (top, base - top) if top <= base else (base, top - base)
             body.append(
                 f'<rect x="{_fmt(bx)}" y="{_fmt(y)}" width="{_fmt(bar_w)}" '
                 f'height="{_fmt(h)}" fill="{_COLORS[si % len(_COLORS)]}"/>'
             )
         body.append(
-            f'<text x="{_fmt(gx + group_w / 2)}" y="{y1 + 16}" text-anchor="middle">{label}</text>'
+            f'<text x="{_fmt(gx + group_w / 2)}" y="{_Y1 + 16}" text-anchor="middle">{label}</text>'
         )
     return _frame(title, lo, hi, body, _legend(list(series)))
 
@@ -110,9 +108,7 @@ def line_chart_svg(title: str, x_labels: list[str], series: dict[str, list[float
         if len(vs) != len(x_labels):
             raise ValueError(f"series {name!r} has {len(vs)} values for {len(x_labels)} labels")
     lo, hi = _bounds(series)
-    x0, y0 = _MARGIN["left"], _MARGIN["top"]
-    x1, y1 = _W - _MARGIN["right"], _H - _MARGIN["bottom"]
-    dx = (x1 - x0) / (len(x_labels) - 1)
+    dx = (_X1 - _X0) / (len(x_labels) - 1)
 
     body = []
     for si, (name, vs) in enumerate(series.items()):
@@ -122,9 +118,7 @@ def line_chart_svg(title: str, x_labels: list[str], series: dict[str, list[float
         segments: list[list[str]] = []
         for i, v in enumerate(vs):
             if math.isfinite(v):
-                segment.append(
-                    f"{_fmt(x0 + i * dx)},{_fmt(y1 - (v - lo) / (hi - lo) * (y1 - y0))}"
-                )
+                segment.append(f"{_fmt(_X0 + i * dx)},{_fmt(_ypix(v, lo, hi))}")
             elif segment:
                 segments.append(segment)
                 segment = []
@@ -142,7 +136,7 @@ def line_chart_svg(title: str, x_labels: list[str], series: dict[str, list[float
     step = max(1, len(x_labels) // 8)
     for i in range(0, len(x_labels), step):
         body.append(
-            f'<text x="{_fmt(x0 + i * dx)}" y="{y1 + 16}" text-anchor="middle" '
+            f'<text x="{_fmt(_X0 + i * dx)}" y="{_Y1 + 16}" text-anchor="middle" '
             f'font-size="10">{x_labels[i]}</text>'
         )
     return _frame(title, lo, hi, body, _legend(list(series)))

@@ -41,6 +41,13 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
+def _csv_text(dates: list[str], columns: dict[str, list[float]]) -> str:
+    """A date column, then one column per entry of columns, each float as its repr."""
+    lines = [",".join(["date", *columns])]
+    lines += [",".join([d, *map(repr, row)]) for d, *row in zip(dates, *columns.values())]
+    return "\n".join(lines) + "\n"
+
+
 def _load_config(args) -> RunConfig:
     config_path = getattr(args, "config", None)
     cfg = parse_config_file(config_path) if config_path else RunConfig()
@@ -152,29 +159,30 @@ def cmd_forecast(cfg: RunConfig, args) -> int:
     if series.dates[-1] == date.max:
         raise ValueError(f"the series ends on {date.max}, the last representable date")
     window = scaler.transform(series.close[-lookback:])
-    path = forecast_eval.recursive_forecast(params, window, cfg.horizon, scaler)
-    future = dat.weekday_dates(series.dates[-1] + timedelta(days=1), cfg.horizon)
+    path = forecast_eval.recursive_forecast(params, window, cfg.horizon, scaler).tolist()
+    start = series.dates[-1] + timedelta(days=1)
+    future = [d.isoformat() for d in dat.weekday_dates(start, cfg.horizon)]
 
     out = _outdir(cfg)
-    csv_lines = ["date,forecast"]
-    csv_lines += [f"{d.isoformat()},{float(v)!r}" for d, v in zip(future, path)]
-    (out / f"forecast-{name}.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    (out / f"forecast-{name}.csv").write_text(
+        _csv_text(future, {"forecast": path}), encoding="utf-8"
+    )
 
     tail = min(60, len(series))
-    labels = [d.isoformat() for d in series.dates[-tail:]] + [d.isoformat() for d in future]
+    labels = [d.isoformat() for d in series.dates[-tail:]] + future
     pad = [float("nan")] * tail
-    actual = [float(v) for v in series.close[-tail:]] + [float("nan")] * cfg.horizon
+    actual = series.close[-tail:].tolist() + [float("nan")] * cfg.horizon
     chart = charts.line_chart_svg(
         f"{name} forecast, next {cfg.horizon} steps",
         labels,
-        {"actual": actual, name: pad + [float(v) for v in path]},
+        {"actual": actual, name: pad + path},
     )
     (out / f"forecast-{name}.svg").write_text(chart, encoding="utf-8")
     payload = {
         "model": name,
         "horizon": cfg.horizon,
-        "dates": [d.isoformat() for d in future],
-        "forecast": [float(v) for v in path],
+        "dates": future,
+        "forecast": path,
         "config": config_echo(cfg),
     }
     (out / f"forecast-{name}.json").write_text(_json_text(payload), encoding="utf-8")
@@ -186,15 +194,12 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     series, _ = _load_clean(cfg)
     out = _outdir(cfg)
     report, test = forecast_eval.compare(series, cfg, out)
-    report["config"] = config_echo(cfg)
     (out / "report.json").write_text(_json_text(report), encoding="utf-8")
 
     dates = [d.isoformat() for d in test.dates]
     forecasts = {entry["name"]: entry["forecast"] for entry in report["models"]}
     columns = {"actual": test.close.tolist(), **forecasts}
-    csv_lines = ["date," + ",".join(columns)]
-    csv_lines += [",".join([d, *map(repr, row)]) for d, *row in zip(dates, *columns.values())]
-    (out / "plot.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    (out / "plot.csv").write_text(_csv_text(dates, columns), encoding="utf-8")
     chart = charts.line_chart_svg(
         f"Held-out closes vs {cfg.horizon}-step forecasts", dates, columns
     )
@@ -210,6 +215,8 @@ def cmd_compare(cfg: RunConfig, args) -> int:
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
     series = dat.synth_ohlcv(args.kind, args.n, cfg.seed)
     out = _outdir(cfg)
     path = out / "synth.csv"

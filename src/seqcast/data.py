@@ -62,9 +62,6 @@ class OhlcvSeries:
     def __len__(self) -> int:
         return len(self.dates)
 
-    def row(self, i: int) -> dict:
-        return {"date": self.dates[i], **{c: float(getattr(self, c)[i]) for c in _COLUMNS}}
-
     def slice(self, start: int, stop: int) -> "OhlcvSeries":
         return OhlcvSeries(
             self.dates[start:stop], *(getattr(self, c)[start:stop].copy() for c in _COLUMNS)
@@ -283,17 +280,19 @@ def fit_scaler(train_values) -> Scaler:
 
 @dataclass(frozen=True)
 class WindowedDataset:
-    """Paired (lookback window, next value) samples in scaled space."""
+    """Paired (lookback window, next value) samples in scaled space.
+
+    The lookback is the window width, ``inputs.shape[1]``.
+    """
 
     inputs: np.ndarray  # (samples, lookback)
     targets: np.ndarray  # (samples,)
-    lookback: int
 
     def __post_init__(self):
-        if self.inputs.shape != (self.targets.shape[0], self.lookback):
+        if self.inputs.ndim != 2 or self.targets.shape != self.inputs.shape[:1]:
             raise ValueError(
-                f"inputs {self.inputs.shape} do not pair with targets "
-                f"{self.targets.shape} at lookback {self.lookback}"
+                f"inputs {self.inputs.shape} do not pair with targets {self.targets.shape}: "
+                "need 2-D inputs and one target per row"
             )
 
     def __len__(self) -> int:
@@ -308,11 +307,7 @@ def make_windows(scaled, lookback: int) -> WindowedDataset:
     if v.size <= lookback:
         raise ValueError(f"need more than lookback={lookback} values, got {v.size}")
     view = np.lib.stride_tricks.sliding_window_view(v, lookback)
-    return WindowedDataset(
-        inputs=view[:-1].copy(),
-        targets=v[lookback:].copy(),
-        lookback=lookback,
-    )
+    return WindowedDataset(inputs=view[:-1].copy(), targets=v[lookback:].copy())
 
 
 def chronological_split(
@@ -418,24 +413,19 @@ def synth_ohlcv(kind: str, n: int, seed: int) -> OhlcvSeries:
     )
 
 
+def _rows(series: OhlcvSeries):
+    """Each row as (date, open, high, low, close, volume), values as Python floats."""
+    return zip(series.dates, *(getattr(series, c).tolist() for c in _COLUMNS))
+
+
 def write_ohlcv_csv(series: OhlcvSeries, path) -> None:
     """Write a series in the toolkit's CSV schema."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["Date", "Open", "High", "Low", "Close", "Volume"])
-        for i in range(len(series)):
-            r = series.row(i)
-            writer.writerow(
-                [
-                    r["date"].isoformat(),
-                    repr(r["open"]),
-                    repr(r["high"]),
-                    repr(r["low"]),
-                    repr(r["close"]),
-                    int(r["volume"]),
-                ]
-            )
+        writer.writerow(["Date", *map(str.capitalize, _COLUMNS)])
+        writer.writerows(
+            (d.isoformat(), *map(repr, prices), int(vol)) for d, *prices, vol in _rows(series)
+        )
 
 
 def fingerprint(series: OhlcvSeries) -> dict:
@@ -443,8 +433,7 @@ def fingerprint(series: OhlcvSeries) -> dict:
     if len(series) == 0:
         raise ValueError("fingerprint needs a non-empty series")
     digest = hashlib.sha256()
-    columns = (getattr(series, c).tolist() for c in _COLUMNS)
-    for d, op, hi, lo, cl, vol in zip(series.dates, *columns):
+    for d, op, hi, lo, cl, vol in _rows(series):
         digest.update(f"{d.isoformat()},{op!r},{hi!r},{lo!r},{cl!r},{vol!r}\n".encode())
     return {
         "n_rows": len(series),

@@ -18,7 +18,7 @@ from . import data as dat
 from . import models, training
 from .data import OhlcvSeries, Scaler, WindowedDataset
 from .models import MODEL_KINDS, weights_io
-from .runconfig import ConfigError, RunConfig
+from .runconfig import ConfigError, RunConfig, config_echo
 from .training import TrainingError
 
 
@@ -108,12 +108,8 @@ def prepare_windows(
         raise ValueError(
             f"lookback {lookback} leaves no training windows for {len(train)} training rows"
         )
-    train_ds = WindowedDataset(
-        inputs=windows.inputs[:split_at], targets=windows.targets[:split_at], lookback=lookback
-    )
-    val_ds = WindowedDataset(
-        inputs=windows.inputs[split_at:], targets=windows.targets[split_at:], lookback=lookback
-    )
+    train_ds = WindowedDataset(windows.inputs[:split_at], windows.targets[:split_at])
+    val_ds = WindowedDataset(windows.inputs[split_at:], windows.targets[split_at:])
     return train_ds, val_ds, joint[-lookback:], scaler, test
 
 
@@ -141,8 +137,9 @@ def compare(series: OhlcvSeries, cfg: RunConfig, out: str | Path):
     The models, their training and the split come from cfg. Each kind is
     fitted into the existing directory out, so its log and weights are
     written as it finishes. Returns (report dict ready for JSON, the
-    held-out test rows); each entry's "forecast" is its path. Model order
-    in the report is always lstm, gru, transformer.
+    held-out test rows). The report holds the dataset's fingerprint, one
+    entry per kind (name, metrics, its forecast path and training history)
+    in the order lstm, gru, transformer, and last cfg's ``config_echo``.
     """
     if cfg.horizon < 2:
         raise ConfigError(f"compare needs horizon >= 2 to score a forecast, got {cfg.horizon}")
@@ -165,12 +162,6 @@ def compare(series: OhlcvSeries, cfg: RunConfig, out: str | Path):
                 "metrics": metrics.as_dict(),
                 "forecast": [float(v) for v in path],
                 "history": history.as_dict(),
-                "config": {
-                    **cfg.kind_echo(name),
-                    "lookback": cfg.lookback,
-                    "horizon": cfg.horizon,
-                    "val_frac": cfg.val_frac,
-                },
             }
         )
-    return {"dataset": fingerprint, "models": entries}, test
+    return {"dataset": fingerprint, "models": entries, "config": config_echo(cfg)}, test

@@ -94,13 +94,6 @@ class RunConfig:
         kwargs = {key: kast(sect[key]) for key, kast in _TRAIN_KEYS.items() if key in sect}
         return TrainConfig(seed=self.seed + REGISTRY[kind].seed_offset, **kwargs)
 
-    def kind_echo(self, kind: str) -> dict:
-        """One model kind's settings as echoed in artifacts."""
-        return {
-            "model": self.model_config(kind).as_dict(),
-            "train": self.train_config(kind).as_dict(),
-        }
-
 
 def _key_types(cls, skip: str) -> dict[str, type]:
     """Field name -> INI type, taken from the default; a None default is a path string."""
@@ -173,7 +166,13 @@ def config_echo(cfg: RunConfig) -> dict:
     """Config as a JSON-ready dict, embedded in every artifact."""
     return {
         **{key: getattr(cfg, key) for key in _RUN_KEYS},
-        "models": {kind: cfg.kind_echo(kind) for kind in MODEL_KINDS},
+        "models": {
+            kind: {
+                "model": cfg.model_config(kind).as_dict(),
+                "train": cfg.train_config(kind).as_dict(),
+            }
+            for kind in MODEL_KINDS
+        },
     }
 
 

@@ -122,12 +122,13 @@ def _candidate_ssrs(y: np.ndarray, max_lag: int) -> np.ndarray:
     return suffix[2:]
 
 
-def adf_test(values, max_lag: int | None = None, fixed_lag: int | None = None) -> AdfResult:
+def adf_test(values, fixed_lag: int | None = None) -> AdfResult:
     """Constant-only augmented Dickey-Fuller test.
 
     With ``fixed_lag`` the regression uses exactly that many difference lags;
-    otherwise the lag is AIC-selected over 0..max_lag (max_lag defaults to
-    :func:`default_max_lag`). The statistic is invariant under
+    otherwise the lag is AIC-selected over 0..max_lag, where max_lag is
+    :func:`default_max_lag` capped at n // 2 - 2 and floored at 0.
+    The statistic is invariant under
     ``values -> a * values + c`` for a != 0. Constant input, and input whose
     ADF design is singular (such as a repeating pattern), raise a
     degenerate-series error.
@@ -152,10 +153,7 @@ def adf_test(values, max_lag: int | None = None, fixed_lag: int | None = None) -
         lag = fixed_lag
         _check_length(n, lag, "lag")
     else:
-        if max_lag is None:
-            max_lag = max(0, min(default_max_lag(n), n // 2 - 2))
-        if max_lag < 0:
-            raise ValueError(f"max_lag must be >= 0, got {max_lag}")
+        max_lag = max(0, min(default_max_lag(n), n // 2 - 2))
         _check_length(n, max_lag, "max_lag")
         # Candidates share the sample trimmed to max_lag so AICs compare
         # like for like; the chosen lag is then refit on its full sample.

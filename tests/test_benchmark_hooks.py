@@ -42,8 +42,8 @@ def counting(monkeypatch, module, attr):
 
 def test_train_calls_adam_step_once_per_batch(monkeypatch, tmp_path):
     windows = dat.make_windows(make_rng(5).random(80), 8)
-    train_set = dat.WindowedDataset(windows.inputs[:57], windows.targets[:57], 8)
-    val_set = dat.WindowedDataset(windows.inputs[57:], windows.targets[57:], 8)
+    train_set = dat.WindowedDataset(windows.inputs[:57], windows.targets[:57])
+    val_set = dat.WindowedDataset(windows.inputs[57:], windows.targets[57:])
     cfg = training.TrainConfig(max_epochs=3, patience=3, batch_size=16, seed=6)
     calls = counting(monkeypatch, training, "adam_step")
     _, history = training.train(

@@ -48,6 +48,13 @@ class TestSynth:
             main(["synth", "--kind", "brownian-bridge", "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_non_positive_n_is_usage_error(self, tmp_path, capsys, n):
+        out = tmp_path / "x"
+        assert main(["synth", "--n", n, "--out", str(out)]) == 2
+        assert f"--n must be >= 1, got {n}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEda:
     def test_happy_path_artifacts(self, tmp_path, sine_csv):

@@ -84,13 +84,17 @@ def _date_strings():
     return st.one_of(text, text.map(lambda t: t.translate(wide)))
 
 
+def _row(series: dat.OhlcvSeries, i: int) -> dict:
+    return {"date": series.dates[i], **{c: float(getattr(series, c)[i]) for c in VALUE_COLUMNS}}
+
+
 def _clean_reference(series: dat.OhlcvSeries) -> tuple[dat.OhlcvSeries, dat.CleanReport]:
     """Row-at-a-time statement of clean's rules, kept to pin the columnar version."""
     report = dat.CleanReport()
     kept = []
     prev_close = None
     for i in range(len(series)):
-        row = series.row(i)
+        row = _row(series, i)
         if math.isnan(row["close"]):
             report.dropped_missing_close += 1
             continue
@@ -657,6 +661,19 @@ class TestWindows:
         with pytest.raises(ValueError):
             dat.make_windows(np.arange(5.0), 5)
 
+    @pytest.mark.parametrize(
+        "inputs, targets",
+        [
+            (np.zeros(4), np.zeros(4)),  # 1-D inputs
+            (np.zeros((4, 3)), np.zeros(5)),  # one target short of a row each
+            (np.zeros((4, 3)), np.zeros((4, 1))),  # 2-D targets
+        ],
+        ids=["1-d-inputs", "row-count-mismatch", "2-d-targets"],
+    )
+    def test_unpaired_windows_rejected(self, inputs, targets):
+        with pytest.raises(ValueError, match="one target per row"):
+            dat.WindowedDataset(inputs, targets)
+
     @given(
         st.integers(min_value=2, max_value=300),
         st.integers(min_value=1, max_value=299),
@@ -722,6 +739,66 @@ class TestSynth:
         assert back.dates == sine_series.dates
         np.testing.assert_array_equal(back.close, sine_series.close)
         np.testing.assert_array_equal(back.volume, sine_series.volume)
+
+
+def _write_ohlcv_csv_reference(series: dat.OhlcvSeries, path) -> None:
+    """The row-at-a-time writer, kept to pin write_ohlcv_csv's bytes."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["Date", "Open", "High", "Low", "Close", "Volume"])
+        for i in range(len(series)):
+            r = _row(series, i)
+            writer.writerow(
+                [
+                    r["date"].isoformat(),
+                    repr(r["open"]),
+                    repr(r["high"]),
+                    repr(r["low"]),
+                    repr(r["close"]),
+                    int(r["volume"]),
+                ]
+            )
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 2.0**53 + 2, 1e20]
+
+
+@st.composite
+def _any_series(draw):
+    """Raw series with any float prices (NaN and infinities too) and finite volumes."""
+    n = draw(st.integers(1, 12))
+    start = draw(st.integers(date(1900, 1, 1).toordinal(), date(2100, 1, 1).toordinal()))
+    gaps = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
+    dates = tuple(date.fromordinal(start + sum(gaps[: i + 1])) for i in range(n))
+    price = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats())
+    volume = st.one_of(
+        st.sampled_from(_EDGE_VALUES),
+        st.integers(0, 2**80).map(float),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    columns = {
+        c: np.array(draw(st.lists(volume if c == "volume" else price, min_size=n, max_size=n)))
+        for c in VALUE_COLUMNS
+    }
+    return dat.OhlcvSeries(dates, **columns)
+
+
+class TestWriteCsv:
+    @given(_any_series())
+    @example(
+        dat.OhlcvSeries(
+            (date(2015, 1, 2), date(2015, 1, 5)),
+            *(np.array(pair) for pair in ([-0.0, 5e-324], [1e308, -0.0], [5e-324, 1e308],
+                                          [1e308, 5e-324], [2.0**63, 123456789012345678901.0]))
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_reference_bytes(self, series):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            dat.write_ohlcv_csv(series, got)
+            _write_ohlcv_csv_reference(series, want)
+            assert got.read_bytes() == want.read_bytes()
 
 
 class TestFingerprint:

@@ -233,7 +233,7 @@ def compared(sine_series, tmp_path_factory):
 class TestCompare:
     def test_report_shape(self, compared, sine_series):
         (report, test), out = compared
-        assert set(report) == {"dataset", "models"}
+        assert list(report) == ["dataset", "models", "config"]
         assert tuple(e["name"] for e in report["models"]) == MODEL_KINDS
         assert len(test) == 10
         # every weight file carries the scaler the models were trained with
@@ -242,26 +242,19 @@ class TestCompare:
             _, (lookback, stored) = weights_io.load_weights(out / f"weights-{kind}.txt", kind)
             assert (lookback, stored) == (24, scaler)
 
-    def test_entries_carry_forecast_and_config(self, compared):
+    def test_entries_carry_forecast_and_metrics(self, compared):
         (report, test), _ = compared
         for entry in report["models"]:
             assert len(entry["forecast"]) == 10
             assert all(np.isfinite(entry["forecast"]))
-            assert entry["config"]["lookback"] == 24
-            assert entry["config"]["horizon"] == 10
             recomputed = compute_metrics(test.close, entry["forecast"])
             assert entry["metrics"]["r2"] == pytest.approx(recomputed.r2)
 
-    def test_entry_config_matches_run_echo(self, compared):
+    def test_config_is_echoed_once(self, compared):
         (report, _), _ = compared
-        echo = config_echo(COMPARE_CFG)
+        assert report["config"] == config_echo(COMPARE_CFG)
         for entry in report["models"]:
-            assert entry["config"] == {
-                **echo["models"][entry["name"]],
-                "lookback": 24,
-                "horizon": 10,
-                "val_frac": COMPARE_CFG.val_frac,
-            }
+            assert set(entry) == {"name", "metrics", "forecast", "history"}
 
 
 class TestHelpers:

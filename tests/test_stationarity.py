@@ -132,10 +132,9 @@ class TestAdfContracts:
         # Lags >= 7 with n < 2 * lag + 4 leave the widest fit no residual.
         n = data.draw(st.integers(lag + 10, 2 * lag + 3))
         y = np.cumsum(make_rng(n).normal(size=n))
-        for kwargs in ({"max_lag": lag}, {"fixed_lag": lag}):
-            with pytest.raises(ValueError, match="too short"):
-                adf_test(y, **kwargs)
-        adf_test(np.cumsum(make_rng(n).normal(size=2 * lag + 4)), max_lag=lag)
+        with pytest.raises(ValueError, match="too short"):
+            adf_test(y, fixed_lag=lag)
+        adf_test(np.cumsum(make_rng(n).normal(size=2 * lag + 4)), fixed_lag=lag)
 
     def test_linear_ramp_differenced_is_degenerate(self):
         ramp = np.arange(200, dtype=np.float64)

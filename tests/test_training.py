@@ -29,8 +29,8 @@ def identity_task(n=160, lookback=12, seed=5):
     values = rng.random(n)
     ds = make_windows(values, lookback)
     cut = int(len(ds) * 0.8)
-    train_set = WindowedDataset(ds.inputs[:cut], ds.targets[:cut], lookback)
-    val_set = WindowedDataset(ds.inputs[cut:], ds.targets[cut:], lookback)
+    train_set = WindowedDataset(ds.inputs[:cut], ds.targets[:cut])
+    val_set = WindowedDataset(ds.inputs[cut:], ds.targets[cut:])
     return train_set, val_set
 
 
@@ -40,8 +40,8 @@ def sine_task(n=200, lookback=12, period=40.0):
     values = 0.5 + 0.4 * np.sin(2 * np.pi * i / period)
     ds = make_windows(values, lookback)
     cut = int(len(ds) * 0.8)
-    train_set = WindowedDataset(ds.inputs[:cut], ds.targets[:cut], lookback)
-    val_set = WindowedDataset(ds.inputs[cut:], ds.targets[cut:], lookback)
+    train_set = WindowedDataset(ds.inputs[:cut], ds.targets[:cut])
+    val_set = WindowedDataset(ds.inputs[cut:], ds.targets[cut:])
     return train_set, val_set
 
 
@@ -238,7 +238,7 @@ class TestValidationLoss:
         n = max(1, {"1": 1, "b-1": b - 1, "b": b, "b+1": b + 1, "3b+1": 3 * b + 1}[size])
         rng = make_rng(seed)
         params = models.init_params(SMALL[kind], rng)
-        val = WindowedDataset(rng.random((n, 7)), rng.random(n), 7)
+        val = WindowedDataset(rng.random((n, 7)), rng.random(n))
         whole = mse_loss(models.forward(params, val.inputs)[0], val.targets)
         assert validation_loss(params, val, batch_size) == pytest.approx(whole, rel=1e-12, abs=0)
 
@@ -247,7 +247,7 @@ class TestValidationLoss:
         rng = make_rng(0)
         params = models.init_params(ModelConfig(kind="transformer"), rng)
         n = 4 * batch_size
-        val = WindowedDataset(rng.random((n, lookback)), rng.random(n), lookback)
+        val = WindowedDataset(rng.random((n, lookback)), rng.random(n))
 
         def traced_peak(fn) -> int:
             tracemalloc.start()
@@ -317,14 +317,14 @@ class TestTrain:
         train_set, val_set = identity_task(n=60, lookback=6)
         bad = train_set.targets.copy()
         bad[3] = np.nan
-        broken = WindowedDataset(train_set.inputs, bad, train_set.lookback)
+        broken = WindowedDataset(train_set.inputs, bad)
         cfg = TrainConfig(max_epochs=3, patience=3, seed=0)
         with pytest.raises(TrainingError, match=r"non-finite loss at epoch \d+, batch \d+"):
             train(ModelConfig(kind="lstm", hidden=4), broken, val_set, cfg, tmp_path / "log")
 
     def test_empty_sets_rejected(self, tmp_path):
         train_set, val_set = identity_task(n=60, lookback=6)
-        empty = WindowedDataset(np.zeros((0, 6)), np.zeros(0), 6)
+        empty = WindowedDataset(np.zeros((0, 6)), np.zeros(0))
         log = tmp_path / "train.ndjson"
         for sets in ((empty, val_set), (train_set, empty)):
             with pytest.raises(TrainingError, match="non-empty"):

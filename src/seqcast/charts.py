@@ -7,6 +7,7 @@ means) and a multi-series line chart (forecast paths vs actuals).
 
 from __future__ import annotations
 
+import itertools
 import math
 
 _COLORS = ("#4477aa", "#ee6677", "#228833", "#ccbb44")
@@ -30,7 +31,8 @@ def _ypix(v: float, lo: float, hi: float) -> float:
     return _Y1 - (v - lo) / (hi - lo) * (_Y1 - _Y0)
 
 
-def _frame(title: str, lo: float, hi: float, body: list[str], legend: list[str]) -> str:
+def _frame(title: str, lo: float, hi: float, body: list[str], names: list[str]) -> str:
+    """The chart around body: title, y grid, x axis and a legend entry per series name."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
@@ -45,23 +47,21 @@ def _frame(title: str, lo: float, hi: float, body: list[str], legend: list[str])
         )
     parts.extend(body)
     parts.append(f'<line x1="{_X0}" y1="{_Y1}" x2="{_X1}" y2="{_Y1}" stroke="#333"/>')
-    parts.extend(legend)
+    x = _X0
+    for i, name in enumerate(names):
+        color = _COLORS[i % len(_COLORS)]
+        parts.append(f'<rect x="{x}" y="{_H - 22}" width="12" height="12" fill="{color}"/>')
+        parts.append(f'<text x="{x + 16}" y="{_H - 12}">{name}</text>')
+        x += 16 + 8 * len(name) + 24
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _legend(names: list[str]) -> list[str]:
-    out = []
-    x = _X0
-    for i, name in enumerate(names):
-        color = _COLORS[i % len(_COLORS)]
-        out.append(f'<rect x="{x}" y="{_H - 22}" width="12" height="12" fill="{color}"/>')
-        out.append(f'<text x="{x + 16}" y="{_H - 12}">{name}</text>')
-        x += 16 + 8 * len(name) + 24
-    return out
-
-
-def _bounds(series: dict[str, list[float]]) -> tuple[float, float]:
+def _bounds(series: dict[str, list[float]], labels: list[str]) -> tuple[float, float]:
+    """The padded value range of every finite value, once each series has one per label."""
+    for name, vs in series.items():
+        if len(vs) != len(labels):
+            raise ValueError(f"series {name!r} has {len(vs)} values for {len(labels)} labels")
     values = [v for vs in series.values() for v in vs if math.isfinite(v)]
     if not values:
         raise ValueError("no finite values to plot")
@@ -74,10 +74,7 @@ def bar_chart_svg(title: str, labels: list[str], series: dict[str, list[float]])
     """Grouped vertical bars; one group per label, one bar per series."""
     if not series or not labels:
         raise ValueError("bar chart needs at least one label and one series")
-    for name, vs in series.items():
-        if len(vs) != len(labels):
-            raise ValueError(f"series {name!r} has {len(vs)} values for {len(labels)} labels")
-    lo, hi = _bounds(series)
+    lo, hi = _bounds(series, labels)
     lo = min(lo, 0.0)
     group_w = (_X1 - _X0) / len(labels)
     bar_w = group_w * 0.8 / len(series)
@@ -97,41 +94,32 @@ def bar_chart_svg(title: str, labels: list[str], series: dict[str, list[float]])
         body.append(
             f'<text x="{_fmt(gx + group_w / 2)}" y="{_Y1 + 16}" text-anchor="middle">{label}</text>'
         )
-    return _frame(title, lo, hi, body, _legend(list(series)))
+    return _frame(title, lo, hi, body, list(series))
 
 
 def line_chart_svg(title: str, x_labels: list[str], series: dict[str, list[float]]) -> str:
     """One polyline per series over a shared categorical x axis."""
     if not series or len(x_labels) < 2:
         raise ValueError("line chart needs at least one series and two x positions")
-    for name, vs in series.items():
-        if len(vs) != len(x_labels):
-            raise ValueError(f"series {name!r} has {len(vs)} values for {len(x_labels)} labels")
-    lo, hi = _bounds(series)
+    lo, hi = _bounds(series, x_labels)
     dx = (_X1 - _X0) / (len(x_labels) - 1)
 
     body = []
-    for si, (name, vs) in enumerate(series.items()):
+    for si, vs in enumerate(series.values()):
         color = _COLORS[si % len(_COLORS)]
         # non-finite values break the line into separate segments
-        segment: list[str] = []
-        segments: list[list[str]] = []
-        for i, v in enumerate(vs):
-            if math.isfinite(v):
-                segment.append(f"{_fmt(_X0 + i * dx)},{_fmt(_ypix(v, lo, hi))}")
-            elif segment:
-                segments.append(segment)
-                segment = []
-        if segment:
-            segments.append(segment)
-        for seg in segments:
-            if len(seg) == 1:
-                cx, cy = seg[0].split(",")
+        runs = itertools.groupby(enumerate(vs), key=lambda iv: math.isfinite(iv[1]))
+        for finite, run in runs:
+            if not finite:
+                continue
+            points = [(_fmt(_X0 + i * dx), _fmt(_ypix(v, lo, hi))) for i, v in run]
+            if len(points) == 1:
+                [(cx, cy)] = points
                 body.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{color}"/>')
             else:
+                coords = " ".join(f"{x},{y}" for x, y in points)
                 body.append(
-                    f'<polyline points="{" ".join(seg)}" fill="none" '
-                    f'stroke="{color}" stroke-width="1.5"/>'
+                    f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
                 )
     step = max(1, len(x_labels) // 8)
     for i in range(0, len(x_labels), step):
@@ -139,4 +127,4 @@ def line_chart_svg(title: str, x_labels: list[str], series: dict[str, list[float
             f'<text x="{_fmt(_X0 + i * dx)}" y="{_Y1 + 16}" text-anchor="middle" '
             f'font-size="10">{x_labels[i]}</text>'
         )
-    return _frame(title, lo, hi, body, _legend(list(series)))
+    return _frame(title, lo, hi, body, list(series))

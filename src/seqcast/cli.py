@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -28,7 +28,6 @@ from .runconfig import (
     ADF_CHOICES,
     ConfigError,
     RunConfig,
-    apply_flags,
     canonical_text,
     config_echo,
     parse_config_file,
@@ -49,9 +48,11 @@ def _csv_text(dates: list[str], columns: dict[str, list[float]]) -> str:
 
 
 def _load_config(args) -> RunConfig:
+    """The config file or the defaults; a flag, whose dest is its [run] key, wins unless None."""
     config_path = getattr(args, "config", None)
     cfg = parse_config_file(config_path) if config_path else RunConfig()
-    return apply_flags(cfg, **{f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
+    flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    return replace(cfg, **{key: value for key, value in flags.items() if value is not None})
 
 
 def _require_data(cfg: RunConfig) -> Path:
@@ -73,20 +74,15 @@ def _load_clean(cfg: RunConfig) -> tuple[dat.OhlcvSeries, dat.CleanReport]:
     return dat.clean(dat.parse_csv(_require_data(cfg)))
 
 
-def _adf_input(series: dat.OhlcvSeries, adf_on: str):
-    if adf_on == "monthly-high":
-        return dat.monthly_mean_series(series, "high")
-    return series.high
-
-
 def cmd_eda(cfg: RunConfig, args) -> int:
     series, report = _load_clean(cfg)
-    values = _adf_input(series, cfg.adf_on)
+    monthly = cfg.adf_on == "monthly-high"
+    values = dat.monthly_mean_series(series) if monthly else series.high
     try:
         level = stationarity.adf_test(values)
         differenced = stationarity.adf_test(stationarity.difference(values, 1))
     except ValueError as exc:
-        if cfg.adf_on != "monthly-high":
+        if not monthly:
             raise
         raise ValueError(
             f"the unit-root test runs on monthly means of the high by default, and this "
@@ -231,37 +227,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Univariate price forecasting: data prep, three sequence models, comparison.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, with_model: bool = False):
-        p.add_argument("--config", help="INI config file")
-        p.add_argument("--data", help="input OHLCV CSV (overrides config)")
-        p.add_argument("--seed", type=int, help="run seed (overrides config)")
-        p.add_argument("--horizon", type=int, help="forecast steps (overrides config)")
-        p.add_argument("--out", dest="output_dir", help="output directory (overrides config)")
-        p.add_argument(
-            "--print-config",
-            action="store_true",
-            help="print the merged canonical config and exit",
-        )
-        if with_model:
-            p.add_argument("--model", required=True, choices=MODEL_KINDS)
-
-    p_eda = sub.add_parser("eda", help="cleaning stats, monthwise means, unit-root tests")
-    add_common(p_eda)
-    p_eda.add_argument("--adf-on", choices=ADF_CHOICES, help="series under the ADF test")
-    p_eda.set_defaults(func=cmd_eda)
-
-    p_train = sub.add_parser("train", help="fit one model, save weights and log")
-    add_common(p_train, with_model=True)
-    p_train.set_defaults(func=cmd_train)
-
-    p_fc = sub.add_parser("forecast", help="extend the series using saved weights")
-    add_common(p_fc, with_model=True)
-    p_fc.set_defaults(func=cmd_forecast)
-
-    p_cmp = sub.add_parser("compare", help="train all three models and compare forecasts")
-    add_common(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="INI config file")
+    common.add_argument("--data", help="input OHLCV CSV (overrides config)")
+    common.add_argument("--seed", type=int, help="run seed (overrides config)")
+    common.add_argument("--horizon", type=int, help="forecast steps (overrides config)")
+    common.add_argument("--out", dest="output_dir", help="output directory (overrides config)")
+    common.add_argument(
+        "--print-config",
+        action="store_true",
+        help="print the merged canonical config and exit",
+    )
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", required=True, choices=MODEL_KINDS)
+    adf = argparse.ArgumentParser(add_help=False)
+    adf.add_argument("--adf-on", choices=ADF_CHOICES, help="series under the ADF test")
+    for name, parents, func, text in [
+        ("eda", [common, adf], cmd_eda, "cleaning stats, monthwise means, unit-root tests"),
+        ("train", [common, model], cmd_train, "fit one model, save weights and log"),
+        ("forecast", [common, model], cmd_forecast, "extend the series using saved weights"),
+        ("compare", [common], cmd_compare, "train all three models and compare forecasts"),
+    ]:
+        sub.add_parser(name, parents=parents, help=text).set_defaults(func=func)
 
     p_synth = sub.add_parser("synth", help="write a reproducible synthetic fixture CSV")
     p_synth.add_argument("--kind", choices=dat.SYNTH_KINDS, default="sine+noise")

@@ -241,16 +241,14 @@ def monthwise_means(series: OhlcvSeries) -> dict[int, tuple[float, float]]:
     return dict(zip(present.tolist(), zip(opens.tolist(), closes.tolist())))
 
 
-def monthly_mean_series(series: OhlcvSeries, column: str = "high") -> np.ndarray:
-    """Chronological per-(year, month) means of one value column.
+def monthly_mean_series(series: OhlcvSeries) -> np.ndarray:
+    """Chronological per-(year, month) means of the high.
 
     This is the monthly aggregation the unit-root diagnostics run on.
     """
-    if column not in _COLUMNS:
-        raise ValueError(f"unknown column {column!r}")
     months = np.fromiter((d.year * 12 + d.month for d in series.dates), np.int64, len(series))
     _, key = np.unique(months, return_inverse=True)
-    return np.bincount(key, weights=getattr(series, column)) / np.bincount(key)
+    return np.bincount(key, weights=series.high) / np.bincount(key)
 
 
 @dataclass(frozen=True)
@@ -366,28 +364,20 @@ def synth_series(kind: str, n: int, seed: int) -> np.ndarray:
         log_path[1:] += _GBM_VOL * np.cumsum(rng.standard_normal(n - 1))
         return _SYNTH_START * np.exp(log_path)
     if kind == "random-walk":
-        path = np.empty(n)
-        path[0] = _SYNTH_START
-        path[1:] = _SYNTH_START + np.cumsum(_WALK_STEP_SD * rng.standard_normal(n - 1))
-        return path
+        steps = np.cumsum(_WALK_STEP_SD * rng.standard_normal(n - 1))
+        return np.concatenate([[_SYNTH_START], _SYNTH_START + steps])
     raise ValueError(f"unknown kind {kind!r}, expected one of {SYNTH_KINDS}")
 
 
 def weekday_dates(start_date: date, n: int) -> tuple[date, ...]:
-    """The first n weekdays from start_date on."""
-    out = []
-    day = start_date.toordinal()
-    while len(out) < n:
-        if day > date.max.toordinal():
-            raise ValueError(
-                f"{n} weekdays from {start_date.isoformat()} run past "
-                f"{date.max.isoformat()}, the last representable date"
-            )
-        d = date.fromordinal(day)
-        if d.weekday() < 5:
-            out.append(d)
-        day += 1
-    return tuple(out)
+    """The first n weekdays from start_date on; none if n <= 0."""
+    days = np.busday_offset(np.datetime64(start_date, "D"), np.arange(n), roll="forward")
+    if days.size and days[-1] > np.datetime64(date.max, "D"):
+        raise ValueError(
+            f"{n} weekdays from {start_date.isoformat()} run past "
+            f"{date.max.isoformat()}, the last representable date"
+        )
+    return tuple(days.tolist())
 
 
 def synth_ohlcv(kind: str, n: int, seed: int) -> OhlcvSeries:
@@ -399,16 +389,14 @@ def synth_ohlcv(kind: str, n: int, seed: int) -> OhlcvSeries:
     closes = synth_series(kind, n, seed)
     if np.min(closes) <= 0:
         raise ValueError("synthetic closes must stay positive to form an OHLCV fixture")
-    opens = np.empty_like(closes)
-    opens[0] = closes[0]
-    opens[1:] = closes[:-1]
+    opens = np.concatenate([closes[:1], closes[:-1]])
     volume = make_rng(seed + 1).integers(1_000_000, 100_000_000, size=n).astype(np.float64)
     return OhlcvSeries(
         dates=weekday_dates(_SYNTH_START_DATE, n),
         open=opens,
         high=np.maximum(opens, closes),
         low=np.minimum(opens, closes),
-        close=closes.copy(),
+        close=closes,
         volume=volume,
     )
 

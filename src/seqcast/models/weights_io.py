@@ -19,6 +19,7 @@ included, means retrain. LF newlines make identical weights identical bytes.
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -38,14 +39,14 @@ def _dims_text(kind: str, dims: dict[str, int]) -> str:
     return " ".join([kind, *(f"{k}={v}" for k, v in dims.items())])
 
 
-def _block_line(name: str, arr: np.ndarray) -> str:
-    return f"{name} {arr.shape[0]} {arr.shape[1] if arr.ndim == 2 else 0}"
+def _block_line(name: str, shape: tuple[int, ...]) -> str:
+    return f"{name} {shape[0]} {shape[1] if len(shape) == 2 else 0}"
 
 
-def _float(text: str | None) -> float:
+def _float(text: str) -> float:
     try:
         return float(text)
-    except (TypeError, ValueError):
+    except ValueError:
         return np.nan
 
 
@@ -58,7 +59,7 @@ def save_weights(path: str | Path, params: Params, lookback: int, scaler: Scaler
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         out.write(f"{MAGIC}\n{_dims_text(params.kind, {**params.dims, 'lookback': lookback})}\n")
         for name, arr in [*params.named_arrays(), ("scaler", np.array([scaler.min, scaler.max]))]:
-            out.write(f"{_block_line(name, arr)}\n")
+            out.write(f"{_block_line(name, arr.shape)}\n")
             out.write("".join(f"{v:.17g}\n" for v in arr.ravel()))
 
 
@@ -66,7 +67,9 @@ def load_weights(path: str | Path, expect_kind: str):
     """Read a weights file of kind expect_kind back into a Params.
 
     Returns (params, (lookback, scaler)). A file of another kind is an error
-    up front, before any arrays are parsed.
+    up front, before any arrays are parsed. A block becomes an array only
+    from the values the file holds, so a header that states more than the
+    file has costs no memory; the parameter vector is built at the end.
     """
     from . import REGISTRY
 
@@ -89,29 +92,31 @@ def load_weights(path: str | Path, expect_kind: str):
         raise _expected(2, "the end of the line after lookback", tokens[len(keys) + 1])
     lookback = dims.pop("lookback")
     try:
-        params = Params(kind, dims)
+        shapes = REGISTRY[kind].shapes(dims)
     except ValueError as exc:
         raise WeightsFormatError(f"line 2: {exc}") from None
-    pos, scaler = 2, np.empty(2)
-    for name, view in [*params.named_arrays(), ("scaler", scaler)]:
-        block = _block_line(name, view)
+    pos, blocks = 2, []
+    for name, shape in [*shapes.items(), ("scaler", (2,))]:
+        block, size = _block_line(name, shape), math.prod(shape)
         found = lines[pos] if pos < len(lines) else None
         if found != block:
             raise _expected(pos + 1, f"block {block!r} of header {lines[1]}", found)
-        values = lines[pos + 1 : pos + 1 + view.size]
-        values += [None] * (view.size - len(values))  # past the end of the file
+        values = lines[pos + 1 : pos + 1 + size]
         try:
-            view.flat = [float(v) for v in values]
-        except (TypeError, ValueError):  # mark what is not a number for the check below
-            view.flat = [_float(v) for v in values]
-        bad = np.flatnonzero(~np.isfinite(view.ravel()))
-        if bad.size:
-            raise _expected(pos + 2 + bad[0], f"a finite value in block {name!r}", values[bad[0]])
-        pos += 1 + view.size
+            arr = np.fromiter(map(float, values), np.float64, len(values))
+        except ValueError:  # mark what is not a number for the check below
+            arr = np.fromiter(map(_float, values), np.float64, len(values))
+        bad = np.flatnonzero(~np.isfinite(arr))
+        at = int(bad[0]) if bad.size else len(values)
+        if at < size:
+            found = values[at] if at < len(values) else None  # None: past the end of the file
+            raise _expected(pos + 2 + at, f"a finite value in block {name!r}", found)
+        blocks.append(arr)
+        pos += 1 + size
     if pos < len(lines):
         raise _expected(pos + 1, "the end of the file after block 'scaler'", lines[pos])
     try:
-        scaler = Scaler(*scaler.tolist())
+        scaler = Scaler(*blocks.pop().tolist())
     except ValueError as exc:
         raise WeightsFormatError(f"line {pos - 2}: block 'scaler': {exc}") from None
-    return params, (lookback, scaler)
+    return Params(kind, dims, np.concatenate(blocks)), (lookback, scaler)

@@ -1,4 +1,4 @@
-"""Run configuration: INI file, flag overrides, canonical echo.
+"""Run configuration: INI file, canonical echo; CLI flags override the [run] keys.
 
 Layout (all keys optional, defaults below):
 
@@ -30,7 +30,7 @@ warnings.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .models import MODEL_KINDS, REGISTRY, ModelConfig
@@ -151,15 +151,6 @@ def parse_config_file(path: str | Path) -> RunConfig:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     return parse_config_text(p.read_text(encoding="utf-8"), source=str(p))
-
-
-def apply_flags(cfg: RunConfig, **flags) -> RunConfig:
-    """Command-line flags win over file values.
-
-    Each flag is named by its [run] key; one left at None keeps the file's value.
-    """
-    updates = {key: value for key, value in flags.items() if value is not None}
-    return replace(cfg, **updates) if updates else cfg
 
 
 def config_echo(cfg: RunConfig) -> dict:

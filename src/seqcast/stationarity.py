@@ -23,9 +23,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 # MacKinnon response-surface coefficients, constant-only regression, one
-# I(1) series. p = Phi(poly(tau)) with the small-p polynomial used for
-# tau <= TAU_STAR and the large-p polynomial above it; statistics outside
-# [TAU_MIN, TAU_MAX] clamp to p = 0 / p = 1.
+# I(1) series, lowest degree first. p = Phi(poly(tau)) with the small-p
+# polynomial used for tau <= TAU_STAR and the large-p polynomial above it;
+# statistics outside [TAU_MIN, TAU_MAX] clamp to p = 0 / p = 1.
 _TAU_MAX = 2.74
 _TAU_MIN = -18.83
 _TAU_STAR = -1.61
@@ -58,21 +58,14 @@ def difference(values, order: int = 1) -> np.ndarray:
     return np.diff(v, n=order)
 
 
-def _norm_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
 def mackinnon_pvalue(statistic: float) -> float:
-    """Approximate p-value of a constant-case ADF statistic."""
+    """Approximate p-value of a constant-case ADF statistic: Phi of the polynomial."""
     if statistic > _TAU_MAX:
         return 1.0
     if statistic < _TAU_MIN:
         return 0.0
     coef = _TAU_SMALLP if statistic <= _TAU_STAR else _TAU_LARGEP
-    poly = 0.0
-    for c in reversed(coef):
-        poly = poly * statistic + c
-    return _norm_cdf(poly)
+    return 0.5 * math.erfc(-np.polyval(coef[::-1], statistic) / math.sqrt(2.0))
 
 
 def default_max_lag(n: int) -> int:

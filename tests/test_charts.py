@@ -1,8 +1,98 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from seqcast import charts
 from seqcast.charts import bar_chart_svg, line_chart_svg
+
+# sha256 over the SVG text or error of both charts for every _chart_cases()
+# input, as the hand-split segment code wrote them.
+CHART_CASES_SHA256 = "6b0e7352ef93bcf9ebd61799761f0ebea62fa730c3862617d5a510a4a4650ba7"
+
+
+def _chart_cases():
+    """Inputs with NaN and infinite runs of every density, lone finite points, 1 to 3 series."""
+    g = np.random.default_rng(20240)
+    for _ in range(300):
+        n = int(g.integers(1, 40))
+        series = {}
+        for j in range(int(g.integers(1, 4))):
+            v = g.normal(size=n) * 10.0 ** int(g.integers(-3, 6))
+            v[g.random(n) < g.random()] = math.nan
+            v[g.random(n) < 0.05] = math.inf
+            series[f"s{j}"] = v.tolist()
+        yield [f"d{i}" for i in range(n)], series
+
+
+def _outcome(chart, labels, series) -> str:
+    try:
+        return chart("t", labels, series)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_both_charts_keep_their_bytes():
+    digest = hashlib.sha256()
+    for labels, series in _chart_cases():
+        for chart in (line_chart_svg, bar_chart_svg):
+            digest.update(_outcome(chart, labels, series).encode())
+    assert digest.hexdigest() == CHART_CASES_SHA256
+
+
+def _segment_elements_reference(vs, color, lo, hi, dx) -> list[str]:
+    """The string-segment splitter that line_chart_svg replaced, and what it drew."""
+    fmt, x0, ypix = charts._fmt, charts._X0, charts._ypix
+    segment: list[str] = []
+    segments: list[list[str]] = []
+    for i, v in enumerate(vs):
+        if math.isfinite(v):
+            segment.append(f"{fmt(x0 + i * dx)},{fmt(ypix(v, lo, hi))}")
+        elif segment:
+            segments.append(segment)
+            segment = []
+    if segment:
+        segments.append(segment)
+    body = []
+    for seg in segments:
+        if len(seg) == 1:
+            cx, cy = seg[0].split(",")
+            body.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{color}"/>')
+        else:
+            body.append(
+                f'<polyline points="{" ".join(seg)}" fill="none" '
+                f'stroke="{color}" stroke-width="1.5"/>'
+            )
+    return body
+
+
+finite_or_not = st.one_of(
+    st.floats(-1e6, 1e6), st.sampled_from([math.nan, math.inf, -math.inf])
+)
+
+
+@given(st.lists(st.lists(finite_or_not, min_size=2, max_size=30), min_size=1, max_size=4))
+@example([[1.0, math.nan, 2.0, 3.0]])  # a lone point, then a line
+@example([[math.nan, 5.0, math.nan], [1.0, 2.0, math.nan]])
+@settings(max_examples=200)
+def test_line_segments_match_string_splitter_reference(columns):
+    n = len(columns[0])
+    series = {f"s{j}": (vs + [math.nan] * n)[:n] for j, vs in enumerate(columns)}
+    labels = [str(i) for i in range(n)]
+    try:
+        lo, hi = charts._bounds(series, labels)
+    except ValueError:
+        return  # nothing finite to draw
+    dx = (charts._X1 - charts._X0) / (n - 1)
+    want = []
+    for si, vs in enumerate(series.values()):
+        color = charts._COLORS[si % len(charts._COLORS)]
+        want += _segment_elements_reference(vs, color, lo, hi, dx)
+    drawn = line_chart_svg("t", labels, series).splitlines()
+    assert [e for e in drawn if e.startswith(("<polyline", "<circle"))] == want
 
 
 class TestBarChart:

@@ -18,8 +18,19 @@ from seqcast.cli import _json_text, main
 from seqcast.data import Scaler
 from seqcast.models import MODEL_KINDS, weights_io
 from seqcast.numerics import make_rng
+from seqcast.runconfig import canonical_text, parse_config_file
 
 from conftest import tiny_config_text
+
+
+COMMON_FLAGS = ["--config", "--data", "--seed", "--horizon", "--out", "--print-config"]
+HELP_FLAGS = {
+    "eda": [*COMMON_FLAGS, "--adf-on"],
+    "train": [*COMMON_FLAGS, "--model"],
+    "forecast": [*COMMON_FLAGS, "--model"],
+    "compare": COMMON_FLAGS,
+    "synth": ["--kind", "--n", "--seed", "--out"],
+}
 
 
 def write_config(tmp_path, data_path, out_dir, **kwargs) -> str:
@@ -124,6 +135,22 @@ class TestPrintConfig:
         assert "[transformer]" in text
         assert "hidden = 8" in text
         assert not (tmp_path / "out").exists()
+
+    def test_flags_override_file_values(self, tmp_path, sine_csv, capsys):
+        cfg = write_config(tmp_path, sine_csv, str(tmp_path / "out"))
+        flags = ["--data", "other.csv", "--seed", "9", "--horizon", "5", "--out", "elsewhere"]
+        assert main(["compare", "--config", cfg, "--print-config", *flags]) == 0
+        text = capsys.readouterr().out
+        for line in ("data = other.csv", "seed = 9", "horizon = 5", "output_dir = elsewhere"):
+            assert f"\n{line}\n" in text
+        # untouched file values survive
+        assert "\nlookback = 24\n" in text and "\nval_frac = 0.1\n" in text
+        assert "[lstm]\nhidden = 8\n" in text
+
+    def test_no_flags_print_the_file_config(self, tmp_path, sine_csv, capsys):
+        cfg = write_config(tmp_path, sine_csv, str(tmp_path / "out"))
+        assert main(["train", "--config", cfg, "--model", "gru", "--print-config"]) == 0
+        assert capsys.readouterr().out == canonical_text(parse_config_file(cfg))
 
     def test_flags_show_up_in_canonical(self, tmp_path, sine_csv, capsys):
         cfg = write_config(tmp_path, sine_csv, str(tmp_path / "out"))
@@ -326,6 +353,16 @@ class TestCompare:
         assert list(out.glob("*")) == []
 
 
+def _run_in_subprocess(argv) -> subprocess.CompletedProcess:
+    """Run the CLI in a separate interpreter, so all that reaches stderr shows."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return subprocess.run(
+        [sys.executable, "-m", "seqcast.cli", *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+    )
+
+
 class TestNonFinite:
     def test_prices_whose_squares_overflow_exit_1(self, tmp_path, sine_series, capsys):
         # Forecast errors near 1e160 square past float64's range: no metric,
@@ -356,15 +393,32 @@ class TestNonFinite:
         out.mkdir()
         weights_io.save_weights(out / "weights-gru.txt", params, 24, Scaler(0.0, 1.0))
         cfg = write_config(tmp_path, sine_csv, str(out))
-        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-        done = subprocess.run(
-            [sys.executable, "-m", "seqcast.cli", "forecast", "--config", cfg, "--model", "gru"],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
-        )
+        done = _run_in_subprocess(["forecast", "--config", cfg, "--model", "gru"])
         assert done.returncode == 1
         [line] = done.stderr.splitlines()
         assert line.startswith("error: non-finite prediction at forecast step ")
+
+    def test_forecast_that_overflows_when_unscaled_writes_nothing(self, tmp_path, sine_series):
+        # Closes near 1e307 scale to [0, 1] fine, but a scaled prediction of
+        # 100 unscales past float64's range: an error before any artifact.
+        huge = dat.OhlcvSeries(
+            sine_series.dates[:200],
+            *(getattr(sine_series, c)[:200] * 1e306 for c in ("open", "high", "low", "close")),
+            sine_series.volume[:200],
+        )
+        dat.write_ohlcv_csv(huge, tmp_path / "huge.csv")
+        params = models.Params("gru", {"hidden": 1})
+        params.head_b[0] = 100.0
+        out = tmp_path / "out"
+        out.mkdir()
+        train_close = dat.chronological_split(huge, test_len=10)[0].close
+        weights_io.save_weights(out / "weights-gru.txt", params, 24, dat.fit_scaler(train_close))
+        cfg = write_config(tmp_path, str(tmp_path / "huge.csv"), str(out))
+        done = _run_in_subprocess(["forecast", "--config", cfg, "--model", "gru"])
+        assert done.returncode == 1
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error: forecast step 0 leaves float64's range when unscaled")
+        assert sorted(p.name for p in out.iterdir()) == ["weights-gru.txt"]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_json_artifacts_refuse_non_finite_values(self, value):
@@ -373,6 +427,17 @@ class TestNonFinite:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("command", HELP_FLAGS)
+    def test_help_lists_every_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"usage: seqcast {command} [-h]")
+        listed = [line.split()[0].rstrip(",") for line in text.splitlines()
+                  if line.startswith("  -")]
+        assert listed == ["-h", *HELP_FLAGS[command]]
+
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])

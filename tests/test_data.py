@@ -592,10 +592,12 @@ class TestMonthwise:
         assert all(feb > means[m][1] for m in means if m != 2)
 
     def test_monthly_mean_series_chronological(self, sine_series):
-        m = dat.monthly_mean_series(sine_series, "high")
+        m = dat.monthly_mean_series(sine_series)
         assert m.ndim == 1
-        months = {(d.year, d.month) for d in sine_series.dates}
-        assert m.size == len(months)
+        months = [(d.year, d.month) for d in sine_series.dates]
+        want = _group_means_reference(months, sine_series.high.tolist())
+        assert list(want) == sorted(want)  # chronological
+        assert m.tolist() == list(want.values())
 
     @given(st.integers(1, 700), st.integers(0, 2**32 - 1), st.integers(0, 4000))
     @settings(max_examples=60)
@@ -610,10 +612,9 @@ class TestMonthwise:
         want_close = _group_means_reference(months, v[3].tolist())
         assert dat.monthwise_means(s) == {m: (want_open[m], want_close[m]) for m in want_open}
         year_months = [(d.year, d.month) for d in dates]
-        for c in VALUE_COLUMNS:
-            want = _group_means_reference(year_months, getattr(s, c).tolist())
-            got = dat.monthly_mean_series(s, c)
-            assert got.tobytes() == np.array(list(want.values())).tobytes()
+        want = _group_means_reference(year_months, s.high.tolist())
+        got = dat.monthly_mean_series(s)
+        assert got.tobytes() == np.array(list(want.values())).tobytes()
 
 
 class TestScaler:
@@ -844,6 +845,46 @@ def test_weekday_dates_stop_at_the_last_representable_date():
     assert dat.weekday_dates(date(9999, 12, 27), 5)[-1] == date.max
     with pytest.raises(ValueError, match="6 weekdays from 9999-12-27 run past 9999-12-31"):
         dat.weekday_dates(date(9999, 12, 27), 6)
+
+
+def _weekday_dates_reference(start_date: date, n: int) -> tuple[date, ...]:
+    """The day-by-day loop that weekday_dates replaced."""
+    out = []
+    day = start_date.toordinal()
+    while len(out) < n:
+        if day > date.max.toordinal():
+            raise ValueError(
+                f"{n} weekdays from {start_date.isoformat()} run past "
+                f"{date.max.isoformat()}, the last representable date"
+            )
+        d = date.fromordinal(day)
+        if d.weekday() < 5:
+            out.append(d)
+        day += 1
+    return tuple(out)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(
+    start=st.one_of(
+        st.dates(),
+        st.integers(0, 120).map(lambda k: date.max - timedelta(days=k)),  # the last weeks
+    ),
+    n=st.integers(-2, 400),
+)
+@example(start=date(2015, 1, 3), n=1)  # a Saturday start
+@example(start=date(2015, 1, 4), n=0)  # a Sunday start
+@example(start=date.max, n=2)
+@example(start=date.min, n=400)
+@settings(max_examples=300)
+def test_weekday_dates_match_day_loop_reference(start, n):
+    assert _outcome(dat.weekday_dates, start, n) == _outcome(_weekday_dates_reference, start, n)
 
 
 @given(

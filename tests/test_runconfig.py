@@ -10,7 +10,6 @@ from seqcast.models import MODEL_KINDS
 from seqcast.runconfig import (
     ConfigError,
     RunConfig,
-    apply_flags,
     canonical_text,
     config_echo,
     parse_config_file,
@@ -261,23 +260,6 @@ class TestValidation:
     def test_unknown_override_key(self):
         with pytest.raises(ConfigError, match="unknown key"):
             RunConfig(model_overrides=(("lstm", "dropout", 0.5),))
-
-
-class TestFlags:
-    def test_flags_override_file_values(self):
-        cfg = parse_config_text(SAMPLE)
-        out = apply_flags(cfg, data="other.csv", seed=9, horizon=5, output_dir="elsewhere")
-        assert out.data == "other.csv"
-        assert out.seed == 9
-        assert out.horizon == 5
-        assert out.output_dir == "elsewhere"
-        # untouched fields survive
-        assert out.lookback == 48
-        assert out.model_config("lstm").hidden == 16
-
-    def test_no_flags_returns_same_config(self):
-        cfg = parse_config_text(SAMPLE)
-        assert apply_flags(cfg) is cfg
 
 
 class TestCanonical:

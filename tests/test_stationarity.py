@@ -63,6 +63,20 @@ class TestDifference:
             difference([1.0, 2.0], 2)
 
 
+def _mackinnon_pvalue_reference(statistic: float) -> float:
+    """The hand-written Horner loop and normal CDF that mackinnon_pvalue replaced."""
+    if statistic > 2.74:
+        return 1.0
+    if statistic < -18.83:
+        return 0.0
+    small = statistic <= -1.61
+    coef = (2.1659, 1.4412, 0.038269) if small else (1.7339, 0.93202, -0.12745, -0.010368)
+    poly = 0.0
+    for c in reversed(coef):
+        poly = poly * statistic + c
+    return 0.5 * math.erfc(-poly / math.sqrt(2.0))
+
+
 class TestMackinnonPvalue:
     def test_clamps(self):
         assert mackinnon_pvalue(3.0) == 1.0
@@ -76,6 +90,17 @@ class TestMackinnonPvalue:
     def test_in_unit_interval(self):
         for tau in np.linspace(-25, 5, 61):
             assert 0.0 <= mackinnon_pvalue(float(tau)) <= 1.0
+
+    @given(st.floats(-20.0, 3.0))
+    @example(-1.61)  # the switch between the two polynomials
+    @example(math.nextafter(-1.61, math.inf))
+    @example(-18.83)  # the clamps' edges
+    @example(2.74)
+    @example(-0.0)
+    @settings(max_examples=500)
+    def test_equals_horner_reference_bitwise(self, tau):
+        assert mackinnon_pvalue(tau).hex() == _mackinnon_pvalue_reference(tau).hex()
+
 
 
 class TestAdfOracle:

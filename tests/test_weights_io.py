@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -217,6 +218,21 @@ def test_truncated_file_rejected(tmp_path):
     path.write_text(text[: len(text) // 2])
     with pytest.raises(WeightsFormatError):
         load_weights(path, "gru")
+
+
+def test_a_header_larger_than_the_file_allocates_little(tmp_path):
+    # The header states 4 million values of w_f alone; the file holds one.
+    path = tmp_path / "w.txt"
+    path.write_text(f"{MAGIC}\nlstm hidden=1000 lookback=60\nw_f 1000 1001\n0.5\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(WeightsFormatError, match="line 5: expected a finite value in "
+                                                     "block 'w_f', got the end"):
+            load_weights(path, "lstm")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_non_numeric_payload_rejected(tmp_path):

@@ -99,18 +99,10 @@ def cmd_eda(cfg: RunConfig, args) -> int:
         for m in range(1, 13)
     ]
     payload = {
-        "n_rows": len(series),
-        "date_range": {
-            "start": series.dates[0].isoformat(),
-            "end": series.dates[-1].isoformat(),
-        },
+        "dataset": dat.fingerprint(series),
         "missing_report": report.as_dict(),
         "monthwise": monthwise,
-        "adf": {
-            "series": cfg.adf_on,
-            "level": level.as_dict(),
-            "differenced": differenced.as_dict(),
-        },
+        "adf": {"level": level.as_dict(), "differenced": differenced.as_dict()},
         "config": config_echo(cfg),
     }
     out = _outdir(cfg)
@@ -174,13 +166,7 @@ def cmd_forecast(cfg: RunConfig, args) -> int:
         {"actual": actual, name: pad + path},
     )
     (out / f"forecast-{name}.svg").write_text(chart, encoding="utf-8")
-    payload = {
-        "model": name,
-        "horizon": cfg.horizon,
-        "dates": future,
-        "forecast": path,
-        "config": config_echo(cfg),
-    }
+    payload = {"model": name, "dates": future, "forecast": path, "config": config_echo(cfg)}
     (out / f"forecast-{name}.json").write_text(_json_text(payload), encoding="utf-8")
     print(f"wrote {out / f'forecast-{name}.csv'}, .svg and .json")
     return 0

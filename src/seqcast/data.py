@@ -118,12 +118,18 @@ def parse_csv(path) -> OhlcvSeries:
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text, {exc.reason} at byte {exc.start}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError(f"{path}: empty file") from None
+
+    def take(records, n: int) -> list:
+        try:
+            return list(itertools.islice(records, n))
+        except csv.Error as exc:  # such as a field over csv's size limit
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+    header = take(reader, 1)
+    if not header:
+        raise ValueError(f"{path}: empty file")
     wanted = {"date", *_COLUMNS}
-    keys = [name.strip().lower() for name in header]
+    keys = [name.strip().lower() for name in header[0]]
     col_idx = {key: keys.index(key) for key in wanted.intersection(keys)}
     missing = wanted - set(col_idx)
     if missing:
@@ -133,7 +139,7 @@ def parse_csv(path) -> OhlcvSeries:
     numbered = enumerate(reader, start=2)
     dates, values = [], [[] for _ in _COLUMNS]
     # Blocks of 128 rows bound the raw text held at once.
-    for block in iter(lambda: list(itertools.islice(numbered, 128)), []):
+    for block in iter(lambda: take(numbered, 128), []):
         kept = [(lineno, raw) for lineno, raw in block if "".join(raw).strip()]
         linenos, rows = zip(*kept) if kept else ((), ())
         n = next((k for k, raw in enumerate(rows) if len(raw) < width), len(rows))
@@ -309,7 +315,7 @@ def make_windows(scaled, lookback: int) -> WindowedDataset:
 
 
 def chronological_split(
-    series: OhlcvSeries, test_len: int = 30, val_frac: float = 0.10
+    series: OhlcvSeries, test_len: int, val_frac: float
 ) -> tuple[OhlcvSeries, OhlcvSeries, OhlcvSeries]:
     """Split into (train, val, test) without shuffling.
 

@@ -100,7 +100,7 @@ def recursive_forecast(params, last_window, horizon: int, scaler: Scaler) -> np.
 
 
 def prepare_windows(
-    series: OhlcvSeries, lookback: int, horizon: int, val_frac: float = 0.10
+    series: OhlcvSeries, lookback: int, horizon: int, val_frac: float
 ) -> tuple[WindowedDataset, WindowedDataset, np.ndarray, Scaler, OhlcvSeries]:
     """Shared split/scale/window stage.
 

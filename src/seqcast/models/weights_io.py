@@ -35,10 +35,6 @@ class WeightsFormatError(ValueError):
     pass
 
 
-def _dims_text(kind: str, dims: dict[str, int]) -> str:
-    return " ".join([kind, *(f"{k}={v}" for k, v in dims.items())])
-
-
 def _block_line(name: str, shape: tuple[int, ...]) -> str:
     return f"{name} {shape[0]} {shape[1] if len(shape) == 2 else 0}"
 
@@ -57,7 +53,8 @@ def _expected(line: int, what: str, found: str | None) -> WeightsFormatError:
 
 def save_weights(path: str | Path, params: Params, lookback: int, scaler: Scaler) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write(f"{MAGIC}\n{_dims_text(params.kind, {**params.dims, 'lookback': lookback})}\n")
+        dims = [f"{k}={v}" for k, v in {**params.dims, "lookback": lookback}.items()]
+        out.write(f"{MAGIC}\n{' '.join([params.kind, *dims])}\n")
         for name, arr in [*params.named_arrays(), ("scaler", np.array([scaler.min, scaler.max]))]:
             out.write(f"{_block_line(name, arr.shape)}\n")
             out.write("".join(f"{v:.17g}\n" for v in arr.ravel()))

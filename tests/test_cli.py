@@ -72,9 +72,11 @@ class TestEda:
         out = tmp_path / "eda"
         assert main(["eda", "--data", sine_csv, "--out", str(out)]) == 0
         payload = json.loads((out / "eda.json").read_text())
-        assert payload["n_rows"] == 400
-        assert set(payload["adf"]) == {"series", "level", "differenced"}
-        assert payload["adf"]["series"] == "monthly-high"
+        assert list(payload) == ["dataset", "missing_report", "monthwise", "adf", "config"]
+        assert payload["dataset"] == dat.fingerprint(dat.clean(dat.parse_csv(sine_csv))[0])
+        assert payload["dataset"]["n_rows"] == 400
+        assert set(payload["adf"]) == {"level", "differenced"}
+        assert payload["config"]["adf_on"] == "monthly-high"
         assert len(payload["monthwise"]) == 12
         assert payload["config"]["seed"] == 0
         svg = (out / "monthwise.svg").read_text()
@@ -84,7 +86,7 @@ class TestEda:
         out = tmp_path / "eda2"
         assert main(["eda", "--data", sine_csv, "--out", str(out), "--adf-on", "daily-high"]) == 0
         payload = json.loads((out / "eda.json").read_text())
-        assert payload["adf"]["series"] == "daily-high"
+        assert payload["config"]["adf_on"] == "daily-high"
         # daily series has far more observations than the monthly means
         assert payload["adf"]["level"]["n_obs"] > 300
 
@@ -124,6 +126,26 @@ class TestEda:
             bad.write_bytes(text)
             assert main(["eda", "--data", str(bad), "--out", str(tmp_path / "o")]) == 1
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, line", [("header", 1), ("row", 11)])
+    def test_field_over_the_csv_size_limit_is_one_error_line(
+        self, tmp_path, sine_series, capsys, where, line
+    ):
+        # csv refuses a field over 131072 characters; csv.Error is no ValueError.
+        path = tmp_path / "wide.csv"
+        dat.write_ohlcv_csv(sine_series.slice(0, 10), path)
+        rows = path.read_text().splitlines()
+        huge = "1" * 200_000
+        if where == "header":
+            rows[0] += f",{huge}"
+        else:
+            date_, open_, _, *rest = rows[10].split(",")
+            rows[10] = ",".join([date_, open_, huge, *rest])
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["eda", "--data", str(path), "--out", str(tmp_path / "o")]) == 1
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"error: {path}: line {line}: field larger than field limit")
+        assert not (tmp_path / "o" / "eda.json").exists()
 
 
 class TestPrintConfig:
@@ -220,7 +242,9 @@ class TestForecast:
         assert first.weekday() < 5
 
         payload = json.loads((out / "forecast-gru.json").read_text())
+        assert list(payload) == ["model", "dates", "forecast", "config"]
         assert payload["model"] == "gru"
+        assert payload["dates"] == [r.split(",")[0] for r in rows[1:]]
         assert payload["forecast"] == values
         assert (out / "forecast-gru.svg").read_text().startswith("<svg")
 
@@ -251,6 +275,15 @@ class TestForecast:
         assert main(["forecast", "--config", str(tmp_path / "fc.ini"), "--model", "lstm"]) == 1
         err = capsys.readouterr().err
         assert f"trained at lookback 24, not {lookback}" in err
+
+    def test_series_shorter_than_lookback_is_runtime_error(
+        self, tmp_path, trained, sine_series, capsys
+    ):
+        dat.write_ohlcv_csv(sine_series.slice(0, 20), tmp_path / "short.csv")
+        (tmp_path / "fc.ini").write_text(tiny_config_text(str(tmp_path / "short.csv"), str(trained)))
+        assert main(["forecast", "--config", str(tmp_path / "fc.ini"), "--model", "gru"]) == 1
+        [err] = capsys.readouterr().err.splitlines()
+        assert err == "error: series of 20 rows is shorter than lookback 24"
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +328,13 @@ class TestCompare:
             assert set(entry["metrics"]) == {"r2", "mae", "mse", "rmse", "fit_degree_pct"}
             assert len(entry["forecast"]) == 10
         assert report["config"]["models"]["lstm"]["train"]["seed"] == 2  # run seed 1 + offset
+
+    def test_eda_names_the_dataset_as_the_report_does(self, tmp_path, sine_csv, run):
+        _, out = run
+        assert main(["eda", "--data", sine_csv, "--out", str(tmp_path)]) == 0
+        eda = json.loads((tmp_path / "eda.json").read_text())
+        report = json.loads((out / "report.json").read_text())
+        assert eda["dataset"] == report["dataset"]
 
     def test_plot_csv_layout(self, run, sine_series):
         _, out = run
@@ -411,7 +451,7 @@ class TestNonFinite:
         params.head_b[0] = 100.0
         out = tmp_path / "out"
         out.mkdir()
-        train_close = dat.chronological_split(huge, test_len=10)[0].close
+        train_close = dat.chronological_split(huge, 10, 0.1)[0].close
         weights_io.save_weights(out / "weights-gru.txt", params, 24, dat.fit_scaler(train_close))
         cfg = write_config(tmp_path, str(tmp_path / "huge.csv"), str(out))
         done = _run_in_subprocess(["forecast", "--config", cfg, "--model", "gru"])

@@ -697,7 +697,7 @@ class TestSplit:
 
     def test_zero_test_len_rejected(self, sine_series):
         with pytest.raises(ValueError):
-            dat.chronological_split(sine_series, test_len=0)
+            dat.chronological_split(sine_series, test_len=0, val_frac=0.1)
 
     def test_partition_identity(self, sine_series):
         train, val, test = dat.chronological_split(sine_series, 30, 0.1)

@@ -189,7 +189,7 @@ class TestPrepareWindows:
     def test_split_sizes_and_seed_window(self, sine_series):
         lookback, horizon = 24, 10
         train_ds, val_ds, seed_window, scaler, test = prepare_windows(
-            sine_series, lookback, horizon
+            sine_series, lookback, horizon, 0.10
         )
         train, val, _ = dat.chronological_split(sine_series, test_len=horizon, val_frac=0.10)
         assert len(test) == horizon
@@ -199,7 +199,7 @@ class TestPrepareWindows:
         np.testing.assert_array_equal(seed_window, joint[-lookback:])
 
     def test_scaler_fits_training_rows_only(self, sine_series):
-        train_ds, _, _, scaler, _ = prepare_windows(sine_series, 24, 10)
+        train_ds, _, _, scaler, _ = prepare_windows(sine_series, 24, 10, 0.10)
         train, _, _ = dat.chronological_split(sine_series, test_len=10, val_frac=0.10)
         assert scaler.min == float(np.min(train.close))
         assert scaler.max == float(np.max(train.close))
@@ -207,7 +207,15 @@ class TestPrepareWindows:
 
     def test_oversized_lookback_rejected(self, sine_series):
         with pytest.raises(ValueError, match="lookback"):
-            prepare_windows(sine_series, 10_000, 10)
+            prepare_windows(sine_series, 10_000, 10, 0.10)
+
+    @pytest.mark.parametrize("lookback", [351, 370, 389])
+    def test_lookback_past_the_training_rows_rejected(self, sine_series, lookback):
+        # 400 rows at horizon 10 split into 351 training and 39 validation
+        # rows: these lookbacks still cut windows, but none ends in training.
+        with pytest.raises(ValueError, match=f"lookback {lookback} leaves no training windows "
+                           "for 351 training rows"):
+            prepare_windows(sine_series, lookback, 10, 0.10)
 
 
 COMPARE_CFG = RunConfig(

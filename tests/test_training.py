@@ -322,6 +322,15 @@ class TestTrain:
         with pytest.raises(TrainingError, match=r"non-finite loss at epoch \d+, batch \d+"):
             train(ModelConfig(kind="lstm", hidden=4), broken, val_set, cfg, tmp_path / "log")
 
+    def test_inf_validation_target_reported_with_context(self, tmp_path):
+        train_set, val_set = identity_task(n=60, lookback=6)
+        bad = val_set.targets.copy()
+        bad[2] = np.inf
+        broken = WindowedDataset(val_set.inputs, bad)
+        cfg = TrainConfig(max_epochs=3, patience=3, seed=0)
+        with pytest.raises(TrainingError, match=r"non-finite validation loss at epoch 1 \(gru"):
+            train(ModelConfig(kind="gru", hidden=4), train_set, broken, cfg, tmp_path / "log")
+
     def test_empty_sets_rejected(self, tmp_path):
         train_set, val_set = identity_task(n=60, lookback=6)
         empty = WindowedDataset(np.zeros((0, 6)), np.zeros(0))

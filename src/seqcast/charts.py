@@ -76,6 +76,7 @@ def bar_chart_svg(title: str, labels: list[str], series: dict[str, list[float]])
     lo = min(lo, 0.0)
     group_w = (_X1 - _X0) / len(labels)
     bar_w = group_w * 0.8 / len(series)
+    base = _ypix(0.0, lo, hi)
 
     body = []
     for gi, label in enumerate(labels):
@@ -83,7 +84,6 @@ def bar_chart_svg(title: str, labels: list[str], series: dict[str, list[float]])
         for si, (name, vs) in enumerate(series.items()):
             bx = gx + group_w * 0.1 + si * bar_w
             top = _ypix(vs[gi], lo, hi)
-            base = _ypix(max(lo, 0.0), lo, hi)
             y, h = (top, base - top) if top <= base else (base, top - base)
             body.append(
                 f'<rect x="{_fmt(bx)}" y="{_fmt(y)}" width="{_fmt(bar_w)}" '

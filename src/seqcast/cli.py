@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 from dataclasses import fields, replace
-from datetime import date, timedelta
 from pathlib import Path
 
 from . import charts
@@ -91,12 +90,9 @@ def cmd_eda(cfg: RunConfig, args) -> int:
         ) from exc
     means = dat.monthwise_means(series)  # months in calendar order
     monthwise = [
-        {
-            "month": m,
-            "mean_open": means[m][0] if m in means else None,
-            "mean_close": means[m][1] if m in means else None,
-        }
+        {"month": m, "mean_open": mean_open, "mean_close": mean_close}
         for m in range(1, 13)
+        for mean_open, mean_close in [means.get(m, (None, None))]
     ]
     payload = {
         "dataset": dat.fingerprint(series),
@@ -144,12 +140,9 @@ def cmd_forecast(cfg: RunConfig, args) -> int:
         raise ValueError(f"{weights_path} was trained at lookback {lookback}, not {cfg.lookback}")
     if len(series) < lookback:
         raise ValueError(f"series of {len(series)} rows is shorter than lookback {lookback}")
-    if series.dates[-1] == date.max:
-        raise ValueError(f"the series ends on {date.max}, the last representable date")
+    future = [d.isoformat() for d in dat.weekday_dates(series.dates[-1], cfg.horizon)]
     window = scaler.transform(series.close[-lookback:])
     path = forecast_eval.recursive_forecast(params, window, cfg.horizon, scaler).tolist()
-    start = series.dates[-1] + timedelta(days=1)
-    future = [d.isoformat() for d in dat.weekday_dates(start, cfg.horizon)]
 
     out = _outdir(cfg)
     (out / f"forecast-{name}.csv").write_text(

@@ -22,8 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import make_rng
-
 # Exactly what datetime.strptime accepts for "%Y/%m/%d" and "%Y-%m-%d":
 # its own patterns for %Y, %m and %d, one separator used twice.
 _DATE_RE = re.compile(
@@ -109,8 +107,8 @@ def parse_csv(path) -> OhlcvSeries:
 
     The header must contain Date, Open, High, Low, Close, Volume in any
     order, case-insensitively; extra columns (such as an unnamed leading
-    index) are ignored. Rows are returned sorted by date. Errors carry the
-    1-based line number of the first offending row.
+    index) are ignored. Rows are returned sorted by date. An error names the
+    1-based line on which the first offending row starts.
     """
     path = Path(path)
     try:
@@ -136,7 +134,8 @@ def parse_csv(path) -> OhlcvSeries:
         raise ValueError(f"{path}: header lacks columns {sorted(missing)}")
 
     width = max(col_idx.values()) + 1
-    numbered = enumerate(reader, start=2)
+    # Each record with the line it starts on: zip reads the counter before the record.
+    numbered = zip(iter(lambda: reader.line_num + 1, None), reader)
     dates, values = [], [[] for _ in _COLUMNS]
     # Blocks of 128 rows bound the raw text held at once.
     for block in iter(lambda: take(numbered, 128), []):
@@ -348,7 +347,7 @@ SYNTH_KINDS = ("sine+noise", "gbm", "random-walk")
 _SINE_AMPLITUDE, _SINE_PERIOD, _SINE_OFFSET, _SINE_NOISE_SD = 1.0, 40.0, 10.0, 0.05
 _GBM_DRIFT, _GBM_VOL, _WALK_STEP_SD = 0.0005, 0.01, 1.0
 _SYNTH_START = 100.0
-_SYNTH_START_DATE = date(2015, 1, 2)
+_SYNTH_EPOCH = date(2015, 1, 1)  # the rows start on the next weekday, 2015-01-02
 
 
 def synth_series(kind: str, n: int, seed: int) -> np.ndarray:
@@ -360,7 +359,7 @@ def synth_series(kind: str, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     t = np.arange(n, dtype=np.float64)
     if kind == "sine+noise":
         wave = _SINE_AMPLITUDE * np.sin(2.0 * np.pi * t / _SINE_PERIOD)
@@ -375,15 +374,15 @@ def synth_series(kind: str, n: int, seed: int) -> np.ndarray:
     raise ValueError(f"unknown kind {kind!r}, expected one of {SYNTH_KINDS}")
 
 
-def weekday_dates(start_date: date, n: int) -> tuple[date, ...]:
-    """The first n weekdays from start_date on; none if n <= 0."""
-    days = np.busday_offset(np.datetime64(start_date, "D"), np.arange(n), roll="forward")
-    if days.size and days[-1] > np.datetime64(date.max, "D"):
+def weekday_dates(after: date, n: int) -> tuple[date, ...]:
+    """The n weekdays after the given date; none if n <= 0."""
+    day = np.datetime64(after, "D")
+    if n > np.busday_count(day + 1, np.datetime64(date.max, "D") + 1):
         raise ValueError(
-            f"{n} weekdays from {start_date.isoformat()} run past "
+            f"{n} weekdays after {after.isoformat()} run past "
             f"{date.max.isoformat()}, the last representable date"
         )
-    return tuple(days.tolist())
+    return tuple(np.busday_offset(day, np.arange(1, n + 1), roll="backward").tolist())
 
 
 def synth_ohlcv(kind: str, n: int, seed: int) -> OhlcvSeries:
@@ -392,13 +391,14 @@ def synth_ohlcv(kind: str, n: int, seed: int) -> OhlcvSeries:
     Opens carry the previous close; highs/lows are the envelope extremes of
     each day's open/close, so cleaning is a no-op on the result.
     """
+    dates = weekday_dates(_SYNTH_EPOCH, n)
     closes = synth_series(kind, n, seed)
     if np.min(closes) <= 0:
         raise ValueError("synthetic closes must stay positive to form an OHLCV fixture")
     opens = np.concatenate([closes[:1], closes[:-1]])
-    volume = make_rng(seed + 1).integers(1_000_000, 100_000_000, size=n).astype(np.float64)
+    volume = np.random.default_rng(seed + 1).integers(1_000_000, 100_000_000, n).astype(float)
     return OhlcvSeries(
-        dates=weekday_dates(_SYNTH_START_DATE, n),
+        dates=dates,
         open=opens,
         high=np.maximum(opens, closes),
         low=np.minimum(opens, closes),

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ..data import Scaler
+from . import REGISTRY
 from .params import Params
 
 MAGIC = "SEQCAST-W v2"
@@ -68,8 +69,6 @@ def load_weights(path: str | Path, expect_kind: str):
     from the values the file holds, so a header that states more than the
     file has costs no memory; the parameter vector is built at the end.
     """
-    from . import REGISTRY
-
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != MAGIC:
         found = lines[0] if lines else ""

@@ -1,22 +1,12 @@
 """Dense numeric kernels shared by every model.
 
 All array data is float64. Matrices are 2-D ``numpy.ndarray``; vectors are
-1-D. Randomness always flows through an explicit generator created by
-:func:`make_rng`, never through global state, so any run can be replayed
-from its seed.
+1-D.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    """Deterministic 64-bit-seeded generator (PCG64).
-
-    Equal seeds produce bit-identical draw sequences.
-    """
-    return np.random.Generator(np.random.PCG64(seed))
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -68,11 +68,19 @@ class RunConfig:
         if self.data is not None:
             if Path(self.data).resolve() == Path(self.output_dir).resolve():
                 raise ConfigError("data path and output_dir must be distinct")
-        for kind, key, _ in self.model_overrides:
+        # An override holds what the INI parser could give: a known key, once, of its type.
+        seen = set()
+        for kind, key, value in self.model_overrides:
             if kind not in MODEL_KINDS:
                 raise ConfigError(f"unknown model section [{kind}]")
-            if key not in _section_keys(kind):
+            kast = _section_keys(kind).get(key)
+            if kast is None:
                 raise ConfigError(f"unknown key {key!r} in section [{kind}]")
+            if (kind, key) in seen:
+                raise ConfigError(f"duplicate key {key!r} in section [{kind}]")
+            seen.add((kind, key))
+            if kast is int and type(value) is not int:  # a bool is no count either
+                raise ConfigError(f"[{kind}] {key}: cannot read {value!r} as int")
         # Surface invalid values now rather than mid-run.
         for kind in MODEL_KINDS:
             try:

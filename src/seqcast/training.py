@@ -27,7 +27,6 @@ import numpy as np
 from . import models
 from .data import WindowedDataset
 from .models import ModelConfig, Params
-from .numerics import make_rng
 
 
 class TrainingError(RuntimeError):
@@ -165,7 +164,7 @@ def train(
     if len(train_set) == 0 or len(val_set) == 0:
         raise TrainingError("train and validation sets must both be non-empty")
 
-    rng = make_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     params = models.init_params(model_cfg, rng)
     m, v, step = np.zeros_like(params.theta), np.zeros_like(params.theta), 0
     n = len(train_set)

@@ -21,7 +21,6 @@ from seqcast import models
 from seqcast.cli import main
 from seqcast.forecast_eval import compute_metrics, recursive_forecast
 from seqcast.models import MODEL_KINDS, ModelConfig
-from seqcast.numerics import make_rng
 from seqcast.stationarity import adf_test
 from seqcast.training import train
 
@@ -64,9 +63,9 @@ def test_criterion_1_gradient_fidelity(capsys):
     for name, (cfg, steps) in cases.items():
         errs = []
         for seed in range(5):
-            params = models.init_params(cfg, make_rng(1000 + seed))
-            x = make_rng(2000 + seed).normal(size=(3, steps))
-            y = make_rng(3000 + seed).normal(size=3)
+            params = models.init_params(cfg, np.random.default_rng(1000 + seed))
+            x = np.random.default_rng(2000 + seed).normal(size=(3, steps))
+            y = np.random.default_rng(3000 + seed).normal(size=3)
             loss_fn, analytic = mse_setup(params, x, y)
             errs.append(grad_check(loss_fn, params, analytic))
         worst[name] = max(errs)
@@ -84,7 +83,7 @@ def test_criterion_1_gradient_fidelity(capsys):
 
 
 def test_criterion_2_metric_identities(capsys):
-    rng = make_rng(2025)
+    rng = np.random.default_rng(2025)
     worst_sq, worst_r2 = 0.0, 0.0
     mae_ok = True
     for _ in range(1000):
@@ -112,14 +111,14 @@ def test_criterion_2_metric_identities(capsys):
 
 def test_criterion_3_unit_root_reference(capsys):
     started = time.perf_counter()
-    rw = np.cumsum(make_rng(RW_SEED).normal(size=N_ADF))
-    g = make_rng(AR_SEED)
+    rw = np.cumsum(np.random.default_rng(RW_SEED).normal(size=N_ADF))
+    g = np.random.default_rng(AR_SEED)
     eps = g.normal(size=N_ADF)
     ar = np.empty(N_ADF)
     ar[0] = 0.0
     for t in range(1, N_ADF):
         ar[t] = 0.5 * ar[t - 1] + eps[t]
-    wn = make_rng(WN_SEED).normal(size=N_ADF)
+    wn = np.random.default_rng(WN_SEED).normal(size=N_ADF)
 
     rw_res = adf_test(rw, fixed_lag=3)
     ar_res = adf_test(ar, fixed_lag=3)
@@ -231,7 +230,7 @@ def test_criterion_6_data_layer_exactness(capsys, tmp_path):
         for i, e in enumerate(expected)
     )
 
-    rng = make_rng(77)
+    rng = np.random.default_rng(77)
     v = rng.normal(size=500) * 40 + 100
     scaler = dat.fit_scaler(v)
     round_trip_err = float(np.max(np.abs(scaler.inverse(scaler.transform(v)) - v)))

@@ -11,7 +11,6 @@ import pytest
 from seqcast import data as dat
 from seqcast import forecast_eval, models, training
 from seqcast.models import MODEL_KINDS, REGISTRY, ModelConfig
-from seqcast.numerics import make_rng
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -41,7 +40,7 @@ def counting(monkeypatch, module, attr):
 
 
 def test_train_calls_adam_step_once_per_batch(monkeypatch, tmp_path):
-    windows = dat.make_windows(make_rng(5).random(80), 8)
+    windows = dat.make_windows(np.random.default_rng(5).random(80), 8)
     train_set = dat.WindowedDataset(windows.inputs[:57], windows.targets[:57])
     val_set = dat.WindowedDataset(windows.inputs[57:], windows.targets[57:])
     cfg = training.TrainConfig(max_epochs=3, patience=3, batch_size=16, seed=6)
@@ -57,7 +56,8 @@ def test_recursive_forecast_predict_calls_per_kind(monkeypatch, kind, calls):
     # forecast-b1 cuts its timed parts into segments at models.predict calls.
     # The Transformer predicts every step; the LSTM and GRU predict step 0 and
     # run the later steps on the ring.
-    params = models.init_params(ModelConfig(kind=kind, hidden=4, d_model=4, d_ff=5), make_rng(0))
+    cfg = ModelConfig(kind=kind, hidden=4, d_model=4, d_ff=5)
+    params = models.init_params(cfg, np.random.default_rng(0))
     counted = counting(monkeypatch, models, "predict")
     window, scaler = np.linspace(0.0, 1.0, 6), dat.Scaler(0.0, 1.0)
     path = forecast_eval.recursive_forecast(params, window, 7, scaler)
@@ -71,8 +71,9 @@ def test_models_dispatch_reaches_module_attributes(monkeypatch, kind):
     module = REGISTRY[kind].module
     forwards = counting(monkeypatch, module, "forward")
     backwards = counting(monkeypatch, module, "backward")
-    params = models.init_params(ModelConfig(kind=kind, hidden=3, d_model=4, d_ff=5), make_rng(0))
-    preds, cache = models.forward(params, make_rng(1).random((2, 5)))
+    cfg = ModelConfig(kind=kind, hidden=3, d_model=4, d_ff=5)
+    params = models.init_params(cfg, np.random.default_rng(0))
+    preds, cache = models.forward(params, np.random.default_rng(1).random((2, 5)))
     models.backward(params, cache, np.ones_like(preds))
     assert (len(forwards), len(backwards)) == (1, 1)
 
@@ -82,9 +83,9 @@ def test_rnn_forward_calls_sigmoid_once_per_step(monkeypatch, kind):
     # The numerics.sigmoid span wraps these module attributes. A gate-major
     # step activates all of its sigmoid gates in one call.
     calls = counting(monkeypatch, REGISTRY[kind].module, "sigmoid")
-    params = models.init_params(ModelConfig(kind=kind, hidden=3), make_rng(0))
+    params = models.init_params(ModelConfig(kind=kind, hidden=3), np.random.default_rng(0))
     steps = 7
-    models.forward(params, make_rng(1).random((2, steps)))
+    models.forward(params, np.random.default_rng(1).random((2, steps)))
     assert len(calls) == steps
 
 
@@ -94,6 +95,6 @@ def test_transformer_forward_calls_softmax_once_per_block(monkeypatch, n_layers)
     # block, the last block's single query included.
     calls = counting(monkeypatch, REGISTRY["transformer"].module, "softmax_rows")
     cfg = ModelConfig(kind="transformer", d_model=4, n_heads=2, n_layers=n_layers, d_ff=5)
-    params = models.init_params(cfg, make_rng(0))
-    models.forward(params, make_rng(1).random((2, 7)))
+    params = models.init_params(cfg, np.random.default_rng(0))
+    models.forward(params, np.random.default_rng(1).random((2, 7)))
     assert len(calls) == n_layers

@@ -13,11 +13,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from seqcast import data as dat
-from seqcast import models, training
+from seqcast import forecast_eval, models, training
 from seqcast.cli import _json_text, main
 from seqcast.data import Scaler
 from seqcast.models import MODEL_KINDS, weights_io
-from seqcast.numerics import make_rng
 from seqcast.runconfig import canonical_text, parse_config_file
 
 from conftest import tiny_config_text
@@ -64,6 +63,24 @@ class TestSynth:
         out = tmp_path / "x"
         assert main(["synth", "--n", n, "--out", str(out)]) == 2
         assert f"--n must be >= 1, got {n}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_n_past_the_last_date_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["synth", "--n", "1000000000000", "--out", str(out)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (
+            "error: 1000000000000 weekdays after 2015-01-01 run past 9999-12-31, "
+            "the last representable date"
+        )
+        assert not out.exists()
+
+    def test_non_positive_random_walk_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        argv = ["synth", "--kind", "random-walk", "--n", "5000", "--seed", "0", "--out", str(out)]
+        assert main(argv) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: synthetic closes must stay positive")
         assert not out.exists()
 
 
@@ -275,6 +292,26 @@ class TestForecast:
         assert main(["forecast", "--config", str(tmp_path / "fc.ini"), "--model", "lstm"]) == 1
         err = capsys.readouterr().err
         assert f"trained at lookback 24, not {lookback}" in err
+
+    @pytest.mark.parametrize("horizon", [2_100_000, 10**12])
+    def test_horizon_past_the_last_date_fails_before_forecasting(
+        self, tmp_path, monkeypatch, trained, sine_csv, sine_series, capsys, horizon
+    ):
+        def unreachable(*args):
+            raise AssertionError("forecast ran before its dates were checked")
+
+        monkeypatch.setattr(forecast_eval, "recursive_forecast", unreachable)
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(trained / "weights-gru.txt", out)
+        cfg = write_config(tmp_path, sine_csv, str(out))
+        assert main(["forecast", "--config", cfg, "--model", "gru", "--horizon", str(horizon)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (
+            f"error: {horizon} weekdays after {sine_series.dates[-1].isoformat()} run past "
+            "9999-12-31, the last representable date"
+        )
+        assert [p.name for p in out.iterdir()] == ["weights-gru.txt"]
 
     def test_series_shorter_than_lookback_is_runtime_error(
         self, tmp_path, trained, sine_series, capsys
@@ -528,7 +565,7 @@ HOSTILE_CLOSES = {
     "sine-times-1e300": lambda n: dat.synth_series("sine+noise", n, 0) * 1e300,
     "sine-times-minus-1e300": lambda n: dat.synth_series("sine+noise", n, 0) * -1e300,
     "sine-subnormal": lambda n: dat.synth_series("sine+noise", n, 0) * 1e-310,
-    "5-plus-1e-13-noise": lambda n: 5.0 + 1e-13 * make_rng(0).standard_normal(n),
+    "5-plus-1e-13-noise": lambda n: 5.0 + 1e-13 * np.random.default_rng(0).standard_normal(n),
     "1e15-plus-sine": lambda n: 1e15 + dat.synth_series("sine+noise", n, 0),
     "constant": lambda n: np.full(n, 7.0),
 }

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqcast import data as dat
-from seqcast.numerics import make_rng
 
 HEADER = "Date,Open,High,Low,Close,Volume\n"
 
@@ -159,7 +158,11 @@ def _parse_reference(path) -> dat.OhlcvSeries:
         raise ValueError(f"{path}: header lacks columns {sorted(missing)}")
     width = max(col_idx[c] for c in ("date", *VALUE_COLUMNS)) + 1
     dates, values = [], []
-    for lineno, raw in enumerate(reader, start=2):
+    while True:
+        lineno = reader.line_num + 1  # the physical line the next record starts on
+        raw = next(reader, None)
+        if raw is None:
+            break
         if not "".join(raw).strip():
             continue
         try:
@@ -348,6 +351,14 @@ class TestParseCsv:
         body = ROW0 + "2015/1/5, 1, 2, 0.5, 1, lots\n2015/13/1, 1, 2, 0.5, 1, 5\n2015/1/7\n"
         with pytest.raises(ValueError, match="line 3: could not convert string to float: ' lots'"):
             dat.parse_csv(write_csv(tmp_path, body))
+
+    def test_error_names_the_line_a_row_starts_on(self, tmp_path):
+        # Row 1's quoted note spans lines 2 and 3, so row 2 starts on line 4.
+        body = '2015/1/2,1,2,0.5,1,5,"two\nlines"\n2015/1/5,1,2,0.5,oops,5,x\n'
+        p = write_csv(tmp_path, body, header="Date,Open,High,Low,Close,Volume,Note\n")
+        with pytest.raises(ValueError, match="line 4: could not convert string to float: 'oops'$"):
+            dat.parse_csv(p)
+        assert "oops" in p.read_text(encoding="utf-8").splitlines()[3]
 
     # parse_csv reads rows in blocks of 128: a defect on either side of a
     # block's edge, then with a bad volume that only a later block holds.
@@ -581,7 +592,7 @@ class TestMonthwise:
                 base *= 2
             closes.append(base)
             dates.append(d)
-            d = dat.weekday_dates(d, 2)[1]
+            (d,) = dat.weekday_dates(d, 1)
         v = np.array(closes)
         s = dat.OhlcvSeries(
             dates=tuple(dates), open=v, high=v * 1.01, low=v * 0.99, close=v,
@@ -710,12 +721,13 @@ class TestSynth:
     def test_sine_default_recipe(self):
         v = dat.synth_series("sine+noise", 200, 0)
         wave = np.sin(2.0 * np.pi * np.arange(200) / 40.0) + 10.0
-        np.testing.assert_allclose(v - wave, 0.05 * make_rng(0).standard_normal(200), atol=1e-12)
+        noise = 0.05 * np.random.default_rng(0).standard_normal(200)
+        np.testing.assert_allclose(v - wave, noise, atol=1e-12)
 
     def test_gbm_default_recipe(self):
         v = dat.synth_series("gbm", 50, 0)
         log_path = (0.0005 - 0.5 * 0.01**2) * np.arange(50)
-        log_path[1:] += 0.01 * np.cumsum(make_rng(0).standard_normal(49))
+        log_path[1:] += 0.01 * np.cumsum(np.random.default_rng(0).standard_normal(49))
         np.testing.assert_allclose(v, 100.0 * np.exp(log_path), rtol=1e-12)
 
     def test_same_seed_identical(self):
@@ -835,26 +847,32 @@ def test_nan_volume_imputed_zero(tmp_path):
 
 
 def test_weekday_dates_skip_weekends():
-    ds = dat.weekday_dates(date(2015, 1, 2), 4)  # Friday start
+    ds = dat.weekday_dates(date(2015, 1, 1), 4)  # the Thursday before a weekend
     assert ds == (date(2015, 1, 2), date(2015, 1, 5), date(2015, 1, 6), date(2015, 1, 7))
     assert all(d.weekday() < 5 for d in ds)
+    assert dat.weekday_dates(date(2015, 1, 3), 1) == (date(2015, 1, 5),)  # after a Saturday
 
 
 def test_weekday_dates_stop_at_the_last_representable_date():
-    # 9999-12-27 is a Monday and date.max, 9999-12-31, a Friday.
-    assert dat.weekday_dates(date(9999, 12, 27), 5)[-1] == date.max
-    with pytest.raises(ValueError, match="6 weekdays from 9999-12-27 run past 9999-12-31"):
-        dat.weekday_dates(date(9999, 12, 27), 6)
+    # 9999-12-26 is a Sunday and date.max, 9999-12-31, a Friday.
+    assert dat.weekday_dates(date(9999, 12, 26), 5)[-1] == date.max
+    with pytest.raises(ValueError, match="6 weekdays after 9999-12-26 run past 9999-12-31"):
+        dat.weekday_dates(date(9999, 12, 26), 6)
 
 
-def _weekday_dates_reference(start_date: date, n: int) -> tuple[date, ...]:
-    """The day-by-day loop that weekday_dates replaced."""
+def test_weekday_dates_check_n_before_allocating():
+    with pytest.raises(ValueError, match="run past 9999-12-31"):
+        dat.weekday_dates(date(2016, 2, 25), 10**12)
+
+
+def _weekday_dates_reference(after: date, n: int) -> tuple[date, ...]:
+    """A day-by-day loop over the days after the given date."""
     out = []
-    day = start_date.toordinal()
+    day = after.toordinal() + 1
     while len(out) < n:
         if day > date.max.toordinal():
             raise ValueError(
-                f"{n} weekdays from {start_date.isoformat()} run past "
+                f"{n} weekdays after {after.isoformat()} run past "
                 f"{date.max.isoformat()}, the last representable date"
             )
         d = date.fromordinal(day)
@@ -872,19 +890,19 @@ def _outcome(fn, *args):
 
 
 @given(
-    start=st.one_of(
+    after=st.one_of(
         st.dates(),
         st.integers(0, 120).map(lambda k: date.max - timedelta(days=k)),  # the last weeks
     ),
     n=st.integers(-2, 400),
 )
-@example(start=date(2015, 1, 3), n=1)  # a Saturday start
-@example(start=date(2015, 1, 4), n=0)  # a Sunday start
-@example(start=date.max, n=2)
-@example(start=date.min, n=400)
+@example(after=date(2015, 1, 3), n=1)  # after a Saturday
+@example(after=date(2015, 1, 4), n=0)  # after a Sunday
+@example(after=date.max, n=2)
+@example(after=date.min, n=400)
 @settings(max_examples=300)
-def test_weekday_dates_match_day_loop_reference(start, n):
-    assert _outcome(dat.weekday_dates, start, n) == _outcome(_weekday_dates_reference, start, n)
+def test_weekday_dates_match_day_loop_reference(after, n):
+    assert _outcome(dat.weekday_dates, after, n) == _outcome(_weekday_dates_reference, after, n)
 
 
 @given(

@@ -17,7 +17,6 @@ from seqcast.forecast_eval import (
     recursive_forecast,
 )
 from seqcast.models import MODEL_KINDS, REGISTRY, ModelConfig, weights_io
-from seqcast.numerics import make_rng
 from seqcast.runconfig import RunConfig, config_echo
 
 
@@ -135,9 +134,9 @@ def test_compute_metrics_accepts_finite_inputs_at_any_scale(exponent, level, pai
 
 class TestRecursiveForecast:
     def test_horizon_one_equals_single_prediction(self):
-        params = models.init_params(ModelConfig(kind="gru", hidden=4), make_rng(1))
+        params = models.init_params(ModelConfig(kind="gru", hidden=4), np.random.default_rng(1))
         scaler = Scaler(min=2.0, max=12.0)
-        window = make_rng(2).random(8)
+        window = np.random.default_rng(2).random(8)
         path = recursive_forecast(params, window, 1, scaler)
         expected = scaler.inverse(np.array([models.predict(params, window)]))
         assert path.shape == (1,)
@@ -150,9 +149,9 @@ class TestRecursiveForecast:
         np.testing.assert_allclose(path, 2.0, atol=1e-15)
 
     def test_window_slides_by_one_each_step(self):
-        params = models.init_params(ModelConfig(kind="lstm", hidden=4), make_rng(3))
+        params = models.init_params(ModelConfig(kind="lstm", hidden=4), np.random.default_rng(3))
         scaler = Scaler(min=0.0, max=1.0)
-        window = make_rng(4).random(5)
+        window = np.random.default_rng(4).random(5)
         path = recursive_forecast(params, window, 2, scaler)
         step1 = models.predict(params, window)
         step2 = models.predict(params, np.concatenate([window[1:], [step1]]))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from seqcast import models
 from seqcast.models import MODEL_KINDS, REGISTRY, ModelConfig
-from seqcast.numerics import make_rng
 
 SMALL = {
     "lstm": {"hidden": 3},
@@ -20,7 +19,7 @@ OTHER = {"hidden": 4, "d_model": 6, "n_heads": 1, "n_layers": 2, "d_ff": 6}
 
 def small(kind, **changes):
     dims = SMALL[kind] | changes
-    return models.init_params(ModelConfig(kind=kind, **dims), make_rng(0))
+    return models.init_params(ModelConfig(kind=kind, **dims), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -30,6 +29,17 @@ def small(kind, **changes):
 def test_input_of_wrong_shape_rejected(kind, shape):
     with pytest.raises(ValueError, match=r"expected input of shape \(batch, steps\)"):
         models.forward(small(kind), np.zeros(shape))
+
+
+def test_unknown_kind_rejected():
+    with pytest.raises(ValueError, match="unknown model kind 'rnn'"):
+        ModelConfig(kind="rnn")
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_predict_takes_one_window(kind):
+    with pytest.raises(ValueError, match=r"predict expects a 1-D window, got shape \(1, 4\)"):
+        models.predict(small(kind), np.zeros((1, 4)))
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -84,7 +94,7 @@ def test_forecast_ring_bit_contract(case):
     # sized to the running windows shows: BLAS rounds a row differently at
     # batch 9 and batch 60, while the small drawn sizes round alike.
     kind, hidden, lookback, short, long, seed = case
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     params = models.init_params(ModelConfig(kind=kind, hidden=hidden), rng)
     params = models.rebuild(params, params.theta + rng.normal(0.0, 0.1, params.theta.size))
     window = rng.random(lookback)

@@ -5,12 +5,11 @@ import pytest
 
 from seqcast import models
 from seqcast.models import MODEL_KINDS, ModelConfig
-from seqcast.numerics import make_rng
 
 
 def build(kind, seed=0):
     cfg = ModelConfig(kind=kind, hidden=4, d_model=8, n_heads=2, n_layers=2, d_ff=16)
-    return models.init_params(cfg, make_rng(seed))
+    return models.init_params(cfg, np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -57,9 +56,10 @@ GATES = {
 @pytest.mark.parametrize("hidden", range(1, 9))
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
 def test_stacked_matches_the_old_offset_slices(kind, hidden):
-    params = models.init_params(ModelConfig(kind=kind, hidden=hidden), make_rng(hidden))
-    params.theta += make_rng(50 + hidden).normal(size=params.theta.size)  # biases too
-    x = make_rng(hidden).normal(size=(3, 5))
+    rng = np.random.default_rng(hidden)
+    params = models.init_params(ModelConfig(kind=kind, hidden=hidden), rng)
+    params.theta += np.random.default_rng(50 + hidden).normal(size=params.theta.size)  # biases too
+    x = np.random.default_rng(hidden).normal(size=(3, 5))
     preds, cache = models.forward(params, x)
     grads = models.backward(params, cache, np.ones_like(preds))
     for p in (params, grads):

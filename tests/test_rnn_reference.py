@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from seqcast import models
 from seqcast.models import ModelConfig
-from seqcast.numerics import make_rng, sigmoid
+from seqcast.numerics import sigmoid
 
 
 def lstm_forward(p, x):
@@ -140,7 +140,7 @@ def bits(a):
 @example(kind="lstm", hidden=64, batch=32, steps=60, seed=2)
 @example(kind="gru", hidden=64, batch=32, steps=60, seed=2)
 def test_forward_and_backward_match_reference_bitwise(kind, hidden, batch, steps, seed):
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     params = models.init_params(ModelConfig(kind=kind, hidden=hidden), rng)
     params.theta += rng.normal(scale=0.1, size=params.theta.size)  # nonzero biases too
     x = rng.normal(size=(batch, steps))

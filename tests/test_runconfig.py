@@ -261,6 +261,35 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown key"):
             RunConfig(model_overrides=(("lstm", "dropout", 0.5),))
 
+    def test_unknown_override_section(self):
+        with pytest.raises(ConfigError, match=r"unknown model section \[rnn\]"):
+            RunConfig(model_overrides=(("rnn", "hidden", 8),))
+
+    # The INI path cannot give any of these: configparser refuses a repeated
+    # key, and an int key does not read 8.7.
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ((("lstm", "hidden", 8.7),), r"\[lstm\] hidden: cannot read 8.7 as int"),
+            ((("gru", "max_epochs", 12.9),), r"\[gru\] max_epochs: cannot read 12.9 as int"),
+            ((("transformer", "d_model", 8.0),), r"\[transformer\] d_model: cannot read 8.0 as"),
+            ((("gru", "hidden", True),), r"\[gru\] hidden: cannot read True as int"),
+            (
+                (("lstm", "hidden", 8), ("lstm", "hidden", 16)),
+                r"duplicate key 'hidden' in section \[lstm\]",
+            ),
+        ],
+        ids=["float-hidden", "float-max-epochs", "float-d-model", "bool-hidden", "repeated-key"],
+    )
+    def test_override_the_ini_path_refuses(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(model_overrides=overrides)
+
+    def test_int_override_for_a_float_key(self):
+        cfg = RunConfig(model_overrides=(("lstm", "learning_rate", 1), ("lstm", "hidden", 8)))
+        assert cfg.train_config("lstm").learning_rate == 1.0
+        assert cfg.model_config("lstm").hidden == 8
+
 
 class TestCanonical:
     def test_round_trip_is_fixed_point(self):

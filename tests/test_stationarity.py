@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqcast import stationarity
-from seqcast.numerics import make_rng
 from seqcast.stationarity import (
     AdfResult,
     adf_test,
@@ -30,11 +29,11 @@ WN_AIC_STAT = -23.736953933915164
 
 
 def random_walk() -> np.ndarray:
-    return np.cumsum(make_rng(RW_SEED).normal(size=N))
+    return np.cumsum(np.random.default_rng(RW_SEED).normal(size=N))
 
 
 def ar_half() -> np.ndarray:
-    g = make_rng(AR_SEED)
+    g = np.random.default_rng(AR_SEED)
     eps = g.normal(size=N)
     y = np.empty(N)
     y[0] = 0.0
@@ -44,7 +43,7 @@ def ar_half() -> np.ndarray:
 
 
 def white_noise() -> np.ndarray:
-    return make_rng(WN_SEED).normal(size=N)
+    return np.random.default_rng(WN_SEED).normal(size=N)
 
 
 class TestDifference:
@@ -156,10 +155,14 @@ class TestAdfContracts:
     def test_no_residual_degree_of_freedom_is_too_short(self, lag, data):
         # Lags >= 7 with n < 2 * lag + 4 leave the widest fit no residual.
         n = data.draw(st.integers(lag + 10, 2 * lag + 3))
-        y = np.cumsum(make_rng(n).normal(size=n))
+        y = np.cumsum(np.random.default_rng(n).normal(size=n))
         with pytest.raises(ValueError, match="too short"):
             adf_test(y, fixed_lag=lag)
-        adf_test(np.cumsum(make_rng(n).normal(size=2 * lag + 4)), fixed_lag=lag)
+        adf_test(np.cumsum(np.random.default_rng(n).normal(size=2 * lag + 4)), fixed_lag=lag)
+
+    def test_negative_fixed_lag_rejected(self):
+        with pytest.raises(ValueError, match="fixed_lag must be >= 0, got -1"):
+            adf_test(random_walk(), fixed_lag=-1)
 
     def test_linear_ramp_differenced_is_degenerate(self):
         ramp = np.arange(200, dtype=np.float64)
@@ -176,7 +179,7 @@ class TestAdfContracts:
 
     def test_p_value_in_unit_interval_many_series(self):
         for seed in range(20):
-            y = np.cumsum(make_rng(seed).normal(size=120))
+            y = np.cumsum(np.random.default_rng(seed).normal(size=120))
             res = adf_test(y)
             assert 0.0 <= res.p_value <= 1.0
             assert np.isfinite(res.statistic)
@@ -187,7 +190,7 @@ class TestAdfContracts:
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            adf_test(np.arange(8.0) + make_rng(0).normal(size=8), fixed_lag=3)
+            adf_test(np.arange(8.0) + np.random.default_rng(0).normal(size=8), fixed_lag=3)
 
     def test_result_dict_fields(self):
         res = adf_test(white_noise(), fixed_lag=1)
@@ -220,7 +223,7 @@ def _brute_force_fits(y: np.ndarray, max_lag: int) -> tuple[np.ndarray, bool]:
 def adf_series(draw):
     """Random walks, AR(1) and white noise of 30-600 points at varied scales."""
     n = draw(st.integers(30, 600))
-    g = make_rng(draw(st.integers(0, 2**32 - 1)))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     eps = g.normal(size=n) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
     phi = draw(st.sampled_from([1.0, 0.9, 0.5, 0.0, -0.4]))
     y = np.empty(n)
@@ -241,7 +244,8 @@ class TestLagSearch:
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize(
-        "pattern", [[0.0, 1.0], [0.0, 1.0, 3.0], *(make_rng(p).normal(size=p) for p in (7, 10))]
+        "pattern",
+        [[0.0, 1.0], [0.0, 1.0, 3.0], *(np.random.default_rng(p).normal(size=p) for p in (7, 10))],
     )
     def test_singular_candidate_is_degenerate(self, pattern):
         # A repeating pattern makes the lagged differences collinear with the constant.

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from seqcast.data import WindowedDataset, make_windows
 from seqcast import models
 from seqcast.models import MODEL_KINDS, ModelConfig, Params
-from seqcast.numerics import make_rng
 from seqcast.training import (
     TrainConfig,
     TrainHistory,
@@ -25,7 +24,7 @@ from seqcast.training import (
 
 def identity_task(n=160, lookback=12, seed=5):
     """Target equals the last window entry of an i.i.d. sequence."""
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     values = rng.random(n)
     ds = make_windows(values, lookback)
     cut = int(len(ds) * 0.8)
@@ -140,7 +139,7 @@ class TestAdam:
         self, seed, size, steps, learning_rate, beta1, beta2, scale
     ):
         cfg = TrainConfig(learning_rate=learning_rate, beta1=beta1, beta2=beta2)
-        rng = make_rng(seed)
+        rng = np.random.default_rng(seed)
         theta = rng.normal(size=size)
         m, v = zero_moments(theta)
         pure = (theta.copy(), m.copy(), v.copy())
@@ -210,8 +209,8 @@ class TestClip:
 
     def test_norm_sums_per_array_in_layout_order(self):
         cfg = ModelConfig(kind="transformer", d_model=8, n_heads=2, n_layers=2, d_ff=16)
-        params = models.init_params(cfg, make_rng(0))
-        grads = models.rebuild(params, make_rng(1).normal(size=params.theta.size))
+        params = models.init_params(cfg, np.random.default_rng(0))
+        grads = models.rebuild(params, np.random.default_rng(1).normal(size=params.theta.size))
         per_array = math.sqrt(sum(float(np.sum(g * g)) for _, g in grads.named_arrays()))
         # for this draw one sum over the whole vector differs in the last bits
         assert per_array != math.sqrt(float(np.sum(grads.theta * grads.theta)))
@@ -236,7 +235,7 @@ class TestValidationLoss:
     def test_chunked_equals_one_full_batch(self, kind, batch_size, size, seed):
         b = batch_size
         n = max(1, {"1": 1, "b-1": b - 1, "b": b, "b+1": b + 1, "3b+1": 3 * b + 1}[size])
-        rng = make_rng(seed)
+        rng = np.random.default_rng(seed)
         params = models.init_params(SMALL[kind], rng)
         val = WindowedDataset(rng.random((n, 7)), rng.random(n))
         whole = mse_loss(models.forward(params, val.inputs)[0], val.targets)
@@ -244,7 +243,7 @@ class TestValidationLoss:
 
     def test_peak_memory_is_at_most_half_a_full_batch_forward(self):
         batch_size, lookback = 32, 60
-        rng = make_rng(0)
+        rng = np.random.default_rng(0)
         params = models.init_params(ModelConfig(kind="transformer"), rng)
         n = 4 * batch_size
         val = WindowedDataset(rng.random((n, lookback)), rng.random(n))
@@ -383,7 +382,7 @@ def _train_reference(model_cfg, train_set, val_set, cfg, log_path):
     """The loop that in-place training must reproduce: a pure Adam step, a
     rebuilt Params per batch, a new clipped vector, and explicit
     early-stopping counters. Returns (best params, history)."""
-    rng = make_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     params = models.init_params(model_cfg, rng)
     m, v, t = np.zeros_like(params.theta), np.zeros_like(params.theta), 0
     n = len(train_set)

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from seqcast import models
 from seqcast.models import ModelConfig, transformer
 from seqcast.models.transformer import positional_encoding
-from seqcast.numerics import make_rng
 
 from gradcheck import grad_check
 
 
 def small_params(seed=0, d_model=8, n_heads=2, n_layers=1, d_ff=16):
     cfg = ModelConfig("transformer", d_model=d_model, n_heads=n_heads, n_layers=n_layers, d_ff=d_ff)
-    return models.init_params(cfg, make_rng(seed))
+    return models.init_params(cfg, np.random.default_rng(seed))
 
 
 def mse_setup(params, x, y):
@@ -35,7 +34,7 @@ class TestForward:
         layer = p.layers[0]
         for w in (layer.w_v, layer.w_o, layer.w_ff1, layer.w_ff2):
             w[...] = 0.0
-        x = make_rng(5).normal(size=(2, 6))
+        x = np.random.default_rng(5).normal(size=(2, 6))
         preds, cache = models.forward(p, x)
         embedded = x[:, :, None] @ p.w_in.T + positional_encoding(6, 8)[None, :, :]
         # the last block keeps only the final position
@@ -46,7 +45,7 @@ class TestForward:
 
     def test_attention_rows_sum_to_one(self):
         p = small_params(seed=6, n_layers=2)
-        _, cache = models.forward(p, make_rng(7).normal(size=(3, 6)))
+        _, cache = models.forward(p, np.random.default_rng(7).normal(size=(3, 6)))
         for layer_cache in cache["layers"]:
             sums = layer_cache["attn_w"].sum(axis=-1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-12)
@@ -71,7 +70,7 @@ class TestForward:
 
     def test_permutation_sensitivity_with_positions(self):
         p = small_params(seed=8)
-        x = make_rng(9).normal(size=(1, 6))
+        x = np.random.default_rng(9).normal(size=(1, 6))
         perm = np.array([3, 1, 5, 0, 2, 4])
         a, _ = models.forward(p, x)
         b, _ = models.forward(p, x[:, perm])
@@ -83,7 +82,7 @@ class TestForward:
         monkeypatch.setattr(
             transformer, "positional_encoding", lambda steps, d: np.zeros((steps, d))
         )
-        x = make_rng(11).normal(size=(2, 5))
+        x = np.random.default_rng(11).normal(size=(2, 5))
         for n_layers in (1, 2):
             p = small_params(seed=10, n_layers=n_layers)
             preds, _ = models.forward(p, x)
@@ -94,7 +93,7 @@ class TestForward:
 
     def test_position_codes_read_on_every_call(self, monkeypatch):
         p = small_params(seed=12)
-        x = make_rng(13).normal(size=(2, 6))  # distinct values, so their order matters
+        x = np.random.default_rng(13).normal(size=(2, 6))  # distinct values, so their order matters
         with_codes, _ = models.forward(p, x)
         monkeypatch.setattr(
             transformer, "positional_encoding", lambda steps, d: np.zeros((steps, d))
@@ -153,7 +152,7 @@ def reference_forward(params, x):
     seed=st.integers(0, 2**16),
 )
 def test_forward_matches_reference(n_heads, head_dim, n_layers, d_ff, batch, steps, seed):
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     d_model = n_heads * head_dim
     cfg = ModelConfig("transformer", d_model=d_model, n_heads=n_heads, n_layers=n_layers, d_ff=d_ff)
     p = models.init_params(cfg, rng)
@@ -170,8 +169,8 @@ def test_forward_matches_reference(n_heads, head_dim, n_layers, d_ff, batch, ste
 class TestBackward:
     def test_grad_check_d8_h2_l1_t6(self):
         p = small_params(seed=14)
-        x = make_rng(24).normal(size=(3, 6))
-        y = make_rng(34).normal(size=3)
+        x = np.random.default_rng(24).normal(size=(3, 6))
+        y = np.random.default_rng(34).normal(size=3)
         loss_fn, analytic = mse_setup(p, x, y)
         assert grad_check(loss_fn, p, analytic) < 1e-4
 
@@ -179,37 +178,37 @@ class TestBackward:
         worst = 0.0
         for seed in range(5):
             p = small_params(seed=700 + seed)
-            x = make_rng(800 + seed).normal(size=(2, 6))
-            y = make_rng(900 + seed).normal(size=2)
+            x = np.random.default_rng(800 + seed).normal(size=(2, 6))
+            y = np.random.default_rng(900 + seed).normal(size=2)
             loss_fn, analytic = mse_setup(p, x, y)
             worst = max(worst, grad_check(loss_fn, p, analytic))
         assert worst < 1e-4
 
     def test_grad_check_two_layers(self):
         p = small_params(seed=15, n_layers=2)
-        x = make_rng(25).normal(size=(2, 5))
-        y = make_rng(35).normal(size=2)
+        x = np.random.default_rng(25).normal(size=(2, 5))
+        y = np.random.default_rng(35).normal(size=2)
         loss_fn, analytic = mse_setup(p, x, y)
         assert grad_check(loss_fn, p, analytic) < 1e-4
 
     def test_grad_check_single_step(self):
         # one position: each block's query row is its only row
         p = small_params(seed=18, n_layers=2)
-        x = make_rng(28).normal(size=(3, 1))
-        y = make_rng(38).normal(size=3)
+        x = np.random.default_rng(28).normal(size=(3, 1))
+        y = np.random.default_rng(38).normal(size=3)
         loss_fn, analytic = mse_setup(p, x, y)
         assert grad_check(loss_fn, p, analytic) < 1e-4
 
     def test_grad_check_three_layers(self):
         p = small_params(seed=19, n_layers=3)
-        x = make_rng(29).normal(size=(2, 4))
-        y = make_rng(39).normal(size=2)
+        x = np.random.default_rng(29).normal(size=(2, 4))
+        y = np.random.default_rng(39).normal(size=2)
         loss_fn, analytic = mse_setup(p, x, y)
         assert grad_check(loss_fn, p, analytic) < 1e-4
 
     def test_zero_upstream_gives_zero_grads(self):
         p = small_params(seed=16)
-        _, cache = models.forward(p, make_rng(17).random((2, 4)))
+        _, cache = models.forward(p, np.random.default_rng(17).random((2, 4)))
         grads = models.backward(p, cache, np.zeros(2))
         for _, g in grads.named_arrays():
             assert not g.any()

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from seqcast.data import Scaler
 from seqcast.models import MODEL_KINDS, REGISTRY, ModelConfig, init_params
 from seqcast.models.weights_io import MAGIC, WeightsFormatError, load_weights, save_weights
-from seqcast.numerics import make_rng
 
 # The input recipe saved with every test model: lookback and training scaler.
 RECIPE = (12, Scaler(0.5, 2.5))
@@ -19,7 +18,7 @@ RECIPE = (12, Scaler(0.5, 2.5))
 
 def build(kind, seed=0):
     cfg = ModelConfig(kind=kind, hidden=5, d_model=8, n_heads=2, n_layers=2, d_ff=16)
-    return init_params(cfg, make_rng(seed))
+    return init_params(cfg, np.random.default_rng(seed))
 
 
 def small_dims(kind):
@@ -53,7 +52,8 @@ def bits(scaler):
 def test_round_trip_is_bit_exact(tmp_path, kind, data):
     dims = data.draw(small_dims(kind))
     lookback, scaler = data.draw(st.integers(1, 500)), data.draw(scalers)
-    params = init_params(ModelConfig(kind=kind, **dims), make_rng(data.draw(st.integers(0, 99))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+    params = init_params(ModelConfig(kind=kind, **dims), rng)
     named = params.named_arrays()
     # the views tile theta in layout order
     assert all(np.shares_memory(view, params.theta) for _, view in named)
@@ -126,7 +126,8 @@ def edit_header(data, tokens):
 )
 @given(data=st.data())
 def test_any_step_off_the_layout_walk_is_named(tmp_path, kind, data):
-    params = init_params(ModelConfig(kind=kind, **data.draw(small_dims(kind))), make_rng(0))
+    cfg = ModelConfig(kind=kind, **data.draw(small_dims(kind)))
+    params = init_params(cfg, np.random.default_rng(0))
     path = tmp_path / "w.txt"
     save_weights(path, params, *RECIPE)
     clean = path.read_bytes()
@@ -160,12 +161,12 @@ GOLDEN_CONFIGS = [
 @pytest.mark.parametrize("cfg", GOLDEN_CONFIGS, ids=lambda cfg: cfg.kind)
 def test_golden_v2_file_loads_and_saves_back(tmp_path, cfg):
     # Each file was written by an earlier version of save_weights from
-    # init_params(cfg, make_rng(0)), lookback 5 and Scaler(0.5, 2.5). Its bytes
+    # init_params(cfg, np.random.default_rng(0)), lookback 5 and Scaler(0.5, 2.5). Its bytes
     # depend only on PCG64 and "%.17g", so they pin the init draw order and
     # the format.
     path = GOLDEN / f"{cfg.kind}-v2.txt"
     params, (lookback, scaler) = load_weights(path, expect_kind=cfg.kind)
-    assert params.theta.tobytes() == init_params(cfg, make_rng(0)).theta.tobytes()
+    assert params.theta.tobytes() == init_params(cfg, np.random.default_rng(0)).theta.tobytes()
     assert lookback == 5
     assert bits(scaler) == bits(Scaler(0.5, 2.5))
     save_weights(tmp_path / "again.txt", params, lookback, scaler)

@@ -29,61 +29,61 @@ from .params import Params
 class ModelKind:
     """What differs between model kinds.
 
-    arch_keys name the architecture values in the order the weight-file
-    header states them and reports echo them. Each is an attribute of
-    ModelConfig and a keyword of the module's ``shapes``.
+    arch_keys maps each keyword of the module's ``shapes`` to its default,
+    in the order weight-file headers state them and reports echo them.
     Per-model seed = run seed + seed_offset, so models never share an init
     stream.
     """
 
     module: ModuleType
-    arch_keys: tuple[str, ...]
+    arch_keys: dict[str, int]
     seed_offset: int
 
-    def dims(self, cfg) -> dict[str, int]:
-        """The architecture values of a ModelConfig, in key order."""
-        return {key: getattr(cfg, key) for key in self.arch_keys}
-
     def shapes(self, dims: dict[str, int]) -> dict[str, tuple[int, ...]]:
-        """The layout table for dims; ValueError if a dim is below 1 or the kind rejects them."""
+        """The layout table for dims; ValueError unless each is an int >= 1 the kind accepts."""
         for key, value in dims.items():
+            if type(value) is not int:  # a bool is no count either
+                raise ValueError(f"{key}: cannot read {value!r} as int")
             if value < 1:
                 raise ValueError(f"{key} must be >= 1, got {value}")
         return self.module.shapes(**dims)
 
 
 REGISTRY = {
-    "lstm": ModelKind(lstm, ("hidden",), 1),
-    "gru": ModelKind(gru, ("hidden",), 2),
-    "transformer": ModelKind(transformer, ("d_model", "n_heads", "n_layers", "d_ff"), 3),
+    "lstm": ModelKind(lstm, dict(hidden=64), 1),
+    "gru": ModelKind(gru, dict(hidden=64), 2),
+    "transformer": ModelKind(transformer, dict(d_model=64, n_heads=2, n_layers=2, d_ff=128), 3),
 }
 MODEL_KINDS = tuple(REGISTRY)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModelConfig:
-    """Architecture hyperparameters for one forecaster."""
+    """A forecaster's kind and its dims in key order: the given ones, else REGISTRY's defaults."""
 
     kind: str
-    hidden: int = 64  # lstm / gru state width
-    d_model: int = 64  # transformer embedding width
-    n_heads: int = 2
-    n_layers: int = 2
-    d_ff: int = 128
+    dims: tuple[tuple[str, int], ...]
 
-    def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}, expected one of {MODEL_KINDS}")
-        REGISTRY[self.kind].shapes(REGISTRY[self.kind].dims(self))
+    def __init__(self, kind: str, **dims: int):
+        if kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
+        keys = REGISTRY[kind].arch_keys
+        for key in dims:
+            if key not in keys:
+                raise ValueError(f"{kind} has no key {key!r}, expected one of {tuple(keys)}")
+        dims = keys | dims
+        REGISTRY[kind].shapes(dims)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "dims", tuple(dims.items()))
 
     def as_dict(self) -> dict:
         """The kind and its own architecture keys, as echoed in reports."""
-        return {"kind": self.kind, **REGISTRY[self.kind].dims(self)}
+        return {"kind": self.kind, **dict(self.dims)}
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> Params:
     """Fresh parameters for cfg, drawn from rng by the kind's module."""
-    params = Params(cfg.kind, REGISTRY[cfg.kind].dims(cfg))
+    params = Params(cfg.kind, dict(cfg.dims))
     REGISTRY[cfg.kind].module.init_params(params, rng)
     return params
 

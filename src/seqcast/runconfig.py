@@ -55,6 +55,9 @@ class RunConfig:
     model_overrides: tuple[tuple[str, str, float], ...] = ()
 
     def __post_init__(self):
+        for key in ("lookback", "horizon", "seed"):
+            if type(getattr(self, key)) is not int:  # a bool is no count either
+                raise ConfigError(f"[run] {key}: cannot read {getattr(self, key)!r} as int")
         if self.lookback < 1:
             raise ConfigError(f"lookback must be >= 1, got {self.lookback}")
         if self.horizon < 1:
@@ -93,9 +96,8 @@ class RunConfig:
         return {key: value for k, key, value in self.model_overrides if k == kind}
 
     def model_config(self, kind: str) -> ModelConfig:
-        sect = self._section(kind)
-        arch = {key: int(sect[key]) for key in REGISTRY[kind].arch_keys if key in sect}
-        return ModelConfig(kind=kind, **arch)
+        arch = REGISTRY[kind].arch_keys
+        return ModelConfig(kind, **{k: v for k, v in self._section(kind).items() if k in arch})
 
     def train_config(self, kind: str) -> TrainConfig:
         sect = self._section(kind)

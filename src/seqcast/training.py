@@ -1,9 +1,10 @@
 """Mini-batch training: MSE loss, Adam, gradient clipping, early stopping.
 
-The loop is deliberately plain. Each epoch shuffles the window indices
-with its own seeded generator, walks the batches (last one may be short),
-and does forward / loss / backward / clip / Adam. Clipping scales the
-batch's gradient and Adam moves the one trained ``Params`` in place. The
+The loop is deliberately plain. One ``np.random.default_rng(seed)`` per
+run draws the initial parameters, then every epoch's shuffle of the window
+indices. Each epoch walks the batches (last one may be short) and does
+forward / loss / backward / clip / Adam. Clipping scales the batch's
+gradient and Adam moves the one trained ``Params`` in place. The
 validation history alone decides early stopping and which epoch's
 parameters are returned. The validation pass runs in chunks of
 ``batch_size`` windows, sliced like the training batches: a forward builds
@@ -46,6 +47,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "max_epochs", "patience", "seed"):
+            if type(getattr(self, name)) is not int:  # a bool is no count either
+                raise ValueError(f"{name}: cannot read {getattr(self, name)!r} as int")
         for name in ("learning_rate", "epsilon", "grad_clip_norm"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):

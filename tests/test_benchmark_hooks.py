@@ -56,7 +56,8 @@ def test_recursive_forecast_predict_calls_per_kind(monkeypatch, kind, calls):
     # forecast-b1 cuts its timed parts into segments at models.predict calls.
     # The Transformer predicts every step; the LSTM and GRU predict step 0 and
     # run the later steps on the ring.
-    cfg = ModelConfig(kind=kind, hidden=4, d_model=4, d_ff=5)
+    dims = dict(d_model=4, d_ff=5) if kind == "transformer" else dict(hidden=4)
+    cfg = ModelConfig(kind=kind, **dims)
     params = models.init_params(cfg, np.random.default_rng(0))
     counted = counting(monkeypatch, models, "predict")
     window, scaler = np.linspace(0.0, 1.0, 6), dat.Scaler(0.0, 1.0)
@@ -71,7 +72,8 @@ def test_models_dispatch_reaches_module_attributes(monkeypatch, kind):
     module = REGISTRY[kind].module
     forwards = counting(monkeypatch, module, "forward")
     backwards = counting(monkeypatch, module, "backward")
-    cfg = ModelConfig(kind=kind, hidden=3, d_model=4, d_ff=5)
+    dims = dict(d_model=4, d_ff=5) if kind == "transformer" else dict(hidden=3)
+    cfg = ModelConfig(kind=kind, **dims)
     params = models.init_params(cfg, np.random.default_rng(0))
     preds, cache = models.forward(params, np.random.default_rng(1).random((2, 5)))
     models.backward(params, cache, np.ones_like(preds))

@@ -1,12 +1,17 @@
 """The contract every model kind shares through models.forward, backward and forecast."""
 
+import inspect
+import pickle
+import re
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqcast import models
-from seqcast.models import MODEL_KINDS, REGISTRY, ModelConfig
+from seqcast.models import MODEL_KINDS, REGISTRY, ModelConfig, Params
 
 SMALL = {
     "lstm": {"hidden": 3},
@@ -34,6 +39,64 @@ def test_input_of_wrong_shape_rejected(kind, shape):
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown model kind 'rnn'"):
         ModelConfig(kind="rnn")
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_arch_keys_are_the_shapes_keywords(kind):
+    # The registry entry and the module's shapes signature are the only two
+    # statements of a kind's keys; they must agree, in order.
+    keywords = inspect.signature(REGISTRY[kind].module.shapes).parameters
+    assert tuple(REGISTRY[kind].arch_keys) == tuple(keywords)
+
+
+@pytest.mark.parametrize(
+    "kind,key",
+    [
+        (kind, key)
+        for kind in MODEL_KINDS
+        for key in dict.fromkeys(k for other in MODEL_KINDS for k in REGISTRY[other].arch_keys)
+        if key not in REGISTRY[kind].arch_keys
+    ],
+)
+def test_key_of_another_kind_refused(kind, key):
+    message = f"{kind} has no key {key!r}, expected one of {tuple(REGISTRY[kind].arch_keys)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ModelConfig(kind, **{key: 8})
+
+
+@pytest.mark.parametrize("value", [True, 8.0])
+def test_dim_that_is_no_int_refused(value):
+    message = re.escape(f"hidden: cannot read {value!r} as int")
+    with pytest.raises(ValueError, match=message):
+        ModelConfig("lstm", hidden=value)
+    with pytest.raises(ValueError, match=message):
+        Params("lstm", {"hidden": value})
+
+
+@pytest.mark.parametrize(
+    "kind,echo",
+    [
+        ("lstm", {"kind": "lstm", "hidden": 64}),
+        ("gru", {"kind": "gru", "hidden": 64}),
+        (
+            "transformer",
+            {"kind": "transformer", "d_model": 64, "n_heads": 2, "n_layers": 2, "d_ff": 128},
+        ),
+    ],
+)
+def test_default_config_echo(kind, echo):
+    assert list(ModelConfig(kind).as_dict().items()) == list(echo.items())
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_config_is_a_frozen_value(kind):
+    cfg = ModelConfig(kind, **dict(reversed(SMALL[kind].items())))
+    assert cfg == ModelConfig(kind, **SMALL[kind]) != ModelConfig(kind)
+    assert hash(cfg) == hash(ModelConfig(kind, **SMALL[kind]))
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
+    assert cfg.dims == tuple(SMALL[kind].items())
+    with pytest.raises(FrozenInstanceError):
+        cfg.dims = ()
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

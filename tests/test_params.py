@@ -8,7 +8,10 @@ from seqcast.models import MODEL_KINDS, ModelConfig
 
 
 def build(kind, seed=0):
-    cfg = ModelConfig(kind=kind, hidden=4, d_model=8, n_heads=2, n_layers=2, d_ff=16)
+    dims = (
+        dict(d_model=8, n_heads=2, n_layers=2, d_ff=16) if kind == "transformer" else dict(hidden=4)
+    )
+    cfg = ModelConfig(kind=kind, **dims)
     return models.init_params(cfg, np.random.default_rng(seed))
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import fields
 
 import pytest
@@ -164,9 +165,9 @@ class TestDefaults:
 
     def test_default_model_configs(self):
         cfg = RunConfig()
-        assert cfg.model_config("lstm").hidden == 64
+        assert cfg.model_config("lstm").dims == (("hidden", 64),)
         tr = cfg.model_config("transformer")
-        assert (tr.d_model, tr.n_heads, tr.n_layers, tr.d_ff) == (64, 2, 2, 128)
+        assert tr.dims == (("d_model", 64), ("n_heads", 2), ("n_layers", 2), ("d_ff", 128))
 
     def test_per_model_seed_offsets(self):
         cfg = RunConfig(seed=100)
@@ -183,10 +184,10 @@ class TestParse:
         assert cfg.lookback == 48
         assert cfg.horizon == 20
         assert cfg.seed == 7
-        assert cfg.model_config("lstm").hidden == 16
+        assert cfg.model_config("lstm").dims == (("hidden", 16),)
         assert cfg.train_config("lstm").learning_rate == 0.005
-        assert cfg.model_config("gru").hidden == 64  # untouched default
-        assert cfg.model_config("transformer").n_heads == 4
+        assert cfg.model_config("gru").dims == (("hidden", 64),)  # untouched default
+        assert dict(cfg.model_config("transformer").dims)["n_heads"] == 4
 
     def test_parse_from_file(self, tmp_path):
         p = tmp_path / "run.ini"
@@ -233,6 +234,15 @@ class TestValidation:
     def test_bad_run_values(self, kwargs):
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
+
+    # The echo would write 60.0 or true, which parsing the text back refuses.
+    @pytest.mark.parametrize(
+        "key,value", [("lookback", 60.0), ("horizon", 30.5), ("seed", 1.0), ("lookback", True)]
+    )
+    def test_run_count_that_is_no_int_refused(self, key, value):
+        message = re.escape(f"[run] {key}: cannot read {value!r} as int")
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(**{key: value})
 
     def test_data_path_equal_to_output_dir(self):
         with pytest.raises(ConfigError, match="distinct"):
@@ -288,7 +298,7 @@ class TestValidation:
     def test_int_override_for_a_float_key(self):
         cfg = RunConfig(model_overrides=(("lstm", "learning_rate", 1), ("lstm", "hidden", 8)))
         assert cfg.train_config("lstm").learning_rate == 1.0
-        assert cfg.model_config("lstm").hidden == 8
+        assert cfg.model_config("lstm").dims == (("hidden", 8),)
 
 
 class TestCanonical:

@@ -89,6 +89,23 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="|".join(kwargs)):
             TrainConfig(**kwargs)
 
+    # With max_epochs=True training ran one epoch and echoed true; a float
+    # batch_size failed later in range.
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"batch_size": 16.0},
+            {"max_epochs": True, "patience": 1},
+            {"patience": 2.0},
+            {"seed": 1.0},
+        ],
+        ids=["float-batch-size", "bool-max-epochs", "float-patience", "float-seed"],
+    )
+    def test_count_that_is_no_int_rejected(self, kwargs):
+        key, value = next(iter(kwargs.items()))
+        with pytest.raises(ValueError, match=f"{key}: cannot read {value!r} as int"):
+            TrainConfig(**kwargs)
+
     def test_as_dict_round_trips(self):
         cfg = TrainConfig(learning_rate=0.01, seed=9)
         assert TrainConfig(**cfg.as_dict()) == cfg

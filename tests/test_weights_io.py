@@ -17,7 +17,10 @@ RECIPE = (12, Scaler(0.5, 2.5))
 
 
 def build(kind, seed=0):
-    cfg = ModelConfig(kind=kind, hidden=5, d_model=8, n_heads=2, n_layers=2, d_ff=16)
+    dims = (
+        dict(d_model=8, n_heads=2, n_layers=2, d_ff=16) if kind == "transformer" else dict(hidden=5)
+    )
+    cfg = ModelConfig(kind=kind, **dims)
     return init_params(cfg, np.random.default_rng(seed))
 
 

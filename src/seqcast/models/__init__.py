@@ -42,9 +42,7 @@ class ModelKind:
     def shapes(self, dims: dict[str, int]) -> dict[str, tuple[int, ...]]:
         """The layout table for dims; ValueError unless each is an int >= 1 the kind accepts."""
         for key, value in dims.items():
-            if type(value) is not int:  # a bool is no count either
-                raise ValueError(f"{key}: cannot read {value!r} as int")
-            if value < 1:
+            if typed(key, value, int) < 1:
                 raise ValueError(f"{key} must be >= 1, got {value}")
         return self.module.shapes(**dims)
 
@@ -55,6 +53,15 @@ REGISTRY = {
     "transformer": ModelKind(transformer, dict(d_model=64, n_heads=2, n_layers=2, d_ff=128), 3),
 }
 MODEL_KINDS = tuple(REGISTRY)
+
+
+def typed(name: str, value, kast: type):
+    """value as a kast setting: exactly a kast, or for float an int or NumPy float; never a bool."""
+    if kast is float and isinstance(value, (int, float, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    if type(value) is not kast:
+        raise ValueError(f"{name}: cannot read {value!r} as {kast.__name__}")
+    return value
 
 
 @dataclass(frozen=True, init=False)

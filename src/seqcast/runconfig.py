@@ -21,10 +21,10 @@ echo key. A model section takes its kind's ``REGISTRY`` architecture keys
 and the training keys, ``TrainConfig``'s fields less ``seed``. The parser,
 the flags, ``config_echo`` and ``canonical_text`` all follow that table,
 and ``canonical_text`` renders ``config_echo``, so the printed config and
-the artifacts' echo cannot drift apart; parsing the text back yields an
-identical config. Per-model seeds are derived (run seed + fixed offset),
-never read from the file. Unknown sections or keys are errors, not
-warnings.
+the artifacts' echo cannot drift apart; parsing the text back yields a
+config with the same echo and text. Per-model seeds are derived (run
+seed + fixed offset), never read from the file. Unknown sections or keys
+are errors, not warnings.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import configparser
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .models import MODEL_KINDS, REGISTRY, ModelConfig
+from .models import MODEL_KINDS, REGISTRY, ModelConfig, typed
 from .training import TrainConfig
 
 ADF_CHOICES = ("monthly-high", "daily-high")
@@ -55,9 +55,12 @@ class RunConfig:
     model_overrides: tuple[tuple[str, str, float], ...] = ()
 
     def __post_init__(self):
-        for key in ("lookback", "horizon", "seed"):
-            if type(getattr(self, key)) is not int:  # a bool is no count either
-                raise ConfigError(f"[run] {key}: cannot read {getattr(self, key)!r} as int")
+        for key, kast in _RUN_KEYS.items():
+            if key != "data" or self.data is not None:
+                try:
+                    object.__setattr__(self, key, typed(key, getattr(self, key), kast))
+                except ValueError as exc:
+                    raise ConfigError(f"[run] {exc}") from None
         if self.lookback < 1:
             raise ConfigError(f"lookback must be >= 1, got {self.lookback}")
         if self.horizon < 1:
@@ -71,20 +74,17 @@ class RunConfig:
         if self.data is not None:
             if Path(self.data).resolve() == Path(self.output_dir).resolve():
                 raise ConfigError("data path and output_dir must be distinct")
-        # An override holds what the INI parser could give: a known key, once, of its type.
+        # An override holds what the INI parser could give: a known key, once.
         seen = set()
-        for kind, key, value in self.model_overrides:
+        for kind, key, _ in self.model_overrides:
             if kind not in MODEL_KINDS:
                 raise ConfigError(f"unknown model section [{kind}]")
-            kast = _section_keys(kind).get(key)
-            if kast is None:
+            if key not in _section_keys(kind):
                 raise ConfigError(f"unknown key {key!r} in section [{kind}]")
             if (kind, key) in seen:
                 raise ConfigError(f"duplicate key {key!r} in section [{kind}]")
             seen.add((kind, key))
-            if kast is int and type(value) is not int:  # a bool is no count either
-                raise ConfigError(f"[{kind}] {key}: cannot read {value!r} as int")
-        # Surface invalid values now rather than mid-run.
+        # Surface invalid values, a wrong type included, now rather than mid-run.
         for kind in MODEL_KINDS:
             try:
                 self.model_config(kind)
@@ -100,8 +100,7 @@ class RunConfig:
         return ModelConfig(kind, **{k: v for k, v in self._section(kind).items() if k in arch})
 
     def train_config(self, kind: str) -> TrainConfig:
-        sect = self._section(kind)
-        kwargs = {key: kast(sect[key]) for key, kast in _TRAIN_KEYS.items() if key in sect}
+        kwargs = {k: v for k, v in self._section(kind).items() if k in _TRAIN_KEYS}
         return TrainConfig(seed=self.seed + REGISTRY[kind].seed_offset, **kwargs)
 
 
@@ -178,7 +177,7 @@ def config_echo(cfg: RunConfig) -> dict:
 
 
 def canonical_text(cfg: RunConfig) -> str:
-    """The fully merged config as INI text; parses back to an equal config.
+    """The fully merged config as INI text; it parses back to the same echo and text.
 
     It renders ``config_echo``: each section lists the keys it accepts, a
     float as its shortest round-tripping repr, and ``data`` only when set.

@@ -20,14 +20,14 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import models
 from .data import WindowedDataset
-from .models import ModelConfig, Params
+from .models import ModelConfig, Params, typed
 
 
 class TrainingError(RuntimeError):
@@ -47,9 +47,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "max_epochs", "patience", "seed"):
-            if type(getattr(self, name)) is not int:  # a bool is no count either
-                raise ValueError(f"{name}: cannot read {getattr(self, name)!r} as int")
+        for f in fields(self):
+            object.__setattr__(self, f.name, typed(f.name, getattr(self, f.name), type(f.default)))
         for name in ("learning_rate", "epsilon", "grad_clip_norm"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):

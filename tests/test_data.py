@@ -1,7 +1,9 @@
+import ast
 import csv
 import io
 import math
 import random
+import re
 import tempfile
 from datetime import date, datetime, timedelta
 from pathlib import Path
@@ -359,6 +361,37 @@ class TestParseCsv:
         with pytest.raises(ValueError, match="line 4: could not convert string to float: 'oops'$"):
             dat.parse_csv(p)
         assert "oops" in p.read_text(encoding="utf-8").splitlines()[3]
+
+    @given(_csv_texts())
+    @example('Date,Open,High,Low,Close,Volume,Note\n2015/1/2,1,2,0.5,1,5,"two\nlines"\n'
+             '2015/1/5,1,2,0.5,oops,5,x\n')
+    @example('Date,Open,High,Low,Close,Volume\r\n\r\n2015/1/2,1,2,0.5,1,5\r\n'
+             '2015.1.5,1,2,0.5,1,5\r\n')
+    @settings(max_examples=300, deadline=None)
+    def test_error_line_starts_the_record_with_the_token(self, text):
+        # On a bad value or date, csv reads from the named line a record that holds the token.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "prices.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            try:
+                dat.parse_csv(path)
+                return
+            except ValueError as exc:
+                message = str(exc)
+        found = re.fullmatch(
+            r".*?: line (\d+): (?:could not convert string to float: (.*)"
+            r"|unrecognized date (.*) \(expected YYYY/M/D or YYYY-MM-DD\))",
+            message,
+            re.DOTALL,
+        )
+        if found is None:
+            return  # a short row, a bad header, no rows or a duplicate date
+        lineno, value, date_text = found.groups()
+        lines = io.StringIO(text, newline="").readlines()
+        record = next(csv.reader(lines[int(lineno) - 1 :]))
+        # A value's token is the raw cell; a date's is the cell stripped.
+        cells = record if value is not None else [cell.strip() for cell in record]
+        assert ast.literal_eval(value or date_text) in cells
 
     # parse_csv reads rows in blocks of 128: a defect on either side of a
     # block's edge, then with a bad volume that only a later block holds.

@@ -1,14 +1,18 @@
 import json
 import math
 import re
+import string
 from dataclasses import fields
+from functools import partial
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, reject
 from hypothesis import strategies as st
 
-from seqcast.models import MODEL_KINDS
+from seqcast.models import MODEL_KINDS, REGISTRY, ModelConfig
 from seqcast.runconfig import (
+    ADF_CHOICES,
     ConfigError,
     RunConfig,
     canonical_text,
@@ -276,7 +280,8 @@ class TestValidation:
             RunConfig(model_overrides=(("rnn", "hidden", 8),))
 
     # The INI path cannot give any of these: configparser refuses a repeated
-    # key, and an int key does not read 8.7.
+    # key, an int key does not read 8.7, and the parser hands over no bool,
+    # None or str for a float key.
     @pytest.mark.parametrize(
         "overrides,message",
         [
@@ -284,12 +289,19 @@ class TestValidation:
             ((("gru", "max_epochs", 12.9),), r"\[gru\] max_epochs: cannot read 12.9 as int"),
             ((("transformer", "d_model", 8.0),), r"\[transformer\] d_model: cannot read 8.0 as"),
             ((("gru", "hidden", True),), r"\[gru\] hidden: cannot read True as int"),
+            ((("lstm", "learning_rate", True),), r"\[lstm\] learning_rate: cannot read True as float$"),
+            ((("lstm", "learning_rate", None),), r"\[lstm\] learning_rate: cannot read None as float$"),
+            ((("lstm", "learning_rate", "0.1"),), r"\[lstm\] learning_rate: cannot read '0.1' as float$"),
+            ((("lstm", "learning_rate", "abc"),), r"\[lstm\] learning_rate: cannot read 'abc' as float$"),
             (
                 (("lstm", "hidden", 8), ("lstm", "hidden", 16)),
                 r"duplicate key 'hidden' in section \[lstm\]",
             ),
         ],
-        ids=["float-hidden", "float-max-epochs", "float-d-model", "bool-hidden", "repeated-key"],
+        ids=[
+            "float-hidden", "float-max-epochs", "float-d-model", "bool-hidden",
+            "bool-rate", "none-rate", "str-rate", "word-rate", "repeated-key",
+        ],
     )
     def test_override_the_ini_path_refuses(self, overrides, message):
         with pytest.raises(ConfigError, match=message):
@@ -299,6 +311,131 @@ class TestValidation:
         cfg = RunConfig(model_overrides=(("lstm", "learning_rate", 1), ("lstm", "hidden", 8)))
         assert cfg.train_config("lstm").learning_rate == 1.0
         assert cfg.model_config("lstm").dims == (("hidden", 8),)
+
+    # Each of these ended in a TypeError from a comparison or was accepted.
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"val_frac": None}, "[run] val_frac: cannot read None as float"),
+            ({"val_frac": "0.5"}, "[run] val_frac: cannot read '0.5' as float"),
+            ({"data": 5}, "[run] data: cannot read 5 as str"),
+            ({"output_dir": None}, "[run] output_dir: cannot read None as str"),
+        ],
+        ids=["none-val-frac", "str-val-frac", "int-data", "none-output-dir"],
+    )
+    def test_wrong_type_fails_loudly(self, kwargs, message):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(**kwargs)
+        assert str(exc.value) == message
+
+
+# Every setting as (where it is set, its name, its type): the [run] keys,
+# then TrainConfig's fields, then each kind's dims.
+SETTINGS = [
+    ("run", f.name, str if f.default is None else type(f.default))
+    for f in fields(RunConfig)
+    if f.name != "model_overrides"
+]
+SETTINGS += [("train", f.name, type(f.default)) for f in fields(TrainConfig)]
+SETTINGS += [(kind, key, int) for kind in MODEL_KINDS for key in REGISTRY[kind].arch_keys]
+
+
+def _refusals(where, name, value):
+    """Each way to give the setting value, with the error it must be refused with."""
+    message = f"{name}: cannot read {value!r} as "
+    if where == "run":
+        return [(partial(RunConfig, **{name: value}), ConfigError, f"[run] {message}")]
+    if where == "train":
+        kinds = MODEL_KINDS if name != "seed" else ()  # the per-model seed is derived
+        ways = [(partial(TrainConfig, **{name: value}), ValueError, message)]
+    else:
+        kinds = (where,)
+        ways = [(partial(ModelConfig, where, **{name: value}), ValueError, message)]
+    for kind in kinds:
+        override = partial(RunConfig, model_overrides=((kind, name, value),))
+        ways.append((override, ConfigError, f"[{kind}] {message}"))
+    return ways
+
+
+class TestOneRule:
+    @given(
+        setting=st.sampled_from(SETTINGS),
+        value=st.one_of(
+            st.booleans(), st.none(), st.text(max_size=4), st.lists(st.integers(), max_size=2)
+        ),
+    )
+    def test_value_of_another_type_refused(self, setting, value):
+        where, name, kast = setting
+        if value is None and (where, name) == ("run", "data"):
+            return  # data alone may be None
+        if isinstance(value, str) and kast is str:
+            return
+        for make, error, message in _refusals(where, name, value):
+            with pytest.raises(error) as exc:  # a TypeError fails the test
+                make()
+            assert str(exc.value) == message + kast.__name__
+
+    @pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.25)])
+    @pytest.mark.parametrize(
+        "key", [key for where, key, kast in SETTINGS if where == "train" and kast is float]
+    )
+    def test_numpy_float_stored_as_float(self, key, value):
+        for cfg in (
+            TrainConfig(**{key: value}),
+            RunConfig(model_overrides=(("gru", key, value),)).train_config("gru"),
+        ):
+            assert type(getattr(cfg, key)) is float
+            assert getattr(cfg, key) == value
+        assert type(RunConfig(val_frac=value).val_frac) is float
+
+    @pytest.mark.parametrize("key", ["learning_rate", "epsilon", "grad_clip_norm"])
+    def test_int_stored_as_float(self, key):
+        assert type(getattr(TrainConfig(**{key: 1}), key)) is float
+        echo = config_echo(RunConfig(model_overrides=(("gru", key, 1),)))
+        assert repr(echo["models"]["gru"]["train"][key]) == "1.0"
+
+
+_PATHS = st.text(string.ascii_letters + string.digits + "_-./", min_size=1, max_size=12)
+_POSITIVE = st.floats(min_value=0, exclude_min=True, allow_infinity=False) | st.integers(1, 10)
+_UNIT = st.floats(0, 1, exclude_min=True, exclude_max=True)
+_OVERRIDES = {
+    "hidden": st.integers(1, 64),
+    "d_model": st.sampled_from([4, 8, 16]),
+    "n_heads": st.sampled_from([1, 2, 4]),
+    "n_layers": st.integers(1, 3),
+    "d_ff": st.integers(1, 64),
+    "learning_rate": _POSITIVE,
+    "beta1": _UNIT,
+    "beta2": _UNIT,
+    "epsilon": _POSITIVE,
+    "batch_size": st.integers(1, 512),
+    "max_epochs": st.integers(10, 200),  # never below a default or drawn patience
+    "patience": st.integers(1, 10),
+    "grad_clip_norm": _POSITIVE,
+}
+
+
+@st.composite
+def _run_configs(draw):
+    """A valid RunConfig with drawn [run] settings and overrides in drawn order."""
+    train_keys = [f.name for f in fields(TrainConfig) if f.name != "seed"]
+    overrides = []
+    for kind in MODEL_KINDS:
+        keys = st.sampled_from([*REGISTRY[kind].arch_keys, *train_keys])
+        overrides += [(kind, key, draw(_OVERRIDES[key])) for key in draw(st.lists(keys, unique=True))]
+    try:
+        return RunConfig(
+            data=draw(st.none() | _PATHS),
+            output_dir=draw(_PATHS),
+            lookback=draw(st.integers(1, 10**6)),
+            horizon=draw(st.integers(1, 10**6)),
+            val_frac=draw(_UNIT),
+            seed=draw(st.integers(0, 2**64)),
+            adf_on=draw(st.sampled_from(ADF_CHOICES)),
+            model_overrides=tuple(draw(st.permutations(overrides))),
+        )
+    except ConfigError:
+        reject()  # data and output_dir name one path
 
 
 class TestCanonical:
@@ -313,6 +450,15 @@ class TestCanonical:
 
     def test_sample_canonical_bytes(self):
         assert canonical_text(parse_config_text(SAMPLE)) == SAMPLE_CANONICAL
+
+    @given(_run_configs())
+    def test_text_gives_back_the_echo(self, cfg):
+        # Parsing the text back spells out every default as an override, so
+        # the config is not equal to cfg; its echo and its text are.
+        text = canonical_text(cfg)
+        again = parse_config_text(text)
+        assert config_echo(again) == config_echo(cfg)
+        assert canonical_text(again) == text
 
     def test_canonical_lists_every_section(self):
         text = canonical_text(RunConfig())

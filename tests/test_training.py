@@ -106,6 +106,23 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{key}: cannot read {value!r} as int"):
             TrainConfig(**kwargs)
 
+    # A bool for a float setting trained at rate 1.0; None and a str ended in
+    # a TypeError from the range check.
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("learning_rate", True),
+            ("epsilon", True),
+            ("grad_clip_norm", True),
+            ("learning_rate", None),
+            ("grad_clip_norm", "5"),
+        ],
+    )
+    def test_float_setting_of_another_type_rejected(self, key, value):
+        with pytest.raises(ValueError) as exc:
+            TrainConfig(**{key: value})
+        assert str(exc.value) == f"{key}: cannot read {value!r} as float"
+
     def test_as_dict_round_trips(self):
         cfg = TrainConfig(learning_rate=0.01, seed=9)
         assert TrainConfig(**cfg.as_dict()) == cfg

@@ -1,10 +1,10 @@
 """The three sequence forecasters and their shared dispatch surface.
 
-Each model module exposes ``shapes`` (its ordered name -> shape table) plus
-``init_params``, which fills a zero ``Params`` of that table in place,
-``forward`` and ``backward``, and a recurrent one ``lanes``. ``REGISTRY`` is
-the one place that says what a model kind is; everything here dispatches
-through it so training and forecasting stay model-agnostic.
+Each model module exposes ``shapes`` (its ordered name -> shape table),
+``init_params`` (fills a zero ``Params`` in place), ``forward``, ``backward``
+and, if recurrent, ``lanes``. ``REGISTRY`` says what a model kind is, and all
+dispatch goes through it; ``ModelConfig`` alone checks a kind's dims and reads
+its table, and ``Params`` and the forward cache carry that config.
 
 Every kind is an encoder under one scalar head, prediction = head_w s + head_b,
 where s is the (batch, width) state the module's ``forward`` returns. This
@@ -39,13 +39,6 @@ class ModelKind:
     arch_keys: dict[str, int]
     seed_offset: int
 
-    def shapes(self, dims: dict[str, int]) -> dict[str, tuple[int, ...]]:
-        """The layout table for dims; ValueError unless each is an int >= 1 the kind accepts."""
-        for key, value in dims.items():
-            if typed(key, value, int) < 1:
-                raise ValueError(f"{key} must be >= 1, got {value}")
-        return self.module.shapes(**dims)
-
 
 REGISTRY = {
     "lstm": ModelKind(lstm, dict(hidden=64), 1),
@@ -79,9 +72,16 @@ class ModelConfig:
             if key not in keys:
                 raise ValueError(f"{kind} has no key {key!r}, expected one of {tuple(keys)}")
         dims = keys | dims
-        REGISTRY[kind].shapes(dims)
+        for key, value in dims.items():
+            if typed(key, value, int) < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "dims", tuple(dims.items()))
+        self.shapes()  # the module's layout rule, such as d_model divisible by n_heads
+
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        """The kind module's name -> shape table for these dims: the parameter layout."""
+        return REGISTRY[self.kind].module.shapes(**dict(self.dims))
 
     def as_dict(self) -> dict:
         """The kind and its own architecture keys, as echoed in reports."""
@@ -90,26 +90,26 @@ class ModelConfig:
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> Params:
     """Fresh parameters for cfg, drawn from rng by the kind's module."""
-    params = Params(cfg.kind, dict(cfg.dims))
+    params = Params(cfg)
     REGISTRY[cfg.kind].module.init_params(params, rng)
     return params
 
 
 def rebuild(params: Params, theta: np.ndarray) -> Params:
-    """Params of the same kind and dims over theta, such as a saved copy of a trained vector."""
-    return Params(params.kind, params.dims, theta)
+    """Params of the same config over theta, such as a saved copy of a trained vector."""
+    return Params(params.cfg, theta)
 
 
 def forward(params: Params, x: np.ndarray):
     """Batched forward pass: x is (batch, steps), result is ((batch,), cache).
 
-    The cache records the kind, dims, input and encoder state it came from.
+    The cache records the config, input and encoder state it came from.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError(f"expected input of shape (batch, steps), got {x.shape}")
     state, cache = REGISTRY[params.kind].module.forward(params, x)
-    cache.update(kind=params.kind, dims=params.dims, x=x, state=state)
+    cache.update(cfg=params.cfg, x=x, state=state)
     return _head(params, state), cache
 
 
@@ -119,15 +119,15 @@ def _head(params: Params, state: np.ndarray) -> np.ndarray:
 
 def backward(params: Params, cache: dict, d_preds: np.ndarray) -> Params:
     """Gradient of sum_b d_preds[b] * prediction_b w.r.t. every parameter."""
-    made_by = (cache.get("kind"), cache.get("dims"))
-    if made_by != (params.kind, params.dims):
-        raise ValueError(f"cache of {made_by[0]} {made_by[1]} does not match "
+    made_by = cache["cfg"]
+    if made_by != params.cfg:
+        raise ValueError(f"cache of {made_by.kind} {dict(made_by.dims)} does not match "
                          f"{params.kind} {params.dims} parameters")
     d_preds = np.asarray(d_preds, dtype=np.float64).ravel()
     state = cache["state"]
     if d_preds.shape != (len(state),):
         raise ValueError(f"need one upstream gradient per sample, got {d_preds.shape}")
-    grads = Params(params.kind, params.dims)
+    grads = Params(params.cfg)
     grads.head_w += d_preds[None, :] @ state
     grads.head_b += d_preds.sum(keepdims=True)
     REGISTRY[params.kind].module.backward(params, cache, d_preds[:, None] * params.head_w, grads)

@@ -1,12 +1,12 @@
 """One model's parameters: a contiguous float64 vector with a named view per array.
 
-The layout comes from the kind's ``shapes(**dims)`` table: views follow the
-table's order, back to back, so the optimizer works on ``theta`` while the
-model code reads the views. A dotted name ``group.i.field`` becomes
-``params.group[i].field``; the Transformer's blocks are ``params.layers``.
-Views are plain instance attributes because batch-1 forecasting reads them
-at every step. ``stacked`` views neighbours of one shape as one array, so no
-module computes an offset in ``theta``.
+The layout is the table of the ``ModelConfig`` they are built from, which
+checked the dims: views follow the table's order, back to back, so the
+optimizer works on ``theta`` while the model code reads the views. A dotted
+name ``group.i.field`` becomes ``params.group[i].field``; the Transformer's
+blocks are ``params.layers``. Views are plain instance attributes because
+batch-1 forecasting reads them at every step. ``stacked`` views neighbours of
+one shape as one array, so no module computes an offset in ``theta``.
 """
 
 from __future__ import annotations
@@ -18,20 +18,17 @@ import numpy as np
 
 
 class Params:
-    """Parameters of one `kind` model with architecture `dims`; theta defaults to zeros."""
+    """Parameters of the model cfg (a ModelConfig) states; theta defaults to zeros."""
 
-    def __init__(self, kind: str, dims: dict[str, int], theta: np.ndarray | None = None):
-        from . import REGISTRY
-
-        entry = REGISTRY[kind]
-        dims = {key: dims[key] for key in entry.arch_keys}
-        shapes = entry.shapes(dims)
+    def __init__(self, cfg, theta: np.ndarray | None = None):
+        kind, dims = cfg.kind, dict(cfg.dims)
+        shapes = cfg.shapes()
         size = sum(math.prod(shape) for shape in shapes.values())
         if theta is None:
             theta = np.zeros(size)
         elif theta.dtype != np.float64 or theta.shape != (size,) or not theta.flags.c_contiguous:
             raise ValueError(f"{kind} {dims} needs a contiguous float64 vector of {size} values")
-        self.kind, self.dims, self.theta = kind, dims, theta
+        self.cfg, self.kind, self.dims, self.theta = cfg, kind, dims, theta
         self._named, self._spans = [], {}
         offset = 0
         for name, shape in shapes.items():
@@ -65,4 +62,4 @@ class Params:
 
     def __reduce__(self):
         # Copies and pickles rebuild the views over their own theta.
-        return Params, (self.kind, self.dims, self.theta)
+        return Params, (self.cfg, self.theta)

@@ -10,10 +10,10 @@ Layout:
 
 A vector of length n is written with cols=0 so its shape survives the
 round trip; 17 significant digits make every float64 value bit-exact.
-Loading walks this layout in order: each value is a positive integer or a
-finite float, each block line is the one ``save_weights`` writes for that
-array, nothing follows the scaler and it needs max > min. An error names
-the line and the key or block expected there. Any other magic line, v1
+Loading walks this layout in order: header values are positive ints, dims
+ones ``ModelConfig`` accepts, array values finite, each block line the one
+``save_weights`` writes, nothing after the scaler, which needs max > min. An
+error names the line and what it expected. Any other magic line, v1
 included, means retrain. LF newlines make identical weights identical bytes.
 """
 
@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ..data import Scaler
-from . import REGISTRY
+from . import ModelConfig
 from .params import Params
 
 MAGIC = "SEQCAST-W v2"
@@ -65,9 +65,10 @@ def load_weights(path: str | Path, expect_kind: str):
     """Read a weights file of kind expect_kind back into a Params.
 
     Returns (params, (lookback, scaler)). A file of another kind is an error
-    up front, before any arrays are parsed. A block becomes an array only
-    from the values the file holds, so a header that states more than the
-    file has costs no memory; the parameter vector is built at the end.
+    up front, before any arrays are parsed; an expect_kind that ModelConfig
+    does not know raises its ValueError. A block becomes an array only from
+    the values the file holds, so a header that states more than the file
+    has costs no memory; the parameter vector is built at the end.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != MAGIC:
@@ -77,7 +78,7 @@ def load_weights(path: str | Path, expect_kind: str):
     kind = tokens[0] if tokens else ""
     if kind != expect_kind:
         raise _expected(2, f"model kind {expect_kind}", kind or None)
-    keys = (*REGISTRY[kind].arch_keys, "lookback")
+    keys = (*dict(ModelConfig(kind).dims), "lookback")
     dims = {}
     for at, key in enumerate(keys, start=1):
         token = tokens[at] if at < len(tokens) else None
@@ -88,11 +89,11 @@ def load_weights(path: str | Path, expect_kind: str):
         raise _expected(2, "the end of the line after lookback", tokens[len(keys) + 1])
     lookback = dims.pop("lookback")
     try:
-        shapes = REGISTRY[kind].shapes(dims)
+        cfg = ModelConfig(kind, **dims)
     except ValueError as exc:
         raise WeightsFormatError(f"line 2: {exc}") from None
     pos, blocks = 2, []
-    for name, shape in [*shapes.items(), ("scaler", (2,))]:
+    for name, shape in [*cfg.shapes().items(), ("scaler", (2,))]:
         block, size = _block_line(name, shape), math.prod(shape)
         found = lines[pos] if pos < len(lines) else None
         if found != block:
@@ -115,4 +116,4 @@ def load_weights(path: str | Path, expect_kind: str):
         scaler = Scaler(*blocks.pop().tolist())
     except ValueError as exc:
         raise WeightsFormatError(f"line {pos - 2}: block 'scaler': {exc}") from None
-    return Params(kind, dims, np.concatenate(blocks)), (lookback, scaler)
+    return Params(cfg, np.concatenate(blocks)), (lookback, scaler)

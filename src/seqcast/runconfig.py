@@ -61,6 +61,12 @@ class RunConfig:
                     object.__setattr__(self, key, typed(key, getattr(self, key), kast))
                 except ValueError as exc:
                     raise ConfigError(f"[run] {exc}") from None
+        for key in ("data", "output_dir"):
+            path = getattr(self, key)
+            # configparser strips a value and ends it at a newline; no path holds a NUL.
+            if path is not None and (path != path.strip() or "\n" in path or "\0" in path):
+                raise ConfigError(f"[run] {key}: {path!r} has a newline, a NUL or whitespace "
+                                  "at an end, which the config text cannot hold")
         if self.lookback < 1:
             raise ConfigError(f"lookback must be >= 1, got {self.lookback}")
         if self.horizon < 1:

@@ -17,13 +17,13 @@ def grad_check(
     """Compare an analytic gradient against central finite differences.
 
     ``params`` and ``analytic`` are a model's ``Params`` and its gradient, of
-    one kind and dims; ``loss_fn(params)`` must be a deterministic scalar
+    one config; ``loss_fn(params)`` must be a deterministic scalar
     function. Returns the max over all coordinates of
     |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if (analytic.kind, analytic.dims) != (params.kind, params.dims):
+    if analytic.cfg != params.cfg:
         raise ValueError("analytic gradient does not mirror the parameters")
     work = copy.deepcopy(params)
 

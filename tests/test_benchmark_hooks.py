@@ -10,7 +10,10 @@ import pytest
 
 from seqcast import data as dat
 from seqcast import forecast_eval, models, training
-from seqcast.models import MODEL_KINDS, REGISTRY, ModelConfig
+from seqcast.models import MODEL_KINDS, REGISTRY, ModelConfig, weights_io
+from seqcast.runconfig import parse_config_text
+
+from conftest import tiny_config_text
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -37,6 +40,66 @@ def counting(monkeypatch, module, attr):
 
     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def recording(monkeypatch, module, attr):
+    """Like perfbench's stopwatch: every call of module.attr as (args, kwargs, result)."""
+    calls = []
+    original = getattr(module, attr)
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(module, attr, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_fit_passes_config_and_train_set_to_train_first(monkeypatch, tmp_path, kind):
+    # compare-c4's stopwatch on training.train reads args[0].kind, args[1]
+    # and result[1].n_epochs for each kind's training throughput.
+    cfg = parse_config_text(tiny_config_text("prices.csv", str(tmp_path)))
+    windows = dat.make_windows(np.random.default_rng(5).random(60), cfg.lookback)
+    train_set = dat.WindowedDataset(windows.inputs[:30], windows.targets[:30])
+    val_set = dat.WindowedDataset(windows.inputs[30:], windows.targets[30:])
+    calls = recording(monkeypatch, training, "train")
+    forecast_eval.fit(kind, cfg, train_set, val_set, dat.Scaler(0.0, 1.0), tmp_path)
+    [(args, _, result)] = calls
+    assert args[0] == cfg.model_config(kind) and args[0].kind == kind
+    assert args[1] is train_set
+    assert result[1].n_epochs >= 1
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_load_weights_by_keyword_gives_params_first(tmp_path, kind):
+    # compare-c4 and forecast-b1 call load_weights(path, expect_kind=kind)
+    # and unpack (params, _).
+    dims = dict(d_model=4, d_ff=5) if kind == "transformer" else dict(hidden=3)
+    params = models.init_params(ModelConfig(kind, **dims), np.random.default_rng(0))
+    path = tmp_path / f"weights-{kind}.txt"
+    weights_io.save_weights(path, params, 8, dat.Scaler(0.0, 1.0))
+    result = weights_io.load_weights(path, expect_kind=kind)
+    assert isinstance(result, tuple) and len(result) == 2
+    assert isinstance(result[0], models.Params)
+
+
+# compare-c4's finite-difference cases: (kind, dims as keywords).
+GRAD_CASES = [
+    ("lstm", {"hidden": 4}),
+    ("gru", {"hidden": 4}),
+    ("transformer", {"d_model": 8, "n_heads": 2, "n_layers": 1, "d_ff": 16}),
+]
+
+
+@pytest.mark.parametrize("kind,fields", GRAD_CASES, ids=[kind for kind, _ in GRAD_CASES])
+def test_init_params_takes_a_config_of_keywords(kind, fields):
+    params = models.init_params(ModelConfig(kind=kind, **fields), np.random.default_rng(0))
+    assert isinstance(params, models.Params)
+    assert (params.kind, params.dims) == (kind, fields)
+    preds, cache = models.forward(params, np.zeros((3, 5)))
+    assert models.backward(params, cache, np.ones_like(preds)).theta.shape == params.theta.shape
 
 
 def test_train_calls_adam_step_once_per_batch(monkeypatch, tmp_path):

@@ -16,7 +16,7 @@ from seqcast import data as dat
 from seqcast import forecast_eval, models, training
 from seqcast.cli import _json_text, main
 from seqcast.data import Scaler
-from seqcast.models import MODEL_KINDS, weights_io
+from seqcast.models import MODEL_KINDS, ModelConfig, weights_io
 from seqcast.runconfig import canonical_text, parse_config_file
 
 from conftest import tiny_config_text
@@ -462,7 +462,7 @@ class TestNonFinite:
         # A hidden-1 GRU whose head adds 1e308 and more: its path leaves
         # float64's range within two steps. A separate interpreter shows all
         # that reaches stderr, numpy's own warnings included.
-        params = models.Params("gru", {"hidden": 1})
+        params = models.Params(ModelConfig("gru", hidden=1))
         for w in (params.w_z, params.w_r, params.w_h):
             w[0, 1] = 1.0
         params.head_w[0, 0], params.head_b[0] = 1e308, 1.5e308
@@ -484,7 +484,7 @@ class TestNonFinite:
             sine_series.volume[:200],
         )
         dat.write_ohlcv_csv(huge, tmp_path / "huge.csv")
-        params = models.Params("gru", {"hidden": 1})
+        params = models.Params(ModelConfig("gru", hidden=1))
         params.head_b[0] = 100.0
         out = tmp_path / "out"
         out.mkdir()

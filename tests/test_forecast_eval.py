@@ -22,7 +22,7 @@ from seqcast.runconfig import RunConfig, config_echo
 
 def constant_predictor(value: float):
     """LSTM whose every weight is zero except the output bias."""
-    params = models.Params("lstm", {"hidden": 4})
+    params = models.Params(ModelConfig("lstm", hidden=4))
     params.head_b[0] = value
     return params
 
@@ -176,7 +176,7 @@ class TestRecursiveForecast:
         # On a zero window every GRU state stays 0, so step 0 is head_b =
         # 1.5e308. Fed back, it saturates every gate and the candidate to 1,
         # and step 1 is 1e308 + 1.5e308, which overflows.
-        params = models.Params("gru", {"hidden": 1})
+        params = models.Params(ModelConfig("gru", hidden=1))
         for w in (params.w_z, params.w_r, params.w_h):
             w[0, 1] = 1.0
         params.head_w[0, 0], params.head_b[0] = 1e308, 1.5e308

@@ -20,7 +20,7 @@ def mse_setup(params, x, y):
 
 class TestForward:
     def test_all_zero_params_prediction_is_head_bias(self):
-        p = Params("gru", {"hidden": 3})
+        p = Params(ModelConfig("gru", hidden=3))
         p.head_b[0] = -0.25
         preds, cache = models.forward(p, np.array([[0.4, -0.2, 0.9]]))
         for t in range(3):

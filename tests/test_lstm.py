@@ -20,7 +20,7 @@ def mse_setup(params, x, y):
 
 class TestForward:
     def test_all_zero_params_gates_half_prediction_is_head_bias(self):
-        p = Params("lstm", {"hidden": 3})
+        p = Params(ModelConfig("lstm", hidden=3))
         p.head_b[0] = 0.37
         preds, cache = models.forward(p, np.array([[0.2, 0.8, 0.5]]))
         for t in range(3):
@@ -35,7 +35,7 @@ class TestForward:
     def test_saturated_gates_accumulate_cell_state(self):
         # zero weights, huge positive gate biases: f=i=1, candidate=1,
         # so the cell state steps by exactly one per timestep.
-        p = Params("lstm", {"hidden": 1})
+        p = Params(ModelConfig("lstm", hidden=1))
         for bias in (p.b_f, p.b_i, p.b_c):
             bias[0] = 1e3
         steps = 6

@@ -69,8 +69,30 @@ def test_dim_that_is_no_int_refused(value):
     message = re.escape(f"hidden: cannot read {value!r} as int")
     with pytest.raises(ValueError, match=message):
         ModelConfig("lstm", hidden=value)
-    with pytest.raises(ValueError, match=message):
-        Params("lstm", {"hidden": value})
+
+
+@pytest.mark.parametrize(
+    "kind,dims",
+    [("lstm", {"hidden": 4, "d_model": 8}), ("lstm", {"hidden": True}), ("lstm", {}), ("cnn", {})],
+    ids=["key-of-another-kind", "bool-dim", "no-dims", "unknown-kind"],
+)
+def test_params_are_built_only_from_a_model_config(kind, dims):
+    # Only ModelConfig checks dims, so Params takes nothing else: a kind and a
+    # dims dict, even a wrong one such as the first case, never build one.
+    with pytest.raises(AttributeError, match="has no attribute 'kind'"):
+        Params(kind, dims)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_params_carry_their_config(kind):
+    cfg = ModelConfig(kind, **SMALL[kind])
+    params = models.init_params(cfg, np.random.default_rng(0))
+    assert (params.cfg, params.kind, params.dims) == (cfg, kind, SMALL[kind])
+    clone = pickle.loads(pickle.dumps(params))
+    assert clone.cfg == cfg and clone.theta.tobytes() == params.theta.tobytes()
+    _, cache = models.forward(params, np.zeros((1, 3)))
+    assert cache["cfg"] is cfg
+    assert not {"kind", "dims"} & set(cache)
 
 
 @pytest.mark.parametrize(
@@ -121,6 +143,13 @@ def test_cache_from_other_kind_rejected(kind, other):
     _, cache = models.forward(small(other), np.zeros((1, 3)))
     with pytest.raises(ValueError, match=f"cache of {other} .* does not match {kind} "):
         models.backward(small(kind), cache, np.zeros(1))
+
+
+def test_cache_mismatch_message():
+    _, cache = models.forward(small("gru"), np.zeros((1, 3)))
+    message = "cache of gru {'hidden': 3} does not match lstm {'hidden': 3} parameters"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        models.backward(small("lstm"), cache, np.zeros(1))
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from seqcast import numerics
-from seqcast.models import Params
+from seqcast.models import ModelConfig, Params
 from seqcast.numerics import (
     init_xavier,
     sigmoid,
@@ -116,7 +116,7 @@ class TestInitXavier:
 
 def small_params(theta):
     """A 14-value LSTM Params: the grad check only walks its named arrays."""
-    return Params("lstm", {"hidden": 1}, theta)
+    return Params(ModelConfig("lstm", hidden=1), theta)
 
 
 def half_square(p):

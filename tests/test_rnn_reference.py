@@ -112,7 +112,7 @@ def reference_predictions_and_grads(params, x, d_preds):
     forward, backward = REFERENCE[params.kind]
     state, cache = forward(params, x)
     preds = (state @ params.head_w.T + params.head_b).ravel()
-    grads = models.Params(params.kind, params.dims)
+    grads = models.Params(params.cfg)
     grads.head_w += d_preds[None, :] @ state
     grads.head_b += d_preds.sum(keepdims=True)
     backward(params, cache, d_preds[:, None] * params.head_w, grads)

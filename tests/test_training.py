@@ -216,7 +216,7 @@ class TestAdam:
 
 def lstm_grads(*values):
     """An LSTM-shaped gradient (hidden 1, 14 entries): values first, zeros after."""
-    grads = Params("lstm", {"hidden": 1})
+    grads = Params(ModelConfig("lstm", hidden=1))
     grads.theta[: len(values)] = values
     return grads
 

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from seqcast.data import Scaler
@@ -206,6 +206,47 @@ def test_wrong_magic_rejected(tmp_path):
         path.write_text(text)
         with pytest.raises(WeightsFormatError, match="bad magic line .*: retrain the model"):
             load_weights(path, "gru")
+
+
+def test_unknown_kind_is_model_configs_error(tmp_path):
+    # The header's kind goes through ModelConfig, so an unknown one is its error.
+    path = tmp_path / "w.txt"
+    path.write_text(f"{MAGIC}\ncnn hidden=4 lookback=5\n")
+    message = re.escape(f"unknown model kind 'cnn', expected one of {MODEL_KINDS}")
+    with pytest.raises(ValueError, match=message):
+        load_weights(path, "cnn")
+
+
+@st.composite
+def header_dims(draw):
+    """A kind and a positive int for each of its keys; n_heads need not divide d_model."""
+    kind = draw(st.sampled_from(MODEL_KINDS))
+    return kind, {key: draw(st.integers(1, 6)) for key in REGISTRY[kind].arch_keys}
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=header_dims())
+@example(case=("transformer", {"d_model": 5, "n_heads": 2, "n_layers": 1, "d_ff": 1}))
+def test_header_refused_exactly_when_model_config_refuses(tmp_path, case):
+    kind, dims = case
+    path = tmp_path / "w.txt"
+    header = " ".join([kind, *(f"{key}={value}" for key, value in dims.items()), "lookback=3"])
+    try:
+        cfg = ModelConfig(kind, **dims)
+    except ValueError as exc:
+        path.write_text(f"{MAGIC}\n{header}\n")
+        with pytest.raises(WeightsFormatError) as refused:
+            load_weights(path, kind)
+        assert str(refused.value) == f"line 2: {exc}"
+        return
+    params = init_params(cfg, np.random.default_rng(0))
+    save_weights(path, params, 3, Scaler(0.0, 1.0))
+    assert path.read_text().splitlines()[1] == header
+    loaded, _ = load_weights(path, kind)
+    assert loaded.cfg == cfg
+    assert loaded.theta.tobytes() == params.theta.tobytes()
 
 
 def test_kind_mismatch_rejected(tmp_path):

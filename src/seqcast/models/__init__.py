@@ -11,7 +11,8 @@ where s is the (batch, width) state the module's ``forward`` returns. This
 module owns what the kinds share: the input checks, the head and its
 gradient, the check that a cache belongs to the params it is used with, and
 the recursive forecast. Forward/backward are pure given (params, input):
-params are never mutated by model code.
+params are never mutated by model code. They compute in the dtype of
+``params.theta``, float64 or float32, and so does ``lanes``.
 """
 
 from __future__ import annotations
@@ -32,18 +33,24 @@ class ModelKind:
     arch_keys maps each keyword of the module's ``shapes`` to its default,
     in the order weight-file headers state them and reports echo them.
     Per-model seed = run seed + seed_offset, so models never share an init
-    stream.
+    stream. train_dtype is the dtype of the working copy each training
+    batch's forward and backward run on; the weights themselves, the
+    optimizer and inference stay float64.
     """
 
     module: ModuleType
     arch_keys: dict[str, int]
     seed_offset: int
+    train_dtype: type
 
 
+# The Transformer trains in float64: in float32 its sine R2 fell on some seeds.
 REGISTRY = {
-    "lstm": ModelKind(lstm, dict(hidden=64), 1),
-    "gru": ModelKind(gru, dict(hidden=64), 2),
-    "transformer": ModelKind(transformer, dict(d_model=64, n_heads=2, n_layers=2, d_ff=128), 3),
+    "lstm": ModelKind(lstm, dict(hidden=64), 1, np.float32),
+    "gru": ModelKind(gru, dict(hidden=64), 2, np.float32),
+    "transformer": ModelKind(
+        transformer, dict(d_model=64, n_heads=2, n_layers=2, d_ff=128), 3, np.float64
+    ),
 }
 MODEL_KINDS = tuple(REGISTRY)
 
@@ -103,9 +110,10 @@ def rebuild(params: Params, theta: np.ndarray) -> Params:
 def forward(params: Params, x: np.ndarray):
     """Batched forward pass: x is (batch, steps), result is ((batch,), cache).
 
-    The cache records the config, input and encoder state it came from.
+    The input is cast to the params' dtype, which every array of the result
+    shares. The cache records the config, input and encoder state it came from.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params.theta.dtype)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError(f"expected input of shape (batch, steps), got {x.shape}")
     state, cache = REGISTRY[params.kind].module.forward(params, x)
@@ -118,16 +126,16 @@ def _head(params: Params, state: np.ndarray) -> np.ndarray:
 
 
 def backward(params: Params, cache: dict, d_preds: np.ndarray) -> Params:
-    """Gradient of sum_b d_preds[b] * prediction_b w.r.t. every parameter."""
+    """Gradient of sum_b d_preds[b] * prediction_b w.r.t. every parameter, in the params' dtype."""
     made_by = cache["cfg"]
     if made_by != params.cfg:
         raise ValueError(f"cache of {made_by.kind} {dict(made_by.dims)} does not match "
                          f"{params.kind} {params.dims} parameters")
-    d_preds = np.asarray(d_preds, dtype=np.float64).ravel()
+    d_preds = np.asarray(d_preds, dtype=params.theta.dtype).ravel()
     state = cache["state"]
     if d_preds.shape != (len(state),):
         raise ValueError(f"need one upstream gradient per sample, got {d_preds.shape}")
-    grads = Params(params.cfg)
+    grads = Params(params.cfg, np.zeros_like(params.theta))
     grads.head_w += d_preds[None, :] @ state
     grads.head_b += d_preds.sum(keepdims=True)
     REGISTRY[params.kind].module.backward(params, cache, d_preds[:, None] * params.head_w, grads)

@@ -76,13 +76,13 @@ def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
     ``g`` (steps, batch, h) holds the candidate. h_{t-1} is ``v[t, :, :h]``.
     """
     batch, steps = x.shape
-    h = params.dims["hidden"]
+    h, dtype = params.dims["hidden"], params.theta.dtype
     step = cell(params)
-    v = np.zeros((steps, batch, h + 1))
+    v = np.zeros((steps, batch, h + 1), dtype)
     v[:, :, h] = x.T
     u = v.copy()
-    gates = np.empty((steps, 2, batch, h))
-    g = np.empty((steps, batch, h))
+    gates = np.empty((steps, 2, batch, h), dtype)
+    g = np.empty((steps, batch, h), dtype)
     for t, (v_t, u_t, a, g_t) in enumerate(zip(v, u, gates, g)):
         h_t = step(v_t, u_t, a, g_t, v[t + 1, :, :h] if t + 1 < steps else None)
     return h_t, {"v": v, "u": u, "gates": gates, "g": g}
@@ -90,8 +90,9 @@ def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
 
 def lanes(params: Params, n: int):
     """advance(x, reset) over n cells for ``seqcast.models.forecast``: zero lane reset, step all."""
-    h, step = params.dims["hidden"], cell(params)
-    v, u, a, g = np.zeros((n, h + 1)), np.zeros((n, h + 1)), np.empty((2, n, h)), np.empty((n, h))
+    h, step, dtype = params.dims["hidden"], cell(params), params.theta.dtype
+    v, u = np.zeros((n, h + 1), dtype), np.zeros((n, h + 1), dtype)
+    a, g = np.empty((2, n, h), dtype), np.empty((n, h), dtype)
     def advance(x: float, reset: int) -> np.ndarray:
         v[reset] = 0.0
         v[:, h] = u[:, h] = x
@@ -105,7 +106,8 @@ def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params) -> None
     w, _ = _gate_views(params)
     gw, gb = _gate_views(grads)
     v, u, gates, g_all = (cache[k] for k in ("v", "u", "gates", "g"))
-    d_pre = np.empty((2,) + dh.shape)  # gradients w.r.t. z_t and r_t, then their pre-activations
+    # gradients w.r.t. z_t and r_t, then their pre-activations
+    d_pre = np.empty((2,) + dh.shape, dh.dtype)
     for t in reversed(range(len(v))):
         zr = gates[t]
         z, r = zr

@@ -86,13 +86,13 @@ def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
     c_0 ... c_T; ``tanh_c`` (steps, batch, h) holds tanh(c_t).
     """
     batch, steps = x.shape
-    h = params.dims["hidden"]
+    h, dtype = params.dims["hidden"], params.theta.dtype
     step = cell(params)
-    z = np.zeros((steps, batch, h + 1))
+    z = np.zeros((steps, batch, h + 1), dtype)
     z[:, :, h] = x.T
-    gates = np.empty((steps, 4, batch, h))
-    c = np.zeros((steps + 1, batch, h))
-    tanh_c = np.empty((steps, batch, h))
+    gates = np.empty((steps, 4, batch, h), dtype)
+    c = np.zeros((steps + 1, batch, h), dtype)
+    tanh_c = np.empty((steps, batch, h), dtype)
     for t, (z_t, a, c_prev, c_t, tanh_c_t) in enumerate(zip(z, gates, c, c[1:], tanh_c)):
         h_t = step(z_t, a, c_prev, c_t, tanh_c_t, z[t + 1, :, :h] if t + 1 < steps else None)
     return h_t, {"z": z, "gates": gates, "c": c, "tanh_c": tanh_c}
@@ -100,8 +100,9 @@ def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
 
 def lanes(params: Params, n: int):
     """advance(x, reset) over n cells for ``seqcast.models.forecast``: zero lane reset, step all."""
-    h, step = params.dims["hidden"], cell(params)
-    z, c, a, tanh_c = np.zeros((n, h + 1)), np.zeros((n, h)), np.empty((4, n, h)), np.empty((n, h))
+    h, step, dtype = params.dims["hidden"], cell(params), params.theta.dtype
+    z, c = np.zeros((n, h + 1), dtype), np.zeros((n, h), dtype)
+    a, tanh_c = np.empty((4, n, h), dtype), np.empty((n, h), dtype)
     def advance(x: float, reset: int) -> np.ndarray:
         z[reset] = c[reset] = 0.0
         z[:, h] = x
@@ -115,7 +116,7 @@ def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params) -> None
     w, _ = _gate_views(params)
     gw, gb = _gate_views(grads)
     z, gates, c, tanh_c = (cache[k] for k in ("z", "gates", "c", "tanh_c"))
-    da = np.empty((4,) + dh.shape)  # pre-activation gradients in layout order f, i, c, o
+    da = np.empty((4,) + dh.shape, dh.dtype)  # pre-activation gradients in layout order f, i, c, o
     dc = np.zeros_like(dh)
     for t in reversed(range(len(z))):
         f, i, o, g = gates[t]

@@ -1,4 +1,4 @@
-"""One model's parameters: a contiguous float64 vector with a named view per array.
+"""One model's parameters: a contiguous float vector with a named view per array.
 
 The layout is the table of the ``ModelConfig`` they are built from, which
 checked the dims: views follow the table's order, back to back, so the
@@ -7,6 +7,9 @@ name ``group.i.field`` becomes ``params.group[i].field``; the Transformer's
 blocks are ``params.layers``. Views are plain instance attributes because
 batch-1 forecasting reads them at every step. ``stacked`` views neighbours of
 one shape as one array, so no module computes an offset in ``theta``.
+
+``theta`` is float64, or float32 for a working copy that a model trains on:
+the model code computes in the dtype of the params it is given.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 
 class Params:
-    """Parameters of the model cfg (a ModelConfig) states; theta defaults to zeros."""
+    """Parameters of the model cfg (a ModelConfig) states; theta defaults to float64 zeros."""
 
     def __init__(self, cfg, theta: np.ndarray | None = None):
         kind, dims = cfg.kind, dict(cfg.dims)
@@ -26,8 +29,10 @@ class Params:
         size = sum(math.prod(shape) for shape in shapes.values())
         if theta is None:
             theta = np.zeros(size)
-        elif theta.dtype != np.float64 or theta.shape != (size,) or not theta.flags.c_contiguous:
-            raise ValueError(f"{kind} {dims} needs a contiguous float64 vector of {size} values")
+        elif (theta.dtype not in (np.float32, np.float64) or theta.shape != (size,)
+              or not theta.flags.c_contiguous):
+            raise ValueError(f"{kind} {dims} needs a contiguous float32 or float64 vector "
+                             f"of {size} values")
         self.cfg, self.kind, self.dims, self.theta = cfg, kind, dims, theta
         self._named, self._spans = [], {}
         offset = 0

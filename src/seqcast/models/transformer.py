@@ -29,6 +29,7 @@ suite is the ground truth for every branch here.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -122,7 +123,7 @@ def _heads(w: np.ndarray, n_heads: int) -> np.ndarray:
 
 def _merged_matmul(a: np.ndarray, b: np.ndarray, shape: tuple, n_heads: int) -> np.ndarray:
     """The per-head product a @ b, (batch, heads, t, dh), as a new array of shape (batch, t, d)."""
-    out = np.empty(shape)
+    out = np.empty(shape, np.result_type(a, b))
     np.matmul(a, b, out=_split_heads(out, n_heads))
     return out
 
@@ -201,7 +202,7 @@ def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
     steps = x.shape[1]
     d = params.dims["d_model"]
     nh = params.dims["n_heads"]
-    scale = 1.0 / np.sqrt(d // nh)
+    scale = 1.0 / math.sqrt(d // nh)  # a Python float, which keeps a float32 model float32
 
     h = x[:, :, None] * params.w_in[:, 0]  # (batch, steps, d_model)
     h += positional_encoding(steps, d)

@@ -9,7 +9,8 @@ Layout:
              scaler's min and max
 
 A vector of length n is written with cols=0 so its shape survives the
-round trip; 17 significant digits make every float64 value bit-exact.
+round trip; 17 significant digits make every float64 value bit-exact. Only
+float64 weights are written, and loading always gives float64 back.
 Loading walks this layout in order: header values are positive ints, dims
 ones ``ModelConfig`` accepts, array values finite, each block line the one
 ``save_weights`` writes, nothing after the scaler, which needs max > min. An
@@ -53,10 +54,15 @@ def _expected(line: int, what: str, found: str | None) -> WeightsFormatError:
 
 
 def save_weights(path: str | Path, params: Params, lookback: int, scaler: Scaler) -> None:
+    """Write params, lookback and scaler to path; only float64 weights, never a training copy."""
+    named = params.named_arrays()
+    for _, arr in named:
+        if arr.dtype != np.float64:
+            raise ValueError(f"weights must be float64 to be saved, got {arr.dtype}")
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         dims = [f"{k}={v}" for k, v in {**params.dims, "lookback": lookback}.items()]
         out.write(f"{MAGIC}\n{' '.join([params.kind, *dims])}\n")
-        for name, arr in [*params.named_arrays(), ("scaler", np.array([scaler.min, scaler.max]))]:
+        for name, arr in [*named, ("scaler", np.array([scaler.min, scaler.max]))]:
             out.write(f"{_block_line(name, arr.shape)}\n")
             out.write("".join(f"{v:.17g}\n" for v in arr.ravel()))
 

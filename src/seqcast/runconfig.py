@@ -63,8 +63,9 @@ class RunConfig:
                     raise ConfigError(f"[run] {exc}") from None
         for key in ("data", "output_dir"):
             path = getattr(self, key)
-            # configparser strips a value and ends it at a newline; no path holds a NUL.
-            if path is not None and (path != path.strip() or "\n" in path or "\0" in path):
+            # configparser strips a value and ends it at a newline, and a config
+            # file read back turns a carriage return into one; no path holds a NUL.
+            if path is not None and (path != path.strip() or any(c in path for c in "\n\r\0")):
                 raise ConfigError(f"[run] {key}: {path!r} has a newline, a NUL or whitespace "
                                   "at an end, which the config text cannot hold")
         if self.lookback < 1:

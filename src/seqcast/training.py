@@ -11,6 +11,14 @@ parameters are returned. The validation pass runs in chunks of
 a backward cache, and one forward over the whole validation set would hold
 a cache several times the size of a training step's, only to drop it.
 
+The trained ``Params`` is the float64 master, as in mixed-precision
+training. Each batch's forward and backward run on a working copy in the
+kind's ``REGISTRY`` ``train_dtype``: float32 for the LSTM and GRU, and for
+the Transformer float64, the master's own values. The gradient is cast to
+float64 before clipping. Adam's moments, validation and the returned
+weights are float64, and the working copy is refreshed from the master
+after every Adam step.
+
 Everything is deterministic given (seed, data, config): two runs produce
 bit-identical parameters and history.
 """
@@ -27,7 +35,7 @@ import numpy as np
 
 from . import models
 from .data import WindowedDataset
-from .models import ModelConfig, Params, typed
+from .models import REGISTRY, ModelConfig, Params, typed
 
 
 class TrainingError(RuntimeError):
@@ -107,8 +115,8 @@ def clip_global_norm(grads: Params, max_norm: float) -> float:
     """Scale grads.theta in place so its L2 norm is at most max_norm; returns the pre-clip norm.
 
     The norm adds up per-array sums in layout order instead of summing the
-    vector at once: the two can differ in the last bits, and the per-array
-    form keeps trained weights bit-identical to those of earlier releases.
+    vector at once: the two can differ in the last bits, and so would the
+    trained weights.
     """
     total = math.sqrt(sum(float(np.sum(g * g)) for _, g in grads.named_arrays()))
     if total > max_norm:
@@ -153,10 +161,11 @@ def train(
 ):
     """Train one model; returns (params from the best-validation epoch, history).
 
-    One Params is trained in place: clipping and Adam write its theta, so its
-    views stay valid across batches. The best epoch is the first with the
-    lowest validation loss, and training stops once patience epochs have
-    passed without a new best.
+    One float64 Params is trained in place: Adam writes its theta, so its
+    views stay valid across batches. Forward and backward run on a working
+    copy in the kind's train_dtype, refreshed from it after each step. The
+    best epoch is the first with the lowest validation loss, and training
+    stops once patience epochs have passed without a new best.
 
     log_path receives one JSON line per epoch:
     {"epoch", "train_loss", "val_loss", "seconds", "grad_norm_max",
@@ -169,6 +178,8 @@ def train(
 
     rng = np.random.default_rng(cfg.seed)
     params = models.init_params(model_cfg, rng)
+    # Of a float64 kind, the working copy is the master itself, and so is its gradient.
+    work = Params(model_cfg, params.theta.astype(REGISTRY[model_cfg.kind].train_dtype, copy=False))
     m, v, step = np.zeros_like(params.theta), np.zeros_like(params.theta), 0
     n = len(train_set)
     train_losses: list[float] = []
@@ -186,7 +197,7 @@ def train(
                 idx = order[start : start + cfg.batch_size]
                 x = train_set.inputs[idx]
                 y = train_set.targets[idx]
-                preds, cache = models.forward(params, x)
+                preds, cache = models.forward(work, x)
                 batch_loss = mse_loss(preds, y)
                 if not math.isfinite(batch_loss):
                     raise TrainingError(
@@ -195,12 +206,14 @@ def train(
                     )
                 sq_err_sum += batch_loss * len(idx)
                 d_preds = 2.0 * (preds - y) / len(idx)
-                grads = models.backward(params, cache, d_preds)
+                grads = models.backward(work, cache, d_preds)
+                grads = Params(model_cfg, grads.theta.astype(np.float64, copy=False))
                 norm = clip_global_norm(grads, cfg.grad_clip_norm)
                 grad_norm_max = max(grad_norm_max, norm)
                 clipped_batches += norm > cfg.grad_clip_norm
                 step += 1
                 adam_step(params.theta, grads.theta, m, v, step, cfg)
+                np.copyto(work.theta, params.theta)
 
             train_loss = sq_err_sum / n
             val_loss = validation_loss(params, val_set, cfg.batch_size)

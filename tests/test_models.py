@@ -197,3 +197,56 @@ def test_forecast_ring_bit_contract(case):
     seen = np.concatenate([window, path])
     step_by_step = [models.predict(params, seen[s : s + lookback]) for s in range(1, long)]
     np.testing.assert_allclose(path[1:], step_by_step, rtol=1e-12, atol=1e-12)
+
+
+def _arrays(obj):
+    """Every NumPy array and NumPy scalar in a forward cache, however nested."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _arrays(value)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_every_array_has_the_params_dtype(kind, dtype):
+    # A float64 input or upstream gradient, or a float64 scratch array or
+    # constant in a kernel, would silently upcast a float32 model.
+    params64 = small(kind, n_layers=2) if kind == "transformer" else small(kind)  # both attentions
+    params = models.rebuild(params64, params64.theta.astype(dtype))
+    rng = np.random.default_rng(1)
+    preds, cache = models.forward(params, rng.random((3, 5)))
+    found = list(_arrays(cache))
+    assert len(found) > 3 and {a.dtype for a in found} == {np.dtype(dtype)}
+    assert preds.dtype == dtype and cache["state"].dtype == dtype
+    grads = models.backward(params, cache, rng.random(3))
+    assert grads.theta.dtype == dtype
+    assert {g.dtype for _, g in grads.named_arrays()} == {np.dtype(dtype)}
+    lanes = getattr(REGISTRY[kind].module, "lanes", None)
+    if lanes:
+        advance = lanes(params, 4)
+        assert all(advance(x, tick % 4).dtype == dtype for tick, x in enumerate(rng.random(6)))
+
+
+# float32 rounds at 2**-24 relative; a few dozen roundings pile up over a window.
+FLOAT32_SCALE = 100 * np.finfo(np.float32).eps
+
+
+@pytest.mark.parametrize("steps", [5, 60])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_float32_agrees_with_float64_at_float32_scale(kind, steps):
+    rng = np.random.default_rng(steps)
+    dims = {"hidden": 16} if kind != "transformer" else {"d_model": 16, "n_layers": 2, "d_ff": 32}
+    params64 = models.init_params(ModelConfig(kind, **dims), rng)
+    params32 = models.rebuild(params64, params64.theta.astype(np.float32))
+    x, d_preds = rng.random((8, steps)), rng.normal(size=8)
+    preds64, cache64 = models.forward(params64, x)
+    preds32, cache32 = models.forward(params32, x)
+    assert np.abs(preds32 - preds64).max() <= FLOAT32_SCALE * np.abs(preds64).max()
+    grads64 = models.backward(params64, cache64, d_preds).theta
+    grads32 = models.backward(params32, cache32, d_preds).theta
+    assert np.abs(grads32 - grads64).max() <= FLOAT32_SCALE * np.abs(grads64).max()

@@ -42,6 +42,20 @@ class TestActivations:
         assert abs(s[0] + s[1] - 1.0) <= 2**-52
 
     @settings(max_examples=300)
+    @given(st.floats(width=32, allow_nan=False, allow_infinity=False))
+    @example(0.0)
+    @example(1e-45)
+    @example(88.7)
+    @example(-88.7)
+    @example(104.0)
+    @example(3.4e38)
+    def test_sigmoid_complement_float32(self, v):
+        # A float32 input is computed in float32, so the bound is its own ulp of 1.
+        s = sigmoid(np.array([v, -v], dtype=np.float32))
+        assert s.dtype == np.float32
+        assert abs(s[0] + s[1] - np.float32(1.0)) <= 2**-23
+
+    @settings(max_examples=300)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
     @example([0.0, -0.0])
     @example([745.2, -745.2, 800.0, -800.0])
@@ -56,6 +70,12 @@ class TestActivations:
         ex = np.exp(x[~pos])
         expected[~pos] = ex / (1.0 + ex)
         np.testing.assert_array_equal(sigmoid(x).view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    def test_float32_stays_float32_and_the_rest_is_float64(self, dtype):
+        x = np.arange(6, dtype=dtype).reshape(2, 3)
+        want = np.float32 if dtype == np.float32 else np.float64
+        assert sigmoid(x).dtype == want and softmax_rows(x).dtype == want
 
     def test_softmax_uniform_row(self):
         np.testing.assert_allclose(softmax_rows(np.zeros((1, 3))), np.full((1, 3), 1 / 3))

@@ -6,7 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, reject
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from seqcast.models import MODEL_KINDS, REGISTRY, ModelConfig
@@ -222,6 +222,10 @@ class TestParse:
             parse_config_text("not an ini file at all\n")
 
 
+# Plain text, and short runs of characters the config text or its file treats specially.
+_PATHS = st.text(max_size=12) | st.text(" a\t\n\r\x00\x0b\x85#;", max_size=5)
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -252,20 +256,36 @@ class TestValidation:
             RunConfig(data="out", output_dir="out")
 
     # configparser strips a value and ends it at a newline, so these paths
-    # would print as a config that reads back another path or none at all,
-    # and a NUL names no file.
+    # would print as a config that reads back another path or none at all; a
+    # config file is read with universal newlines, so a carriage return ends
+    # a line there too; and a NUL names no file.
     @pytest.mark.parametrize("key", ["data", "output_dir"])
-    @pytest.mark.parametrize("path", [" prices.csv", "a\x1c", " a", "a\n b", "a\nb", "a\x00b"])
+    @pytest.mark.parametrize(
+        "path", [" prices.csv", "a\x1c", " a", "a\n b", "a\nb", "a\x00b", "a\rb", "a\r"]
+    )
     def test_path_the_config_text_cannot_hold_refused(self, key, path):
         message = re.escape(f"[run] {key}: {path!r} has a newline, a NUL or whitespace at an end")
         with pytest.raises(ConfigError, match=message):
             RunConfig(**{key: path})
 
     @pytest.mark.parametrize("key", ["data", "output_dir"])
-    @pytest.mark.parametrize("path", ["a\rb", "a\x0bb", "#a", "a;b", "%(x)s", ""])
+    @pytest.mark.parametrize("path", ["a\x0bb", "a\x85b", "a\u2028b", "#a", "a;b", "%(x)s", ""])
     def test_path_the_config_text_holds_round_trips(self, key, path):
         cfg = RunConfig(**{key: path})
         assert getattr(parse_config_text(canonical_text(cfg)), key) == path
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(["data", "output_dir"]), path=_PATHS)
+    def test_accepted_path_survives_a_printed_config_file(self, tmp_path, key, path):
+        # --print-config saved to a file: its bytes, read back with the
+        # universal newlines a config file is read with.
+        try:
+            cfg = RunConfig(**{key: path})
+        except ConfigError:
+            reject()
+        printed = tmp_path / "printed.ini"
+        printed.write_bytes(canonical_text(cfg).encode("utf-8"))
+        assert config_echo(parse_config_file(printed)) == config_echo(cfg)
 
     def test_bad_model_value_surfaces_early(self):
         with pytest.raises(ConfigError, match=r"\[gru\]"):
@@ -410,7 +430,6 @@ class TestOneRule:
         assert repr(echo["models"]["gru"]["train"][key]) == "1.0"
 
 
-_PATHS = st.text(max_size=12)
 _POSITIVE = st.floats(min_value=0, exclude_min=True, allow_infinity=False) | st.integers(1, 10)
 _UNIT = st.floats(0, 1, exclude_min=True, exclude_max=True)
 _OVERRIDES = {

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from seqcast.data import WindowedDataset, make_windows
 from seqcast import models
-from seqcast.models import MODEL_KINDS, ModelConfig, Params
+from seqcast.models import MODEL_KINDS, REGISTRY, ModelConfig, Params
 from seqcast.training import (
     TrainConfig,
     TrainHistory,
@@ -415,7 +415,9 @@ class TestTrain:
 def _train_reference(model_cfg, train_set, val_set, cfg, log_path):
     """The loop that in-place training must reproduce: a pure Adam step, a
     rebuilt Params per batch, a new clipped vector, and explicit
-    early-stopping counters. Returns (best params, history)."""
+    early-stopping counters. Forward and backward run on a fresh copy in the
+    kind's training dtype, and the gradient is cast to float64 before the
+    clip. Returns (best params, history)."""
     rng = np.random.default_rng(cfg.seed)
     params = models.init_params(model_cfg, rng)
     m, v, t = np.zeros_like(params.theta), np.zeros_like(params.theta), 0
@@ -429,9 +431,12 @@ def _train_reference(model_cfg, train_set, val_set, cfg, log_path):
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 x, y = train_set.inputs[idx], train_set.targets[idx]
-                preds, cache = models.forward(params, x)
+                dtype = REGISTRY[model_cfg.kind].train_dtype
+                work = models.rebuild(params, params.theta.astype(dtype))
+                preds, cache = models.forward(work, x)
                 sq_err_sum += mse_loss(preds, y) * len(idx)
-                grads = models.backward(params, cache, 2.0 * (preds - y) / len(idx))
+                grads = models.backward(work, cache, 2.0 * (preds - y) / len(idx))
+                grads = models.rebuild(params, grads.theta.astype(np.float64))
                 norm = math.sqrt(sum(float(np.sum(g * g)) for _, g in grads.named_arrays()))
                 grad = grads.theta
                 if not (norm <= cfg.grad_clip_norm or norm == 0.0):

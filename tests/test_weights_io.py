@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from seqcast.data import Scaler
-from seqcast.models import MODEL_KINDS, REGISTRY, ModelConfig, init_params
+from seqcast.models import MODEL_KINDS, REGISTRY, ModelConfig, Params, init_params
 from seqcast.models.weights_io import MAGIC, WeightsFormatError, load_weights, save_weights
 
 # The input recipe saved with every test model: lookback and training scaler.
@@ -182,6 +182,25 @@ def test_save_twice_is_byte_identical(tmp_path):
     save_weights(p1, params, *RECIPE)
     save_weights(p2, params, *RECIPE)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_only_float64_weights_are_saved(tmp_path, kind):
+    # The LSTM and GRU train on a float32 working copy; that copy is no artifact.
+    params = build(kind)
+    copy32 = Params(params.cfg, params.theta.astype(np.float32))
+    path = tmp_path / "w.txt"
+    with pytest.raises(ValueError, match="weights must be float64 to be saved, got float32"):
+        save_weights(path, copy32, *RECIPE)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("cfg", GOLDEN_CONFIGS, ids=lambda cfg: cfg.kind)
+def test_loaded_weights_are_float64(tmp_path, cfg):
+    params, recipe = load_weights(GOLDEN / f"{cfg.kind}-v2.txt", expect_kind=cfg.kind)
+    assert params.theta.dtype == np.float64
+    save_weights(tmp_path / "w.txt", params, *recipe)
+    assert load_weights(tmp_path / "w.txt", expect_kind=cfg.kind)[0].theta.dtype == np.float64
 
 
 def test_magic_line_and_layout(tmp_path):

@@ -7,8 +7,8 @@ extends a series past its end with saved weights, and ``compare`` runs the
 full three-model experiment.
 
 Exit codes: 0 success, 1 runtime failure (bad data, diverged training),
-2 usage or configuration error. Artifacts are written only below the
-configured output directory.
+2 usage or configuration error; an error prints one ``error:`` line on
+stderr. Artifacts are written only below the configured output directory.
 """
 
 from __future__ import annotations
@@ -246,12 +246,10 @@ def main(argv=None) -> int:
             print(canonical_text(cfg), end="")
             return 0
         return args.func(cfg, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, TrainingError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # One line per error: configparser's messages span several.
+        print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

@@ -102,6 +102,18 @@ def _parse_column(cells, parse, repair) -> tuple[list, ValueError | None]:
                 return values, exc
 
 
+def read_text(path) -> str:
+    """A file's text, read as UTF-8 with a leading BOM dropped and newlines as stored.
+
+    Every file seqcast reads goes through here. An undecodable input is a
+    ValueError that names the file and the byte.
+    """
+    try:
+        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text, {exc.reason} at byte {exc.start}") from None
+
+
 def parse_csv(path) -> OhlcvSeries:
     """Load an OHLCV CSV.
 
@@ -111,11 +123,7 @@ def parse_csv(path) -> OhlcvSeries:
     1-based line on which the first offending row starts.
     """
     path = Path(path)
-    try:
-        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text, {exc.reason} at byte {exc.start}") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
 
     def take(records, n: int) -> list:
         try:

@@ -3,13 +3,13 @@
 The comparison pipeline: one chronological split shared by all models,
 min-max scaling fit on training closes only, per-model training with its
 own derived seed, a 30-step ``models.forecast`` from the end of train+val,
-rescaled here, and metrics against the held-out closes in currency units.
+rescaled here, and metrics against the held-out closes in currency units:
+``compute_metrics`` returns the dict the report stores for each kind.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,33 +22,11 @@ from .runconfig import ConfigError, RunConfig, config_echo
 from .training import TrainingError
 
 
-@dataclass(frozen=True)
-class Metrics:
-    r2: float
-    mae: float
-    mse: float
-    rmse: float
+def compute_metrics(y_true, y_pred) -> dict:
+    """The report's record: r2, mae, mse, rmse and fit_degree_pct (r2 in percent).
 
-    def __post_init__(self):
-        for name, value in self.as_dict().items():  # r2 below -1.8e306 is -inf percent
-            if not math.isfinite(value):
-                raise ValueError(f"metric {name} is not finite: {value}")
-        if self.mae < 0 or self.mse < 0 or self.rmse < 0:
-            raise ValueError("error metrics cannot be negative")
-        if self.r2 > 1.0 + 1e-12:
-            raise ValueError(f"r2 cannot exceed 1, got {self.r2}")
-        if abs(self.rmse**2 - self.mse) > 1e-9 * max(1.0, self.mse):  # sqrt rounds at any scale
-            raise ValueError(f"rmse^2 != mse ({self.rmse**2} vs {self.mse})")
-
-    @property
-    def fit_degree_pct(self) -> float:
-        return self.r2 * 100.0
-
-    def as_dict(self) -> dict:
-        return {**asdict(self), "fit_degree_pct": self.fit_degree_pct}
-
-
-def compute_metrics(y_true, y_pred) -> Metrics:
+    A value is refused, by name, unless finite: r2 below -1.8e306 is -inf percent.
+    """
     y_true = np.asarray(y_true, dtype=np.float64).ravel()
     y_pred = np.asarray(y_pred, dtype=np.float64).ravel()
     if y_true.size < 2:
@@ -65,13 +43,18 @@ def compute_metrics(y_true, y_pred) -> Metrics:
             f"values spread over {spread:.3g} with errors up to {float(np.max(np.abs(err))):.3g}: "
             "their squares leave float64's range, so R² and MSE cannot be computed"
         )
-    mse = ss_err / err.size
-    return Metrics(
-        r2=1.0 - ss_err / ss_tot,
-        mae=float(np.mean(np.abs(err))),
-        mse=mse,
-        rmse=math.sqrt(mse),
-    )
+    mse, r2 = ss_err / err.size, 1.0 - ss_err / ss_tot
+    record = {
+        "r2": r2,
+        "mae": float(np.mean(np.abs(err))),
+        "mse": mse,
+        "rmse": math.sqrt(mse),
+        "fit_degree_pct": r2 * 100.0,
+    }
+    for name, value in record.items():
+        if not math.isfinite(value):
+            raise ValueError(f"metric {name} is not finite: {value}")
+    return record
 
 
 def recursive_forecast(params, last_window, horizon: int, scaler: Scaler) -> np.ndarray:
@@ -170,7 +153,7 @@ def compare(series: OhlcvSeries, cfg: RunConfig, out: str | Path):
         entries.append(
             {
                 "name": name,
-                "metrics": metrics.as_dict(),
+                "metrics": metrics,
                 "forecast": [float(v) for v in path],
                 "history": history.as_dict(),
             }

@@ -205,7 +205,7 @@ def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
     scale = 1.0 / math.sqrt(d // nh)  # a Python float, which keeps a float32 model float32
 
     h = x[:, :, None] * params.w_in[:, 0]  # (batch, steps, d_model)
-    h += positional_encoding(steps, d)
+    h += positional_encoding(steps, d).astype(h.dtype, copy=False)  # float64 keeps its bits
     cache = {"layers": [], "scale": scale}
     last = len(params.layers) - 1
     for idx, layer in enumerate(params.layers):

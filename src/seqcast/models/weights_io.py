@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..data import Scaler
+from ..data import Scaler, read_text
 from . import ModelConfig
 from .params import Params
 
@@ -76,7 +76,7 @@ def load_weights(path: str | Path, expect_kind: str):
     the values the file holds, so a header that states more than the file
     has costs no memory; the parameter vector is built at the end.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != MAGIC:
         found = lines[0] if lines else ""
         raise WeightsFormatError(f"bad magic line {found!r}, expected {MAGIC!r}: retrain the model")

@@ -30,9 +30,11 @@ are errors, not warnings.
 from __future__ import annotations
 
 import configparser
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .data import read_text
 from .models import MODEL_KINDS, REGISTRY, ModelConfig, typed
 from .training import TrainConfig
 
@@ -79,7 +81,8 @@ class RunConfig:
         if self.adf_on not in ADF_CHOICES:
             raise ConfigError(f"adf_on must be one of {ADF_CHOICES}, got {self.adf_on!r}")
         if self.data is not None:
-            if Path(self.data).resolve() == Path(self.output_dir).resolve():
+            # realpath, unlike Path.resolve before Python 3.13, returns on a symlink loop.
+            if os.path.realpath(self.data) == os.path.realpath(self.output_dir):
                 raise ConfigError("data path and output_dir must be distinct")
         # An override holds what the INI parser could give: a known key, once.
         seen = set()
@@ -166,7 +169,12 @@ def parse_config_file(path: str | Path) -> RunConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config_text(p.read_text(encoding="utf-8"), source=str(p))
+    try:
+        text = read_text(p)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    # Universal newlines, as a text-mode read gives: a CR-only file still parses.
+    return parse_config_text(text.replace("\r\n", "\n").replace("\r", "\n"), source=str(p))
 
 
 def config_echo(cfg: RunConfig) -> dict:

@@ -87,12 +87,6 @@ class TrainHistory:
     best_epoch: int  # 1-based, matches the log
     stopped_early: bool
 
-    def __post_init__(self):
-        if len(self.train_loss) != len(self.val_loss):
-            raise ValueError("train_loss and val_loss must have one entry per epoch")
-        if not 1 <= self.best_epoch <= len(self.val_loss):
-            raise ValueError(f"best_epoch {self.best_epoch} outside 1..{len(self.val_loss)}")
-
     @property
     def n_epochs(self) -> int:
         return len(self.train_loss)

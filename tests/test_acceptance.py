@@ -93,10 +93,10 @@ def test_criterion_2_metric_identities(capsys):
         if np.ptp(y) == 0.0:
             continue
         m = compute_metrics(y, p)
-        worst_sq = max(worst_sq, abs(m.rmse**2 - m.mse))
-        mae_ok = mae_ok and m.mae <= m.rmse + 1e-12
-        worst_r2 = max(worst_r2, abs(compute_metrics(y, y).r2 - 1.0))
-        worst_r2 = max(worst_r2, abs(compute_metrics(y, np.full(n, y.mean())).r2))
+        worst_sq = max(worst_sq, abs(m["rmse"] ** 2 - m["mse"]))
+        mae_ok = mae_ok and m["mae"] <= m["rmse"] + 1e-12
+        worst_r2 = max(worst_r2, abs(compute_metrics(y, y)["r2"] - 1.0))
+        worst_r2 = max(worst_r2, abs(compute_metrics(y, np.full(n, y.mean()))["r2"]))
 
     ok = worst_sq <= 1e-9 and mae_ok and worst_r2 <= 1e-12
     detail = (
@@ -167,10 +167,10 @@ def test_criterion_4_models_learn_sine(capsys, tmp_path):
         )
         times[kind] = time.perf_counter() - started
         path = recursive_forecast(params, seed_window, run_cfg.horizon, scaler)
-        test_r2[kind] = compute_metrics(test.close, path).r2
+        test_r2[kind] = compute_metrics(test.close, path)["r2"]
         if kind == "lstm":
             val_preds, _ = models.forward(params, val_ds.inputs)
-            lstm_val_r2 = compute_metrics(val_ds.targets, val_preds).r2
+            lstm_val_r2 = compute_metrics(val_ds.targets, val_preds)["r2"]
 
     ok = (
         all(v >= 0.8 for v in test_r2.values())

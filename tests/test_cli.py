@@ -525,6 +525,35 @@ class TestUsage:
             main(["analyze"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("key", ["--data", "--out"])
+    def test_symlink_loop_is_one_error_line(self, tmp_path, sine_csv, monkeypatch, capsys, key):
+        # Path.resolve raised RuntimeError on a loop before Python 3.13.
+        monkeypatch.chdir(tmp_path)
+        os.symlink("loop", "loop")
+        argv = ["eda", "--data", sine_csv, "--out", "out"]
+        argv[argv.index(key) + 1] = "loop"
+        code = main(argv)
+        [err] = capsys.readouterr().err.splitlines()
+        if key == "--data":
+            assert (code, err) == (2, "error: data file not found: loop")
+        else:  # the loop is no directory to write into
+            assert code == 1 and err.startswith("error: ") and "'loop'" in err
+
+    def test_malformed_ini_is_one_error_line(self, tmp_path, capsys):
+        # configparser's message spans three lines: the error, the place, the line.
+        bad = tmp_path / "bad.ini"
+        bad.write_text("data = x.csv\n")
+        assert main(["eda", "--config", str(bad)]) == 2
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"error: {bad}: File contains no section headers. file: ")
+
+    def test_non_utf8_config_is_one_config_error_line(self, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.ini"
+        latin1.write_bytes("[run]\ndata = caf\xe9.csv\n".encode("latin-1"))
+        assert main(["eda", "--config", str(latin1)]) == 2
+        [err] = capsys.readouterr().err.splitlines()
+        assert err == f"error: {latin1}: not UTF-8 text, invalid continuation byte at byte 16"
+
     def test_negative_seed_is_config_error(self, tmp_path, sine_csv, capsys):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, sine_csv, str(out))

@@ -10,7 +10,6 @@ from seqcast import data as dat
 from seqcast import models
 from seqcast.data import Scaler
 from seqcast.forecast_eval import (
-    Metrics,
     compare,
     compute_metrics,
     prepare_windows,
@@ -30,21 +29,21 @@ def constant_predictor(value: float):
 class TestComputeMetrics:
     def test_perfect_prediction(self):
         m = compute_metrics([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-        assert m.r2 == 1.0
-        assert m.mae == 0.0 and m.mse == 0.0 and m.rmse == 0.0
-        assert m.fit_degree_pct == 100.0
+        assert m["r2"] == 1.0
+        assert m["mae"] == 0.0 and m["mse"] == 0.0 and m["rmse"] == 0.0
+        assert m["fit_degree_pct"] == 100.0
 
     def test_mean_prediction_scores_zero(self):
         y = np.array([1.0, 2.0, 3.0, 4.0])
         m = compute_metrics(y, np.full(4, y.mean()))
-        assert abs(m.r2) < 1e-12
+        assert abs(m["r2"]) < 1e-12
 
     def test_known_values(self):
         m = compute_metrics([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 8.0])
-        assert m.mae == pytest.approx(1.0)
-        assert m.mse == pytest.approx(4.0)
-        assert m.rmse == pytest.approx(2.0)
-        assert m.r2 == pytest.approx(-2.2)
+        assert m["mae"] == pytest.approx(1.0)
+        assert m["mse"] == pytest.approx(4.0)
+        assert m["rmse"] == pytest.approx(2.0)
+        assert m["r2"] == pytest.approx(-2.2)
 
     def test_constant_truth_rejected(self):
         with pytest.raises(ValueError, match="undefined"):
@@ -78,38 +77,35 @@ class TestComputeMetrics:
             y = rng.normal(size=20)
             p = rng.normal(size=20)
             m = compute_metrics(y, p)
-            assert abs(m.rmse**2 - m.mse) <= 1e-9
-            assert m.mae <= m.rmse + 1e-12
-            assert m.r2 <= 1.0 + 1e-12
+            assert abs(m["rmse"] ** 2 - m["mse"]) <= 1e-9
+            assert m["mae"] <= m["rmse"] + 1e-12
+            assert m["r2"] <= 1.0 + 1e-12
 
 
 class TestMetricsType:
-    def test_invariant_violations_rejected(self):
-        with pytest.raises(ValueError):
-            Metrics(r2=0.5, mae=-0.1, mse=1.0, rmse=1.0)
-        with pytest.raises(ValueError):
-            Metrics(r2=1.5, mae=0.1, mse=1.0, rmse=1.0)
-        with pytest.raises(ValueError):
-            Metrics(r2=0.5, mae=0.1, mse=1.0, rmse=3.0)
-        with pytest.raises(ValueError):  # the rmse bound is relative above mse = 1 ...
-            Metrics(r2=0.5, mae=1.0, mse=1e7, rmse=math.sqrt(1e7) * (1 + 1e-9))
-        with pytest.raises(ValueError):  # ... and absolute, 1e-9, below it
-            Metrics(r2=0.5, mae=0.1, mse=0.25, rmse=0.5 + 2e-9)
-
-    @pytest.mark.parametrize("field", ["r2", "mae", "mse", "rmse"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_field_rejected(self, field, value):
-        values = {"r2": 0.875, "mae": 0.1, "mse": 0.04, "rmse": 0.2, field: value}
-        with pytest.raises(ValueError, match=f"metric {field} is not finite"):
-            Metrics(**values)
+    # r2 falls below -1.8e308 when the errors dwarf a tiny spread, and r2 * 100
+    # overflows below -1.8e306: a record with either is refused, by name.
+    @pytest.mark.parametrize(
+        "value,field,y_true,y_pred",
+        [
+            (-math.inf, "r2", [0.0, 1e-153], [1e150, 1e150]),
+            (-math.inf, "fit_degree_pct", [0.0, 1.0], [1e153, 1e153]),
+        ],
+        ids=["-inf-r2", "-inf-fit_degree_pct"],
+    )
+    def test_non_finite_field_rejected(self, value, field, y_true, y_pred):
+        with pytest.raises(ValueError, match=f"metric {field} is not finite: {value}"):
+            compute_metrics(y_true, y_pred)
 
     def test_fit_degree_is_r2_in_percent(self):
-        m = Metrics(r2=0.875, mae=0.1, mse=0.04, rmse=0.2)
-        assert m.fit_degree_pct == pytest.approx(87.5)
+        m = compute_metrics([1.0, 2.0, 3.0, 4.0], [1.5, 2.5, 3.25, 4.25])
+        assert m["r2"] == pytest.approx(0.875)
+        assert m["fit_degree_pct"] == pytest.approx(87.5)
 
     def test_as_dict_keys(self):
-        m = Metrics(r2=0.5, mae=0.1, mse=0.04, rmse=0.2)
-        assert set(m.as_dict()) == {"r2", "mae", "mse", "rmse", "fit_degree_pct"}
+        # The record is the report's metrics entry, keys in this order.
+        m = compute_metrics([1.0, 2.0, 3.0, 4.0], [1.5, 2.5, 3.25, 4.25])
+        assert list(m) == ["r2", "mae", "mse", "rmse", "fit_degree_pct"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -121,8 +117,7 @@ class TestMetricsType:
     ),
 )
 def test_compute_metrics_accepts_finite_inputs_at_any_scale(exponent, level, pairs):
-    # Closes and errors of one size, from 1e-3 up to 1e9: the rmse^2 == mse
-    # check must not trip on sqrt's last-bit rounding once mse is large.
+    # Closes and errors of one size, from 1e-3 up to 1e9, all give a record.
     # Closes that vary by less than 1e-6 of their scale are left out: their
     # squared deviations can underflow to zero, where R² is undefined.
     scale = 10.0**exponent
@@ -255,7 +250,7 @@ class TestCompare:
             assert len(entry["forecast"]) == 10
             assert all(np.isfinite(entry["forecast"]))
             recomputed = compute_metrics(test.close, entry["forecast"])
-            assert entry["metrics"]["r2"] == pytest.approx(recomputed.r2)
+            assert entry["metrics"]["r2"] == pytest.approx(recomputed["r2"])
 
     def test_config_is_echoed_once(self, compared):
         (report, _), _ = compared
@@ -287,4 +282,4 @@ def test_compute_metrics_is_finite_or_refuses(pairs):
     except ValueError as exc:
         assert "constant" not in str(exc)
         return
-    assert all(math.isfinite(v) for v in metrics.as_dict().values())
+    assert all(math.isfinite(v) for v in metrics.values())

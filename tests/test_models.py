@@ -232,6 +232,36 @@ def test_every_array_has_the_params_dtype(kind, dtype):
         assert all(advance(x, tick % 4).dtype == dtype for tick, x in enumerate(rng.random(6)))
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_float32_kernels_allocate_only_float32(kind, monkeypatch):
+    # A float64 scratch array whose result is written into a float32 output
+    # leaves every cache and output float32, so each allocation is checked.
+    params64 = small(kind, n_layers=2) if kind == "transformer" else small(kind)  # both attentions
+    params = models.rebuild(params64, params64.theta.astype(np.float32))
+    x = np.random.default_rng(1).random((3, 5))
+    lanes = getattr(REGISTRY[kind].module, "lanes", None)
+
+    def run():
+        _, cache = models.forward(params, x)
+        models.backward(params, cache, np.ones(3))
+        if lanes:
+            advance = lanes(params, 4)
+            for tick, value in enumerate(x[0]):
+                advance(value, tick % 4)
+
+    run()  # warms the caches, such as the Transformer's float64 position table
+    made = []
+    for name in ("empty", "zeros", "zeros_like", "empty_like"):
+        def counted(*args, _make=getattr(np, name), _name=name, **kwargs):
+            arr = _make(*args, **kwargs)
+            made.append((_name, arr.dtype))
+            return arr
+        monkeypatch.setattr(np, name, counted)
+    run()
+    monkeypatch.undo()
+    assert made and [m for m in made if m[1] != np.float32] == []
+
+
 # float32 rounds at 2**-24 relative; a few dozen roundings pile up over a window.
 FLOAT32_SCALE = 100 * np.finfo(np.float32).eps
 

@@ -201,6 +201,13 @@ class TestParse:
         with pytest.raises(ConfigError, match="not found"):
             parse_config_file(tmp_path / "absent.ini")
 
+    def test_non_utf8_file_named(self, tmp_path):
+        latin1 = tmp_path / "latin1.ini"
+        latin1.write_bytes("[run]\ndata = caf\xe9.csv\n".encode("latin-1"))
+        message = f"{latin1}: not UTF-8 text, invalid continuation byte at byte 16"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config_file(latin1)
+
     def test_unknown_run_key(self):
         with pytest.raises(ConfigError, match="unknown key 'volume'"):
             parse_config_text("[run]\nvolume = 3\n")
@@ -493,6 +500,16 @@ class TestCanonical:
         again = parse_config_text(text)
         assert config_echo(again) == config_echo(cfg)
         assert canonical_text(again) == text
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    @settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=_run_configs())
+    def test_text_saved_in_any_form_gives_back_the_echo(self, tmp_path, bom, newline, cfg):
+        # A config file is read like a CSV: UTF-8, a BOM dropped, any line end.
+        saved = tmp_path / "saved.ini"
+        saved.write_bytes(bom + canonical_text(cfg).replace("\n", newline).encode("utf-8"))
+        assert config_echo(parse_config_file(saved)) == config_echo(cfg)
 
     def test_canonical_lists_every_section(self):
         text = canonical_text(RunConfig())

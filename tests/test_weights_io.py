@@ -307,6 +307,17 @@ def test_non_numeric_payload_rejected(tmp_path):
         load_weights(path, "lstm")
 
 
+def test_non_utf8_file_named(tmp_path):
+    path = tmp_path / "w.txt"
+    save_weights(path, build("lstm"), *RECIPE)
+    data = path.read_bytes()
+    at = data.index(b"\n", len(MAGIC) + 1) + 1  # the first block line
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    message = f"{path}: not UTF-8 text, invalid start byte at byte {at}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_weights(path, "lstm")
+
+
 # n_heads is the one dimension the arrays do not fix, so no array can contradict it.
 @pytest.mark.parametrize(
     "kind,key",

@@ -14,7 +14,9 @@ stderr. Artifacts are written only below the configured output directory.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -65,7 +67,17 @@ def _require_data(cfg: RunConfig) -> Path:
 
 def _outdir(cfg: RunConfig) -> Path:
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except FileExistsError as exc:  # what stands at exc.filename is no directory
+        try:
+            os.stat(exc.filename)
+            what = "a file, not a directory"
+        except OSError as broken:
+            what = "a symlink loop" if broken.errno == errno.ELOOP else "a dangling symlink"
+        raise ConfigError(f"output_dir {out} cannot be made: {exc.filename} is {what}") from exc
+    except OSError as exc:
+        raise ConfigError(f"output_dir {out} cannot be made: {exc}") from exc
     return out
 
 

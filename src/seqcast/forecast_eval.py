@@ -61,22 +61,18 @@ def recursive_forecast(params, last_window, horizon: int, scaler: Scaler) -> np.
     """``models.forecast`` of `horizon` steps from last_window, then undo the scaling.
 
     last_window holds the final `lookback` scaled values of the history;
-    each prediction is appended and the oldest value dropped. A step whose
-    unscaled value leaves float64's range is a ValueError that names it.
+    each prediction is appended and the oldest value dropped. The one check
+    of a forecast: the first step that is not a finite price, as predicted
+    or once unscaled, is a ValueError that names it.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    window = np.asarray(last_window, dtype=np.float64)
-    if window.ndim != 1 or window.size < 1:
-        raise ValueError(f"last_window must be a non-empty 1-D sequence, got shape {window.shape}")
-    scaled = models.forecast(params, window, horizon)
-    with np.errstate(over="ignore"):  # an overflow shows as inf, named below
+    scaled = models.forecast(params, last_window, horizon)
+    with np.errstate(over="ignore", invalid="ignore"):  # shows as inf or NaN, named below
         path = scaler.inverse(scaled)
     bad = np.flatnonzero(~np.isfinite(path))
     if bad.size:
         step = int(bad[0])
         raise ValueError(
-            f"forecast step {step} leaves float64's range when unscaled (scaled value "
+            f"forecast step {step} is not a finite price (scaled value "
             f"{float(scaled[step])!r}, scaler range [{scaler.min!r}, {scaler.max!r}])"
         )
     return path

@@ -45,7 +45,5 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 
 def init_xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Uniform Glorot initialization on [-b, b] with b = sqrt(6/(rows+cols))."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"init_xavier needs positive dims, got ({rows}, {cols})")
     bound = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-bound, bound, size=(rows, cols))

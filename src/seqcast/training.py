@@ -98,10 +98,6 @@ class TrainHistory:
 def mse_loss(pred, target) -> float:
     pred = np.asarray(pred, dtype=np.float64).ravel()
     target = np.asarray(target, dtype=np.float64).ravel()
-    if pred.size == 0:
-        raise ValueError("mse_loss needs at least one element")
-    if pred.shape != target.shape:
-        raise ValueError(f"length mismatch: {pred.shape} vs {target.shape}")
     return float(np.mean((pred - target) ** 2))
 
 
@@ -122,8 +118,6 @@ def adam_step(
     theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, cfg: TrainConfig
 ) -> None:
     """Adam update number t (1-based): theta and the moment vectors m and v change in place."""
-    if theta.shape != grad.shape:
-        raise ValueError(f"shape mismatch: {theta.shape} vs {grad.shape}")
     m *= cfg.beta1
     m += (1.0 - cfg.beta1) * grad
     v *= cfg.beta2

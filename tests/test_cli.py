@@ -473,7 +473,8 @@ class TestNonFinite:
         done = _run_in_subprocess(["forecast", "--config", cfg, "--model", "gru"])
         assert done.returncode == 1
         [line] = done.stderr.splitlines()
-        assert line.startswith("error: non-finite prediction at forecast step ")
+        assert line.startswith("error: forecast step ")
+        assert " is not a finite price (scaled value " in line
 
     def test_forecast_that_overflows_when_unscaled_writes_nothing(self, tmp_path, sine_series):
         # Closes near 1e307 scale to [0, 1] fine, but a scaled prediction of
@@ -494,7 +495,7 @@ class TestNonFinite:
         done = _run_in_subprocess(["forecast", "--config", cfg, "--model", "gru"])
         assert done.returncode == 1
         [line] = done.stderr.splitlines()
-        assert line.startswith("error: forecast step 0 leaves float64's range when unscaled")
+        assert line.startswith("error: forecast step 0 is not a finite price (scaled value 100.0, ")
         assert sorted(p.name for p in out.iterdir()) == ["weights-gru.txt"]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -537,7 +538,28 @@ class TestUsage:
         if key == "--data":
             assert (code, err) == (2, "error: data file not found: loop")
         else:  # the loop is no directory to write into
-            assert code == 1 and err.startswith("error: ") and "'loop'" in err
+            assert code == 2
+            assert err == "error: output_dir loop cannot be made: loop is a symlink loop"
+            assert os.listdir() == ["loop"]
+
+    @pytest.mark.parametrize("command", ["synth", "eda", "train", "compare"])
+    @pytest.mark.parametrize("out, blocker, what", [
+        ("file", "file", "a file, not a directory"),
+        ("dangling/sub", "dangling", "a dangling symlink"),
+    ])
+    def test_unusable_output_dir_is_one_config_error_line(
+        self, tmp_path, sine_csv, monkeypatch, capsys, command, out, blocker, what
+    ):
+        monkeypatch.chdir(tmp_path)
+        os.symlink("nowhere", "dangling")
+        Path("file").write_text("")
+        before = sorted(p.name for p in tmp_path.rglob("*"))
+        argv = [command, "--out", out] + ([] if command == "synth" else ["--data", sine_csv])
+        argv += ["--model", "gru"] if command == "train" else []
+        assert main(argv) == 2
+        [err] = capsys.readouterr().err.splitlines()
+        assert err == f"error: output_dir {out} cannot be made: {blocker} is {what}"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == before
 
     def test_malformed_ini_is_one_error_line(self, tmp_path, capsys):
         # configparser's message spans three lines: the error, the place, the line.

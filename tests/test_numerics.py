@@ -129,10 +129,6 @@ class TestInitXavier:
         m = init_xavier(np.random.default_rng(5), rows, cols)
         assert abs(m.mean()) < 0.01 * bound
 
-    def test_zero_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            init_xavier(np.random.default_rng(0), 0, 4)
-
 
 def small_params(theta):
     """A 14-value LSTM Params: the grad check only walks its named arrays."""

@@ -55,14 +55,6 @@ class TestMseLoss:
         a, b = [1.0, 4.0, 2.0], [0.5, 3.0, 7.0]
         assert mse_loss(a, b) == mse_loss(b, a)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mse_loss([], [])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            mse_loss([1.0], [1.0, 2.0])
-
 
 class TestTrainConfig:
     def test_defaults(self):
@@ -197,11 +189,6 @@ class TestAdam:
         for t in range(1, 101):
             adam_step(theta, theta - 3.0, m, v, t, cfg)
         assert abs(theta[0] - 3.0) < 0.05
-
-    def test_shape_mismatch_rejected(self):
-        theta = np.zeros(2)
-        with pytest.raises(ValueError, match="shape mismatch"):
-            adam_step(theta, np.zeros(3), *zero_moments(theta), 1, TrainConfig())
 
     def test_updates_in_place_and_leaves_grad_untouched(self):
         theta, grad = np.ones(3), np.full(3, 2.0)

@@ -87,6 +87,7 @@ def _load_clean(cfg: RunConfig) -> tuple[dat.OhlcvSeries, dat.CleanReport]:
 
 def cmd_eda(cfg: RunConfig, args) -> int:
     series, report = _load_clean(cfg)
+    out = _outdir(cfg)
     monthly = cfg.adf_on == "monthly-high"
     values = dat.monthly_mean_series(series) if monthly else series.high
     try:
@@ -113,7 +114,6 @@ def cmd_eda(cfg: RunConfig, args) -> int:
         "adf": {"level": level.as_dict(), "differenced": differenced.as_dict()},
         "config": config_echo(cfg),
     }
-    out = _outdir(cfg)
     (out / "eda.json").write_text(_json_text(payload), encoding="utf-8")
     chart = charts.bar_chart_svg(
         "Monthwise mean open and close",

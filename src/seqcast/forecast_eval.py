@@ -5,11 +5,15 @@ min-max scaling fit on training closes only, per-model training with its
 own derived seed, a 30-step ``models.forecast`` from the end of train+val,
 rescaled here, and metrics against the held-out closes in currency units:
 ``compute_metrics`` returns the dict the report stores for each kind.
+Each kind is one job, and two run at a time on threads; the jobs share
+nothing they write, so the artifacts are the bytes of a serial run.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +21,7 @@ import numpy as np
 from . import data as dat
 from . import models, training
 from .data import OhlcvSeries, Scaler, WindowedDataset
-from .models import MODEL_KINDS, weights_io
+from .models import MODEL_KINDS, Params, weights_io
 from .runconfig import ConfigError, RunConfig, config_echo
 from .training import TrainingError
 
@@ -121,37 +125,87 @@ def fit(kind: str, cfg: RunConfig, train_ds, val_ds, scaler: Scaler, out: str | 
     return params, history
 
 
+def _report_entry(kind: str, cfg: RunConfig, shared: tuple, out: str | Path) -> dict:
+    """Fit one kind, forecast the held-out span and score it: its report entry.
+
+    shared is prepare_windows' result; an error is a TrainingError that
+    starts with the kind's name.
+    """
+    train_ds, val_ds, seed_window, scaler, test = shared
+    try:
+        params, history = fit(kind, cfg, train_ds, val_ds, scaler, out)
+        path = recursive_forecast(params, seed_window, cfg.horizon, scaler)
+        metrics = compute_metrics(test.close, path)
+    except (TrainingError, ValueError) as exc:
+        raise TrainingError(f"{kind}: {exc}") from exc
+    return {
+        "name": kind,
+        "metrics": metrics,
+        "forecast": [float(v) for v in path],
+        "history": history.as_dict(),
+    }
+
+
+def _settle(job, kind: str) -> tuple:
+    """(job(kind), None), or (None, the exception it raised)."""
+    try:
+        return job(kind), None
+    except Exception as exc:
+        return None, exc
+
+
+def _map_kinds(job, kinds: tuple[str, ...], lead: str) -> list:
+    """job(kind) for every kind, in the order of kinds; two run at a time.
+
+    lead runs on the calling thread while the other kinds run in order on
+    one worker thread; with fewer than 2 CPUs, every kind runs in order on
+    the calling thread. Every job runs to its end, then the first exception
+    in the order of kinds is raised. An interrupt, such as Ctrl-C, waits for
+    the kind the worker is running and starts no other.
+    """
+    outcomes: dict[str, tuple] = {}
+    if (os.cpu_count() or 1) < 2:
+        outcomes.update((kind, _settle(job, kind)) for kind in kinds)
+    else:
+        stop = threading.Event()
+
+        def work() -> None:
+            for kind in kinds:
+                if kind != lead and not stop.is_set():
+                    outcomes[kind] = _settle(job, kind)
+
+        worker = threading.Thread(target=work, name="seqcast-compare")
+        worker.start()
+        try:
+            outcomes[lead] = _settle(job, lead)
+            worker.join()
+        except BaseException:
+            stop.set()
+            worker.join()
+            raise
+    for kind in kinds:
+        if outcomes[kind][1] is not None:
+            raise outcomes[kind][1]
+    return [outcomes[kind][0] for kind in kinds]
+
+
 def compare(series: OhlcvSeries, cfg: RunConfig, out: str | Path):
     """Fit the three models on one shared split and evaluate each forecast.
 
     The models, their training and the split come from cfg. Each kind is
     fitted into the existing directory out, so its log and weights are
-    written as it finishes. Returns (report dict ready for JSON, the
-    held-out test rows). The report holds the dataset's fingerprint, one
-    entry per kind (name, metrics, its forecast path and training history)
-    in the order lstm, gru, transformer, and last cfg's ``config_echo``.
+    written as it finishes. The kind with the most parameters trains on
+    this thread beside the others (``_map_kinds``), and every kind runs to
+    its end before the first failure in kind order is raised. Returns
+    (report dict ready for JSON, the held-out test rows). The report holds
+    the dataset's fingerprint, one entry per kind (name, metrics, its
+    forecast path and training history) in the order lstm, gru,
+    transformer, and last cfg's ``config_echo``.
     """
     if cfg.horizon < 2:
         raise ConfigError(f"compare needs horizon >= 2 to score a forecast, got {cfg.horizon}")
-    train_ds, val_ds, seed_window, scaler, test = prepare_windows(
-        series, cfg.lookback, cfg.horizon, cfg.val_frac
-    )
-
+    shared = prepare_windows(series, cfg.lookback, cfg.horizon, cfg.val_frac)
     fingerprint = dat.fingerprint(series)
-    entries = []
-    for name in MODEL_KINDS:
-        try:
-            params, history = fit(name, cfg, train_ds, val_ds, scaler, out)
-            path = recursive_forecast(params, seed_window, cfg.horizon, scaler)
-            metrics = compute_metrics(test.close, path)
-        except (TrainingError, ValueError) as exc:
-            raise TrainingError(f"{name}: {exc}") from exc
-        entries.append(
-            {
-                "name": name,
-                "metrics": metrics,
-                "forecast": [float(v) for v in path],
-                "history": history.as_dict(),
-            }
-        )
-    return {"dataset": fingerprint, "models": entries, "config": config_echo(cfg)}, test
+    lead = max(MODEL_KINDS, key=lambda kind: Params(cfg.model_config(kind)).theta.size)
+    entries = _map_kinds(lambda kind: _report_entry(kind, cfg, shared, out), MODEL_KINDS, lead)
+    return {"dataset": fingerprint, "models": entries, "config": config_echo(cfg)}, shared[-1]

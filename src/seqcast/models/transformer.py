@@ -21,7 +21,10 @@ so one query is scored straight against the normed rows (the cache keeps
 q_h as ``q_h``, q_h W_k,h' as ``qk`` and attn_h n1 as ``ctx``). The earlier
 blocks run on every position, because the last block attends to all of
 them; they keep their split heads as ``qh``, ``kh`` and ``vh``. Every block
-keeps ``ln1``, ``n1``, ``attn_w``, ``merged``, ``ln2``, ``n2`` and ``rel``.
+keeps ``ln1``, ``attn_w``, ``merged``, ``ln2`` and ``rel``. A layer norm's
+cache is its (``xhat``, ``inv``); backward rebuilds the norm's output from
+``xhat`` by the forward's own two operations, times the gain and plus the
+shift, so the same bits are not held through the whole step.
 All gradients are hand-derived; the finite-difference oracle in the test
 suite is the ground truth for every branch here.
 """
@@ -96,6 +99,12 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray):
     out += shift
     return out, (xhat, inv)
 
+def _normed(gain: np.ndarray, shift: np.ndarray, ln_cache) -> np.ndarray:
+    """The layer norm's output again, bit for bit, from its cached xhat."""
+    out = ln_cache[0] * gain
+    out += shift
+    return out
+
 def _layer_norm_backward(d_out, gain, ln_cache):
     """d_x, d_gain, d_shift for d_out, the gradient w.r.t. the output; overwrites d_out."""
     xhat, inv = ln_cache
@@ -144,21 +153,28 @@ def _attend_all(layer, n1: np.ndarray, nh: int, scale: float, lc: dict) -> np.nd
     lc.update(qh=qh, kh=kh, vh=vh, attn_w=attn_w, merged=merged)
     return merged
 
-def _attend_all_backward(layer, grad, lc: dict, d_merged: np.ndarray, nh: int, scale: float):
-    """Adds the W_q, W_k and W_v gradients into grad; returns d_n1, (b, t, d)."""
-    n1, attn_w = lc["n1"], lc["attn_w"]
+def _attend_all_backward(layer, grad, lc: dict, n1, d_merged, nh: int, scale: float):
+    """Adds the W_q, W_k and W_v gradients into grad; returns d_n1, (b, t, d).
+
+    d_k, d_v and d_q are made one at a time, each dropped once its weight
+    gradient and its term of d_n1 are in.
+    """
+    attn_w = lc["attn_w"]
     d_oh = _split_heads(d_merged, nh)
     d_scores = _softmax_backward(attn_w, d_oh @ lc["vh"].transpose(0, 1, 3, 2))
-    d_v = _merged_matmul(attn_w.transpose(0, 1, 3, 2), d_oh, n1.shape, nh)
-    d_q = _merged_matmul(d_scores, lc["kh"], n1.shape, nh)
-    d_q *= scale
     d_k = _merged_matmul(d_scores.transpose(0, 1, 3, 2), lc["qh"], n1.shape, nh)
     d_k *= scale
-    grad.w_q += _weight_grad(n1, d_q)
     grad.w_k += _weight_grad(n1, d_k)
-    grad.w_v += _weight_grad(n1, d_v)
     d_n1 = d_k @ layer.w_k.T
+    del d_k
+    d_v = _merged_matmul(attn_w.transpose(0, 1, 3, 2), d_oh, n1.shape, nh)
+    grad.w_v += _weight_grad(n1, d_v)
     d_n1 += d_v @ layer.w_v.T
+    del d_v
+    d_q = _merged_matmul(d_scores, lc["kh"], n1.shape, nh)
+    del d_scores
+    d_q *= scale
+    grad.w_q += _weight_grad(n1, d_q)
     d_n1 += d_q @ layer.w_q.T
     return d_n1
 
@@ -176,9 +192,9 @@ def _attend_last(layer, n1: np.ndarray, nh: int, scale: float, lc: dict) -> np.n
     lc.update(q_h=q_h, qk=qk, attn_w=attn_w, ctx=ctx, merged=merged)
     return merged
 
-def _attend_last_backward(layer, grad, lc: dict, d_merged: np.ndarray, nh: int, scale: float):
+def _attend_last_backward(layer, grad, lc: dict, n1, d_merged, nh: int, scale: float):
     """Adds the W_q, W_k and W_v gradients into grad; returns d_n1, (b, t, d)."""
-    n1, attn_w, qk = lc["n1"], lc["attn_w"], lc["qk"]
+    attn_w, qk = lc["attn_w"], lc["qk"]
     b, _, d = n1.shape
     d_head = d_merged.reshape(b, nh, d // nh).transpose(1, 0, 2)  # (nh, b, dh)
     g_v = _heads(grad.w_v, nh)
@@ -211,7 +227,6 @@ def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
     for idx, layer in enumerate(params.layers):
         lc = {}
         n1, lc["ln1"] = _layer_norm(h, layer.ln1_g, layer.ln1_b)
-        lc["n1"] = n1
         if idx < last:
             merged = _attend_all(layer, n1, nh, scale, lc)
         else:
@@ -220,7 +235,6 @@ def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
         a = merged @ layer.w_o
         a += h
         n2, lc["ln2"] = _layer_norm(a, layer.ln2_g, layer.ln2_b)
-        lc["n2"] = n2
         rel = n2 @ layer.w_ff1.T
         rel += layer.b_ff1
         np.maximum(rel, 0.0, out=rel)
@@ -250,9 +264,10 @@ def backward(params: Params, cache: dict, d_state: np.ndarray, grads: Params) ->
         grad.b_ff2 += dh.sum(axis=(0, 1))
         d_y1 = dh @ layer.w_ff2
         d_y1 *= lc["rel"] > 0  # relu' from its output: rel > 0 exactly where y1 > 0
-        grad.w_ff1 += _weight_grad(d_y1, lc["n2"])
+        grad.w_ff1 += _weight_grad(d_y1, _normed(layer.ln2_g, layer.ln2_b, lc["ln2"]))
         grad.b_ff1 += d_y1.sum(axis=(0, 1))
         da, d_g2, d_b2 = _layer_norm_backward(d_y1 @ layer.w_ff1, layer.ln2_g, lc["ln2"])
+        del d_y1
         grad.ln2_g += d_g2
         grad.ln2_b += d_b2
         da += dh  # normalized branch plus residual
@@ -261,7 +276,9 @@ def backward(params: Params, cache: dict, d_state: np.ndarray, grads: Params) ->
         # a and h_in at the final position only
         grad.w_o += _weight_grad(lc["merged"], da)
         attend_backward = _attend_all_backward if idx < last else _attend_last_backward
-        d_n1 = attend_backward(layer, grad, lc, da @ layer.w_o.T, nh, scale)
+        n1 = _normed(layer.ln1_g, layer.ln1_b, lc["ln1"])
+        d_n1 = attend_backward(layer, grad, lc, n1, da @ layer.w_o.T, nh, scale)
+        del n1
         dh, d_g1, d_b1 = _layer_norm_backward(d_n1, layer.ln1_g, lc["ln1"])
         grad.ln1_g += d_g1
         grad.ln1_b += d_b1

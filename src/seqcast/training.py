@@ -9,7 +9,12 @@ validation history alone decides early stopping and which epoch's
 parameters are returned. The validation pass runs in chunks of
 ``batch_size`` windows, sliced like the training batches: a forward builds
 a backward cache, and one forward over the whole validation set would hold
-a cache several times the size of a training step's, only to drop it.
+a cache several times the size of a training step's, only to drop it. The
+last batch's predictions, cache and gradient are dropped before it, so the
+pass holds no cache but its own. A batch's cache lives until the next
+forward replaces it: freed earlier, its pages go back to the OS and the
+next batch pays to fault them in again. Two runs share nothing they write,
+so ``forecast_eval.compare`` runs two at once on threads.
 
 The trained ``Params`` is the float64 master, as in mixed-precision
 training. Each batch's forward and backward run on a working copy in the
@@ -203,6 +208,7 @@ def train(
                 adam_step(params.theta, grads.theta, m, v, step, cfg)
                 np.copyto(work.theta, params.theta)
 
+            del preds, cache, grads
             train_loss = sq_err_sum / n
             val_loss = validation_loss(params, val_set, cfg.batch_size)
             if not math.isfinite(val_loss):

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from seqcast import data as dat
-from seqcast import forecast_eval, models, training
+from seqcast import forecast_eval, models, stationarity, training
 from seqcast.cli import _json_text, main
 from seqcast.data import Scaler
 from seqcast.models import MODEL_KINDS, ModelConfig, weights_io
@@ -121,6 +121,24 @@ class TestEda:
         assert not (tmp_path / "o" / "eda.json").exists()
         daily = ["eda", "--data", data, "--out", str(tmp_path / "o"), "--adf-on", "daily-high"]
         assert main(daily) == 0
+
+    def test_unusable_output_dir_is_refused_before_the_unit_root_tests(
+        self, tmp_path, sine_csv, monkeypatch, capsys
+    ):
+        (tmp_path / "file").write_text("")
+        calls = []
+        original = stationarity.adf_test
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stationarity, "adf_test", counted)
+        out = tmp_path / "file" / "eda"
+        assert main(["eda", "--data", sine_csv, "--out", str(out)]) == 2
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"error: output_dir {out} cannot be made: ")
+        assert calls == []
 
     def test_missing_data_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "never"
@@ -407,8 +425,9 @@ class TestCompare:
     def test_a_failing_kind_keeps_the_finished_kinds_files(
         self, tmp_path, sine_csv, monkeypatch, capsys
     ):
-        # Each kind's log and weights are written as it finishes, so both
-        # come from this run; nothing is written for the kind that failed.
+        # Every kind trains to its end before the failure is raised, so each
+        # kind that trained leaves its log and weights, all from this run;
+        # nothing is written for the kind that failed.
         original = training.train
 
         def train_all_but_gru(model_cfg, *args, **kwargs):
@@ -420,7 +439,76 @@ class TestCompare:
         out = tmp_path / "out"
         assert main(["compare", "--config", write_config(tmp_path, sine_csv, str(out))]) == 1
         assert "error: gru: diverged" in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == ["train-lstm.ndjson", "weights-lstm.txt"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "train-lstm.ndjson", "train-transformer.ndjson",
+            "weights-lstm.txt", "weights-transformer.txt",
+        ]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("failing, first", [
+        ({"gru"}, "gru"),
+        ({"lstm", "transformer"}, "lstm"),
+    ], ids=["gru", "lstm-and-transformer"])
+    def test_the_first_failure_in_kind_order_is_raised(
+        self, tmp_path, sine_csv, monkeypatch, capsys, cpus, failing, first
+    ):
+        # The Transformer, the largest kind here, trains on the calling
+        # thread when there are 2 CPUs, beside the LSTM and GRU in turn on a
+        # worker. Whichever fails first in time, the error names the first
+        # failing kind in the order lstm, gru, transformer, and every other
+        # kind leaves its log and weights.
+        original = training.train
+
+        def train_or_fail(model_cfg, *args, **kwargs):
+            if model_cfg.kind in failing:
+                raise training.TrainingError(f"{model_cfg.kind} diverged")
+            return original(model_cfg, *args, **kwargs)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(training, "train", train_or_fail)
+        out = tmp_path / "out"
+        assert main(["compare", "--config", write_config(tmp_path, sine_csv, str(out))]) == 1
+        [err] = capsys.readouterr().err.splitlines()
+        assert err == f"error: {first}: {first} diverged"
+        trained = sorted(set(MODEL_KINDS) - failing)
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [f"train-{k}.ndjson" for k in trained] + [f"weights-{k}.txt" for k in trained]
+        )
+
+    def test_artifacts_do_not_depend_on_the_worker_thread(
+        self, tmp_path, sine_csv, monkeypatch, capsys
+    ):
+        # One CPU trains the kinds one after another on the calling thread;
+        # two train the Transformer beside the LSTM and GRU. Same bytes
+        # either way: the report, the plot's table, the weights and the
+        # output, and the logs bar their wall seconds. Each run writes "out"
+        # in its own directory, so the echoed config is the same. A short
+        # switch interval makes the two threads interleave often.
+        written = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            (tmp_path / str(cpus)).mkdir()
+            monkeypatch.chdir(tmp_path / str(cpus))
+            Path("run.ini").write_text(tiny_config_text(sine_csv, "out", seed=4, horizon=10))
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                assert main(["compare", "--config", "run.ini"]) == 0
+            finally:
+                sys.setswitchinterval(interval)
+            files = ["report.json", "plot.csv", *(f"weights-{k}.txt" for k in MODEL_KINDS)]
+            written[cpus] = {
+                "stdout": capsys.readouterr().out,
+                **{name: Path("out", name).read_bytes() for name in files},
+                **{
+                    kind: [
+                        {**json.loads(line), "seconds": None}
+                        for line in Path("out", f"train-{kind}.ndjson").read_text().splitlines()
+                    ]
+                    for kind in MODEL_KINDS
+                },
+            }
+        assert written[1] == written[2]
 
     def test_horizon_below_2_is_config_error_before_training(self, tmp_path, sine_csv, capsys):
         out = tmp_path / "out"

@@ -38,7 +38,8 @@ class TestForward:
         preds, cache = models.forward(p, x)
         embedded = x[:, :, None] @ p.w_in.T + positional_encoding(6, 8)[None, :, :]
         # the last block keeps only the final position
-        assert cache["layers"][-1]["n2"].shape == (2, 1, 8)
+        xhat, _ = cache["layers"][-1]["ln2"]
+        assert xhat.shape == (2, 1, 8)
         np.testing.assert_allclose(cache["state"], embedded[:, -1], atol=1e-12)
         expected = (embedded[:, -1, :] @ p.head_w.T + p.head_b).ravel()
         np.testing.assert_allclose(preds, expected, atol=1e-12)

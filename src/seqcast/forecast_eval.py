@@ -12,7 +12,6 @@ nothing they write, so the artifacts are the bytes of a serial run.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from pathlib import Path
 
@@ -21,7 +20,7 @@ import numpy as np
 from . import data as dat
 from . import models, training
 from .data import OhlcvSeries, Scaler, WindowedDataset
-from .models import MODEL_KINDS, Params, weights_io
+from .models import MODEL_KINDS, weights_io
 from .runconfig import ConfigError, RunConfig, config_echo
 from .training import TrainingError
 
@@ -158,31 +157,27 @@ def _map_kinds(job, kinds: tuple[str, ...], lead: str) -> list:
     """job(kind) for every kind, in the order of kinds; two run at a time.
 
     lead runs on the calling thread while the other kinds run in order on
-    one worker thread; with fewer than 2 CPUs, every kind runs in order on
-    the calling thread. Every job runs to its end, then the first exception
+    one worker thread. Every job runs to its end, then the first exception
     in the order of kinds is raised. An interrupt, such as Ctrl-C, waits for
     the kind the worker is running and starts no other.
     """
     outcomes: dict[str, tuple] = {}
-    if (os.cpu_count() or 1) < 2:
-        outcomes.update((kind, _settle(job, kind)) for kind in kinds)
-    else:
-        stop = threading.Event()
+    stop = threading.Event()
 
-        def work() -> None:
-            for kind in kinds:
-                if kind != lead and not stop.is_set():
-                    outcomes[kind] = _settle(job, kind)
+    def work() -> None:
+        for kind in kinds:
+            if kind != lead and not stop.is_set():
+                outcomes[kind] = _settle(job, kind)
 
-        worker = threading.Thread(target=work, name="seqcast-compare")
-        worker.start()
-        try:
-            outcomes[lead] = _settle(job, lead)
-            worker.join()
-        except BaseException:
-            stop.set()
-            worker.join()
-            raise
+    worker = threading.Thread(target=work, name="seqcast-compare")
+    worker.start()
+    try:
+        outcomes[lead] = _settle(job, lead)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        worker.join()
     for kind in kinds:
         if outcomes[kind][1] is not None:
             raise outcomes[kind][1]
@@ -194,9 +189,10 @@ def compare(series: OhlcvSeries, cfg: RunConfig, out: str | Path):
 
     The models, their training and the split come from cfg. Each kind is
     fitted into the existing directory out, so its log and weights are
-    written as it finishes. The kind with the most parameters trains on
-    this thread beside the others (``_map_kinds``), and every kind runs to
-    its end before the first failure in kind order is raised. Returns
+    written as it finishes. The Transformer trains on this thread beside
+    the LSTM and GRU (``_map_kinds``): its large matrix products and ufuncs
+    release the GIL, while the RNNs' many small calls hold it. Every kind
+    runs to its end before the first failure in kind order is raised. Returns
     (report dict ready for JSON, the held-out test rows). The report holds
     the dataset's fingerprint, one entry per kind (name, metrics, its
     forecast path and training history) in the order lstm, gru,
@@ -206,6 +202,7 @@ def compare(series: OhlcvSeries, cfg: RunConfig, out: str | Path):
         raise ConfigError(f"compare needs horizon >= 2 to score a forecast, got {cfg.horizon}")
     shared = prepare_windows(series, cfg.lookback, cfg.horizon, cfg.val_frac)
     fingerprint = dat.fingerprint(series)
-    lead = max(MODEL_KINDS, key=lambda kind: Params(cfg.model_config(kind)).theta.size)
-    entries = _map_kinds(lambda kind: _report_entry(kind, cfg, shared, out), MODEL_KINDS, lead)
+    entries = _map_kinds(
+        lambda kind: _report_entry(kind, cfg, shared, out), MODEL_KINDS, lead="transformer"
+    )
     return {"dataset": fingerprint, "models": entries, "config": config_echo(cfg)}, shared[-1]

@@ -444,51 +444,43 @@ class TestCompare:
             "weights-lstm.txt", "weights-transformer.txt",
         ]
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("failing, first", [
-        ({"gru"}, "gru"),
-        ({"lstm", "transformer"}, "lstm"),
-    ], ids=["gru", "lstm-and-transformer"])
     def test_the_first_failure_in_kind_order_is_raised(
-        self, tmp_path, sine_csv, monkeypatch, capsys, cpus, failing, first
+        self, tmp_path, sine_csv, monkeypatch, capsys
     ):
-        # The Transformer, the largest kind here, trains on the calling
-        # thread when there are 2 CPUs, beside the LSTM and GRU in turn on a
-        # worker. Whichever fails first in time, the error names the first
-        # failing kind in the order lstm, gru, transformer, and every other
-        # kind leaves its log and weights.
+        # The Transformer trains on the calling thread, beside the LSTM then
+        # the GRU on a worker. Whichever fails first in time, the error names
+        # the first failing kind in the order lstm, gru, transformer, and the
+        # GRU, which trained, leaves its log and weights.
         original = training.train
 
         def train_or_fail(model_cfg, *args, **kwargs):
-            if model_cfg.kind in failing:
+            if model_cfg.kind in ("lstm", "transformer"):
                 raise training.TrainingError(f"{model_cfg.kind} diverged")
             return original(model_cfg, *args, **kwargs)
 
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(training, "train", train_or_fail)
         out = tmp_path / "out"
         assert main(["compare", "--config", write_config(tmp_path, sine_csv, str(out))]) == 1
-        [err] = capsys.readouterr().err.splitlines()
-        assert err == f"error: {first}: {first} diverged"
-        trained = sorted(set(MODEL_KINDS) - failing)
-        assert sorted(p.name for p in out.iterdir()) == sorted(
-            [f"train-{k}.ndjson" for k in trained] + [f"weights-{k}.txt" for k in trained]
-        )
+        assert capsys.readouterr().err.splitlines() == ["error: lstm: lstm diverged"]
+        assert sorted(p.name for p in out.iterdir()) == ["train-gru.ndjson", "weights-gru.txt"]
 
     def test_artifacts_do_not_depend_on_the_worker_thread(
         self, tmp_path, sine_csv, monkeypatch, capsys
     ):
-        # One CPU trains the kinds one after another on the calling thread;
-        # two train the Transformer beside the LSTM and GRU. Same bytes
-        # either way: the report, the plot's table, the weights and the
-        # output, and the logs bar their wall seconds. Each run writes "out"
-        # in its own directory, so the echoed config is the same. A short
-        # switch interval makes the two threads interleave often.
+        # A plain loop trains the kinds one after another on the calling
+        # thread; compare's own map trains the Transformer beside the LSTM
+        # and GRU. Same bytes either way: the report, the plot's table, the
+        # weights and the output, and the logs bar their wall seconds. Each
+        # run writes "out" in its own directory, so the echoed config is the
+        # same. A short switch interval makes the two threads interleave often.
+        def in_turn(job, kinds, lead):
+            return [job(kind) for kind in kinds]
+
         written = {}
-        for cpus in (1, 2):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            (tmp_path / str(cpus)).mkdir()
-            monkeypatch.chdir(tmp_path / str(cpus))
+        for mode, mapper in (("in_turn", in_turn), ("threaded", forecast_eval._map_kinds)):
+            monkeypatch.setattr(forecast_eval, "_map_kinds", mapper)
+            (tmp_path / mode).mkdir()
+            monkeypatch.chdir(tmp_path / mode)
             Path("run.ini").write_text(tiny_config_text(sine_csv, "out", seed=4, horizon=10))
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-5)
@@ -497,7 +489,7 @@ class TestCompare:
             finally:
                 sys.setswitchinterval(interval)
             files = ["report.json", "plot.csv", *(f"weights-{k}.txt" for k in MODEL_KINDS)]
-            written[cpus] = {
+            written[mode] = {
                 "stdout": capsys.readouterr().out,
                 **{name: Path("out", name).read_bytes() for name in files},
                 **{
@@ -508,7 +500,7 @@ class TestCompare:
                     for kind in MODEL_KINDS
                 },
             }
-        assert written[1] == written[2]
+        assert written["in_turn"] == written["threaded"]
 
     def test_horizon_below_2_is_config_error_before_training(self, tmp_path, sine_csv, capsys):
         out = tmp_path / "out"

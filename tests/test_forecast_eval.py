@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from seqcast import data as dat
 from seqcast import models
 from seqcast.data import Scaler
 from seqcast.forecast_eval import (
+    _map_kinds,
     compare,
     compute_metrics,
     prepare_windows,
@@ -265,6 +267,39 @@ class TestCompare:
         assert report["config"] == config_echo(COMPARE_CFG)
         for entry in report["models"]:
             assert set(entry) == {"name", "metrics", "forecast", "history"}
+
+
+class TestMapKinds:
+    def test_an_interrupt_in_the_lead_waits_for_the_worker_and_starts_no_other_kind(
+        self, monkeypatch
+    ):
+        # The Transformer leads on this thread and is interrupted while the
+        # LSTM runs on the worker. The LSTM returns only once the interrupt
+        # has reached the join that waits for it, and the GRU never starts.
+        started, finished = [], []
+        lstm_running, joining = threading.Event(), threading.Event()
+        join = threading.Thread.join
+
+        def join_and_tell(thread, *args, **kwargs):
+            joining.set()
+            return join(thread, *args, **kwargs)
+
+        def job(kind):
+            started.append(kind)
+            if kind == "transformer":
+                lstm_running.wait(10)
+                raise KeyboardInterrupt
+            lstm_running.set()
+            joining.wait(10)
+            finished.append(kind)
+            return kind
+
+        monkeypatch.setattr(threading.Thread, "join", join_and_tell)
+        with pytest.raises(KeyboardInterrupt):
+            _map_kinds(job, MODEL_KINDS, lead="transformer")
+        assert sorted(started) == ["lstm", "transformer"]
+        assert finished == ["lstm"]
+        assert joining.is_set()
 
 
 class TestHelpers:

@@ -284,8 +284,6 @@ class Scaler:
 
 def fit_scaler(train_values) -> Scaler:
     v = np.asarray(train_values, dtype=np.float64)
-    if v.size < 2 or np.max(v) == np.min(v):
-        raise ValueError("scaler needs at least 2 distinct training values")
     return Scaler(min=float(np.min(v)), max=float(np.max(v)))
 
 
@@ -333,12 +331,10 @@ def chronological_split(
     n = len(series)
     if test_len < 1:
         raise ValueError(f"test_len must be >= 1, got {test_len}")
-    if not 0.0 < val_frac < 1.0:
-        raise ValueError(f"val_frac must be in (0, 1), got {val_frac}")
     remainder = n - test_len
     val_len = int(remainder * val_frac)
     train_len = remainder - val_len
-    if remainder < 2 or val_len < 1 or train_len < 1:
+    if val_len < 1 or train_len < 1:
         raise ValueError(
             f"series of {n} rows cannot be split into non-empty "
             f"train/val/test with test_len={test_len}, val_frac={val_frac}"

@@ -12,7 +12,6 @@ nothing they write, so the artifacts are the bytes of a serial run.
 from __future__ import annotations
 
 import math
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +31,6 @@ def compute_metrics(y_true, y_pred) -> dict:
     """
     y_true = np.asarray(y_true, dtype=np.float64).ravel()
     y_pred = np.asarray(y_pred, dtype=np.float64).ravel()
-    if y_true.size < 2:
-        raise ValueError(f"need at least 2 values, got {y_true.size}")
     if y_true.shape != y_pred.shape:
         raise ValueError(f"length mismatch: {y_true.size} vs {y_pred.size}")
     with np.errstate(all="ignore"):  # checked below: squares leave float64 near 1e±154
@@ -145,14 +142,6 @@ def _report_entry(kind: str, cfg: RunConfig, shared: tuple, out: str | Path) -> 
     }
 
 
-def _settle(job, kind: str) -> tuple:
-    """(job(kind), None), or (None, the exception it raised)."""
-    try:
-        return job(kind), None
-    except Exception as exc:
-        return None, exc
-
-
 def _map_kinds(job, kinds: tuple[str, ...], lead: str) -> list:
     """job(kind) for every kind, in the order of kinds; two run at a time.
 
@@ -161,27 +150,24 @@ def _map_kinds(job, kinds: tuple[str, ...], lead: str) -> list:
     in the order of kinds is raised. An interrupt, such as Ctrl-C, waits for
     the kind the worker is running and starts no other.
     """
-    outcomes: dict[str, tuple] = {}
-    stop = threading.Event()
+    # Imported here: concurrent.futures loads logging, which no other command needs.
+    from concurrent.futures import ThreadPoolExecutor
 
-    def work() -> None:
-        for kind in kinds:
-            if kind != lead and not stop.is_set():
-                outcomes[kind] = _settle(job, kind)
-
-    worker = threading.Thread(target=work, name="seqcast-compare")
-    worker.start()
-    try:
-        outcomes[lead] = _settle(job, lead)
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        worker.join()
+    with ThreadPoolExecutor(1, thread_name_prefix="seqcast-compare") as pool:
+        futures = {kind: pool.submit(job, kind) for kind in kinds if kind != lead}
+        try:
+            lead_entry, lead_failure = job(lead), None
+        except Exception as exc:
+            lead_entry, lead_failure = None, exc
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    entries = []
     for kind in kinds:
-        if outcomes[kind][1] is not None:
-            raise outcomes[kind][1]
-    return [outcomes[kind][0] for kind in kinds]
+        if kind == lead and lead_failure is not None:
+            raise lead_failure
+        entries.append(lead_entry if kind == lead else futures[kind].result())
+    return entries
 
 
 def compare(series: OhlcvSeries, cfg: RunConfig, out: str | Path):

@@ -596,6 +596,11 @@ class TestClean:
 
 
 class TestMonthwise:
+    def test_empty_series_rejected(self):
+        empty = dat.OhlcvSeries((), *5 * [np.zeros(0)])
+        with pytest.raises(ValueError, match="monthwise_means needs a non-empty series"):
+            dat.monthwise_means(empty)
+
     def test_single_month_series(self):
         dates = tuple(date(2021, 1, d) for d in range(4, 9))
         v = np.array([10.0, 11.0, 12.0, 13.0, 14.0])
@@ -706,6 +711,10 @@ class TestWindows:
         with pytest.raises(ValueError):
             dat.make_windows(np.arange(5.0), 5)
 
+    def test_lookback_below_1_rejected(self):
+        with pytest.raises(ValueError, match="lookback must be >= 1, got 0"):
+            dat.make_windows(np.arange(5.0), 0)
+
     @pytest.mark.parametrize(
         "inputs, targets",
         [
@@ -771,6 +780,10 @@ class TestSynth:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             dat.synth_series("brownian-bridge", 50, 0)
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            dat.synth_series("gbm", 0, 0)
 
     def test_ohlcv_fixture_is_valid_and_clean(self):
         s = dat.synth_ohlcv("gbm", 120, 5)

@@ -67,7 +67,7 @@ class TestComputeMetrics:
             compute_metrics(y, pred)
 
     def test_too_short_rejected(self):
-        with pytest.raises(ValueError, match="at least 2"):
+        with pytest.raises(ValueError, match="constant"):
             compute_metrics([1.0], [1.0])
 
     def test_length_mismatch_rejected(self):
@@ -300,6 +300,31 @@ class TestMapKinds:
         assert sorted(started) == ["lstm", "transformer"]
         assert finished == ["lstm"]
         assert joining.is_set()
+
+    def test_a_failing_lead_is_raised_once_every_kind_has_run(self):
+        ran = []
+
+        def job(kind):
+            ran.append(kind)
+            if kind == "transformer":
+                raise ValueError("transformer failed")
+            return kind
+
+        with pytest.raises(ValueError, match="transformer failed"):
+            _map_kinds(job, MODEL_KINDS, lead="transformer")
+        assert sorted(ran) == sorted(MODEL_KINDS)
+
+    def test_a_worker_failure_of_any_exception_class_is_raised(self):
+        class Halt(BaseException):
+            pass
+
+        def job(kind):
+            if kind == "gru":
+                raise Halt(kind)
+            return kind
+
+        with pytest.raises(Halt, match="gru"):
+            _map_kinds(job, MODEL_KINDS, lead="transformer")
 
 
 class TestHelpers:

@@ -7,7 +7,9 @@ replayed from its seed.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,6 +41,16 @@ def test_imports_only_stdlib_and_numpy(path):
 def test_a_third_party_import_is_caught():
     tree = ast.parse("import os\nfrom numpy import linalg\nimport scipy.stats\nfrom . import data\n")
     assert set(imported_roots(tree)) - ALLOWED == {"scipy"}
+
+
+def test_cli_start_up_loads_no_executor():
+    # compare imports concurrent.futures when it runs, so no command's start-up
+    # pays for it or for the logging it loads.
+    code = "import sys, seqcast.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 def global_random_calls(tree: ast.Module):

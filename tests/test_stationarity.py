@@ -61,6 +61,14 @@ class TestDifference:
         with pytest.raises(ValueError):
             difference([1.0, 2.0], 2)
 
+    def test_order_below_1_rejected(self):
+        with pytest.raises(ValueError, match="order must be >= 1, got 0"):
+            difference([1.0, 2.0, 3.0], 0)
+
+    def test_2d_rejected(self):
+        with pytest.raises(ValueError, match="difference expects a 1-D sequence"):
+            difference(np.zeros((3, 2)))
+
 
 def _mackinnon_pvalue_reference(statistic: float) -> float:
     """The hand-written Horner loop and normal CDF that mackinnon_pvalue replaced."""
@@ -149,6 +157,10 @@ class TestAdfContracts:
         y[N // 2] = bad
         with pytest.raises(ValueError, match="finite"):
             adf_test(y)
+
+    def test_2d_rejected(self):
+        with pytest.raises(ValueError, match="adf_test expects a 1-D sequence"):
+            adf_test(random_walk().reshape(-1, 2))
 
     @given(st.integers(7, 60), st.data())
     @settings(max_examples=40, deadline=None)

@@ -12,7 +12,9 @@ module owns what the kinds share: the input checks, the head and its
 gradient, the check that a cache belongs to the params it is used with, and
 the recursive forecast. Forward/backward are pure given (params, input):
 params are never mutated by model code. They compute in the dtype of
-``params.theta``, float64 or float32, and so does ``lanes``.
+``params.theta``, float64 or float32, and so does ``lanes``. A training run
+passes them a workspace to draw their arrays from; the results are bit for
+bit those of a call without one.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from types import ModuleType
 
 import numpy as np
 
+from ..numerics import buffer
 from . import gru, lstm, transformer
 from .params import Params
 
@@ -107,16 +110,17 @@ def rebuild(params: Params, theta: np.ndarray) -> Params:
     return Params(params.cfg, theta)
 
 
-def forward(params: Params, x: np.ndarray):
+def forward(params: Params, x: np.ndarray, workspace: dict | None = None):
     """Batched forward pass: x is (batch, steps), result is ((batch,), cache).
 
     The input is cast to the params' dtype, which every array of the result
     shares. The cache records the config, input and encoder state it came from.
+    With a workspace, the cache's arrays are drawn from it (see ``backward``).
     """
     x = np.asarray(x, dtype=params.theta.dtype)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError(f"expected input of shape (batch, steps), got {x.shape}")
-    state, cache = REGISTRY[params.kind].module.forward(params, x)
+    state, cache = REGISTRY[params.kind].module.forward(params, x, workspace)
     cache.update(cfg=params.cfg, x=x, state=state)
     return _head(params, state), cache
 
@@ -125,8 +129,18 @@ def _head(params: Params, state: np.ndarray) -> np.ndarray:
     return (state @ params.head_w.T + params.head_b).ravel()
 
 
-def backward(params: Params, cache: dict, d_preds: np.ndarray) -> Params:
-    """Gradient of sum_b d_preds[b] * prediction_b w.r.t. every parameter, in the params' dtype."""
+def backward(
+    params: Params, cache: dict, d_preds: np.ndarray, workspace: dict | None = None
+) -> Params:
+    """Gradient of sum_b d_preds[b] * prediction_b w.r.t. every parameter, in the params' dtype.
+
+    A workspace is a dict that one training run passes to every forward and
+    backward: the kind's module then writes each full-size array of a step
+    into the one it holds under that array's name (``numerics.buffer``), and
+    the gradient vector too. Without one, every call allocates its own. A
+    cache or gradient made with a workspace stays valid until the next call
+    with it, so a workspace belongs to one run on one thread.
+    """
     made_by = cache["cfg"]
     if made_by != params.cfg:
         raise ValueError(f"cache of {made_by.kind} {dict(made_by.dims)} does not match "
@@ -135,10 +149,13 @@ def backward(params: Params, cache: dict, d_preds: np.ndarray) -> Params:
     state = cache["state"]
     if d_preds.shape != (len(state),):
         raise ValueError(f"need one upstream gradient per sample, got {d_preds.shape}")
-    grads = Params(params.cfg, np.zeros_like(params.theta))
+    grads = Params(params.cfg, buffer(workspace, "grads", params.theta.shape, params.theta.dtype))
+    grads.theta[...] = 0.0
     grads.head_w += d_preds[None, :] @ state
     grads.head_b += d_preds.sum(keepdims=True)
-    REGISTRY[params.kind].module.backward(params, cache, d_preds[:, None] * params.head_w, grads)
+    REGISTRY[params.kind].module.backward(
+        params, cache, d_preds[:, None] * params.head_w, grads, workspace
+    )
     return grads
 
 

@@ -16,14 +16,15 @@ as one (2, h, h+1) array and b_z, b_r as one (2, h). A step makes one
 stacked matmul and one ``sigmoid`` call for both gates, then the candidate's
 own matmul and ``tanh``. Each gate's arithmetic is the per-gate form's, in
 the same order, so outputs and gradients are bit-identical to it. ``cell``
-fills the step-major cache, allocated once per call; ``lanes`` runs it too.
+fills the step-major cache, allocated once per call, or with a workspace
+drawn from it by name; ``lanes`` runs it too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..numerics import init_xavier, sigmoid
+from ..numerics import buffer, init_xavier, sigmoid
 from .params import Params
 
 
@@ -68,7 +69,9 @@ def cell(params: Params):
     return step
 
 
-def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
+def forward(
+    params: Params, x: np.ndarray, workspace: dict | None = None
+) -> tuple[np.ndarray, dict]:
     """Run the cell over x of shape (batch, steps); h_0 = 0. Returns h_T and the cache.
 
     The cache is step-major: ``v`` and ``u`` (steps, batch, h+1) hold v_t and
@@ -78,11 +81,13 @@ def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
     batch, steps = x.shape
     h, dtype = params.dims["hidden"], params.theta.dtype
     step = cell(params)
-    v = np.zeros((steps, batch, h + 1), dtype)
+    v = buffer(workspace, "v", (steps, batch, h + 1), dtype)
+    v[0, :, :h] = 0.0
     v[:, :, h] = x.T
-    u = v.copy()
-    gates = np.empty((steps, 2, batch, h), dtype)
-    g = np.empty((steps, batch, h), dtype)
+    u = buffer(workspace, "u", v.shape, dtype)
+    u[:, :, h] = x.T
+    gates = buffer(workspace, "gates", (steps, 2, batch, h), dtype)
+    g = buffer(workspace, "g", (steps, batch, h), dtype)
     for t, (v_t, u_t, a, g_t) in enumerate(zip(v, u, gates, g)):
         h_t = step(v_t, u_t, a, g_t, v[t + 1, :, :h] if t + 1 < steps else None)
     return h_t, {"v": v, "u": u, "gates": gates, "g": g}
@@ -100,14 +105,15 @@ def lanes(params: Params, n: int):
     return advance
 
 
-def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params) -> None:
+def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params,
+             workspace: dict | None = None) -> None:
     """BPTT from dh, the gradient w.r.t. h_T; adds the cell's gradients into grads."""
     h = params.dims["hidden"]
     w, _ = _gate_views(params)
     gw, gb = _gate_views(grads)
     v, u, gates, g_all = (cache[k] for k in ("v", "u", "gates", "g"))
     # gradients w.r.t. z_t and r_t, then their pre-activations
-    d_pre = np.empty((2,) + dh.shape, dh.dtype)
+    d_pre = buffer(workspace, "d_pre", (2,) + dh.shape, dh.dtype)
     for t in reversed(range(len(v))):
         zr = gates[t]
         z, r = zr

@@ -20,14 +20,15 @@ makes one stacked matmul, one ``sigmoid`` call for f, i and o, and one
 ``tanh`` for the candidate; backward adds all four weight gradients with one
 stacked matmul per step. Each gate's arithmetic is the per-gate form's, in
 the same order, so outputs and gradients are bit-identical to it. ``cell``
-fills the step-major cache, allocated once per call; ``lanes`` runs it too.
+fills the step-major cache, allocated once per call, or with a workspace
+drawn from it by name; ``lanes`` runs it too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..numerics import init_xavier, sigmoid
+from ..numerics import buffer, init_xavier, sigmoid
 from .params import Params
 
 
@@ -77,7 +78,9 @@ def cell(params: Params):
     return step
 
 
-def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
+def forward(
+    params: Params, x: np.ndarray, workspace: dict | None = None
+) -> tuple[np.ndarray, dict]:
     """Run the cell over x of shape (batch, steps); h_0 = c_0 = 0.
 
     Returns h_T (batch, hidden) and the step-major cache the backward pass
@@ -88,11 +91,13 @@ def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
     batch, steps = x.shape
     h, dtype = params.dims["hidden"], params.theta.dtype
     step = cell(params)
-    z = np.zeros((steps, batch, h + 1), dtype)
+    z = buffer(workspace, "z", (steps, batch, h + 1), dtype)
+    z[0, :, :h] = 0.0
     z[:, :, h] = x.T
-    gates = np.empty((steps, 4, batch, h), dtype)
-    c = np.zeros((steps + 1, batch, h), dtype)
-    tanh_c = np.empty((steps, batch, h), dtype)
+    gates = buffer(workspace, "gates", (steps, 4, batch, h), dtype)
+    c = buffer(workspace, "c", (steps + 1, batch, h), dtype)
+    c[0] = 0.0
+    tanh_c = buffer(workspace, "tanh_c", (steps, batch, h), dtype)
     for t, (z_t, a, c_prev, c_t, tanh_c_t) in enumerate(zip(z, gates, c, c[1:], tanh_c)):
         h_t = step(z_t, a, c_prev, c_t, tanh_c_t, z[t + 1, :, :h] if t + 1 < steps else None)
     return h_t, {"z": z, "gates": gates, "c": c, "tanh_c": tanh_c}
@@ -110,13 +115,15 @@ def lanes(params: Params, n: int):
     return advance
 
 
-def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params) -> None:
+def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params,
+             workspace: dict | None = None) -> None:
     """BPTT from dh, the gradient w.r.t. h_T; adds the cell's gradients into grads."""
     h = params.dims["hidden"]
     w, _ = _gate_views(params)
     gw, gb = _gate_views(grads)
     z, gates, c, tanh_c = (cache[k] for k in ("z", "gates", "c", "tanh_c"))
-    da = np.empty((4,) + dh.shape, dh.dtype)  # pre-activation gradients in layout order f, i, c, o
+    # pre-activation gradients in layout order f, i, c, o
+    da = buffer(workspace, "da", (4,) + dh.shape, dh.dtype)
     dc = np.zeros_like(dh)
     for t in reversed(range(len(z))):
         f, i, o, g = gates[t]

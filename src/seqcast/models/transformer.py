@@ -25,6 +25,17 @@ keeps ``ln1``, ``attn_w``, ``merged``, ``ln2`` and ``rel``. A layer norm's
 cache is its (``xhat``, ``inv``); backward rebuilds the norm's output from
 ``xhat`` by the forward's own two operations, times the gain and plus the
 shift, so the same bits are not held through the whole step.
+
+With a workspace (``numerics.buffer``), every full-size array of a step is
+written into one the workspace holds: a cache array under its block and
+field, such as ``0.attn_w``, and a transient under one of six slots that
+no two live arrays share. In forward, ``s0`` holds h entering a block, then
+n2, then h leaving it, and ``s1`` holds n1, then a; the scores turn into
+``attn_w`` in place. In backward, ``s0`` holds dh and then d_n1, which
+becomes the next dh; ``s1`` the rebuilt norms and the layer norms' scratch;
+``s2`` da; ``s3`` d_y1, d_merged, d_k and the products that add into d_n1;
+``s4`` d_v, then d_q; ``s5`` the scores' gradient. The last block's output,
+the state, has a name of its own, so backward leaves the cache intact.
 All gradients are hand-derived; the finite-difference oracle in the test
 suite is the ground truth for every branch here.
 """
@@ -36,7 +47,7 @@ import math
 
 import numpy as np
 
-from ..numerics import init_xavier, softmax_rows
+from ..numerics import buffer, init_xavier, softmax_rows
 from .params import Params
 
 _LN_EPS = 1e-5
@@ -90,26 +101,28 @@ def positional_encoding(steps: int, d_model: int) -> np.ndarray:
     return pe
 
 
-def _layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray):
-    xhat = x - x.mean(axis=-1, keepdims=True)
-    out = np.square(xhat)  # scratch for the variance, then the output
+def _layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray, xhat: np.ndarray,
+                out: np.ndarray):
+    """LN(x) written into out, and its cache (xhat, inv) with xhat written into the array given."""
+    np.subtract(x, x.mean(axis=-1, keepdims=True), out=xhat)
+    np.square(xhat, out=out)  # scratch for the variance, then the output
     inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + _LN_EPS)
     xhat *= inv
     np.multiply(xhat, gain, out=out)
     out += shift
     return out, (xhat, inv)
 
-def _normed(gain: np.ndarray, shift: np.ndarray, ln_cache) -> np.ndarray:
-    """The layer norm's output again, bit for bit, from its cached xhat."""
-    out = ln_cache[0] * gain
+def _normed(gain: np.ndarray, shift: np.ndarray, ln_cache, out: np.ndarray) -> np.ndarray:
+    """The layer norm's output again, bit for bit, from its cached xhat; written into out."""
+    np.multiply(ln_cache[0], gain, out=out)
     out += shift
     return out
 
-def _layer_norm_backward(d_out, gain, ln_cache):
-    """d_x, d_gain, d_shift for d_out, the gradient w.r.t. the output; overwrites d_out."""
+def _layer_norm_backward(d_out, gain, ln_cache, tmp):
+    """d_x, d_gain, d_shift for d_out, the gradient w.r.t. the output; overwrites d_out and tmp."""
     xhat, inv = ln_cache
     d_shift = d_out.sum(axis=(0, 1))
-    tmp = d_out * xhat
+    np.multiply(d_out, xhat, out=tmp)
     d_gain = tmp.sum(axis=(0, 1))
     d_out *= gain  # d_xhat, turned into d_x in place
     np.multiply(d_out, xhat, out=tmp)
@@ -130,9 +143,8 @@ def _heads(w: np.ndarray, n_heads: int) -> np.ndarray:
     d = w.shape[0]
     return w.reshape(d, n_heads, d // n_heads).transpose(1, 0, 2)
 
-def _merged_matmul(a: np.ndarray, b: np.ndarray, shape: tuple, n_heads: int) -> np.ndarray:
-    """The per-head product a @ b, (batch, heads, t, dh), as a new array of shape (batch, t, d)."""
-    out = np.empty(shape, np.result_type(a, b))
+def _merged_matmul(a: np.ndarray, b: np.ndarray, n_heads: int, out: np.ndarray) -> np.ndarray:
+    """The per-head product a @ b, (batch, heads, t, dh), written into out, (batch, t, d)."""
     np.matmul(a, b, out=_split_heads(out, n_heads))
     return out
 
@@ -143,39 +155,40 @@ def _softmax_backward(w: np.ndarray, d_w: np.ndarray) -> np.ndarray:
     return d_w
 
 
-def _attend_all(layer, n1: np.ndarray, nh: int, scale: float, lc: dict) -> np.ndarray:
+def _attend_all(layer, n1: np.ndarray, nh: int, scale: float, lc: dict, take, idx: int):
     """Every position queries every position; the merged heads, (b, t, d)."""
-    qh, kh, vh = (_split_heads(n1 @ w, nh) for w in (layer.w_q, layer.w_k, layer.w_v))
-    scores = qh @ kh.transpose(0, 1, 3, 2)
-    scores *= scale
-    attn_w = softmax_rows(scores)
-    merged = _merged_matmul(attn_w, vh, n1.shape, nh)
+    b, t, _ = n1.shape
+    qh, kh, vh = (_split_heads(np.matmul(n1, w, out=take(f"{idx}.{name}")), nh)
+                  for name, w in (("q", layer.w_q), ("k", layer.w_k), ("v", layer.w_v)))
+    attn_w = np.matmul(qh, kh.transpose(0, 1, 3, 2), out=take(f"{idx}.attn_w", (b, nh, t, t)))
+    attn_w *= scale
+    softmax_rows(attn_w, out=attn_w)  # the scores turn into the weights in place
+    merged = _merged_matmul(attn_w, vh, nh, take(f"{idx}.merged"))
     lc.update(qh=qh, kh=kh, vh=vh, attn_w=attn_w, merged=merged)
     return merged
 
-def _attend_all_backward(layer, grad, lc: dict, n1, d_merged, nh: int, scale: float):
-    """Adds the W_q, W_k and W_v gradients into grad; returns d_n1, (b, t, d).
+def _attend_all_backward(layer, grad, lc: dict, n1, d_merged, nh: int, scale: float, take):
+    """Adds the W_q, W_k and W_v gradients into grad; returns d_n1 in slot s0, (b, t, d).
 
-    d_k, d_v and d_q are made one at a time, each dropped once its weight
-    gradient and its term of d_n1 are in.
+    d_v, d_k and d_q are made one at a time, each spent once its weight
+    gradient and its term of d_n1 are in; d_n1 adds its terms in the order
+    k, v, q. d_merged is spent once d_v is made.
     """
     attn_w = lc["attn_w"]
     d_oh = _split_heads(d_merged, nh)
-    d_scores = _softmax_backward(attn_w, d_oh @ lc["vh"].transpose(0, 1, 3, 2))
-    d_k = _merged_matmul(d_scores.transpose(0, 1, 3, 2), lc["qh"], n1.shape, nh)
+    d_scores = np.matmul(d_oh, lc["vh"].transpose(0, 1, 3, 2), out=take("s5", attn_w.shape))
+    _softmax_backward(attn_w, d_scores)
+    d_v = _merged_matmul(attn_w.transpose(0, 1, 3, 2), d_oh, nh, take("s4"))
+    grad.w_v += _weight_grad(n1, d_v)
+    d_k = _merged_matmul(d_scores.transpose(0, 1, 3, 2), lc["qh"], nh, take("s3"))
     d_k *= scale
     grad.w_k += _weight_grad(n1, d_k)
-    d_n1 = d_k @ layer.w_k.T
-    del d_k
-    d_v = _merged_matmul(attn_w.transpose(0, 1, 3, 2), d_oh, n1.shape, nh)
-    grad.w_v += _weight_grad(n1, d_v)
-    d_n1 += d_v @ layer.w_v.T
-    del d_v
-    d_q = _merged_matmul(d_scores, lc["kh"], n1.shape, nh)
-    del d_scores
+    d_n1 = np.matmul(d_k, layer.w_k.T, out=take("s0"))
+    d_n1 += np.matmul(d_v, layer.w_v.T, out=take("s3"))
+    d_q = _merged_matmul(d_scores, lc["kh"], nh, take("s4"))
     d_q *= scale
     grad.w_q += _weight_grad(n1, d_q)
-    d_n1 += d_q @ layer.w_q.T
+    d_n1 += np.matmul(d_q, layer.w_q.T, out=take("s3"))
     return d_n1
 
 
@@ -192,18 +205,18 @@ def _attend_last(layer, n1: np.ndarray, nh: int, scale: float, lc: dict) -> np.n
     lc.update(q_h=q_h, qk=qk, attn_w=attn_w, ctx=ctx, merged=merged)
     return merged
 
-def _attend_last_backward(layer, grad, lc: dict, n1, d_merged, nh: int, scale: float):
-    """Adds the W_q, W_k and W_v gradients into grad; returns d_n1, (b, t, d)."""
+def _attend_last_backward(layer, grad, lc: dict, n1, d_merged, nh: int, scale: float, take):
+    """Adds the W_q, W_k and W_v gradients into grad; returns d_n1 in slot s0, (b, t, d)."""
     attn_w, qk = lc["attn_w"], lc["qk"]
     b, _, d = n1.shape
     d_head = d_merged.reshape(b, nh, d // nh).transpose(1, 0, 2)  # (nh, b, dh)
     g_v = _heads(grad.w_v, nh)
     g_v += lc["ctx"].transpose(1, 2, 0) @ d_head
     d_ctx = (d_head @ _heads(layer.w_v, nh).transpose(0, 2, 1)).transpose(1, 0, 2)  # (b, nh, d)
-    d_n1 = attn_w.transpose(0, 2, 1) @ d_ctx
+    d_n1 = np.matmul(attn_w.transpose(0, 2, 1), d_ctx, out=take("s0"))
     d_scores = _softmax_backward(attn_w, d_ctx @ n1.transpose(0, 2, 1))
     d_scores *= scale
-    d_n1 += d_scores.transpose(0, 2, 1) @ qk
+    d_n1 += np.matmul(d_scores.transpose(0, 2, 1), qk, out=take("s3"))
     d_qk = d_scores @ n1  # (b, nh, d)
     g_k = _heads(grad.w_k, nh)
     g_k += d_qk.transpose(1, 2, 0) @ lc["q_h"]
@@ -213,33 +226,39 @@ def _attend_last_backward(layer, grad, lc: dict, n1, d_merged, nh: int, scale: f
     return d_n1
 
 
-def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
+def forward(
+    params: Params, x: np.ndarray, workspace: dict | None = None
+) -> tuple[np.ndarray, dict]:
     """Encode x of shape (batch, steps); returns the final position's (batch, d_model) vector."""
-    steps = x.shape[1]
-    d = params.dims["d_model"]
-    nh = params.dims["n_heads"]
+    batch, steps = x.shape
+    d, nh = params.dims["d_model"], params.dims["n_heads"]
     scale = 1.0 / math.sqrt(d // nh)  # a Python float, which keeps a float32 model float32
 
-    h = x[:, :, None] * params.w_in[:, 0]  # (batch, steps, d_model)
+    def take(name, shape=(batch, steps, d)):
+        return buffer(workspace, name, shape, params.theta.dtype)
+
+    h = np.multiply(x[:, :, None], params.w_in[:, 0], out=take("s0"))
     h += positional_encoding(steps, d).astype(h.dtype, copy=False)  # float64 keeps its bits
     cache = {"layers": [], "scale": scale}
     last = len(params.layers) - 1
     for idx, layer in enumerate(params.layers):
         lc = {}
-        n1, lc["ln1"] = _layer_norm(h, layer.ln1_g, layer.ln1_b)
+        n1, lc["ln1"] = _layer_norm(h, layer.ln1_g, layer.ln1_b, take(f"{idx}.xhat1"), take("s1"))
         if idx < last:
-            merged = _attend_all(layer, n1, nh, scale, lc)
+            merged = _attend_all(layer, n1, nh, scale, lc, take, idx)
         else:
             merged = _attend_last(layer, n1, nh, scale, lc)
             h = h[:, -1:]  # from here on the final position only
-        a = merged @ layer.w_o
+        rows = h.shape
+        a = np.matmul(merged, layer.w_o, out=take("s1", rows))
         a += h
-        n2, lc["ln2"] = _layer_norm(a, layer.ln2_g, layer.ln2_b)
-        rel = n2 @ layer.w_ff1.T
+        n2, lc["ln2"] = _layer_norm(a, layer.ln2_g, layer.ln2_b, take(f"{idx}.xhat2", rows),
+                                    take("s0", rows))
+        rel = np.matmul(n2, layer.w_ff1.T, out=take(f"{idx}.rel", rows[:2] + layer.b_ff1.shape))
         rel += layer.b_ff1
         np.maximum(rel, 0.0, out=rel)
         lc["rel"] = rel
-        h = rel @ layer.w_ff2.T
+        h = np.matmul(rel, layer.w_ff2.T, out=take("s0" if idx < last else "state", rows))
         h += a
         h += layer.b_ff2
         cache["layers"].append(lc)
@@ -251,23 +270,31 @@ def _weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
-def backward(params: Params, cache: dict, d_state: np.ndarray, grads: Params) -> None:
+def backward(params: Params, cache: dict, d_state: np.ndarray, grads: Params,
+             workspace: dict | None = None) -> None:
     """Backpropagate d_state, the gradient w.r.t. the final vector; adds into grads."""
     scale, nh = cache["scale"], params.dims["n_heads"]
+    full = cache["x"].shape + (params.dims["d_model"],)
+
+    def take(name, shape=full):
+        return buffer(workspace, name, shape, params.theta.dtype)
+
     dh = d_state[:, None, :]
     last = len(params.layers) - 1
 
     for idx in range(last, -1, -1):
         layer, grad, lc = params.layers[idx], grads.layers[idx], cache["layers"][idx]
+        rows = lc["ln2"][0].shape  # the last block's a and h_out are at the final position only
         # FFN branch: h_out = a + relu(n2 W1' + b1) W2' + b2
         grad.w_ff2 += _weight_grad(dh, lc["rel"])
         grad.b_ff2 += dh.sum(axis=(0, 1))
-        d_y1 = dh @ layer.w_ff2
+        d_y1 = np.matmul(dh, layer.w_ff2, out=take("s3", lc["rel"].shape))
         d_y1 *= lc["rel"] > 0  # relu' from its output: rel > 0 exactly where y1 > 0
-        grad.w_ff1 += _weight_grad(d_y1, _normed(layer.ln2_g, layer.ln2_b, lc["ln2"]))
+        grad.w_ff1 += _weight_grad(d_y1, _normed(layer.ln2_g, layer.ln2_b, lc["ln2"],
+                                                 take("s1", rows)))
         grad.b_ff1 += d_y1.sum(axis=(0, 1))
-        da, d_g2, d_b2 = _layer_norm_backward(d_y1 @ layer.w_ff1, layer.ln2_g, lc["ln2"])
-        del d_y1
+        d_n2 = np.matmul(d_y1, layer.w_ff1, out=take("s2", rows))
+        da, d_g2, d_b2 = _layer_norm_backward(d_n2, layer.ln2_g, lc["ln2"], take("s1", rows))
         grad.ln2_g += d_g2
         grad.ln2_b += d_b2
         da += dh  # normalized branch plus residual
@@ -276,10 +303,10 @@ def backward(params: Params, cache: dict, d_state: np.ndarray, grads: Params) ->
         # a and h_in at the final position only
         grad.w_o += _weight_grad(lc["merged"], da)
         attend_backward = _attend_all_backward if idx < last else _attend_last_backward
-        n1 = _normed(layer.ln1_g, layer.ln1_b, lc["ln1"])
-        d_n1 = attend_backward(layer, grad, lc, n1, da @ layer.w_o.T, nh, scale)
-        del n1
-        dh, d_g1, d_b1 = _layer_norm_backward(d_n1, layer.ln1_g, lc["ln1"])
+        n1 = _normed(layer.ln1_g, layer.ln1_b, lc["ln1"], take("s1"))
+        d_merged = np.matmul(da, layer.w_o.T, out=take("s3", rows))
+        d_n1 = attend_backward(layer, grad, lc, n1, d_merged, nh, scale, take)
+        dh, d_g1, d_b1 = _layer_norm_backward(d_n1, layer.ln1_g, lc["ln1"], take("s1"))
         grad.ln1_g += d_g1
         grad.ln1_b += d_b1
         dh[:, -da.shape[1]:] += da  # residual into the rows the block kept

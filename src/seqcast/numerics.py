@@ -2,10 +2,13 @@
 
 ``sigmoid`` and ``softmax_rows`` compute in their input's dtype when it is
 float32 and in float64 otherwise, so a float32 model stays float32 from end
-to end. Matrices are 2-D ``numpy.ndarray``; vectors are 1-D.
+to end. Matrices are 2-D ``numpy.ndarray``; vectors are 1-D. ``buffer``
+hands the models the arrays they write into, new or from a workspace.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -30,14 +33,15 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def softmax_rows(x: np.ndarray) -> np.ndarray:
+def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax with max subtraction for overflow safety.
 
-    The exp and the divide run in place on the shifted copy, so x is never
-    modified and the result is the only full-size array allocated.
+    The exp and the divide run in place on the shifted values, written into
+    out, which may be x itself. Without out they go to a new array, the only
+    full-size one allocated, and x is never modified.
     """
     x = _floating(x)
-    out = x - x.max(axis=-1, keepdims=True)
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
@@ -47,3 +51,21 @@ def init_xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Uniform Glorot initialization on [-b, b] with b = sqrt(6/(rows+cols))."""
     bound = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-bound, bound, size=(rows, cols))
+
+
+def buffer(workspace: dict | None, name: str, shape: tuple, dtype) -> np.ndarray:
+    """An array of shape and dtype for the caller to overwrite: new, or drawn from workspace.
+
+    A workspace maps each name to one flat array. The call gets its first
+    bytes, read as dtype, whenever they are enough: a shorter batch reuses a
+    full one's memory, and so does a float32 batch a float64 one's. Otherwise
+    a new flat array of dtype replaces it.
+    """
+    if workspace is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    nbytes = size * np.dtype(dtype).itemsize
+    held = workspace.get(name)
+    if held is None or held.nbytes < nbytes:
+        held = workspace[name] = np.empty(size, dtype)
+    return held.view(np.uint8)[:nbytes].view(dtype).reshape(shape)

@@ -9,12 +9,17 @@ validation history alone decides early stopping and which epoch's
 parameters are returned. The validation pass runs in chunks of
 ``batch_size`` windows, sliced like the training batches: a forward builds
 a backward cache, and one forward over the whole validation set would hold
-a cache several times the size of a training step's, only to drop it. The
-last batch's predictions, cache and gradient are dropped before it, so the
-pass holds no cache but its own. A batch's cache lives until the next
-forward replaces it: freed earlier, its pages go back to the OS and the
-next batch pays to fault them in again. Two runs share nothing they write,
-so ``forecast_eval.compare`` runs two at once on threads.
+a cache several times the size of a training step's, only to drop it.
+
+A run makes one workspace and passes it to every forward and backward,
+validation's included: each batch writes its cache and its temporaries
+into the arrays of the batch before, so after the first step a batch
+allocates almost nothing, and no page goes back to the OS only to be
+faulted in again. The last batch's predictions, cache and gradient are
+dropped before validation, so that a float64 validation pass may replace
+the float32 arrays of the LSTM and GRU where it needs more room. Two runs
+share nothing they write, so ``forecast_eval.compare`` runs two at once on
+threads.
 
 The trained ``Params`` is the float64 master, as in mixed-precision
 training. Each batch's forward and backward run on a working copy in the
@@ -132,14 +137,17 @@ def adam_step(
     theta -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
 
 
-def validation_loss(params: Params, val_set: WindowedDataset, batch_size: int) -> float:
+def validation_loss(
+    params: Params, val_set: WindowedDataset, batch_size: int, workspace: dict | None = None
+) -> float:
     """MSE over val_set, forwarded in chunks of batch_size windows (last one may be short).
 
-    Each chunk's cache is dropped before the next forward, so the pass never
-    holds more than one training batch's cache.
+    Each chunk's cache is dropped before the next forward, or with a
+    workspace overwritten by it, so the pass never holds more than one
+    training batch's cache.
     """
     preds = [
-        models.forward(params, val_set.inputs[start : start + batch_size])[0]
+        models.forward(params, val_set.inputs[start : start + batch_size], workspace)[0]
         for start in range(0, len(val_set), batch_size)
     ]
     return mse_loss(np.concatenate(preds), val_set.targets)
@@ -174,6 +182,7 @@ def train(
     # Of a float64 kind, the working copy is the master itself, and so is its gradient.
     work = Params(model_cfg, params.theta.astype(REGISTRY[model_cfg.kind].train_dtype, copy=False))
     m, v, step = np.zeros_like(params.theta), np.zeros_like(params.theta), 0
+    workspace = {}  # every forward and backward of this run, validation too, draws from it
     n = len(train_set)
     train_losses: list[float] = []
     val_losses: list[float] = []
@@ -190,7 +199,7 @@ def train(
                 idx = order[start : start + cfg.batch_size]
                 x = train_set.inputs[idx]
                 y = train_set.targets[idx]
-                preds, cache = models.forward(work, x)
+                preds, cache = models.forward(work, x, workspace)
                 batch_loss = mse_loss(preds, y)
                 if not math.isfinite(batch_loss):
                     raise TrainingError(
@@ -199,7 +208,7 @@ def train(
                     )
                 sq_err_sum += batch_loss * len(idx)
                 d_preds = 2.0 * (preds - y) / len(idx)
-                grads = models.backward(work, cache, d_preds)
+                grads = models.backward(work, cache, d_preds, workspace)
                 grads = Params(model_cfg, grads.theta.astype(np.float64, copy=False))
                 norm = clip_global_norm(grads, cfg.grad_clip_norm)
                 grad_norm_max = max(grad_norm_max, norm)
@@ -210,7 +219,7 @@ def train(
 
             del preds, cache, grads
             train_loss = sq_err_sum / n
-            val_loss = validation_loss(params, val_set, cfg.batch_size)
+            val_loss = validation_loss(params, val_set, cfg.batch_size, workspace)
             if not math.isfinite(val_loss):
                 raise TrainingError(
                     f"non-finite validation loss at epoch {epoch} "

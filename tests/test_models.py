@@ -280,3 +280,64 @@ def test_float32_agrees_with_float64_at_float32_scale(kind, steps):
     grads64 = models.backward(params64, cache64, d_preds).theta
     grads32 = models.backward(params32, cache32, d_preds).theta
     assert np.abs(grads32 - grads64).max() <= FLOAT32_SCALE * np.abs(grads64).max()
+
+
+def _poison(workspace, keep=()):
+    """Fill with NaN every workspace array that holds none of keep."""
+    for held in workspace.values():
+        if not any(np.shares_memory(held, k) for k in keep):
+            held.fill(np.nan)
+
+
+@pytest.mark.parametrize("poisoned", [False, True], ids=["plain", "nan-filled"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_workspace_calls_equal_plain_calls_bit_for_bit(kind, dtype, poisoned):
+    # One workspace over batches whose shape changes, shrinking and growing
+    # again. Filled with NaN before each forward, and before each backward
+    # wherever it holds no array of the cache, a buffer read before it is
+    # written turns the result to NaN.
+    params64 = small(kind, n_layers=2) if kind == "transformer" else small(kind)  # both attentions
+    params = models.rebuild(params64, params64.theta.astype(dtype))
+    rng = np.random.default_rng(2)
+    workspace = {}
+    for batch in (32, 13, 32, 1):
+        x, d_preds = rng.random((batch, 7)), rng.normal(size=batch)
+        want_preds, want_cache = models.forward(params, x)
+        want_grads = models.backward(params, want_cache, d_preds)
+        if poisoned:
+            _poison(workspace)
+        preds, cache = models.forward(params, x, workspace)
+        if poisoned:
+            _poison(workspace, keep=list(_arrays(cache)))
+        grads = models.backward(params, cache, d_preds, workspace)
+        assert preds.tobytes() == want_preds.tobytes()
+        assert grads.theta.tobytes() == want_grads.theta.tobytes()
+        assert workspace and {a.dtype for a in workspace.values()} == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_float32_kernels_with_a_workspace_allocate_only_float32(kind, monkeypatch):
+    # test_float32_kernels_allocate_only_float32's audit, with each call drawing
+    # its arrays from a new workspace, so every one of them is made and checked.
+    params64 = small(kind, n_layers=2) if kind == "transformer" else small(kind)  # both attentions
+    params = models.rebuild(params64, params64.theta.astype(np.float32))
+    x = np.random.default_rng(1).random((3, 5))
+
+    def run():
+        workspace = {}
+        _, cache = models.forward(params, x, workspace)
+        models.backward(params, cache, np.ones(3), workspace)
+        return workspace
+
+    run()  # warms the caches, such as the Transformer's float64 position table
+    made = []
+    for name in ("empty", "zeros", "zeros_like", "empty_like"):
+        def counted(*args, _make=getattr(np, name), _name=name, **kwargs):
+            arr = _make(*args, **kwargs)
+            made.append((_name, arr.dtype))
+            return arr
+        monkeypatch.setattr(np, name, counted)
+    workspace = run()
+    monkeypatch.undo()
+    assert len(made) >= len(workspace) and [m for m in made if m[1] != np.float32] == []

@@ -110,6 +110,36 @@ class TestActivations:
         np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
         np.testing.assert_array_equal(x.view(np.int64), before.view(np.int64))
 
+    @settings(max_examples=100)
+    @given(hnp.arrays(st.sampled_from([np.float32, np.float64]),
+                      hnp.array_shapes(min_dims=1, max_dims=4, max_side=7),
+                      elements=st.floats(allow_nan=False, allow_infinity=False, width=32)))
+    @example(np.array([[3e38, -3e38, 0.0]], dtype=np.float32))
+    def test_softmax_into_its_input_has_the_bits_of_a_new_array(self, x):
+        before = x.copy()
+        with np.errstate(over="ignore"):  # a row spanning +-3e38 in float32 shifts to -inf
+            fresh = softmax_rows(x)
+            assert x.tobytes() == before.tobytes()  # without out, x is left alone
+            assert softmax_rows(x, out=x) is x
+        assert x.dtype == fresh.dtype and x.tobytes() == fresh.tobytes()
+
+
+class TestBuffer:
+    def test_without_a_workspace_every_call_makes_a_new_array(self):
+        a, b = (numerics.buffer(None, "x", (2, 3), np.float32) for _ in range(2))
+        assert (a.shape, a.dtype) == ((2, 3), np.float32) and not np.shares_memory(a, b)
+
+    def test_a_workspace_hands_out_its_memory_while_it_is_enough(self):
+        workspace = {}
+        full = numerics.buffer(workspace, "x", (4, 3), np.float64)
+        assert list(workspace) == ["x"] and workspace["x"].nbytes == full.nbytes
+        short = numerics.buffer(workspace, "x", (2, 3), np.float64)
+        narrow = numerics.buffer(workspace, "x", (4, 3), np.float32)
+        assert (short.shape, narrow.dtype) == ((2, 3), np.float32)
+        assert all(np.shares_memory(a, workspace["x"]) for a in (full, short, narrow))
+        grown = numerics.buffer(workspace, "x", (5, 3), np.float64)
+        assert np.shares_memory(grown, workspace["x"]) and not np.shares_memory(grown, full)
+
 
 class TestInitXavier:
     def test_deterministic_given_seed(self):

@@ -514,3 +514,71 @@ class TestMatchesReferenceLoop:
             patience=min(patience, max_epochs), grad_clip_norm=grad_clip_norm, seed=seed,
         )
         assert_matches_reference(tmp_path, kind, cfg)
+
+
+def _plain_loop(model_cfg, train_set, val_set, cfg):
+    """train's steps with no workspace, so every forward and backward allocates.
+
+    The library's own clip_global_norm and adam_step update the float64
+    master. Early stopping is left out, so cfg.patience must equal
+    cfg.max_epochs. Returns (best theta, train losses, val losses, best epoch).
+    """
+    rng = np.random.default_rng(cfg.seed)
+    params = models.init_params(model_cfg, rng)
+    dtype = REGISTRY[model_cfg.kind].train_dtype
+    m, v, n, step = np.zeros_like(params.theta), np.zeros_like(params.theta), len(train_set), 0
+    train_losses, val_losses = [], []
+    for epoch in range(1, cfg.max_epochs + 1):
+        order, sq_err_sum = rng.permutation(n), 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            x, y = train_set.inputs[idx], train_set.targets[idx]
+            work = models.rebuild(params, params.theta.astype(dtype))
+            preds, cache = models.forward(work, x)
+            sq_err_sum += mse_loss(preds, y) * len(idx)
+            grads = models.backward(work, cache, 2.0 * (preds - y) / len(idx))
+            grads = models.rebuild(params, grads.theta.astype(np.float64))
+            clip_global_norm(grads, cfg.grad_clip_norm)
+            step += 1
+            adam_step(params.theta, grads.theta, m, v, step, cfg)
+        train_losses.append(sq_err_sum / n)
+        val_losses.append(validation_loss(params, val_set, cfg.batch_size))
+        if val_losses[-1] < min(val_losses[:-1], default=math.inf):
+            best_theta, best_epoch = params.theta.copy(), epoch
+    return best_theta, tuple(train_losses), tuple(val_losses), best_epoch
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("kind", ["transformer", "lstm"])
+    def test_train_equals_a_plain_loop(self, tmp_path, kind):
+        # 51 training and 13 validation windows: both end in a short batch,
+        # and the LSTM's float64 validation reads the memory of float32 batches.
+        train_set, val_set = identity_task(n=70, lookback=6)
+        cfg = TrainConfig(batch_size=8, max_epochs=3, patience=3, seed=4, learning_rate=0.05)
+        params, history = train(SMALL[kind], train_set, val_set, cfg, tmp_path / "log")
+        theta, *losses, best_epoch = _plain_loop(SMALL[kind], train_set, val_set, cfg)
+        assert params.theta.tobytes() == theta.tobytes()
+        assert [history.train_loss, history.val_loss, history.best_epoch] == [*losses, best_epoch]
+
+    def test_warm_step_allocates_under_a_tenth_of_a_plain_step(self):
+        rng = np.random.default_rng(0)
+        params = models.init_params(ModelConfig(kind="transformer"), rng)
+        x, d_preds = rng.random((32, 60)), rng.normal(size=32)
+        workspace = {}
+
+        def step(workspace):
+            _, cache = models.forward(params, x, workspace)
+            models.backward(params, cache, d_preds, workspace)
+
+        def traced_peak(fn) -> int:
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        step(workspace)  # the workspace makes its arrays, and the position codes are cached
+        warm = traced_peak(lambda: step(workspace))
+        plain = traced_peak(lambda: step(None))
+        assert warm < plain / 10

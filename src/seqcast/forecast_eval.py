@@ -143,25 +143,25 @@ def _report_entry(kind: str, cfg: RunConfig, shared: tuple, out: str | Path) -> 
 
 
 def _map_kinds(job, kinds: tuple[str, ...], lead: str) -> list:
-    """job(kind) for every kind, in the order of kinds; two run at a time.
+    """job(kind) for every kind, in the order of kinds; lead runs beside the others.
 
-    lead runs on the calling thread while the other kinds run in order on
-    one worker thread. Every job runs to its end, then the first exception
-    in the order of kinds is raised. An interrupt, such as Ctrl-C, waits for
-    the kind the worker is running and starts no other.
+    lead runs on the calling thread, and the other kinds are queued in order
+    on ``training.spare_cores``, where the lead's own later shards queue
+    behind them. Every job runs to its end, then the first exception in the
+    order of kinds is raised. An interrupt, such as Ctrl-C, stops the pool:
+    it waits for the kind the pool is running and starts no other.
     """
-    # Imported here: concurrent.futures loads logging, which no other command needs.
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import wait  # loaded with the pool, never at start-up
 
-    with ThreadPoolExecutor(1, thread_name_prefix="seqcast-compare") as pool:
-        futures = {kind: pool.submit(job, kind) for kind in kinds if kind != lead}
-        try:
-            lead_entry, lead_failure = job(lead), None
-        except Exception as exc:
-            lead_entry, lead_failure = None, exc
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    futures = {kind: training.spare_cores().submit(job, kind) for kind in kinds if kind != lead}
+    try:
+        lead_entry, lead_failure = job(lead), None
+    except Exception as exc:
+        lead_entry, lead_failure = None, exc
+    except BaseException:
+        training.stop_spare_cores()
+        raise
+    wait(futures.values())
     entries = []
     for kind in kinds:
         if kind == lead and lead_failure is not None:

@@ -38,21 +38,26 @@ class ModelKind:
     Per-model seed = run seed + seed_offset, so models never share an init
     stream. train_dtype is the dtype of the working copy each training
     batch's forward and backward run on; the weights themselves, the
-    optimizer and inference stay float64.
+    optimizer and inference stay float64. shard_rows, if set, is the fixed
+    number of rows a training batch is cut into, each part run forward and
+    backward on its own (see ``training``); None keeps every batch whole.
     """
 
     module: ModuleType
     arch_keys: dict[str, int]
     seed_offset: int
     train_dtype: type
+    shard_rows: int | None = None
 
 
-# The Transformer trains in float64: in float32 its sine R2 fell on some seeds.
+# The Transformer trains in float64: in float32 its sine R2 fell on some seeds. Its
+# large products release the GIL, so its 16-row shards can run on two cores at once;
+# the LSTM's and GRU's many small calls hold it, and smaller batches would mean more calls.
 REGISTRY = {
     "lstm": ModelKind(lstm, dict(hidden=64), 1, np.float32),
     "gru": ModelKind(gru, dict(hidden=64), 2, np.float32),
     "transformer": ModelKind(
-        transformer, dict(d_model=64, n_heads=2, n_layers=2, d_ff=128), 3, np.float64
+        transformer, dict(d_model=64, n_heads=2, n_layers=2, d_ff=128), 3, np.float64, 16
     ),
 }
 MODEL_KINDS = tuple(REGISTRY)
@@ -139,7 +144,8 @@ def backward(
     into the one it holds under that array's name (``numerics.buffer``), and
     the gradient vector too. Without one, every call allocates its own. A
     cache or gradient made with a workspace stays valid until the next call
-    with it, so a workspace belongs to one run on one thread.
+    with it, so a workspace belongs to one shard of one run, one call at a
+    time.
     """
     made_by = cache["cfg"]
     if made_by != params.cfg:

@@ -36,6 +36,15 @@ becomes the next dh; ``s1`` the rebuilt norms and the layer norms' scratch;
 ``s2`` da; ``s3`` d_y1, d_merged, d_k and the products that add into d_n1;
 ``s4`` d_v, then d_q; ``s5`` the scores' gradient. The last block's output,
 the state, has a name of its own, so backward leaves the cache intact.
+
+Every weight gradient that sums over the sequence's rows is a
+``numerics.sample_sum``: one product per sample, each reducing over that
+sample's rows, then one sum over the samples, so its bits do not depend
+on the BLAS thread count. The last block's W_q, W_k and W_v gradients,
+and the head's in ``seqcast.models``, sum over the batch alone and stay
+single products: at one BLAS thread and at two they gave the same bits at
+every batch from 1 to 40 and at 48, 64, 100 and 256.
+
 All gradients are hand-derived; the finite-difference oracle in the test
 suite is the ground truth for every branch here.
 """
@@ -47,7 +56,7 @@ import math
 
 import numpy as np
 
-from ..numerics import buffer, init_xavier, softmax_rows
+from ..numerics import buffer, init_xavier, sample_sum, softmax_rows
 from .params import Params
 
 _LN_EPS = 1e-5
@@ -167,7 +176,8 @@ def _attend_all(layer, n1: np.ndarray, nh: int, scale: float, lc: dict, take, id
     lc.update(qh=qh, kh=kh, vh=vh, attn_w=attn_w, merged=merged)
     return merged
 
-def _attend_all_backward(layer, grad, lc: dict, n1, d_merged, nh: int, scale: float, take):
+def _attend_all_backward(layer, grad, lc: dict, n1, d_merged, nh: int, scale: float, take,
+                         workspace):
     """Adds the W_q, W_k and W_v gradients into grad; returns d_n1 in slot s0, (b, t, d).
 
     d_v, d_k and d_q are made one at a time, each spent once its weight
@@ -179,15 +189,15 @@ def _attend_all_backward(layer, grad, lc: dict, n1, d_merged, nh: int, scale: fl
     d_scores = np.matmul(d_oh, lc["vh"].transpose(0, 1, 3, 2), out=take("s5", attn_w.shape))
     _softmax_backward(attn_w, d_scores)
     d_v = _merged_matmul(attn_w.transpose(0, 1, 3, 2), d_oh, nh, take("s4"))
-    grad.w_v += _weight_grad(n1, d_v)
+    grad.w_v += sample_sum(n1, d_v, workspace)
     d_k = _merged_matmul(d_scores.transpose(0, 1, 3, 2), lc["qh"], nh, take("s3"))
     d_k *= scale
-    grad.w_k += _weight_grad(n1, d_k)
+    grad.w_k += sample_sum(n1, d_k, workspace)
     d_n1 = np.matmul(d_k, layer.w_k.T, out=take("s0"))
     d_n1 += np.matmul(d_v, layer.w_v.T, out=take("s3"))
     d_q = _merged_matmul(d_scores, lc["kh"], nh, take("s4"))
     d_q *= scale
-    grad.w_q += _weight_grad(n1, d_q)
+    grad.w_q += sample_sum(n1, d_q, workspace)
     d_n1 += np.matmul(d_q, layer.w_q.T, out=take("s3"))
     return d_n1
 
@@ -205,7 +215,8 @@ def _attend_last(layer, n1: np.ndarray, nh: int, scale: float, lc: dict) -> np.n
     lc.update(q_h=q_h, qk=qk, attn_w=attn_w, ctx=ctx, merged=merged)
     return merged
 
-def _attend_last_backward(layer, grad, lc: dict, n1, d_merged, nh: int, scale: float, take):
+def _attend_last_backward(layer, grad, lc: dict, n1, d_merged, nh: int, scale: float, take,
+                          workspace):
     """Adds the W_q, W_k and W_v gradients into grad; returns d_n1 in slot s0, (b, t, d)."""
     attn_w, qk = lc["attn_w"], lc["qk"]
     b, _, d = n1.shape
@@ -265,11 +276,6 @@ def forward(
     return h[:, -1, :], cache  # the last block kept the final position only
 
 
-def _weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum over every leading index of outer(a[..., i], b[..., j]), as one GEMM."""
-    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
-
-
 def backward(params: Params, cache: dict, d_state: np.ndarray, grads: Params,
              workspace: dict | None = None) -> None:
     """Backpropagate d_state, the gradient w.r.t. the final vector; adds into grads."""
@@ -286,12 +292,12 @@ def backward(params: Params, cache: dict, d_state: np.ndarray, grads: Params,
         layer, grad, lc = params.layers[idx], grads.layers[idx], cache["layers"][idx]
         rows = lc["ln2"][0].shape  # the last block's a and h_out are at the final position only
         # FFN branch: h_out = a + relu(n2 W1' + b1) W2' + b2
-        grad.w_ff2 += _weight_grad(dh, lc["rel"])
+        grad.w_ff2 += sample_sum(dh, lc["rel"], workspace)
         grad.b_ff2 += dh.sum(axis=(0, 1))
         d_y1 = np.matmul(dh, layer.w_ff2, out=take("s3", lc["rel"].shape))
         d_y1 *= lc["rel"] > 0  # relu' from its output: rel > 0 exactly where y1 > 0
-        grad.w_ff1 += _weight_grad(d_y1, _normed(layer.ln2_g, layer.ln2_b, lc["ln2"],
-                                                 take("s1", rows)))
+        n2 = _normed(layer.ln2_g, layer.ln2_b, lc["ln2"], take("s1", rows))
+        grad.w_ff1 += sample_sum(d_y1, n2, workspace)
         grad.b_ff1 += d_y1.sum(axis=(0, 1))
         d_n2 = np.matmul(d_y1, layer.w_ff1, out=take("s2", rows))
         da, d_g2, d_b2 = _layer_norm_backward(d_n2, layer.ln2_g, lc["ln2"], take("s1", rows))
@@ -301,15 +307,15 @@ def backward(params: Params, cache: dict, d_state: np.ndarray, grads: Params,
 
         # Attention branch: a = h_in + merge(softmax(Q K' * scale) V) W_o, the last block's
         # a and h_in at the final position only
-        grad.w_o += _weight_grad(lc["merged"], da)
+        grad.w_o += sample_sum(lc["merged"], da, workspace)
         attend_backward = _attend_all_backward if idx < last else _attend_last_backward
         n1 = _normed(layer.ln1_g, layer.ln1_b, lc["ln1"], take("s1"))
         d_merged = np.matmul(da, layer.w_o.T, out=take("s3", rows))
-        d_n1 = attend_backward(layer, grad, lc, n1, d_merged, nh, scale, take)
+        d_n1 = attend_backward(layer, grad, lc, n1, d_merged, nh, scale, take, workspace)
         dh, d_g1, d_b1 = _layer_norm_backward(d_n1, layer.ln1_g, lc["ln1"], take("s1"))
         grad.ln1_g += d_g1
         grad.ln1_b += d_b1
         dh[:, -da.shape[1]:] += da  # residual into the rows the block kept
 
     # Embedding: h0 = x[:, :, None] * w_in[:, 0] (+ constant position codes)
-    grads.w_in += _weight_grad(dh, cache["x"][:, :, None])
+    grads.w_in += sample_sum(dh, cache["x"][:, :, None], workspace)

@@ -21,6 +21,7 @@ included, means retrain. LF newlines make identical weights identical bytes.
 from __future__ import annotations
 
 import math
+import os
 import re
 from pathlib import Path
 
@@ -54,17 +55,29 @@ def _expected(line: int, what: str, found: str | None) -> WeightsFormatError:
 
 
 def save_weights(path: str | Path, params: Params, lookback: int, scaler: Scaler) -> None:
-    """Write params, lookback and scaler to path; only float64 weights, never a training copy."""
+    """Write params, lookback and scaler to path; only float64 weights, never a training copy.
+
+    The file is written under a temporary name in path's directory and then
+    renamed over path, so path holds either its old bytes or all the new
+    ones. If the write fails, the temporary file is removed.
+    """
     named = params.named_arrays()
     for _, arr in named:
         if arr.dtype != np.float64:
             raise ValueError(f"weights must be float64 to be saved, got {arr.dtype}")
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        dims = [f"{k}={v}" for k, v in {**params.dims, "lookback": lookback}.items()]
-        out.write(f"{MAGIC}\n{' '.join([params.kind, *dims])}\n")
-        for name, arr in [*named, ("scaler", np.array([scaler.min, scaler.max]))]:
-            out.write(f"{_block_line(name, arr.shape)}\n")
-            out.write("".join(f"{v:.17g}\n" for v in arr.ravel()))
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as out:
+            dims = [f"{k}={v}" for k, v in {**params.dims, "lookback": lookback}.items()]
+            out.write(f"{MAGIC}\n{' '.join([params.kind, *dims])}\n")
+            for name, arr in [*named, ("scaler", np.array([scaler.min, scaler.max]))]:
+                values = tuple(arr.ravel().tolist())
+                out.write(f"{_block_line(name, arr.shape)}\n" + ("%.17g\n" * len(values)) % values)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_weights(path: str | Path, expect_kind: str):

@@ -3,7 +3,8 @@
 ``sigmoid`` and ``softmax_rows`` compute in their input's dtype when it is
 float32 and in float64 otherwise, so a float32 model stays float32 from end
 to end. Matrices are 2-D ``numpy.ndarray``; vectors are 1-D. ``buffer``
-hands the models the arrays they write into, new or from a workspace.
+hands the models the arrays they write into, new or from a workspace, and
+``sample_sum`` is the one way a weight gradient adds up its samples.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     """
     x = _floating(x)
     e = np.exp(-np.abs(x))  # exp(-x) for x >= 0, exp(x) below: never overflows
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # 1.0 where x >= 0 and e below, as e <= 1; a NaN in x is a NaN in e and stays one
+    numerator = np.maximum(np.greater_equal(x, 0, out=np.empty_like(e)), e)
+    return numerator / (1.0 + e)
 
 
 def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -69,3 +72,19 @@ def buffer(workspace: dict | None, name: str, shape: tuple, dtype) -> np.ndarray
     if held is None or held.nbytes < nbytes:
         held = workspace[name] = np.empty(size, dtype)
     return held.view(np.uint8)[:nbytes].view(dtype).reshape(shape)
+
+
+def sample_sum(a: np.ndarray, b: np.ndarray, workspace: dict | None = None) -> np.ndarray:
+    """sum over n of a[n]' @ b[n]: one product per sample, then one sum over the samples.
+
+    a is (n, k, i) and b (n, k, j); the result is (i, j). One GEMM over all
+    n * k rows would leave the order of its long sum to BLAS, which picks it
+    by the thread count. Here each sample's product reduces over its own k
+    rows, and NumPy adds the n products along the sample axis, in sample
+    order whenever a product has more than one element; the order of every
+    sum depends on the shapes alone. The products are written into
+    ``buffer(workspace, "products", ...)``.
+    """
+    shape = (len(a), a.shape[-1], b.shape[-1])
+    products = buffer(workspace, "products", shape, np.result_type(a, b))
+    return np.matmul(a.transpose(0, 2, 1), b, out=products).sum(axis=0)

@@ -6,20 +6,31 @@ indices. Each epoch walks the batches (last one may be short) and does
 forward / loss / backward / clip / Adam. Clipping scales the batch's
 gradient and Adam moves the one trained ``Params`` in place. The
 validation history alone decides early stopping and which epoch's
-parameters are returned. The validation pass runs in chunks of
-``batch_size`` windows, sliced like the training batches: a forward builds
-a backward cache, and one forward over the whole validation set would hold
-a cache several times the size of a training step's, only to drop it.
+parameters are returned.
 
-A run makes one workspace and passes it to every forward and backward,
-validation's included: each batch writes its cache and its temporaries
-into the arrays of the batch before, so after the first step a batch
-allocates almost nothing, and no page goes back to the OS only to be
-faulted in again. The last batch's predictions, cache and gradient are
-dropped before validation, so that a float64 validation pass may replace
-the float32 arrays of the LSTM and GRU where it needs more room. Two runs
-share nothing they write, so ``forecast_eval.compare`` runs two at once on
-threads.
+A kind whose ``REGISTRY`` entry sets ``shard_rows`` has each batch cut into
+shards of that many rows (the last may be short); the others keep a batch
+as one shard. Each shard runs forward and backward on its own, with the
+batch's ``2 (pred - y) / batch`` as its upstream gradient; the predictions
+are joined, and the shards' gradients added in shard order. The first shard
+runs on the calling thread, and the rest are queued on ``spare_cores``:
+those still queued when the caller reaches them run on the caller in turn
+(``in_shards``). So a step is the same arithmetic whichever thread ran
+which shard, and its bits depend on the shard size, never on the core
+count. The validation pass runs in chunks of the shard size, the same way:
+a forward builds a backward cache, and one forward over the whole
+validation set would hold a cache several times the size of a training
+step's, only to drop it.
+
+A run makes one workspace per shard index and passes it to every forward
+and backward of that shard, validation's chunks included: each batch
+writes its cache and its temporaries into the arrays of the batch before,
+so after the first step a batch allocates almost nothing, and no page goes
+back to the OS only to be faulted in again. The last batch's predictions,
+caches and gradients are dropped before validation, so that a float64
+validation pass may replace the float32 arrays of the LSTM and GRU where it
+needs more room. Two runs share nothing they write, so
+``forecast_eval.compare`` runs two at once on threads.
 
 The trained ``Params`` is the float64 master, as in mixed-precision
 training. Each batch's forward and backward run on a working copy in the
@@ -37,6 +48,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -137,20 +150,96 @@ def adam_step(
     theta -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
 
 
+_spare = None  # the process's pool, made by the first spare_cores call
+_spare_lock = threading.Lock()
+
+
+def spare_cores():
+    """The process's one pool of threads for the cores its callers leave idle.
+
+    It is made on first use, with max(1, os.cpu_count() - 1) threads; only
+    then is ``concurrent.futures`` imported, so no command's start-up loads
+    it. Training queues its later shards here and ``forecast_eval.compare``
+    its LSTM and GRU jobs, so a shard runs beside its caller only while the
+    pool has a thread free.
+    """
+    global _spare
+    with _spare_lock:
+        if _spare is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            threads = max(1, (os.cpu_count() or 1) - 1)
+            _spare = ThreadPoolExecutor(threads, thread_name_prefix="seqcast-spare")
+        return _spare
+
+
+def stop_spare_cores() -> None:
+    """Cancel the pool's queued jobs, wait for its running ones and drop it.
+
+    The next ``spare_cores`` call makes a new pool.
+    """
+    global _spare
+    with _spare_lock:
+        pool, _spare = _spare, None
+    if pool is not None:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def in_shards(job, count: int) -> list:
+    """[job(0), ..., job(count - 1)]: job(0) on this thread, the others queued on ``spare_cores``.
+
+    This thread then takes the others in order: one still queued is
+    cancelled and run here, one already started is waited for. Each job
+    runs once, and the list does not depend on which thread ran it.
+    """
+    if count == 1:
+        return [job(0)]
+    pool = spare_cores()
+    queued = [pool.submit(job, i) for i in range(1, count)]
+    try:
+        done = [job(0)]
+    except BaseException:
+        for future in queued:
+            future.cancel()  # a started shard finishes into its own workspace
+        raise
+    return done + [job(i) if future.cancel() else future.result()
+                   for i, future in enumerate(queued, start=1)]
+
+
 def validation_loss(
-    params: Params, val_set: WindowedDataset, batch_size: int, workspace: dict | None = None
+    params: Params, val_set: WindowedDataset, batch_size: int, workspaces: list | None = None
 ) -> float:
     """MSE over val_set, forwarded in chunks of batch_size windows (last one may be short).
 
-    Each chunk's cache is dropped before the next forward, or with a
-    workspace overwritten by it, so the pass never holds more than one
-    training batch's cache.
+    Each chunk's cache is dropped before the next forward, or with
+    workspaces overwritten by it, so the pass never holds more than one
+    training batch's cache. With workspaces, the chunks go len(workspaces)
+    at a time through ``in_shards``, chunk i of each group drawing from
+    workspaces[i].
     """
-    preds = [
-        models.forward(params, val_set.inputs[start : start + batch_size], workspace)[0]
-        for start in range(0, len(val_set), batch_size)
-    ]
+    workspaces = workspaces or [None]
+    group = batch_size * len(workspaces)
+    preds = []
+    for start in range(0, len(val_set), group):
+        x = val_set.inputs[start : start + group]
+        preds += in_shards(
+            lambda i: models.forward(params, x[i * batch_size : (i + 1) * batch_size],
+                                     workspaces[i])[0],
+            math.ceil(len(x) / batch_size),
+        )
     return mse_loss(np.concatenate(preds), val_set.targets)
+
+
+def _shard_step(work: Params, x, y, batch: int, workspace: dict):
+    """Forward and backward of one shard of a batch of batch rows: (predictions, gradient).
+
+    A shard whose loss is not finite skips its backward and returns no
+    gradient: the batch's loss is not finite either, and ``train`` stops there.
+    """
+    preds, cache = models.forward(work, x, workspace)
+    if not math.isfinite(mse_loss(preds, y)):
+        return preds, None
+    return preds, models.backward(work, cache, 2.0 * (preds - y) / batch, workspace)
 
 
 def train(
@@ -182,7 +271,9 @@ def train(
     # Of a float64 kind, the working copy is the master itself, and so is its gradient.
     work = Params(model_cfg, params.theta.astype(REGISTRY[model_cfg.kind].train_dtype, copy=False))
     m, v, step = np.zeros_like(params.theta), np.zeros_like(params.theta), 0
-    workspace = {}  # every forward and backward of this run, validation too, draws from it
+    rows = min(REGISTRY[model_cfg.kind].shard_rows or cfg.batch_size, cfg.batch_size)
+    # shard i of every batch, and chunk i of every validation group, draws from workspaces[i]
+    workspaces = [{} for _ in range(math.ceil(cfg.batch_size / rows))]
     n = len(train_set)
     train_losses: list[float] = []
     val_losses: list[float] = []
@@ -199,17 +290,21 @@ def train(
                 idx = order[start : start + cfg.batch_size]
                 x = train_set.inputs[idx]
                 y = train_set.targets[idx]
-                preds, cache = models.forward(work, x, workspace)
-                batch_loss = mse_loss(preds, y)
+                shards = in_shards(
+                    lambda i: _shard_step(work, x[i * rows : (i + 1) * rows],
+                                          y[i * rows : (i + 1) * rows], len(idx), workspaces[i]),
+                    math.ceil(len(idx) / rows),
+                )
+                batch_loss = mse_loss(np.concatenate([p for p, _ in shards]), y)
                 if not math.isfinite(batch_loss):
                     raise TrainingError(
                         f"non-finite loss at epoch {epoch}, batch {batch_no} "
                         f"({model_cfg.kind}, seed {cfg.seed})"
                     )
                 sq_err_sum += batch_loss * len(idx)
-                d_preds = 2.0 * (preds - y) / len(idx)
-                grads = models.backward(work, cache, d_preds, workspace)
-                grads = Params(model_cfg, grads.theta.astype(np.float64, copy=False))
+                grads = Params(model_cfg, shards[0][1].theta.astype(np.float64, copy=False))
+                for _, shard_grads in shards[1:]:
+                    grads.theta += shard_grads.theta
                 norm = clip_global_norm(grads, cfg.grad_clip_norm)
                 grad_norm_max = max(grad_norm_max, norm)
                 clipped_batches += norm > cfg.grad_clip_norm
@@ -217,9 +312,9 @@ def train(
                 adam_step(params.theta, grads.theta, m, v, step, cfg)
                 np.copyto(work.theta, params.theta)
 
-            del preds, cache, grads
+            del shards, grads
             train_loss = sq_err_sum / n
-            val_loss = validation_loss(params, val_set, cfg.batch_size, workspace)
+            val_loss = validation_loss(params, val_set, rows, workspaces)
             if not math.isfinite(val_loss):
                 raise TrainingError(
                     f"non-finite validation loss at epoch {epoch} "

@@ -1,0 +1,79 @@
+"""The Transformer's bytes do not depend on the BLAS thread count.
+
+Two interpreters run the same forward and backward passes and a short
+training run, one at one BLAS thread and one at two, and print a digest of
+every output array. A weight gradient whose long sum BLAS orders by its
+thread count shows here as a differing array, named by dtype, batch and
+parameter.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CHILD = """
+import hashlib, json, sys, tempfile
+from pathlib import Path
+import numpy as np
+from seqcast import models, training
+from seqcast.data import WindowedDataset, make_windows
+from seqcast.models import ModelConfig
+
+def digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+rng = np.random.default_rng(0)
+cfg = ModelConfig("transformer")
+master = models.init_params(cfg, rng)
+out = {}
+for dtype in (np.float64, np.float32):
+    params = models.rebuild(master, master.theta.astype(dtype))
+    for batch in (7, 13, 32, 256):
+        x, d_preds = rng.random((batch, 60)), rng.normal(size=batch)
+        preds, cache = models.forward(params, x)
+        key = f"{np.dtype(dtype).name}.b{batch}"
+        out[f"{key}.forward"] = digest(preds)
+        grads = models.backward(params, cache, d_preds)
+        out.update((f"{key}.{name}", digest(g)) for name, g in grads.named_arrays())
+windows = make_windows(np.random.default_rng(1).random(230), 60)
+train_set = WindowedDataset(windows.inputs[:140], windows.targets[:140])
+val_set = WindowedDataset(windows.inputs[140:], windows.targets[140:])
+with tempfile.TemporaryDirectory() as tmp:
+    trained, history = training.train(
+        cfg, train_set, val_set, training.TrainConfig(max_epochs=2, patience=2, seed=0),
+        Path(tmp) / "log",
+    )
+out["train.theta"] = digest(trained.theta)
+out["train.history"] = repr(history)
+print(json.dumps(out))
+"""
+
+
+def digests_at(threads: int) -> dict:
+    paths = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+        "OPENBLAS_NUM_THREADS": str(threads),
+        "OMP_NUM_THREADS": str(threads),
+    }
+    run = subprocess.run(
+        [sys.executable, "-c", CHILD], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2, reason="one core: a second BLAS thread would share it"
+)
+def test_transformer_bytes_are_the_same_at_one_and_two_blas_threads():
+    one, two = digests_at(1), digests_at(2)
+    assert one.keys() == two.keys()
+    assert [name for name in one if one[name] != two[name]] == []

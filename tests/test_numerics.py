@@ -141,6 +141,28 @@ class TestBuffer:
         assert np.shares_memory(grown, workspace["x"]) and not np.shares_memory(grown, full)
 
 
+class TestSampleSum:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        n=st.integers(1, 40), k=st.integers(1, 70), i=st.integers(1, 9), j=st.integers(1, 9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_adds_one_product_per_sample_in_sample_order(self, dtype, n, k, i, j, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(n, k, i)).astype(dtype), rng.normal(size=(n, k, j)).astype(dtype)
+        products = [a[sample].T @ b[sample] for sample in range(n)]
+        want = products[0]
+        for product in products[1:]:
+            want = want + product
+        if i * j == 1:  # NumPy sums a run of scalars pairwise, still by n alone
+            want = np.sum(products, axis=0)
+        workspace = {}
+        for got in (numerics.sample_sum(a, b), numerics.sample_sum(a, b, workspace)):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        assert list(workspace) == ["products"]
+
+
 class TestInitXavier:
     def test_deterministic_given_seed(self):
         a = init_xavier(np.random.default_rng(42), 5, 7)

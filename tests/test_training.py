@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,7 +19,9 @@ from seqcast.training import (
     TrainingError,
     adam_step,
     clip_global_norm,
+    in_shards,
     mse_loss,
+    spare_cores,
     train,
     validation_loss,
 )
@@ -399,12 +404,34 @@ class TestTrain:
         assert history.n_epochs == len(d["train_loss"])
 
 
+def _shard_rows(kind, batch_size):
+    return min(REGISTRY[kind].shard_rows or batch_size, batch_size)
+
+
+def _sharded_step(work, x, y):
+    """A batch's predictions and float64 gradient as a loop over its shards, in order.
+
+    Each shard of the kind's shard_rows rows runs forward and backward with
+    the batch's upstream gradient; the shards' gradients are added in order.
+    """
+    rows = _shard_rows(work.kind, len(x))
+    preds, grad = [], None
+    for start in range(0, len(x), rows):
+        shard_preds, cache = models.forward(work, x[start : start + rows])
+        d_preds = 2.0 * (shard_preds - y[start : start + rows]) / len(x)
+        shard_grad = models.backward(work, cache, d_preds).theta.astype(np.float64)
+        grad = shard_grad if grad is None else grad + shard_grad
+        preds.append(shard_preds)
+    return np.concatenate(preds), grad
+
+
 def _train_reference(model_cfg, train_set, val_set, cfg, log_path):
     """The loop that in-place training must reproduce: a pure Adam step, a
     rebuilt Params per batch, a new clipped vector, and explicit
     early-stopping counters. Forward and backward run on a fresh copy in the
-    kind's training dtype, and the gradient is cast to float64 before the
-    clip. Returns (best params, history)."""
+    kind's training dtype, one shard at a time (``_sharded_step``), and the
+    gradient is cast to float64 before the clip. Validation runs in chunks
+    of the shard size. Returns (best params, history)."""
     rng = np.random.default_rng(cfg.seed)
     params = models.init_params(model_cfg, rng)
     m, v, t = np.zeros_like(params.theta), np.zeros_like(params.theta), 0
@@ -420,10 +447,9 @@ def _train_reference(model_cfg, train_set, val_set, cfg, log_path):
                 x, y = train_set.inputs[idx], train_set.targets[idx]
                 dtype = REGISTRY[model_cfg.kind].train_dtype
                 work = models.rebuild(params, params.theta.astype(dtype))
-                preds, cache = models.forward(work, x)
+                preds, grad = _sharded_step(work, x, y)
                 sq_err_sum += mse_loss(preds, y) * len(idx)
-                grads = models.backward(work, cache, 2.0 * (preds - y) / len(idx))
-                grads = models.rebuild(params, grads.theta.astype(np.float64))
+                grads = models.rebuild(params, grad)
                 norm = math.sqrt(sum(float(np.sum(g * g)) for _, g in grads.named_arrays()))
                 grad = grads.theta
                 if not (norm <= cfg.grad_clip_norm or norm == 0.0):
@@ -434,7 +460,8 @@ def _train_reference(model_cfg, train_set, val_set, cfg, log_path):
                 theta, m, v = adam_reference(params.theta, grad, m, v, t, cfg)
                 params = models.rebuild(params, theta)
             train_losses.append(sq_err_sum / n)
-            val_losses.append(validation_loss(params, val_set, cfg.batch_size))
+            rows = _shard_rows(model_cfg.kind, cfg.batch_size)
+            val_losses.append(validation_loss(params, val_set, rows))
             improved = val_losses[-1] < best_val
             record = {
                 "epoch": epoch, "train_loss": train_losses[-1], "val_loss": val_losses[-1],
@@ -520,8 +547,10 @@ def _plain_loop(model_cfg, train_set, val_set, cfg):
     """train's steps with no workspace, so every forward and backward allocates.
 
     The library's own clip_global_norm and adam_step update the float64
-    master. Early stopping is left out, so cfg.patience must equal
-    cfg.max_epochs. Returns (best theta, train losses, val losses, best epoch).
+    master. A batch runs shard by shard in order (``_sharded_step``), and
+    validation in chunks of the shard size, all on this thread. Early
+    stopping is left out, so cfg.patience must equal cfg.max_epochs.
+    Returns (best theta, train losses, val losses, best epoch).
     """
     rng = np.random.default_rng(cfg.seed)
     params = models.init_params(model_cfg, rng)
@@ -534,15 +563,15 @@ def _plain_loop(model_cfg, train_set, val_set, cfg):
             idx = order[start : start + cfg.batch_size]
             x, y = train_set.inputs[idx], train_set.targets[idx]
             work = models.rebuild(params, params.theta.astype(dtype))
-            preds, cache = models.forward(work, x)
+            preds, grad = _sharded_step(work, x, y)
             sq_err_sum += mse_loss(preds, y) * len(idx)
-            grads = models.backward(work, cache, 2.0 * (preds - y) / len(idx))
-            grads = models.rebuild(params, grads.theta.astype(np.float64))
+            grads = models.rebuild(params, grad)
             clip_global_norm(grads, cfg.grad_clip_norm)
             step += 1
             adam_step(params.theta, grads.theta, m, v, step, cfg)
         train_losses.append(sq_err_sum / n)
-        val_losses.append(validation_loss(params, val_set, cfg.batch_size))
+        rows = _shard_rows(model_cfg.kind, cfg.batch_size)
+        val_losses.append(validation_loss(params, val_set, rows))
         if val_losses[-1] < min(val_losses[:-1], default=math.inf):
             best_theta, best_epoch = params.theta.copy(), epoch
     return best_theta, tuple(train_losses), tuple(val_losses), best_epoch
@@ -582,3 +611,103 @@ class TestWorkspace:
         warm = traced_peak(lambda: step(workspace))
         plain = traced_peak(lambda: step(None))
         assert warm < plain / 10
+
+
+class TestShards:
+    # 91 training and 23 validation windows. At batch 40 a Transformer batch
+    # is shards of 16, 16 and 8 rows and the last batch is 11 rows; validation
+    # is chunks of 16 and 7, which go through the first two shard workspaces.
+    def test_sharded_train_equals_a_plain_loop(self, tmp_path):
+        train_set, val_set = identity_task(n=120, lookback=6)
+        cfg = TrainConfig(batch_size=40, max_epochs=3, patience=3, seed=8, learning_rate=0.05)
+        assert REGISTRY["transformer"].shard_rows < cfg.batch_size
+        params, history = train(SMALL["transformer"], train_set, val_set, cfg, tmp_path / "log")
+        theta, *losses, best_epoch = _plain_loop(SMALL["transformer"], train_set, val_set, cfg)
+        assert params.theta.tobytes() == theta.tobytes()
+        assert [history.train_loss, history.val_loss, history.best_epoch] == [*losses, best_epoch]
+
+    def test_shards_run_in_turn_give_the_bytes_of_shards_run_beside_the_caller(
+        self, tmp_path, monkeypatch
+    ):
+        # While a blocking job holds every thread of the pool, each queued
+        # shard is cancelled and run by the caller. With the pool free, some
+        # run on it. Both runs must give the same bytes.
+        train_set, val_set = identity_task(n=150, lookback=24)
+        model_cfg = ModelConfig(kind="transformer", d_model=32, n_heads=2, n_layers=2, d_ff=64)
+        cfg = TrainConfig(batch_size=48, max_epochs=2, patience=2, seed=2)
+        ran_on, forward = [], models.forward
+
+        def recorded(*args, **kwargs):
+            ran_on.append(threading.get_ident())
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(models, "forward", recorded)
+        pool, held, release = spare_cores(), threading.Semaphore(0), threading.Event()
+
+        def hold():
+            held.release()
+            release.wait(60)
+
+        blockers = [pool.submit(hold) for _ in range(max(1, (os.cpu_count() or 1) - 1))]
+        try:
+            assert all(held.acquire(timeout=10) for _ in blockers)
+            in_turn = train(model_cfg, train_set, val_set, cfg, tmp_path / "in-turn")
+        finally:
+            release.set()
+        for blocker in blockers:
+            blocker.result(timeout=10)
+        in_turn_threads, ran_on[:] = set(ran_on), []
+        beside = train(model_cfg, train_set, val_set, cfg, tmp_path / "beside")
+        assert in_turn_threads == {threading.get_ident()}
+        assert set(ran_on) - in_turn_threads, "no shard ran on the pool"
+        assert in_turn[0].theta.tobytes() == beside[0].theta.tobytes()
+        assert in_turn[1] == beside[1]
+
+    def test_in_shards_lists_every_job_once_in_order(self):
+        calls = []
+
+        def job(i):
+            calls.append(i)
+            return i * i
+
+        assert in_shards(job, 5) == [0, 1, 4, 9, 16]
+        assert sorted(calls) == [0, 1, 2, 3, 4]
+
+    def test_callers_on_more_threads_than_cores_each_get_their_own_list(self):
+        # Callers outnumber the cores and switch often; each still gets its
+        # own jobs' results in order, every job run exactly once.
+        ran, ran_lock = [], threading.Lock()
+
+        def caller(c):
+            def job(i):
+                with ran_lock:
+                    ran.append((c, i))
+                return c, i
+
+            return [in_shards(job, 4) == [(c, i) for i in range(4)] for _ in range(50)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=lambda c=c: results.append(caller(c)))
+                       for c in range(4 * (os.cpu_count() or 1))]
+            results = []
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert len(results) == len(callers) and all(all(r) for r in results)
+        assert sorted(ran) == sorted((c, i) for c in range(len(callers)) for i in range(4)
+                                     for _ in range(50))
+
+    def test_a_failing_shard_is_raised_by_the_caller(self):
+        def job(i):
+            if i == 2:
+                raise ValueError("shard 2")
+            return i
+
+        with pytest.raises(ValueError, match="shard 2"):
+            in_shards(job, 3)

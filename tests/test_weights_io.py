@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from seqcast.data import Scaler
 from seqcast.models import MODEL_KINDS, REGISTRY, ModelConfig, Params, init_params
+from seqcast.models import weights_io
 from seqcast.models.weights_io import MAGIC, WeightsFormatError, load_weights, save_weights
 
 # The input recipe saved with every test model: lookback and training scaler.
@@ -182,6 +183,51 @@ def test_save_twice_is_byte_identical(tmp_path):
     save_weights(p1, params, *RECIPE)
     save_weights(p2, params, *RECIPE)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# Every float64 value class the writer can meet: subnormals, both zeros and both ends.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1 / 3]
+GRU_2 = ModelConfig(kind="gru", hidden=2)
+GRU_2_SIZE = Params(GRU_2).theta.size
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=GRU_2_SIZE,
+                       max_size=GRU_2_SIZE))
+@example(values=(EDGE_VALUES * GRU_2_SIZE)[:GRU_2_SIZE])
+def test_values_are_written_as_one_17_digit_line_each(tmp_path, values):
+    # The file of a value-per-line f-string join, the writer's earlier form.
+    params = Params(GRU_2, np.array(values, dtype=np.float64))
+    path = tmp_path / "w.txt"
+    save_weights(path, params, *RECIPE)
+    dims = " ".join(f"{k}={v}" for k, v in {**params.dims, "lookback": RECIPE[0]}.items())
+    want = f"{MAGIC}\n{params.kind} {dims}\n"
+    for name, arr in [*params.named_arrays(), ("scaler", np.array([0.5, 2.5]))]:
+        cols = arr.shape[1] if arr.ndim == 2 else 0
+        want += f"{name} {arr.shape[0]} {cols}\n" + "".join(f"{v:.17g}\n" for v in arr.ravel())
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_a_failed_write_keeps_the_old_file_and_leaves_no_other(tmp_path, monkeypatch):
+    path = tmp_path / "w.txt"
+    save_weights(path, build("lstm", seed=1), *RECIPE)
+    old = path.read_bytes()
+    lines = []
+
+    def fail_on_the_third_block(name, shape):
+        lines.append(name)
+        if len(lines) == 3:
+            raise OSError("disk full")
+        return f"{name} {shape[0]} {shape[1] if len(shape) == 2 else 0}"
+
+    monkeypatch.setattr(weights_io, "_block_line", fail_on_the_third_block)
+    with pytest.raises(OSError, match="disk full"):
+        save_weights(path, build("lstm", seed=2), *RECIPE)
+    assert len(lines) == 3  # two blocks were written before the failure
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["w.txt"]
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

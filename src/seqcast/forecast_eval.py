@@ -146,10 +146,11 @@ def _map_kinds(job, kinds: tuple[str, ...], lead: str) -> list:
     """job(kind) for every kind, in the order of kinds; lead runs beside the others.
 
     lead runs on the calling thread, and the other kinds are queued in order
-    on ``training.spare_cores``, where the lead's own later shards queue
-    behind them. Every job runs to its end, then the first exception in the
-    order of kinds is raised. An interrupt, such as Ctrl-C, stops the pool:
-    it waits for the kind the pool is running and starts no other.
+    on ``training.spare_cores``, whose one thread runs them one at a time;
+    the lead's own later shards queue behind them. Every job runs to its
+    end, then the first exception in the order of kinds is raised. An
+    interrupt, such as Ctrl-C, stops the pool: it waits for the kind the
+    pool is running and starts no other.
     """
     from concurrent.futures import wait  # loaded with the pool, never at start-up
 

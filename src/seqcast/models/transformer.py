@@ -39,8 +39,8 @@ the state, has a name of its own, so backward leaves the cache intact.
 
 Every weight gradient that sums over the sequence's rows is a
 ``numerics.sample_sum``: one product per sample, each reducing over that
-sample's rows, then one sum over the samples, so its bits do not depend
-on the BLAS thread count. The last block's W_q, W_k and W_v gradients,
+sample's rows, then one sum over the samples, so its bits are the same at
+one BLAS thread and at two (more threads are untested). The last block's W_q, W_k and W_v gradients,
 and the head's in ``seqcast.models``, sum over the batch alone and stay
 single products: at one BLAS thread and at two they gave the same bits at
 every batch from 1 to 40 and at 48, 64, 100 and 256.
@@ -215,8 +215,7 @@ def _attend_last(layer, n1: np.ndarray, nh: int, scale: float, lc: dict) -> np.n
     lc.update(q_h=q_h, qk=qk, attn_w=attn_w, ctx=ctx, merged=merged)
     return merged
 
-def _attend_last_backward(layer, grad, lc: dict, n1, d_merged, nh: int, scale: float, take,
-                          workspace):
+def _attend_last_backward(layer, grad, lc: dict, n1, d_merged, nh: int, scale: float, take):
     """Adds the W_q, W_k and W_v gradients into grad; returns d_n1 in slot s0, (b, t, d)."""
     attn_w, qk = lc["attn_w"], lc["qk"]
     b, _, d = n1.shape
@@ -308,10 +307,13 @@ def backward(params: Params, cache: dict, d_state: np.ndarray, grads: Params,
         # Attention branch: a = h_in + merge(softmax(Q K' * scale) V) W_o, the last block's
         # a and h_in at the final position only
         grad.w_o += sample_sum(lc["merged"], da, workspace)
-        attend_backward = _attend_all_backward if idx < last else _attend_last_backward
         n1 = _normed(layer.ln1_g, layer.ln1_b, lc["ln1"], take("s1"))
         d_merged = np.matmul(da, layer.w_o.T, out=take("s3", rows))
-        d_n1 = attend_backward(layer, grad, lc, n1, d_merged, nh, scale, take, workspace)
+        if idx < last:
+            d_n1 = _attend_all_backward(layer, grad, lc, n1, d_merged, nh, scale, take,
+                                        workspace)
+        else:
+            d_n1 = _attend_last_backward(layer, grad, lc, n1, d_merged, nh, scale, take)
         dh, d_g1, d_b1 = _layer_norm_backward(d_n1, layer.ln1_g, lc["ln1"], take("s1"))
         grad.ln1_g += d_g1
         grad.ln1_b += d_b1

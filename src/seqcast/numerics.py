@@ -81,9 +81,9 @@ def sample_sum(a: np.ndarray, b: np.ndarray, workspace: dict | None = None) -> n
     n * k rows would leave the order of its long sum to BLAS, which picks it
     by the thread count. Here each sample's product reduces over its own k
     rows, and NumPy adds the n products along the sample axis, in sample
-    order whenever a product has more than one element; the order of every
-    sum depends on the shapes alone. The products are written into
-    ``buffer(workspace, "products", ...)``.
+    order whenever a product has more than one element. At one BLAS thread
+    and at two the result has the same bits; more threads are untested.
+    The products are written into ``buffer(workspace, "products", ...)``.
     """
     shape = (len(a), a.shape[-1], b.shape[-1])
     products = buffer(workspace, "products", shape, np.result_type(a, b))

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import threading
 import time
 from dataclasses import asdict, dataclass, fields
@@ -155,21 +154,22 @@ _spare_lock = threading.Lock()
 
 
 def spare_cores():
-    """The process's one pool of threads for the cores its callers leave idle.
+    """The process's one pool for the core its callers leave idle: one thread.
 
-    It is made on first use, with max(1, os.cpu_count() - 1) threads; only
-    then is ``concurrent.futures`` imported, so no command's start-up loads
-    it. Training queues its later shards here and ``forecast_eval.compare``
-    its LSTM and GRU jobs, so a shard runs beside its caller only while the
-    pool has a thread free.
+    It is made on first use; only then is ``concurrent.futures`` imported,
+    so no command's start-up loads it. Training queues its later shards
+    here and ``forecast_eval.compare`` its LSTM and GRU jobs, so a shard
+    runs beside its caller only while the pool's thread is free, and the
+    LSTM and GRU run one after the other, on any core count. One thread is
+    what a default batch of 32 in 16-row shards can use; no workload has
+    been measured with more.
     """
     global _spare
     with _spare_lock:
         if _spare is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            threads = max(1, (os.cpu_count() or 1) - 1)
-            _spare = ThreadPoolExecutor(threads, thread_name_prefix="seqcast-spare")
+            _spare = ThreadPoolExecutor(1, thread_name_prefix="seqcast-spare")
         return _spare
 
 
@@ -190,20 +190,23 @@ def in_shards(job, count: int) -> list:
 
     This thread then takes the others in order: one still queued is
     cancelled and run here, one already started is waited for. Each job
-    runs once, and the list does not depend on which thread ran it.
+    runs once, and the list does not depend on which thread ran it. When a
+    job raises, or an interrupt arrives, the jobs still queued are cancelled
+    and a started one is waited for, so none runs after this call ends.
     """
     if count == 1:
         return [job(0)]
     pool = spare_cores()
+    from concurrent.futures import wait  # loaded with the pool, never at start-up
+
     queued = [pool.submit(job, i) for i in range(1, count)]
     try:
         done = [job(0)]
-    except BaseException:
-        for future in queued:
-            future.cancel()  # a started shard finishes into its own workspace
-        raise
-    return done + [job(i) if future.cancel() else future.result()
-                   for i, future in enumerate(queued, start=1)]
+        for i, future in enumerate(queued, start=1):
+            done.append(job(i) if future.cancel() else future.result())
+    finally:
+        wait([future for future in queued if not future.cancel()])
+    return done
 
 
 def validation_loss(

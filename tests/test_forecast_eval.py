@@ -1,6 +1,8 @@
 import math
+import os
 import re
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seqcast import data as dat
-from seqcast import models
+from seqcast import models, training
 from seqcast.data import Scaler
 from seqcast.forecast_eval import (
     _map_kinds,
@@ -325,6 +327,36 @@ class TestMapKinds:
 
         with pytest.raises(Halt, match="gru"):
             _map_kinds(job, MODEL_KINDS, lead="transformer")
+
+    @pytest.fixture
+    def four_cores(self, monkeypatch):
+        """A host of four cores, and a pool made afresh for it."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        training.stop_spare_cores()
+        yield
+        training.stop_spare_cores()
+
+    def test_on_four_cores_the_gru_starts_once_the_lstm_has_finished(self, four_cores):
+        events = []
+
+        def job(kind):
+            events.append(("start", kind))
+            if kind != "transformer":
+                time.sleep(0.05)
+            events.append(("end", kind))
+            return kind
+
+        assert _map_kinds(job, MODEL_KINDS, lead="transformer") == list(MODEL_KINDS)
+        assert [e for e in events if e[1] != "transformer"] == [
+            ("start", "lstm"), ("end", "lstm"), ("start", "gru"), ("end", "gru")
+        ]
+
+    def test_on_four_cores_an_interrupt_in_the_lead_starts_no_other_kind(
+        self, four_cores, monkeypatch
+    ):
+        self.test_an_interrupt_in_the_lead_waits_for_the_worker_and_starts_no_other_kind(
+            monkeypatch
+        )
 
 
 class TestHelpers:

@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -629,7 +630,7 @@ class TestShards:
     def test_shards_run_in_turn_give_the_bytes_of_shards_run_beside_the_caller(
         self, tmp_path, monkeypatch
     ):
-        # While a blocking job holds every thread of the pool, each queued
+        # While a blocking job holds the pool's one thread, each queued
         # shard is cancelled and run by the caller. With the pool free, some
         # run on it. Both runs must give the same bytes.
         train_set, val_set = identity_task(n=150, lookback=24)
@@ -648,14 +649,13 @@ class TestShards:
             held.release()
             release.wait(60)
 
-        blockers = [pool.submit(hold) for _ in range(max(1, (os.cpu_count() or 1) - 1))]
+        blocker = pool.submit(hold)
         try:
-            assert all(held.acquire(timeout=10) for _ in blockers)
+            assert held.acquire(timeout=10)
             in_turn = train(model_cfg, train_set, val_set, cfg, tmp_path / "in-turn")
         finally:
             release.set()
-        for blocker in blockers:
-            blocker.result(timeout=10)
+        blocker.result(timeout=10)
         in_turn_threads, ran_on[:] = set(ran_on), []
         beside = train(model_cfg, train_set, val_set, cfg, tmp_path / "beside")
         assert in_turn_threads == {threading.get_ident()}
@@ -711,3 +711,46 @@ class TestShards:
 
         with pytest.raises(ValueError, match="shard 2"):
             in_shards(job, 3)
+
+    def test_a_failing_later_shard_leaves_no_shard_queued(self):
+        # The pool's thread is held, so every shard is queued and the caller
+        # runs them in turn. Shard 1 fails; shards 2 and 3 must never run,
+        # not even once the pool is free again.
+        pool, held, release, ran = spare_cores(), threading.Event(), threading.Event(), []
+
+        def hold():
+            held.set()
+            release.wait(60)
+
+        def job(i):
+            ran.append(i)
+            if i == 1:
+                raise ValueError("shard 1")
+            return i
+
+        blocker = pool.submit(hold)
+        try:
+            assert held.wait(10)
+            with pytest.raises(ValueError, match="shard 1"):
+                in_shards(job, 4)
+        finally:
+            release.set()
+        blocker.result(timeout=10)
+        pool.submit(lambda: None).result(timeout=10)  # whatever was still queued has run
+        assert ran == [0, 1]
+
+    def test_a_failing_first_shard_waits_for_the_shard_the_pool_started(self):
+        started, finished = threading.Event(), []
+
+        def job(i):
+            if i == 0:
+                assert started.wait(10)
+                raise ValueError("shard 0")
+            started.set()
+            time.sleep(0.05)
+            finished.append(i)
+            return i
+
+        with pytest.raises(ValueError, match="shard 0"):
+            in_shards(job, 2)
+        assert finished == [1]

@@ -5,7 +5,7 @@ min-max scaling fit on training closes only, per-model training with its
 own derived seed, a 30-step ``models.forecast`` from the end of train+val,
 rescaled here, and metrics against the held-out closes in currency units:
 ``compute_metrics`` returns the dict the report stores for each kind.
-Each kind is one job, and two run at a time on threads; the jobs share
+Each kind is one job through ``training.in_shards``; the jobs share
 nothing they write, so the artifacts are the bytes of a serial run.
 """
 
@@ -142,33 +142,29 @@ def _report_entry(kind: str, cfg: RunConfig, shared: tuple, out: str | Path) -> 
     }
 
 
-def _map_kinds(job, kinds: tuple[str, ...], lead: str) -> list:
-    """job(kind) for every kind, in the order of kinds; lead runs beside the others.
+# The Transformer leads: in_shards runs the first job on the calling thread.
+_LEAD_FIRST = tuple(sorted(MODEL_KINDS, key=lambda kind: kind != "transformer"))
 
-    lead runs on the calling thread, and the other kinds are queued in order
-    on ``training.spare_cores``, whose one thread runs them one at a time;
-    the lead's own later shards queue behind them. Every job runs to its
-    end, then the first exception in the order of kinds is raised. An
-    interrupt, such as Ctrl-C, stops the pool: it waits for the kind the
-    pool is running and starts no other.
+
+def _map_kinds(job) -> list:
+    """[job(kind) for kind in MODEL_KINDS], run by ``training.in_shards`` in _LEAD_FIRST order.
+
+    An Exception is held until every kind has run to its end, then the
+    first in the order of MODEL_KINDS is raised. Anything else, such as
+    Ctrl-C's KeyboardInterrupt, is in_shards' to handle.
     """
-    from concurrent.futures import wait  # loaded with the pool, never at start-up
 
-    futures = {kind: training.spare_cores().submit(job, kind) for kind in kinds if kind != lead}
-    try:
-        lead_entry, lead_failure = job(lead), None
-    except Exception as exc:
-        lead_entry, lead_failure = None, exc
-    except BaseException:
-        training.stop_spare_cores()
-        raise
-    wait(futures.values())
-    entries = []
-    for kind in kinds:
-        if kind == lead and lead_failure is not None:
-            raise lead_failure
-        entries.append(lead_entry if kind == lead else futures[kind].result())
-    return entries
+    def held(i):
+        try:
+            return job(_LEAD_FIRST[i]), None
+        except Exception as exc:
+            return None, exc
+
+    ran = dict(zip(_LEAD_FIRST, training.in_shards(held, len(_LEAD_FIRST))))
+    for kind in MODEL_KINDS:
+        if ran[kind][1] is not None:
+            raise ran[kind][1]
+    return [ran[kind][0] for kind in MODEL_KINDS]
 
 
 def compare(series: OhlcvSeries, cfg: RunConfig, out: str | Path):
@@ -176,11 +172,12 @@ def compare(series: OhlcvSeries, cfg: RunConfig, out: str | Path):
 
     The models, their training and the split come from cfg. Each kind is
     fitted into the existing directory out, so its log and weights are
-    written as it finishes. The Transformer trains on this thread beside
-    the LSTM and GRU (``_map_kinds``): its large matrix products and ufuncs
-    release the GIL, while the RNNs' many small calls hold it. Every kind
-    runs to its end before the first failure in kind order is raised. Returns
-    (report dict ready for JSON, the held-out test rows). The report holds
+    written as it finishes. The kinds are the jobs of one
+    ``training.in_shards`` call, the Transformer first (``_map_kinds``): its
+    large matrix products and ufuncs release the GIL, while the RNNs' many
+    small calls hold it. Every kind runs to its end before the first failure
+    in kind order is raised. Returns (report dict ready for JSON, the
+    held-out test rows). The report holds
     the dataset's fingerprint, one entry per kind (name, metrics, its
     forecast path and training history) in the order lstm, gru,
     transformer, and last cfg's ``config_echo``.
@@ -189,7 +186,5 @@ def compare(series: OhlcvSeries, cfg: RunConfig, out: str | Path):
         raise ConfigError(f"compare needs horizon >= 2 to score a forecast, got {cfg.horizon}")
     shared = prepare_windows(series, cfg.lookback, cfg.horizon, cfg.val_frac)
     fingerprint = dat.fingerprint(series)
-    entries = _map_kinds(
-        lambda kind: _report_entry(kind, cfg, shared, out), MODEL_KINDS, lead="transformer"
-    )
+    entries = _map_kinds(lambda kind: _report_entry(kind, cfg, shared, out))
     return {"dataset": fingerprint, "models": entries, "config": config_echo(cfg)}, shared[-1]

@@ -34,8 +34,9 @@ n2, then h leaving it, and ``s1`` holds n1, then a; the scores turn into
 ``attn_w`` in place. In backward, ``s0`` holds dh and then d_n1, which
 becomes the next dh; ``s1`` the rebuilt norms and the layer norms' scratch;
 ``s2`` da; ``s3`` d_y1, d_merged, d_k and the products that add into d_n1;
-``s4`` d_v, then d_q; ``s5`` the scores' gradient. The last block's output,
-the state, has a name of its own, so backward leaves the cache intact.
+``s4`` the ReLU's mask, then d_v, then d_q; ``s5`` the scores' gradient.
+The last block's output, the state, has a name of its own, so backward
+leaves the cache intact.
 
 Every weight gradient that sums over the sequence's rows is a
 ``numerics.sample_sum``: one product per sample, each reducing over that
@@ -294,7 +295,8 @@ def backward(params: Params, cache: dict, d_state: np.ndarray, grads: Params,
         grad.w_ff2 += sample_sum(dh, lc["rel"], workspace)
         grad.b_ff2 += dh.sum(axis=(0, 1))
         d_y1 = np.matmul(dh, layer.w_ff2, out=take("s3", lc["rel"].shape))
-        d_y1 *= lc["rel"] > 0  # relu' from its output: rel > 0 exactly where y1 > 0
+        # relu' from its output, as 1.0 and 0.0: rel > 0 exactly where y1 > 0
+        d_y1 *= np.greater(lc["rel"], 0.0, out=take("s4", lc["rel"].shape))
         n2 = _normed(layer.ln2_g, layer.ln2_b, lc["ln2"], take("s1", rows))
         grad.w_ff1 += sample_sum(d_y1, n2, workspace)
         grad.b_ff1 += d_y1.sum(axis=(0, 1))

@@ -12,11 +12,9 @@ A kind whose ``REGISTRY`` entry sets ``shard_rows`` has each batch cut into
 shards of that many rows (the last may be short); the others keep a batch
 as one shard. Each shard runs forward and backward on its own, with the
 batch's ``2 (pred - y) / batch`` as its upstream gradient; the predictions
-are joined, and the shards' gradients added in shard order. The first shard
-runs on the calling thread, and the rest are queued on ``spare_cores``:
-those still queued when the caller reaches them run on the caller in turn
-(``in_shards``). So a step is the same arithmetic whichever thread ran
-which shard, and its bits depend on the shard size, never on the core
+are joined, and the shards' gradients added in shard order. The shards go
+through ``in_shards``, so a step is the same arithmetic whichever thread
+ran which shard, and its bits depend on the shard size, never on the core
 count. The validation pass runs in chunks of the shard size, the same way:
 a forward builds a backward cache, and one forward over the whole
 validation set would hold a cache several times the size of a training
@@ -30,7 +28,7 @@ back to the OS only to be faulted in again. The last batch's predictions,
 caches and gradients are dropped before validation, so that a float64
 validation pass may replace the float32 arrays of the LSTM and GRU where it
 needs more room. Two runs share nothing they write, so
-``forecast_eval.compare`` runs two at once on threads.
+``forecast_eval.compare`` puts its kinds through ``in_shards`` too.
 
 The trained ``Params`` is the float64 master, as in mixed-precision
 training. Each batch's forward and backward run on a working copy in the
@@ -157,12 +155,11 @@ def spare_cores():
     """The process's one pool for the core its callers leave idle: one thread.
 
     It is made on first use; only then is ``concurrent.futures`` imported,
-    so no command's start-up loads it. Training queues its later shards
-    here and ``forecast_eval.compare`` its LSTM and GRU jobs, so a shard
-    runs beside its caller only while the pool's thread is free, and the
-    LSTM and GRU run one after the other, on any core count. One thread is
-    what a default batch of 32 in 16-row shards can use; no workload has
-    been measured with more.
+    so no command's start-up loads it. ``in_shards`` is the one way onto
+    it, for training's shards and ``forecast_eval.compare``'s kinds alike,
+    so a job runs beside its caller only while the pool's thread is free.
+    One thread is what a default batch of 32 in 16-row shards can use; no
+    workload has been measured with more.
     """
     global _spare
     with _spare_lock:
@@ -171,18 +168,6 @@ def spare_cores():
 
             _spare = ThreadPoolExecutor(1, thread_name_prefix="seqcast-spare")
         return _spare
-
-
-def stop_spare_cores() -> None:
-    """Cancel the pool's queued jobs, wait for its running ones and drop it.
-
-    The next ``spare_cores`` call makes a new pool.
-    """
-    global _spare
-    with _spare_lock:
-        pool, _spare = _spare, None
-    if pool is not None:
-        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def in_shards(job, count: int) -> list:
@@ -210,17 +195,16 @@ def in_shards(job, count: int) -> list:
 
 
 def validation_loss(
-    params: Params, val_set: WindowedDataset, batch_size: int, workspaces: list | None = None
+    params: Params, val_set: WindowedDataset, batch_size: int, workspaces: list
 ) -> float:
     """MSE over val_set, forwarded in chunks of batch_size windows (last one may be short).
 
-    Each chunk's cache is dropped before the next forward, or with
-    workspaces overwritten by it, so the pass never holds more than one
-    training batch's cache. With workspaces, the chunks go len(workspaces)
-    at a time through ``in_shards``, chunk i of each group drawing from
-    workspaces[i].
+    The chunks go len(workspaces) at a time through ``in_shards``, chunk i
+    of each group drawing from workspaces[i]; a workspace of None makes new
+    arrays. Each chunk's cache is dropped before the next forward, or
+    overwritten by it, so the pass never holds more than one training
+    batch's cache.
     """
-    workspaces = workspaces or [None]
     group = batch_size * len(workspaces)
     preds = []
     for start in range(0, len(val_set), group):

@@ -473,8 +473,8 @@ class TestCompare:
         # weights and the output, and the logs bar their wall seconds. Each
         # run writes "out" in its own directory, so the echoed config is the
         # same. A short switch interval makes the two threads interleave often.
-        def in_turn(job, kinds, lead):
-            return [job(kind) for kind in kinds]
+        def in_turn(job):
+            return [job(kind) for kind in MODEL_KINDS]
 
         written = {}
         for mode, mapper in (("in_turn", in_turn), ("threaded", forecast_eval._map_kinds)):

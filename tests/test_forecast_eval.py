@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import re
@@ -277,14 +278,14 @@ class TestMapKinds:
     ):
         # The Transformer leads on this thread and is interrupted while the
         # LSTM runs on the worker. The LSTM returns only once the interrupt
-        # has reached the join that waits for it, and the GRU never starts.
+        # has reached the wait for it, and the GRU never starts.
         started, finished = [], []
         lstm_running, joining = threading.Event(), threading.Event()
-        join = threading.Thread.join
+        wait = concurrent.futures.wait
 
-        def join_and_tell(thread, *args, **kwargs):
+        def wait_and_tell(*args, **kwargs):
             joining.set()
-            return join(thread, *args, **kwargs)
+            return wait(*args, **kwargs)
 
         def job(kind):
             started.append(kind)
@@ -296,9 +297,9 @@ class TestMapKinds:
             finished.append(kind)
             return kind
 
-        monkeypatch.setattr(threading.Thread, "join", join_and_tell)
+        monkeypatch.setattr(concurrent.futures, "wait", wait_and_tell)
         with pytest.raises(KeyboardInterrupt):
-            _map_kinds(job, MODEL_KINDS, lead="transformer")
+            _map_kinds(job)
         assert sorted(started) == ["lstm", "transformer"]
         assert finished == ["lstm"]
         assert joining.is_set()
@@ -313,7 +314,7 @@ class TestMapKinds:
             return kind
 
         with pytest.raises(ValueError, match="transformer failed"):
-            _map_kinds(job, MODEL_KINDS, lead="transformer")
+            _map_kinds(job)
         assert sorted(ran) == sorted(MODEL_KINDS)
 
     def test_a_worker_failure_of_any_exception_class_is_raised(self):
@@ -326,15 +327,42 @@ class TestMapKinds:
             return kind
 
         with pytest.raises(Halt, match="gru"):
-            _map_kinds(job, MODEL_KINDS, lead="transformer")
+            _map_kinds(job)
+
+    def test_on_a_busy_pool_the_caller_runs_every_kind_itself(self):
+        # A blocking job holds the pool's one thread, so every kind queued
+        # behind it is cancelled and run by the caller, in turn.
+        pool, held, release = training.spare_cores(), threading.Event(), threading.Event()
+        ran_on, returned = {}, []
+
+        def hold():
+            held.set()
+            release.wait(60)
+
+        def job(kind):
+            ran_on[kind] = threading.get_ident()
+            return kind
+
+        blocker = pool.submit(hold)
+        try:
+            assert held.wait(10)
+            caller = threading.Thread(target=lambda: returned.append(_map_kinds(job)))
+            caller.start()
+            caller.join(5)
+            assert not caller.is_alive()
+        finally:
+            release.set()
+        blocker.result(timeout=10)
+        assert returned == [list(MODEL_KINDS)]
+        assert ran_on == dict.fromkeys(MODEL_KINDS, caller.ident)
 
     @pytest.fixture
     def four_cores(self, monkeypatch):
         """A host of four cores, and a pool made afresh for it."""
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        training.stop_spare_cores()
+        monkeypatch.setattr(training, "_spare", None)
         yield
-        training.stop_spare_cores()
+        training.spare_cores().shutdown()
 
     def test_on_four_cores_the_gru_starts_once_the_lstm_has_finished(self, four_cores):
         events = []
@@ -346,7 +374,7 @@ class TestMapKinds:
             events.append(("end", kind))
             return kind
 
-        assert _map_kinds(job, MODEL_KINDS, lead="transformer") == list(MODEL_KINDS)
+        assert _map_kinds(job) == list(MODEL_KINDS)
         assert [e for e in events if e[1] != "transformer"] == [
             ("start", "lstm"), ("end", "lstm"), ("start", "gru"), ("end", "gru")
         ]

@@ -266,7 +266,7 @@ class TestValidationLoss:
         params = models.init_params(SMALL[kind], rng)
         val = WindowedDataset(rng.random((n, 7)), rng.random(n))
         whole = mse_loss(models.forward(params, val.inputs)[0], val.targets)
-        assert validation_loss(params, val, batch_size) == pytest.approx(whole, rel=1e-12, abs=0)
+        assert validation_loss(params, val, batch_size, [None]) == pytest.approx(whole, rel=1e-12, abs=0)
 
     def test_peak_memory_is_at_most_half_a_full_batch_forward(self):
         batch_size, lookback = 32, 60
@@ -284,7 +284,7 @@ class TestValidationLoss:
                 tracemalloc.stop()
 
         full = traced_peak(lambda: models.forward(params, val.inputs))
-        chunked = traced_peak(lambda: validation_loss(params, val, batch_size))
+        chunked = traced_peak(lambda: validation_loss(params, val, batch_size, [None]))
         assert chunked <= full / 2
 
     def test_train_reports_the_chunked_loss_of_its_best_params(self, tmp_path):
@@ -293,7 +293,7 @@ class TestValidationLoss:
         params, history = train(SMALL["transformer"], train_set, val_set, cfg, tmp_path / "log")
         assert len(val_set) % cfg.batch_size != 0  # a short last chunk is exercised
         best = history.val_loss[history.best_epoch - 1]
-        assert validation_loss(params, val_set, cfg.batch_size) == best
+        assert validation_loss(params, val_set, cfg.batch_size, [None]) == best
 
 
 class TestTrain:
@@ -462,7 +462,7 @@ def _train_reference(model_cfg, train_set, val_set, cfg, log_path):
                 params = models.rebuild(params, theta)
             train_losses.append(sq_err_sum / n)
             rows = _shard_rows(model_cfg.kind, cfg.batch_size)
-            val_losses.append(validation_loss(params, val_set, rows))
+            val_losses.append(validation_loss(params, val_set, rows, [None]))
             improved = val_losses[-1] < best_val
             record = {
                 "epoch": epoch, "train_loss": train_losses[-1], "val_loss": val_losses[-1],
@@ -572,7 +572,7 @@ def _plain_loop(model_cfg, train_set, val_set, cfg):
             adam_step(params.theta, grads.theta, m, v, step, cfg)
         train_losses.append(sq_err_sum / n)
         rows = _shard_rows(model_cfg.kind, cfg.batch_size)
-        val_losses.append(validation_loss(params, val_set, rows))
+        val_losses.append(validation_loss(params, val_set, rows, [None]))
         if val_losses[-1] < min(val_losses[:-1], default=math.inf):
             best_theta, best_epoch = params.theta.copy(), epoch
     return best_theta, tuple(train_losses), tuple(val_losses), best_epoch

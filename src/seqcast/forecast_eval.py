@@ -149,9 +149,12 @@ _LEAD_FIRST = tuple(sorted(MODEL_KINDS, key=lambda kind: kind != "transformer"))
 def _map_kinds(job) -> list:
     """[job(kind) for kind in MODEL_KINDS], run by ``training.in_shards`` in _LEAD_FIRST order.
 
-    An Exception is held until every kind has run to its end, then the
-    first in the order of MODEL_KINDS is raised. Anything else, such as
-    Ctrl-C's KeyboardInterrupt, is in_shards' to handle.
+    The Transformer runs on this thread while the pool's thread takes the
+    LSTM. Once this thread is free, it runs a kind still queued itself, so
+    the LSTM and GRU may run at once. An Exception is held until every kind
+    has run to its end, then the first in the order of MODEL_KINDS is
+    raised. Anything else, such as Ctrl-C's KeyboardInterrupt, is
+    in_shards' to handle.
     """
 
     def held(i):

@@ -11,13 +11,28 @@ The update gate weights the candidate, so a saturated-low z freezes the
 state. The new state is a convex combination of h_{t-1} and g_t. The
 encoder state is h_T; the scalar head on it lives in ``seqcast.models``.
 
-The steps run gate-major: ``Params.stacked`` views the adjacent W_z and W_r
-as one (2, h, h+1) array and b_z, b_r as one (2, h). A step makes one
-stacked matmul and one ``sigmoid`` call for both gates, then the candidate's
-own matmul and ``tanh``. Each gate's arithmetic is the per-gate form's, in
-the same order, so outputs and gradients are bit-identical to it. ``cell``
+``forward`` and ``backward`` take one of two layouts by the params' dtype.
+
+Float64 runs gate-major, the layout of validation, ``predict`` and the
+forecast: ``Params.stacked`` views the adjacent W_z and W_r as one
+(2, h, h+1) array and b_z, b_r as one (2, h). A step makes one stacked
+matmul and one ``sigmoid`` call for both gates, then the candidate's own
+matmul and ``tanh``. Each gate's arithmetic is the per-gate form's, in the
+same order, so outputs and gradients are bit-identical to it. ``cell``
 fills the step-major cache, allocated once per call, or with a workspace
-drawn from it by name; ``lanes`` runs it too.
+drawn from it by name; ``lanes`` runs it too, at either dtype.
+
+Float32, the working copy that training runs on, is feature-major: state,
+gates and cache are (hidden, batch), so each gate is one contiguous block of
+rows. A halved copy of [W | b] of z and r as one (2h, h+2) matrix makes one
+GEMM per step for both gates against [v_t; 1] (h+2, batch), which adds the
+biases too; halving by a power of two is exact, so one in-place ``tanh``
+and then ``*= 0.5; += 0.5`` activates them: sigmoid(v) = (1 + tanh(v / 2)) / 2.
+The candidate keeps its own GEMM, with [W_h | b_h], as it needs r_t.
+Backward makes one GEMM per step for the z and r rows' dv, summing over both
+gates; [dW | db] adds up in a local (3h, h+2) array, rows z, r, then the
+candidate, and is added into the layout's views once per call. Every array
+comes from ``numerics.buffer``.
 """
 
 from __future__ import annotations
@@ -77,7 +92,10 @@ def forward(
     The cache is step-major: ``v`` and ``u`` (steps, batch, h+1) hold v_t and
     [r_t * h_{t-1}, x_t]; ``gates`` (steps, 2, batch, h) holds z_t and r_t;
     ``g`` (steps, batch, h) holds the candidate. h_{t-1} is ``v[t, :, :h]``.
+    Float32 params take ``_forward32``, whose cache is feature-major.
     """
+    if params.theta.dtype == np.float32:
+        return _forward32(params, x, workspace)
     batch, steps = x.shape
     h, dtype = params.dims["hidden"], params.theta.dtype
     step = cell(params)
@@ -108,6 +126,8 @@ def lanes(params: Params, n: int):
 def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params,
              workspace: dict | None = None) -> None:
     """BPTT from dh, the gradient w.r.t. h_T; adds the cell's gradients into grads."""
+    if params.theta.dtype == np.float32:
+        return _backward32(params, cache, dh, grads, workspace)
     h = params.dims["hidden"]
     w, _ = _gate_views(params)
     gw, gb = _gate_views(grads)
@@ -133,3 +153,95 @@ def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params,
         gb += d_pre.sum(axis=1, keepdims=True)
         dv = np.matmul(d_pre, w)
         dh = dh_prev + (dv[0] + dv[1])[:, :h]
+
+
+def _forward32(params: Params, x: np.ndarray, workspace: dict | None):
+    """``forward`` feature-major. The cache's ``v`` (steps, h+2, batch) holds
+    [h_{t-1}; x_t; 1] and ``u`` [r_t * h_{t-1}; x_t; 1], whose last rows make
+    the GEMMs add the biases; ``gates`` (steps, 2h, batch) holds z_t over r_t,
+    and ``g`` (steps, h, batch) the candidate."""
+    batch, steps = x.shape
+    h, dtype = params.dims["hidden"], params.theta.dtype
+    w, b = _gate_views(params)
+    w_zr = buffer(workspace, "w_rows", (2, h, h + 2), dtype)  # [W | b] of z and r, halved
+    w_zr[:, :, : h + 1] = w
+    w_zr[:, :, h + 1] = b[:, 0]
+    w_zr *= 0.5  # exact, so the step's tanh gives tanh(v / 2)
+    w_zr = w_zr.reshape(2 * h, h + 2)
+    w_h = buffer(workspace, "w_cand", (h, h + 2), dtype)  # [W_h | b_h]
+    w_h[:, : h + 1] = params.w_h
+    w_h[:, h + 1] = params.b_h
+    v = buffer(workspace, "v", (steps, h + 2, batch), dtype)
+    v[0, :h] = 0.0
+    v[:, h] = x.T
+    v[:, h + 1] = 1.0
+    u = buffer(workspace, "u", v.shape, dtype)
+    u[:, h:] = v[:, h:]
+    gates = buffer(workspace, "gates", (steps, 2 * h, batch), dtype)
+    g = buffer(workspace, "g", (steps, h, batch), dtype)
+    state = buffer(workspace, "state", (h, batch), dtype)
+    step = buffer(workspace, "step", (h, batch), dtype)
+    for t in range(steps):
+        a, g_t, h_prev = gates[t], g[t], v[t, :h]
+        np.matmul(w_zr, v[t], out=a)
+        np.tanh(a, out=a)
+        a *= 0.5
+        a += 0.5
+        np.multiply(a[h:], h_prev, out=u[t, :h])
+        np.matmul(w_h, u[t], out=g_t)
+        np.tanh(g_t, out=g_t)
+        # h_t = h_{t-1} + z_t * (g_t - h_{t-1})
+        np.subtract(g_t, h_prev, out=step)
+        step *= a[:h]
+        np.add(h_prev, step, out=v[t + 1, :h] if t + 1 < steps else state)
+    return state.T, {"v": v, "u": u, "gates": gates, "g": g}
+
+
+def _backward32(params: Params, cache: dict, dh: np.ndarray, grads: Params,
+                workspace: dict | None) -> None:
+    """``backward`` over ``_forward32``'s cache."""
+    v, u, gates, g_all = (cache[k] for k in ("v", "u", "gates", "g"))
+    steps, h, batch, dtype = len(v), params.dims["hidden"], dh.shape[0], dh.dtype
+
+    def take(name, shape):
+        return buffer(workspace, name, shape, dtype)
+
+    w, _ = _gate_views(params)
+    w_zr, w_hh = w.reshape(2 * h, h + 1)[:, :h], params.w_h[:, :h]  # h_{t-1}'s columns
+    dh_t = take("dh", (h, batch))
+    dh_t[...] = dh.T
+    dh_prev, tmp = take("dh_prev", (h, batch)), take("tmp", (h, batch))
+    da = take("da", (3 * h, batch))  # pre-activation gradients, rows z, r, candidate
+    d_z, d_r, d_g, d_zr = da[:h], da[h : 2 * h], da[2 * h :], da[: 2 * h]
+    slope = take("slope", (2 * h, batch))
+    # [dW | db] of z, r and the candidate, and one step's term of it
+    gw, product = take("gw", (3 * h, h + 2)), take("gw_step", (3 * h, h + 2))
+    for t in reversed(range(steps)):
+        a, g, h_prev = gates[t], g_all[t], v[t, :h]
+        np.subtract(g, h_prev, out=d_z)
+        d_z *= dh_t
+        np.multiply(dh_t, a[:h], out=d_g)
+        np.subtract(dh_t, d_g, out=dh_prev)  # dh * (1 - z)
+        np.multiply(g, g, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        d_g *= tmp
+        np.matmul(w_hh.T, d_g, out=tmp)  # the gradient w.r.t. r * h_{t-1}
+        np.multiply(tmp, h_prev, out=d_r)
+        tmp *= a[h:]
+        dh_prev += tmp
+        # s (1 - s) for the z and r rows at once
+        np.subtract(1.0, a, out=slope)
+        slope *= a
+        d_zr *= slope
+        out = gw if t == steps - 1 else product  # the first step back writes gw itself
+        np.matmul(d_zr, v[t].T, out=out[: 2 * h])
+        np.matmul(d_g, u[t].T, out=out[2 * h :])
+        if out is product:
+            gw += product
+        np.matmul(w_zr.T, d_zr, out=dh_t)
+        dh_t += dh_prev
+    w_grads, b_grads = _gate_views(grads)
+    w_grads += gw[: 2 * h, : h + 1].reshape(2, h, h + 1)
+    b_grads[:, 0] += gw[: 2 * h, h + 1].reshape(2, h)
+    grads.w_h += gw[2 * h :, : h + 1]
+    grads.b_h += gw[2 * h :, h + 1]

@@ -14,14 +14,29 @@ The backward pass is hand-derived BPTT through the full window; gradients
 sum over the batch so that a mean-loss upstream gradient yields the mean of
 per-sample gradients.
 
-The steps run gate-major: ``Params.stacked`` views the adjacent W_f, W_i,
-W_c, W_o as one (4, h, h+1) array and their biases as one (4, h). A step
-makes one stacked matmul, one ``sigmoid`` call for f, i and o, and one
-``tanh`` for the candidate; backward adds all four weight gradients with one
-stacked matmul per step. Each gate's arithmetic is the per-gate form's, in
-the same order, so outputs and gradients are bit-identical to it. ``cell``
-fills the step-major cache, allocated once per call, or with a workspace
-drawn from it by name; ``lanes`` runs it too.
+``forward`` and ``backward`` take one of two layouts by the params' dtype.
+
+Float64 runs gate-major, the layout of validation, ``predict`` and the
+forecast: ``Params.stacked`` views the adjacent W_f, W_i, W_c, W_o as one
+(4, h, h+1) array and their biases as one (4, h). A step makes one stacked
+matmul, one ``sigmoid`` call for f, i and o, and one ``tanh`` for the
+candidate; backward adds all four weight gradients with one stacked matmul
+per step. Each gate's arithmetic is the per-gate form's, in the same order,
+so outputs and gradients are bit-identical to it. ``cell`` fills the
+step-major cache, allocated once per call, or with a workspace drawn from it
+by name; ``lanes`` runs it too, at either dtype.
+
+Float32, the working copy that training runs on, is feature-major: state,
+gates and cache are (hidden, batch), so each gate is one contiguous block of
+rows. A copy of the four gates' [W | b] as one (4h, h+2) matrix, row blocks
+in the order f, i, o, g, makes one GEMM per step against [z_t; 1]
+(h+2, batch), which adds the biases too. Its sigmoid rows are halved once
+per call, which is exact, so one in-place ``tanh`` and then
+``*= 0.5; += 0.5`` on the f, i, o rows activates every gate:
+sigmoid(v) = (1 + tanh(v / 2)) / 2. Backward makes one GEMM per step for
+dz, summing over the gates, and one for [dW | db], which adds up in a local
+(4h, h+2) array in the same row order; it is added into the layout-order
+views once per call. Every array comes from ``numerics.buffer``.
 """
 
 from __future__ import annotations
@@ -86,8 +101,11 @@ def forward(
     Returns h_T (batch, hidden) and the step-major cache the backward pass
     needs: ``z`` (steps, batch, h+1) holds z_t; ``gates`` (steps, 4, batch, h)
     holds f_t, i_t, o_t, g_t in that order; ``c`` (steps+1, batch, h) holds
-    c_0 ... c_T; ``tanh_c`` (steps, batch, h) holds tanh(c_t).
+    c_0 ... c_T; ``tanh_c`` (steps, batch, h) holds tanh(c_t). Float32
+    params take ``_forward32``, whose cache is feature-major.
     """
+    if params.theta.dtype == np.float32:
+        return _forward32(params, x, workspace)
     batch, steps = x.shape
     h, dtype = params.dims["hidden"], params.theta.dtype
     step = cell(params)
@@ -118,6 +136,8 @@ def lanes(params: Params, n: int):
 def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params,
              workspace: dict | None = None) -> None:
     """BPTT from dh, the gradient w.r.t. h_T; adds the cell's gradients into grads."""
+    if params.theta.dtype == np.float32:
+        return _backward32(params, cache, dh, grads, workspace)
     h = params.dims["hidden"]
     w, _ = _gate_views(params)
     gw, gb = _gate_views(grads)
@@ -138,3 +158,108 @@ def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params,
         gb += da.sum(axis=1, keepdims=True)
         dz = np.matmul(da, w)
         dh = (dz[0] + dz[1] + dz[2] + dz[3])[:, :h]
+
+
+# The feature-major float32 layout. _ROWS[k] is the layout gate of row block k.
+_ROWS = (0, 1, 3, 2)
+
+
+def _gate_rows(params: Params, workspace, halve: bool) -> np.ndarray:
+    """[W | b] of the four gates as one (4h, h+2) copy, row blocks f, i, o, g.
+
+    With halve, the f, i and o rows are scaled by 0.5, an exact power of two.
+    """
+    w, b = _gate_views(params)
+    h = params.dims["hidden"]
+    rows = buffer(workspace, "w_rows", (4, h, h + 2), params.theta.dtype)
+    for k, gate in enumerate(_ROWS):
+        rows[k, :, : h + 1] = w[gate]
+        rows[k, :, h + 1] = b[gate, 0]
+    if halve:
+        rows[:3] *= 0.5
+    return rows.reshape(4 * h, h + 2)
+
+
+def _forward32(params: Params, x: np.ndarray, workspace: dict | None):
+    """``forward`` feature-major. The cache's ``z`` (steps, h+2, batch) holds
+    [h_{t-1}; x_t; 1], whose last row makes the GEMM add the biases; ``gates``
+    (steps, 4h, batch) holds f, i, o, g; ``c`` (steps+1, h, batch) and
+    ``tanh_c`` (steps, h, batch) are as in ``forward``."""
+    batch, steps = x.shape
+    h, dtype = params.dims["hidden"], params.theta.dtype
+    w = _gate_rows(params, workspace, halve=True)
+    z = buffer(workspace, "z", (steps, h + 2, batch), dtype)
+    z[0, :h] = 0.0
+    z[:, h] = x.T
+    z[:, h + 1] = 1.0
+    gates = buffer(workspace, "gates", (steps, 4 * h, batch), dtype)
+    c = buffer(workspace, "c", (steps + 1, h, batch), dtype)
+    c[0] = 0.0
+    tanh_c = buffer(workspace, "tanh_c", (steps, h, batch), dtype)
+    state = buffer(workspace, "state", (h, batch), dtype)
+    ig = buffer(workspace, "ig", (h, batch), dtype)
+    for t in range(steps):
+        a = gates[t]
+        np.matmul(w, z[t], out=a)
+        np.tanh(a, out=a)  # tanh(v / 2) on the halved rows
+        a[: 3 * h] *= 0.5
+        a[: 3 * h] += 0.5
+        f, i, o, g = a[:h], a[h : 2 * h], a[2 * h : 3 * h], a[3 * h :]
+        np.multiply(f, c[t], out=c[t + 1])
+        c[t + 1] += np.multiply(i, g, out=ig)
+        np.tanh(c[t + 1], out=tanh_c[t])
+        np.multiply(o, tanh_c[t], out=z[t + 1, :h] if t + 1 < steps else state)
+    return state.T, {"z": z, "gates": gates, "c": c, "tanh_c": tanh_c}
+
+
+def _backward32(params: Params, cache: dict, dh: np.ndarray, grads: Params,
+                workspace: dict | None) -> None:
+    """``backward`` over ``_forward32``'s cache."""
+    z, gates, c, tanh_c = (cache[k] for k in ("z", "gates", "c", "tanh_c"))
+    steps, h, batch, dtype = len(z), params.dims["hidden"], dh.shape[0], dh.dtype
+
+    def take(name, shape):
+        return buffer(workspace, name, shape, dtype)
+
+    w_h = _gate_rows(params, workspace, halve=False)[:, :h]  # h_{t-1}'s columns
+    dh_t = take("dh", (h, batch))
+    dh_t[...] = dh.T
+    dc = take("dc", (h, batch))
+    dc[...] = 0.0
+    tmp = take("tmp", (h, batch))
+    da = take("da", (4 * h, batch))  # pre-activation gradients, rows f, i, o, g
+    d_f, d_i, d_o, d_g = da[:h], da[h : 2 * h], da[2 * h : 3 * h], da[3 * h :]
+    d_sig, slope = da[: 3 * h], take("slope", (3 * h, batch))
+    # [dW | db] of the four gates, and one step's term of it
+    gw, product = take("gw", (4 * h, h + 2)), take("gw_step", (4 * h, h + 2))
+    for t in reversed(range(steps)):
+        a, tc = gates[t], tanh_c[t]
+        sig, o, g = a[: 3 * h], a[2 * h : 3 * h], a[3 * h :]
+        np.multiply(dh_t, tc, out=d_o)
+        # dc += dh * o * (1 - tanh(c_t)^2)
+        np.multiply(tc, tc, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        tmp *= o
+        tmp *= dh_t
+        dc += tmp
+        np.multiply(dc, c[t], out=d_f)
+        np.multiply(dc, g, out=d_i)
+        np.multiply(g, g, out=d_g)
+        np.subtract(1.0, d_g, out=d_g)
+        d_g *= a[h : 2 * h]
+        d_g *= dc
+        # s (1 - s) for the f, i and o rows at once
+        np.subtract(1.0, sig, out=slope)
+        slope *= sig
+        d_sig *= slope
+        dc *= a[:h]
+        if t == steps - 1:
+            np.matmul(da, z[t].T, out=gw)
+        else:
+            gw += np.matmul(da, z[t].T, out=product)
+        np.matmul(w_h.T, da, out=dh_t)
+    gw = gw.reshape(4, h, h + 2)
+    w_grads, b_grads = _gate_views(grads)
+    for k, gate in enumerate(_ROWS):
+        w_grads[gate] += gw[k, :, : h + 1]
+        b_grads[gate, 0] += gw[k, :, h + 1]

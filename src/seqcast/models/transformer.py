@@ -34,7 +34,8 @@ n2, then h leaving it, and ``s1`` holds n1, then a; the scores turn into
 ``attn_w`` in place. In backward, ``s0`` holds dh and then d_n1, which
 becomes the next dh; ``s1`` the rebuilt norms and the layer norms' scratch;
 ``s2`` da; ``s3`` d_y1, d_merged, d_k and the products that add into d_n1;
-``s4`` the ReLU's mask, then d_v, then d_q; ``s5`` the scores' gradient.
+``s4`` the ReLU's mask, as bools over the first bytes of each of its rows,
+then d_v, then d_q; ``s5`` the scores' gradient.
 The last block's output, the state, has a name of its own, so backward
 leaves the cache intact.
 
@@ -292,11 +293,16 @@ def backward(params: Params, cache: dict, d_state: np.ndarray, grads: Params,
         layer, grad, lc = params.layers[idx], grads.layers[idx], cache["layers"][idx]
         rows = lc["ln2"][0].shape  # the last block's a and h_out are at the final position only
         # FFN branch: h_out = a + relu(n2 W1' + b1) W2' + b2
-        grad.w_ff2 += sample_sum(dh, lc["rel"], workspace)
+        rel = lc["rel"]
+        grad.w_ff2 += sample_sum(dh, rel, workspace)
         grad.b_ff2 += dh.sum(axis=(0, 1))
-        d_y1 = np.matmul(dh, layer.w_ff2, out=take("s3", lc["rel"].shape))
-        # relu' from its output, as 1.0 and 0.0: rel > 0 exactly where y1 > 0
-        d_y1 *= np.greater(lc["rel"], 0.0, out=take("s4", lc["rel"].shape))
+        d_y1 = np.matmul(dh, layer.w_ff2, out=take("s3", rel.shape))
+        # relu' from its output: rel > 0 exactly where y1 > 0. The bool mask
+        # fills the first bytes of each row of slot s4, drawn in the params'
+        # dtype at the full size that d_v and d_q take, so it is never regrown.
+        words = max(full[-1], -(-rel.shape[-1] // params.theta.itemsize))
+        mask = take("s4", full[:2] + (words,)).view(np.bool_)[:, : rel.shape[1], : rel.shape[-1]]
+        d_y1 *= np.greater(rel, 0.0, out=mask)
         n2 = _normed(layer.ln2_g, layer.ln2_b, lc["ln2"], take("s1", rows))
         grad.w_ff1 += sample_sum(d_y1, n2, workspace)
         grad.b_ff1 += d_y1.sum(axis=(0, 1))

@@ -174,10 +174,12 @@ def in_shards(job, count: int) -> list:
     """[job(0), ..., job(count - 1)]: job(0) on this thread, the others queued on ``spare_cores``.
 
     This thread then takes the others in order: one still queued is
-    cancelled and run here, one already started is waited for. Each job
-    runs once, and the list does not depend on which thread ran it. When a
-    job raises, or an interrupt arrives, the jobs still queued are cancelled
-    and a started one is waited for, so none runs after this call ends.
+    cancelled and run here, beside the job the pool's thread may have
+    started meanwhile, and one already started is waited for. Each job runs
+    once, at most two run at once, and the list does not depend on which
+    thread ran which job. When a job raises, or an interrupt arrives, the
+    jobs still queued are cancelled and a started one is waited for, so
+    none runs after this call ends.
     """
     if count == 1:
         return [job(0)]

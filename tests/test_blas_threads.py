@@ -1,12 +1,19 @@
-"""The Transformer's bytes do not depend on the BLAS thread count.
+"""Trained bytes do not depend on the BLAS thread count.
 
 Two interpreters run the same forward and backward passes and a short
-training run, one at one BLAS thread and one at two, and print a digest of
-every output array. A weight gradient whose long sum BLAS orders by its
-thread count shows here as a differing array, named by dtype, batch and
-parameter.
+training run of each kind, one at one BLAS thread and one at two, and print
+a digest of every output array. A weight gradient whose long sum BLAS orders
+by its thread count shows here as a differing array, named by kind, dtype,
+batch and parameter.
+
+The LSTM and GRU are covered at float32, the dtype they train in, and at
+float64 for batches 7, 13 and 32. Their float64 gate-major weight gradients
+at batch 256 still differ between one and two threads, a known open fault
+(ROADMAP, "Byte-identical artifacts at any BLAS thread count"), so the child
+leaves that case out.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -28,34 +35,39 @@ from seqcast.models import ModelConfig
 def digest(a):
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
-rng = np.random.default_rng(0)
-cfg = ModelConfig("transformer")
-master = models.init_params(cfg, rng)
-out = {}
-for dtype in (np.float64, np.float32):
-    params = models.rebuild(master, master.theta.astype(dtype))
-    for batch in (7, 13, 32, 256):
-        x, d_preds = rng.random((batch, 60)), rng.normal(size=batch)
-        preds, cache = models.forward(params, x)
-        key = f"{np.dtype(dtype).name}.b{batch}"
-        out[f"{key}.forward"] = digest(preds)
-        grads = models.backward(params, cache, d_preds)
-        out.update((f"{key}.{name}", digest(g)) for name, g in grads.named_arrays())
 windows = make_windows(np.random.default_rng(1).random(230), 60)
 train_set = WindowedDataset(windows.inputs[:140], windows.targets[:140])
 val_set = WindowedDataset(windows.inputs[140:], windows.targets[140:])
-with tempfile.TemporaryDirectory() as tmp:
-    trained, history = training.train(
-        cfg, train_set, val_set, training.TrainConfig(max_epochs=2, patience=2, seed=0),
-        Path(tmp) / "log",
-    )
-out["train.theta"] = digest(trained.theta)
-out["train.history"] = repr(history)
+out = {}
+for kind in ("lstm", "gru", "transformer"):
+    rng = np.random.default_rng(0)
+    cfg = ModelConfig(kind)
+    master = models.init_params(cfg, rng)
+    for dtype in (np.float64, np.float32):
+        params = models.rebuild(master, master.theta.astype(dtype))
+        for batch in (7, 13, 32, 256):
+            x, d_preds = rng.random((batch, 60)), rng.normal(size=batch)
+            if kind != "transformer" and dtype == np.float64 and batch == 256:
+                continue  # the known difference this module's docstring names
+            preds, cache = models.forward(params, x)
+            key = f"{kind}.{np.dtype(dtype).name}.b{batch}"
+            out[f"{key}.forward"] = digest(preds)
+            grads = models.backward(params, cache, d_preds)
+            out.update((f"{key}.{name}", digest(g)) for name, g in grads.named_arrays())
+    with tempfile.TemporaryDirectory() as tmp:
+        trained, history = training.train(
+            cfg, train_set, val_set, training.TrainConfig(max_epochs=2, patience=2, seed=0),
+            Path(tmp) / "log",
+        )
+    out[f"{kind}.train.theta"] = digest(trained.theta)
+    out[f"{kind}.train.history"] = repr(history)
 print(json.dumps(out))
 """
 
 
+@functools.cache
 def digests_at(threads: int) -> dict:
+    """The child's digests at this BLAS thread count, run once per session."""
     paths = [str(SRC), os.environ.get("PYTHONPATH")]
     env = {
         **os.environ,
@@ -70,10 +82,25 @@ def digests_at(threads: int) -> dict:
     return json.loads(run.stdout)
 
 
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2, reason="one core: a second BLAS thread would share it"
-)
-def test_transformer_bytes_are_the_same_at_one_and_two_blas_threads():
+def differing(*kinds: str) -> list:
+    """The digests of kinds' arrays that differ between one and two BLAS threads."""
     one, two = digests_at(1), digests_at(2)
     assert one.keys() == two.keys()
-    assert [name for name in one if one[name] != two[name]] == []
+    names = [name for name in one if name.split(".")[0] in kinds]
+    assert names
+    return [name for name in names if one[name] != two[name]]
+
+
+two_cores = pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2, reason="one core: a second BLAS thread would share it"
+)
+
+
+@two_cores
+def test_transformer_bytes_are_the_same_at_one_and_two_blas_threads():
+    assert differing("transformer") == []
+
+
+@two_cores
+def test_lstm_and_gru_bytes_are_the_same_at_one_and_two_blas_threads():
+    assert differing("lstm", "gru") == []

@@ -447,8 +447,8 @@ class TestCompare:
     def test_the_first_failure_in_kind_order_is_raised(
         self, tmp_path, sine_csv, monkeypatch, capsys
     ):
-        # The Transformer trains on the calling thread, beside the LSTM then
-        # the GRU on a worker. Whichever fails first in time, the error names
+        # The Transformer trains on the calling thread, beside the LSTM and
+        # GRU on the pool. Whichever fails first in time, the error names
         # the first failing kind in the order lstm, gru, transformer, and the
         # GRU, which trained, leaves its log and weights.
         original = training.train

@@ -282,6 +282,42 @@ def test_float32_agrees_with_float64_at_float32_scale(kind, steps):
     assert np.abs(grads32 - grads64).max() <= FLOAT32_SCALE * np.abs(grads64).max()
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["lstm", "gru"]),
+    hidden=st.integers(1, 24),
+    batch=st.integers(1, 40),
+    steps=st.integers(1, 70),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="lstm", hidden=1, batch=1, steps=1, seed=0)
+@example(kind="gru", hidden=24, batch=40, steps=70, seed=0)
+def test_float32_rnn_layout_agrees_with_float64_at_float32_scale(kind, hidden, batch, steps,
+                                                                  seed):
+    # The LSTM and GRU compute float32 feature-major and float64 gate-major:
+    # two layouts of one function. Each gate bias is drawn, so none is zero.
+    # A float32 sum is accurate to FLOAT32_SCALE times the size of its terms,
+    # not of its value, which cancellation can make as small as it likes: so
+    # the predictions are measured against the head's terms, |h_T| |head_w|'
+    # + |head_b|, and the gradient against the gradient of |d_preds|, whose
+    # samples add up without cancelling.
+    rng = np.random.default_rng(seed)
+    params64 = models.init_params(ModelConfig(kind, hidden=hidden), rng)
+    for name, bias in params64.named_arrays():
+        if name.startswith("b_"):
+            bias += rng.normal(scale=0.1, size=bias.shape)
+    params32 = models.rebuild(params64, params64.theta.astype(np.float32))
+    x, d_preds = rng.random((batch, steps)), rng.normal(size=batch)
+    preds64, cache64 = models.forward(params64, x)
+    preds32, cache32 = models.forward(params32, x)
+    terms = np.abs(cache64["state"]) @ np.abs(params64.head_w.T) + np.abs(params64.head_b)
+    assert np.abs(preds32 - preds64).max() <= FLOAT32_SCALE * terms.max()
+    grads64 = models.backward(params64, cache64, d_preds).theta
+    grads32 = models.backward(params32, cache32, d_preds).theta
+    size = models.backward(params64, cache64, np.abs(d_preds)).theta
+    assert np.abs(grads32 - grads64).max() <= FLOAT32_SCALE * np.abs(size).max()
+
+
 def _poison(workspace, keep=()):
     """Fill with NaN every workspace array that holds none of keep."""
     for held in workspace.values():

@@ -19,7 +19,7 @@ import numpy as np
 from . import data as dat
 from . import models, training
 from .data import OhlcvSeries, Scaler, WindowedDataset
-from .models import MODEL_KINDS, weights_io
+from .models import MODEL_KINDS, REGISTRY, weights_io
 from .runconfig import ConfigError, RunConfig, config_echo
 from .training import TrainingError
 
@@ -142,8 +142,9 @@ def _report_entry(kind: str, cfg: RunConfig, shared: tuple, out: str | Path) -> 
     }
 
 
-# The Transformer leads: in_shards runs the first job on the calling thread.
-_LEAD_FIRST = tuple(sorted(MODEL_KINDS, key=lambda kind: kind != "transformer"))
+# A kind that shards its batches leads, as its large products release the GIL
+# (see REGISTRY): in_shards runs the first job on the calling thread.
+_LEAD_FIRST = tuple(sorted(MODEL_KINDS, key=lambda kind: REGISTRY[kind].shard_rows is None))
 
 
 def _map_kinds(job) -> list:

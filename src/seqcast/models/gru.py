@@ -24,15 +24,13 @@ drawn from it by name; ``lanes`` runs it too, at either dtype.
 
 Float32, the working copy that training runs on, is feature-major: state,
 gates and cache are (hidden, batch), so each gate is one contiguous block of
-rows. A halved copy of [W | b] of z and r as one (2h, h+2) matrix makes one
-GEMM per step for both gates against [v_t; 1] (h+2, batch), which adds the
-biases too; halving by a power of two is exact, so one in-place ``tanh``
-and then ``*= 0.5; += 0.5`` activates them: sigmoid(v) = (1 + tanh(v / 2)) / 2.
-The candidate keeps its own GEMM, with [W_h | b_h], as it needs r_t.
+rows. ``Params.packed`` gives [W | b] of z, r and the candidate as one
+(3h, h+2) matrix with the z and r rows halved. A step makes one GEMM for
+both gates against [v_t; 1], one in-place ``tanh`` and ``*= 0.5; += 0.5``;
+the candidate keeps its own GEMM on the last h rows, as it needs r_t.
 Backward makes one GEMM per step for the z and r rows' dv, summing over both
-gates; [dW | db] adds up in a local (3h, h+2) array, rows z, r, then the
-candidate, and is added into the layout's views once per call. Every array
-comes from ``numerics.buffer``.
+gates, and [dW | db] adds up in the packed layout. Every array comes from
+``numerics.buffer``.
 """
 
 from __future__ import annotations
@@ -64,6 +62,10 @@ def _gate_views(p: Params) -> tuple[np.ndarray, np.ndarray]:
     return p.stacked("w_z", "w_r"), p.stacked("b_z", "b_r")[:, None]
 
 
+# The pairs of the packed float32 rows: the gates z and r, then the candidate.
+_GATES = (("w_z", "b_z"), ("w_r", "b_r"), ("w_h", "b_h"))
+
+
 def cell(params: Params):
     """The step v_t (n, h+1) -> h_t; u_t[:, -1] must hold x_t, and h_out may be v_t[:, :-1]."""
     w, b = _gate_views(params)
@@ -92,10 +94,10 @@ def forward(
     The cache is step-major: ``v`` and ``u`` (steps, batch, h+1) hold v_t and
     [r_t * h_{t-1}, x_t]; ``gates`` (steps, 2, batch, h) holds z_t and r_t;
     ``g`` (steps, batch, h) holds the candidate. h_{t-1} is ``v[t, :, :h]``.
-    Float32 params take ``_forward32``, whose cache is feature-major.
+    Float32 params take ``_forward_packed``, whose cache is feature-major.
     """
     if params.theta.dtype == np.float32:
-        return _forward32(params, x, workspace)
+        return _forward_packed(params, x, workspace)
     batch, steps = x.shape
     h, dtype = params.dims["hidden"], params.theta.dtype
     step = cell(params)
@@ -127,7 +129,7 @@ def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params,
              workspace: dict | None = None) -> None:
     """BPTT from dh, the gradient w.r.t. h_T; adds the cell's gradients into grads."""
     if params.theta.dtype == np.float32:
-        return _backward32(params, cache, dh, grads, workspace)
+        return _backward_packed(params, cache, dh, grads, workspace)
     h = params.dims["hidden"]
     w, _ = _gate_views(params)
     gw, gb = _gate_views(grads)
@@ -155,22 +157,15 @@ def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params,
         dh = dh_prev + (dv[0] + dv[1])[:, :h]
 
 
-def _forward32(params: Params, x: np.ndarray, workspace: dict | None):
+def _forward_packed(params: Params, x: np.ndarray, workspace: dict | None):
     """``forward`` feature-major. The cache's ``v`` (steps, h+2, batch) holds
     [h_{t-1}; x_t; 1] and ``u`` [r_t * h_{t-1}; x_t; 1], whose last rows make
     the GEMMs add the biases; ``gates`` (steps, 2h, batch) holds z_t over r_t,
     and ``g`` (steps, h, batch) the candidate."""
     batch, steps = x.shape
     h, dtype = params.dims["hidden"], params.theta.dtype
-    w, b = _gate_views(params)
-    w_zr = buffer(workspace, "w_rows", (2, h, h + 2), dtype)  # [W | b] of z and r, halved
-    w_zr[:, :, : h + 1] = w
-    w_zr[:, :, h + 1] = b[:, 0]
-    w_zr *= 0.5  # exact, so the step's tanh gives tanh(v / 2)
-    w_zr = w_zr.reshape(2 * h, h + 2)
-    w_h = buffer(workspace, "w_cand", (h, h + 2), dtype)  # [W_h | b_h]
-    w_h[:, : h + 1] = params.w_h
-    w_h[:, h + 1] = params.b_h
+    w = params.packed(_GATES, workspace, halved=2)
+    w_zr, w_h = w[: 2 * h], w[2 * h :]
     v = buffer(workspace, "v", (steps, h + 2, batch), dtype)
     v[0, :h] = 0.0
     v[:, h] = x.T
@@ -197,9 +192,9 @@ def _forward32(params: Params, x: np.ndarray, workspace: dict | None):
     return state.T, {"v": v, "u": u, "gates": gates, "g": g}
 
 
-def _backward32(params: Params, cache: dict, dh: np.ndarray, grads: Params,
+def _backward_packed(params: Params, cache: dict, dh: np.ndarray, grads: Params,
                 workspace: dict | None) -> None:
-    """``backward`` over ``_forward32``'s cache."""
+    """``backward`` over ``_forward_packed``'s cache."""
     v, u, gates, g_all = (cache[k] for k in ("v", "u", "gates", "g"))
     steps, h, batch, dtype = len(v), params.dims["hidden"], dh.shape[0], dh.dtype
 
@@ -216,6 +211,7 @@ def _backward32(params: Params, cache: dict, dh: np.ndarray, grads: Params,
     slope = take("slope", (2 * h, batch))
     # [dW | db] of z, r and the candidate, and one step's term of it
     gw, product = take("gw", (3 * h, h + 2)), take("gw_step", (3 * h, h + 2))
+    gw[...] = 0.0
     for t in reversed(range(steps)):
         a, g, h_prev = gates[t], g_all[t], v[t, :h]
         np.subtract(g, h_prev, out=d_z)
@@ -233,15 +229,9 @@ def _backward32(params: Params, cache: dict, dh: np.ndarray, grads: Params,
         np.subtract(1.0, a, out=slope)
         slope *= a
         d_zr *= slope
-        out = gw if t == steps - 1 else product  # the first step back writes gw itself
-        np.matmul(d_zr, v[t].T, out=out[: 2 * h])
-        np.matmul(d_g, u[t].T, out=out[2 * h :])
-        if out is product:
-            gw += product
+        np.matmul(d_zr, v[t].T, out=product[: 2 * h])
+        np.matmul(d_g, u[t].T, out=product[2 * h :])
+        gw += product
         np.matmul(w_zr.T, d_zr, out=dh_t)
         dh_t += dh_prev
-    w_grads, b_grads = _gate_views(grads)
-    w_grads += gw[: 2 * h, : h + 1].reshape(2, h, h + 1)
-    b_grads[:, 0] += gw[: 2 * h, h + 1].reshape(2, h)
-    grads.w_h += gw[2 * h :, : h + 1]
-    grads.b_h += gw[2 * h :, h + 1]
+    grads.add_packed(_GATES, gw)

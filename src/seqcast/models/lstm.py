@@ -28,15 +28,12 @@ by name; ``lanes`` runs it too, at either dtype.
 
 Float32, the working copy that training runs on, is feature-major: state,
 gates and cache are (hidden, batch), so each gate is one contiguous block of
-rows. A copy of the four gates' [W | b] as one (4h, h+2) matrix, row blocks
-in the order f, i, o, g, makes one GEMM per step against [z_t; 1]
-(h+2, batch), which adds the biases too. Its sigmoid rows are halved once
-per call, which is exact, so one in-place ``tanh`` and then
-``*= 0.5; += 0.5`` on the f, i, o rows activates every gate:
-sigmoid(v) = (1 + tanh(v / 2)) / 2. Backward makes one GEMM per step for
-dz, summing over the gates, and one for [dW | db], which adds up in a local
-(4h, h+2) array in the same row order; it is added into the layout-order
-views once per call. Every array comes from ``numerics.buffer``.
+rows. ``Params.packed`` gives the four gates' [W | b] as one (4h, h+2)
+matrix with the f, i, o rows halved, so a step makes one GEMM against
+[z_t; 1], one in-place ``tanh`` and then ``*= 0.5; += 0.5`` on the f, i, o
+rows. Backward makes one GEMM per step for dz, summing over the gates, and
+one for [dW | db], which adds up in that layout. Every array comes from
+``numerics.buffer``.
 """
 
 from __future__ import annotations
@@ -73,13 +70,18 @@ def _gate_views(p: Params) -> tuple[np.ndarray, np.ndarray]:
     return p.stacked("w_f", "w_i", "w_c", "w_o"), p.stacked("b_f", "b_i", "b_c", "b_o")[:, None]
 
 
+# The gates in step order, the sigmoids first: f, i, o, then the candidate g,
+# whose arrays are w_c and b_c. ``cell``, its cache and the float32 rows keep it.
+_GATES = tuple((f"w_{gate}", f"b_{gate}") for gate in "fioc")
+
+
 def cell(params: Params):
     """The step z_t (n, h+1) -> h_t; a gets f, i, o, g, c_t may be c_prev, h_out z_t[:, :-1]."""
-    w, b = _gate_views(params)
-    # Reordering copies the stack but keeps each gate matrix row-major. The
+    # Stacking copies the gate matrices but keeps each one row-major. The
     # transpose must stay a view: each gate's product is then the same BLAS
     # call as z @ w_f.T, bit for bit, where a transposed copy is not.
-    wt, b = w[[0, 1, 3, 2]].transpose(0, 2, 1), b[[0, 1, 3, 2]]
+    wt = np.stack([getattr(params, w) for w, _ in _GATES]).transpose(0, 2, 1)
+    b = np.stack([getattr(params, name) for _, name in _GATES])[:, None]
     def step(z_t, a, c_prev, c_t, tanh_c_t, h_out=None) -> np.ndarray:
         np.matmul(z_t, wt, out=a)
         a += b
@@ -102,10 +104,10 @@ def forward(
     needs: ``z`` (steps, batch, h+1) holds z_t; ``gates`` (steps, 4, batch, h)
     holds f_t, i_t, o_t, g_t in that order; ``c`` (steps+1, batch, h) holds
     c_0 ... c_T; ``tanh_c`` (steps, batch, h) holds tanh(c_t). Float32
-    params take ``_forward32``, whose cache is feature-major.
+    params take ``_forward_packed``, whose cache is feature-major.
     """
     if params.theta.dtype == np.float32:
-        return _forward32(params, x, workspace)
+        return _forward_packed(params, x, workspace)
     batch, steps = x.shape
     h, dtype = params.dims["hidden"], params.theta.dtype
     step = cell(params)
@@ -137,7 +139,7 @@ def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params,
              workspace: dict | None = None) -> None:
     """BPTT from dh, the gradient w.r.t. h_T; adds the cell's gradients into grads."""
     if params.theta.dtype == np.float32:
-        return _backward32(params, cache, dh, grads, workspace)
+        return _backward_packed(params, cache, dh, grads, workspace)
     h = params.dims["hidden"]
     w, _ = _gate_views(params)
     gw, gb = _gate_views(grads)
@@ -160,34 +162,14 @@ def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params,
         dh = (dz[0] + dz[1] + dz[2] + dz[3])[:, :h]
 
 
-# The feature-major float32 layout. _ROWS[k] is the layout gate of row block k.
-_ROWS = (0, 1, 3, 2)
-
-
-def _gate_rows(params: Params, workspace, halve: bool) -> np.ndarray:
-    """[W | b] of the four gates as one (4h, h+2) copy, row blocks f, i, o, g.
-
-    With halve, the f, i and o rows are scaled by 0.5, an exact power of two.
-    """
-    w, b = _gate_views(params)
-    h = params.dims["hidden"]
-    rows = buffer(workspace, "w_rows", (4, h, h + 2), params.theta.dtype)
-    for k, gate in enumerate(_ROWS):
-        rows[k, :, : h + 1] = w[gate]
-        rows[k, :, h + 1] = b[gate, 0]
-    if halve:
-        rows[:3] *= 0.5
-    return rows.reshape(4 * h, h + 2)
-
-
-def _forward32(params: Params, x: np.ndarray, workspace: dict | None):
+def _forward_packed(params: Params, x: np.ndarray, workspace: dict | None):
     """``forward`` feature-major. The cache's ``z`` (steps, h+2, batch) holds
     [h_{t-1}; x_t; 1], whose last row makes the GEMM add the biases; ``gates``
     (steps, 4h, batch) holds f, i, o, g; ``c`` (steps+1, h, batch) and
     ``tanh_c`` (steps, h, batch) are as in ``forward``."""
     batch, steps = x.shape
     h, dtype = params.dims["hidden"], params.theta.dtype
-    w = _gate_rows(params, workspace, halve=True)
+    w = params.packed(_GATES, workspace, halved=3)
     z = buffer(workspace, "z", (steps, h + 2, batch), dtype)
     z[0, :h] = 0.0
     z[:, h] = x.T
@@ -212,16 +194,16 @@ def _forward32(params: Params, x: np.ndarray, workspace: dict | None):
     return state.T, {"z": z, "gates": gates, "c": c, "tanh_c": tanh_c}
 
 
-def _backward32(params: Params, cache: dict, dh: np.ndarray, grads: Params,
+def _backward_packed(params: Params, cache: dict, dh: np.ndarray, grads: Params,
                 workspace: dict | None) -> None:
-    """``backward`` over ``_forward32``'s cache."""
+    """``backward`` over ``_forward_packed``'s cache."""
     z, gates, c, tanh_c = (cache[k] for k in ("z", "gates", "c", "tanh_c"))
     steps, h, batch, dtype = len(z), params.dims["hidden"], dh.shape[0], dh.dtype
 
     def take(name, shape):
         return buffer(workspace, name, shape, dtype)
 
-    w_h = _gate_rows(params, workspace, halve=False)[:, :h]  # h_{t-1}'s columns
+    w_h = params.packed(_GATES, workspace)[:, :h]  # h_{t-1}'s columns
     dh_t = take("dh", (h, batch))
     dh_t[...] = dh.T
     dc = take("dc", (h, batch))
@@ -232,6 +214,7 @@ def _backward32(params: Params, cache: dict, dh: np.ndarray, grads: Params,
     d_sig, slope = da[: 3 * h], take("slope", (3 * h, batch))
     # [dW | db] of the four gates, and one step's term of it
     gw, product = take("gw", (4 * h, h + 2)), take("gw_step", (4 * h, h + 2))
+    gw[...] = 0.0
     for t in reversed(range(steps)):
         a, tc = gates[t], tanh_c[t]
         sig, o, g = a[: 3 * h], a[2 * h : 3 * h], a[3 * h :]
@@ -253,13 +236,6 @@ def _backward32(params: Params, cache: dict, dh: np.ndarray, grads: Params,
         slope *= sig
         d_sig *= slope
         dc *= a[:h]
-        if t == steps - 1:
-            np.matmul(da, z[t].T, out=gw)
-        else:
-            gw += np.matmul(da, z[t].T, out=product)
+        gw += np.matmul(da, z[t].T, out=product)
         np.matmul(w_h.T, da, out=dh_t)
-    gw = gw.reshape(4, h, h + 2)
-    w_grads, b_grads = _gate_views(grads)
-    for k, gate in enumerate(_ROWS):
-        w_grads[gate] += gw[k, :, : h + 1]
-        b_grads[gate, 0] += gw[k, :, h + 1]
+    grads.add_packed(_GATES, gw)

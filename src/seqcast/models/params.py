@@ -6,7 +6,8 @@ optimizer works on ``theta`` while the model code reads the views. A dotted
 name ``group.i.field`` becomes ``params.group[i].field``; the Transformer's
 blocks are ``params.layers``. Views are plain instance attributes because
 batch-1 forecasting reads them at every step. ``stacked`` views neighbours of
-one shape as one array, so no module computes an offset in ``theta``.
+one shape as one array, so no module computes an offset in ``theta``;
+``packed`` and ``add_packed`` are the float32 LSTM's and GRU's gate layout.
 
 ``theta`` is float64, or float32 for a working copy that a model trains on:
 the model code computes in the dtype of the params it is given.
@@ -18,6 +19,8 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+
+from ..numerics import buffer
 
 
 class Params:
@@ -34,13 +37,13 @@ class Params:
             raise ValueError(f"{kind} {dims} needs a contiguous float32 or float64 vector "
                              f"of {size} values")
         self.cfg, self.kind, self.dims, self.theta = cfg, kind, dims, theta
-        self._named, self._spans = [], {}
+        self._views, self._spans = {}, {}
         offset = 0
         for name, shape in shapes.items():
             view = theta[offset : offset + math.prod(shape)].reshape(shape)
             self._spans[name] = (offset, shape)
             offset += view.size
-            self._named.append((name, view))
+            self._views[name] = view
             group, _, rest = name.partition(".")
             if not rest:
                 setattr(self, name, view)
@@ -53,7 +56,7 @@ class Params:
 
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
         """(name, live view) pairs in layout order, the weight-file block order."""
-        return list(self._named)
+        return list(self._views.items())
 
     def stacked(self, *names: str) -> np.ndarray:
         """Arrays of one shape that follow each other in the layout, as one (k, *shape) view."""
@@ -64,6 +67,29 @@ class Params:
             raise ValueError(f"{', '.join(names)} are not adjacent arrays of one shape "
                              f"in the {self.kind} layout")
         return self.theta[start : start + len(names) * size].reshape(len(names), *shape)
+
+    def packed(self, pairs, workspace: dict | None = None, halved: int = 0) -> np.ndarray:
+        """[W | b] of each (weight, bias) name pair as one copied matrix, a row block per pair.
+
+        Against an input with a row of ones under it, one GEMM gives every
+        pair's W v + b. The first ``halved`` blocks are scaled by 0.5, which
+        is exact, so a tanh of their product is tanh(v / 2), and
+        sigmoid(v) = (1 + tanh(v / 2)) / 2. For (rows, cols) weights the
+        result is (len(pairs) * rows, cols + 1), drawn from workspace as "packed".
+        """
+        rows, cols = self._views[pairs[0][0]].shape
+        out = buffer(workspace, "packed", (len(pairs), rows, cols + 1), self.theta.dtype)
+        for block, (w, b) in zip(out, pairs):
+            block[:, :-1] = self._views[w]
+            block[:, -1] = self._views[b]
+        out[:halved] *= 0.5
+        return out.reshape(-1, cols + 1)
+
+    def add_packed(self, pairs, grad: np.ndarray) -> None:
+        """Add grad, a gradient [dW | db] laid out as ``packed(pairs)``, into the named arrays."""
+        for block, (w, b) in zip(grad.reshape(len(pairs), -1, grad.shape[-1]), pairs):
+            self._views[w] += block[:, :-1]
+            self._views[b] += block[:, -1]
 
     def __reduce__(self):
         # Copies and pickles rebuild the views over their own theta.

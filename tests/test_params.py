@@ -83,3 +83,20 @@ def test_stacked_matches_the_old_offset_slices(kind, hidden):
 def test_stacked_rejects_a_run_that_is_not_one(names, why):
     with pytest.raises(ValueError, match=why):
         build("lstm").stacked(*names)
+
+
+@pytest.mark.parametrize("halved", [0, 1, 2])
+def test_packed_rows_are_each_pairs_weight_and_bias_and_add_packed_inverts_them(halved):
+    params = build("gru")
+    pairs = (("w_r", "b_r"), ("w_h", "b_h"), ("w_z", "b_z"))  # any order of the layout's pairs
+    rows = params.packed(pairs, halved=halved).copy()
+    for k, (w, b) in enumerate(pairs):
+        scale = 0.5 if k < halved else 1.0
+        block = rows[4 * k : 4 * (k + 1)]
+        assert np.array_equal(block, scale * np.hstack([getattr(params, w), getattr(params, b)[:, None]]))
+    grads = models.rebuild(params, np.zeros_like(params.theta))
+    grads.add_packed(pairs, params.packed(pairs))
+    grads.add_packed(pairs, params.packed(pairs))
+    for name, g in grads.named_arrays():
+        packed = name in {n for pair in pairs for n in pair}
+        assert (g == (2 * getattr(params, name) if packed else 0.0)).all(), name

@@ -14,11 +14,12 @@ encoder state is h_T; the scalar head on it lives in ``seqcast.models``.
 ``forward`` and ``backward`` take one of two layouts by the params' dtype.
 
 Float64 runs gate-major, the layout of validation, ``predict`` and the
-forecast: ``Params.stacked`` views the adjacent W_z and W_r as one
-(2, h, h+1) array and b_z, b_r as one (2, h). A step makes one stacked
-matmul and one ``sigmoid`` call for both gates, then the candidate's own
-matmul and ``tanh``. Each gate's arithmetic is the per-gate form's, in the
-same order, so outputs and gradients are bit-identical to it. ``cell``
+forecast: ``Params.packed`` copies [W | b] of z, r and the candidate into
+one (3, h, h+2) array, and each W and b is a view of it. A step makes one
+batched matmul and one ``sigmoid`` call for both gates, then the candidate's
+own matmul and ``tanh``; backward adds [dW | db] up in that layout for
+``Params.add_packed``. Each gate's arithmetic is the per-gate form's, in
+the same order, so outputs and gradients are bit-identical to it. ``cell``
 fills the step-major cache, allocated once per call, or with a workspace
 drawn from it by name; ``lanes`` runs it too, at either dtype.
 
@@ -57,21 +58,18 @@ def init_params(p: Params, rng: np.random.Generator) -> None:
         w[...] = init_xavier(rng, *w.shape)
 
 
-def _gate_views(p: Params) -> tuple[np.ndarray, np.ndarray]:
-    """w_z, w_r as one (2, h, h+1) view and b_z, b_r as one (2, 1, h) view."""
-    return p.stacked("w_z", "w_r"), p.stacked("b_z", "b_r")[:, None]
-
-
-# The pairs of the packed float32 rows: the gates z and r, then the candidate.
+# The packed pairs in the order both layouts keep: the gates z and r, then the candidate.
 _GATES = (("w_z", "b_z"), ("w_r", "b_r"), ("w_h", "b_h"))
 
 
 def cell(params: Params):
     """The step v_t (n, h+1) -> h_t; u_t[:, -1] must hold x_t, and h_out may be v_t[:, :-1]."""
-    w, b = _gate_views(params)
+    h = params.dims["hidden"]
+    w = params.packed(_GATES).reshape(3, h, h + 2)
     # Transposed views, not copies: each gate's product is then the same BLAS
     # call as v @ w_z.T, bit for bit, where a transposed copy is not.
-    wt, wt_h, b_h = w.transpose(0, 2, 1), params.w_h.T, params.b_h
+    wt, b = w[:2, :, :-1].transpose(0, 2, 1), w[:2, None, :, -1]
+    wt_h, b_h = w[2, :, :-1].T, w[2, :, -1]
     def step(v_t, u_t, a, g_t, h_out=None) -> np.ndarray:
         np.matmul(v_t, wt, out=a)
         a += b
@@ -131,8 +129,8 @@ def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params,
     if params.theta.dtype == np.float32:
         return _backward_packed(params, cache, dh, grads, workspace)
     h = params.dims["hidden"]
-    w, _ = _gate_views(params)
-    gw, gb = _gate_views(grads)
+    packed = params.packed(_GATES).reshape(3, h, h + 2)
+    w, w_h, gw = packed[:2, :, :-1], packed[2, :, :-1], np.zeros_like(packed)  # gw: [dW | db]
     v, u, gates, g_all = (cache[k] for k in ("v", "u", "gates", "g"))
     # gradients w.r.t. z_t and r_t, then their pre-activations
     d_pre = buffer(workspace, "d_pre", (2,) + dh.shape, dh.dtype)
@@ -144,17 +142,18 @@ def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params,
         dg = dh * z
         dh_prev = dh * (1.0 - z)
         da_g = dg * (1.0 - g**2)
-        grads.w_h += da_g.T @ u[t]
-        grads.b_h += da_g.sum(axis=0)
-        drh = (da_g @ params.w_h)[:, :h]  # gradient w.r.t. r * h_prev
+        gw[2, :, :-1] += da_g.T @ u[t]
+        gw[2, :, -1] += da_g.sum(axis=0)
+        drh = (da_g @ w_h)[:, :h]  # gradient w.r.t. r * h_prev
         np.multiply(drh, h_prev, out=d_pre[1])
         dh_prev = dh_prev + drh * r
         d_pre *= zr
         d_pre *= 1.0 - zr
-        gw += np.matmul(d_pre.transpose(0, 2, 1), v[t])
-        gb += d_pre.sum(axis=1, keepdims=True)
+        gw[:2, :, :-1] += np.matmul(d_pre.transpose(0, 2, 1), v[t])
+        gw[:2, :, -1] += d_pre.sum(axis=1)
         dv = np.matmul(d_pre, w)
         dh = dh_prev + (dv[0] + dv[1])[:, :h]
+    grads.add_packed(_GATES, gw)
 
 
 def _forward_packed(params: Params, x: np.ndarray, workspace: dict | None):
@@ -201,8 +200,8 @@ def _backward_packed(params: Params, cache: dict, dh: np.ndarray, grads: Params,
     def take(name, shape):
         return buffer(workspace, name, shape, dtype)
 
-    w, _ = _gate_views(params)
-    w_zr, w_hh = w.reshape(2 * h, h + 1)[:, :h], params.w_h[:, :h]  # h_{t-1}'s columns
+    w = params.packed(_GATES, workspace)
+    w_zr, w_hh = w[: 2 * h, :h], w[2 * h :, :h]  # h_{t-1}'s columns
     dh_t = take("dh", (h, batch))
     dh_t[...] = dh.T
     dh_prev, tmp = take("dh_prev", (h, batch)), take("tmp", (h, batch))

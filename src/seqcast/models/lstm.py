@@ -17,14 +17,15 @@ per-sample gradients.
 ``forward`` and ``backward`` take one of two layouts by the params' dtype.
 
 Float64 runs gate-major, the layout of validation, ``predict`` and the
-forecast: ``Params.stacked`` views the adjacent W_f, W_i, W_c, W_o as one
-(4, h, h+1) array and their biases as one (4, h). A step makes one stacked
+forecast: ``Params.packed`` copies the four gates' [W | b] into one
+(4, h, h+2) array, and W and b are views of it. A step makes one batched
 matmul, one ``sigmoid`` call for f, i and o, and one ``tanh`` for the
-candidate; backward adds all four weight gradients with one stacked matmul
-per step. Each gate's arithmetic is the per-gate form's, in the same order,
-so outputs and gradients are bit-identical to it. ``cell`` fills the
-step-major cache, allocated once per call, or with a workspace drawn from it
-by name; ``lanes`` runs it too, at either dtype.
+candidate; backward adds all four weight gradients with one batched matmul
+per step, in that layout, for ``Params.add_packed``. Each gate's arithmetic
+is the per-gate form's, in the same order, so outputs and gradients are
+bit-identical to it. ``cell`` fills the step-major cache, allocated once
+per call, or with a workspace drawn from it by name; ``lanes`` runs it
+too, at either dtype.
 
 Float32, the working copy that training runs on, is feature-major: state,
 gates and cache are (hidden, batch), so each gate is one contiguous block of
@@ -65,23 +66,19 @@ def init_params(p: Params, rng: np.random.Generator) -> None:
     p.b_f[...] = 1.0
 
 
-def _gate_views(p: Params) -> tuple[np.ndarray, np.ndarray]:
-    """The gate matrices as one (4, h, h+1) view and the biases as (4, 1, h), order f, i, c, o."""
-    return p.stacked("w_f", "w_i", "w_c", "w_o"), p.stacked("b_f", "b_i", "b_c", "b_o")[:, None]
-
-
 # The gates in step order, the sigmoids first: f, i, o, then the candidate g,
-# whose arrays are w_c and b_c. ``cell``, its cache and the float32 rows keep it.
+# whose arrays are w_c and b_c. Both layouts keep it, in cache and gradient rows.
 _GATES = tuple((f"w_{gate}", f"b_{gate}") for gate in "fioc")
 
 
 def cell(params: Params):
     """The step z_t (n, h+1) -> h_t; a gets f, i, o, g, c_t may be c_prev, h_out z_t[:, :-1]."""
-    # Stacking copies the gate matrices but keeps each one row-major. The
+    h = params.dims["hidden"]
+    # Packing copies the gate matrices but keeps each one row-major. The
     # transpose must stay a view: each gate's product is then the same BLAS
     # call as z @ w_f.T, bit for bit, where a transposed copy is not.
-    wt = np.stack([getattr(params, w) for w, _ in _GATES]).transpose(0, 2, 1)
-    b = np.stack([getattr(params, name) for _, name in _GATES])[:, None]
+    w = params.packed(_GATES).reshape(4, h, h + 2)
+    wt, b = w[..., :-1].transpose(0, 2, 1), w[:, None, :, -1]
     def step(z_t, a, c_prev, c_t, tanh_c_t, h_out=None) -> np.ndarray:
         np.matmul(z_t, wt, out=a)
         a += b
@@ -141,11 +138,10 @@ def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params,
     if params.theta.dtype == np.float32:
         return _backward_packed(params, cache, dh, grads, workspace)
     h = params.dims["hidden"]
-    w, _ = _gate_views(params)
-    gw, gb = _gate_views(grads)
+    packed = params.packed(_GATES).reshape(4, h, h + 2)
+    w, gw = packed[..., :-1], np.zeros_like(packed)  # gw: [dW | db] of the four gates
     z, gates, c, tanh_c = (cache[k] for k in ("z", "gates", "c", "tanh_c"))
-    # pre-activation gradients in layout order f, i, c, o
-    da = buffer(workspace, "da", (4,) + dh.shape, dh.dtype)
+    da = buffer(workspace, "da", (4,) + dh.shape, dh.dtype)  # pre-activation gradients
     dc = np.zeros_like(dh)
     for t in reversed(range(len(z))):
         f, i, o, g = gates[t]
@@ -153,13 +149,14 @@ def backward(params: Params, cache: dict, dh: np.ndarray, grads: Params,
         dc = dc + dh * o * (1.0 - tanh_c[t] ** 2)
         np.multiply(dc * c[t] * f, 1.0 - f, out=da[0])
         np.multiply(dc * g * i, 1.0 - i, out=da[1])
-        np.multiply(dc * i, 1.0 - g**2, out=da[2])
-        np.multiply(do * o, 1.0 - o, out=da[3])
+        np.multiply(do * o, 1.0 - o, out=da[2])
+        np.multiply(dc * i, 1.0 - g**2, out=da[3])
         dc = dc * f
-        gw += np.matmul(da.transpose(0, 2, 1), z[t])
-        gb += da.sum(axis=1, keepdims=True)
+        gw[..., :-1] += np.matmul(da.transpose(0, 2, 1), z[t])
+        gw[..., -1] += da.sum(axis=1)
         dz = np.matmul(da, w)
-        dh = (dz[0] + dz[1] + dz[2] + dz[3])[:, :h]
+        dh = (dz[0] + dz[1] + dz[3] + dz[2])[:, :h]  # the per-gate form's sum order f, i, g, o
+    grads.add_packed(_GATES, gw)
 
 
 def _forward_packed(params: Params, x: np.ndarray, workspace: dict | None):

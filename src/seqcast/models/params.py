@@ -5,9 +5,9 @@ checked the dims: views follow the table's order, back to back, so the
 optimizer works on ``theta`` while the model code reads the views. A dotted
 name ``group.i.field`` becomes ``params.group[i].field``; the Transformer's
 blocks are ``params.layers``. Views are plain instance attributes because
-batch-1 forecasting reads them at every step. ``stacked`` views neighbours of
-one shape as one array, so no module computes an offset in ``theta``;
-``packed`` and ``add_packed`` are the float32 LSTM's and GRU's gate layout.
+batch-1 forecasting reads them at every step. ``packed`` and ``add_packed``
+are the one way the LSTM and GRU group their gates, at either dtype, so no
+module computes an offset in ``theta``.
 
 ``theta`` is float64, or float32 for a working copy that a model trains on:
 the model code computes in the dtype of the params it is given.
@@ -37,11 +37,10 @@ class Params:
             raise ValueError(f"{kind} {dims} needs a contiguous float32 or float64 vector "
                              f"of {size} values")
         self.cfg, self.kind, self.dims, self.theta = cfg, kind, dims, theta
-        self._views, self._spans = {}, {}
+        self._views = {}
         offset = 0
         for name, shape in shapes.items():
             view = theta[offset : offset + math.prod(shape)].reshape(shape)
-            self._spans[name] = (offset, shape)
             offset += view.size
             self._views[name] = view
             group, _, rest = name.partition(".")
@@ -57,16 +56,6 @@ class Params:
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
         """(name, live view) pairs in layout order, the weight-file block order."""
         return list(self._views.items())
-
-    def stacked(self, *names: str) -> np.ndarray:
-        """Arrays of one shape that follow each other in the layout, as one (k, *shape) view."""
-        spans = [self._spans[name] for name in names]
-        start, shape = spans[0]
-        size = math.prod(shape)
-        if spans != [(start + i * size, shape) for i in range(len(names))]:
-            raise ValueError(f"{', '.join(names)} are not adjacent arrays of one shape "
-                             f"in the {self.kind} layout")
-        return self.theta[start : start + len(names) * size].reshape(len(names), *shape)
 
     def packed(self, pairs, workspace: dict | None = None, halved: int = 0) -> np.ndarray:
         """[W | b] of each (weight, bias) name pair as one copied matrix, a row block per pair.

@@ -139,6 +139,10 @@ def bits(a):
 @example(kind="gru", hidden=64, batch=2, steps=60, seed=1)
 @example(kind="lstm", hidden=64, batch=32, steps=60, seed=2)
 @example(kind="gru", hidden=64, batch=32, steps=60, seed=2)
+# At hidden 65 each gate of the packed copy is a BLAS operand with leading
+# dimension h+2 = 67, a stride no drawn case has; batch 97 is odd and large.
+@example(kind="lstm", hidden=65, batch=97, steps=60, seed=3)
+@example(kind="gru", hidden=65, batch=97, steps=60, seed=3)
 def test_forward_and_backward_match_reference_bitwise(kind, hidden, batch, steps, seed):
     rng = np.random.default_rng(seed)
     params = models.init_params(ModelConfig(kind=kind, hidden=hidden), rng)

@@ -6,8 +6,8 @@ optimizer works on ``theta`` while the model code reads the views. A dotted
 name ``group.i.field`` becomes ``params.group[i].field``; the Transformer's
 blocks are ``params.layers``. Views are plain instance attributes because
 batch-1 forecasting reads them at every step. ``packed`` and ``add_packed``
-are the one way the LSTM and GRU group their gates, at either dtype, so no
-module computes an offset in ``theta``.
+are the one way the LSTM and GRU group their gates, so no module computes an
+offset in ``theta``.
 
 ``theta`` is float64, or float32 for a working copy that a model trains on:
 the model code computes in the dtype of the params it is given.
@@ -57,21 +57,18 @@ class Params:
         """(name, live view) pairs in layout order, the weight-file block order."""
         return list(self._views.items())
 
-    def packed(self, pairs, workspace: dict | None = None, halved: int = 0) -> np.ndarray:
+    def packed(self, pairs, workspace: dict | None = None) -> np.ndarray:
         """[W | b] of each (weight, bias) name pair as one copied matrix, a row block per pair.
 
         Against an input with a row of ones under it, one GEMM gives every
-        pair's W v + b. The first ``halved`` blocks are scaled by 0.5, which
-        is exact, so a tanh of their product is tanh(v / 2), and
-        sigmoid(v) = (1 + tanh(v / 2)) / 2. For (rows, cols) weights the
-        result is (len(pairs) * rows, cols + 1), drawn from workspace as "packed".
+        pair's W v + b. For (rows, cols) weights the result is
+        (len(pairs) * rows, cols + 1), drawn from workspace as "packed".
         """
         rows, cols = self._views[pairs[0][0]].shape
         out = buffer(workspace, "packed", (len(pairs), rows, cols + 1), self.theta.dtype)
         for block, (w, b) in zip(out, pairs):
             block[:, :-1] = self._views[w]
             block[:, -1] = self._views[b]
-        out[:halved] *= 0.5
         return out.reshape(-1, cols + 1)
 
     def add_packed(self, pairs, grad: np.ndarray) -> None:

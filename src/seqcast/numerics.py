@@ -20,20 +20,22 @@ def _floating(x) -> np.ndarray:
     return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function, stable for large |x|.
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise logistic function as (1 + tanh(x / 2)) / 2, stable for large |x|.
 
-    Saturating inputs clamp to 0/1 within float precision instead of
-    overflowing. Both halves share one rounded exp(-|v|), so for every
-    finite v the float sum sigmoid(v) + sigmoid(-v) is within one unit in
-    the last place of 1 (2**-52 in float64, 2**-23 in float32); it is not
-    exactly 1 for every v.
+    It computes 0.5 * tanh(0.5 * x) + 0.5 in place, written into out, which
+    may be x itself; without out the values go to a new array and x is never
+    modified. tanh saturates, so large inputs clamp to 0/1 instead of
+    overflowing. For every finite v the float sum sigmoid(v) + sigmoid(-v)
+    is within one unit in the last place of 1 (2**-52 in float64, 2**-23 in
+    float32); it is not exactly 1 for every v.
     """
     x = _floating(x)
-    e = np.exp(-np.abs(x))  # exp(-x) for x >= 0, exp(x) below: never overflows
-    # 1.0 where x >= 0 and e below, as e <= 1; a NaN in x is a NaN in e and stays one
-    numerator = np.maximum(np.greater_equal(x, 0, out=np.empty_like(e)), e)
-    return numerator / (1.0 + e)
+    out = np.multiply(x, 0.5, out=np.empty_like(x) if out is None else out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

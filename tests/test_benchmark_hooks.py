@@ -145,13 +145,30 @@ def test_models_dispatch_reaches_module_attributes(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
 def test_rnn_forward_calls_sigmoid_once_per_step(monkeypatch, kind):
-    # The numerics.sigmoid span wraps these module attributes. A gate-major
-    # step activates all of its sigmoid gates in one call.
+    # The numerics.sigmoid span wraps these module attributes. A step
+    # activates all of its sigmoid gates in one call.
     calls = counting(monkeypatch, REGISTRY[kind].module, "sigmoid")
     params = models.init_params(ModelConfig(kind=kind, hidden=3), np.random.default_rng(0))
     steps = 7
     models.forward(params, np.random.default_rng(1).random((2, steps)))
     assert len(calls) == steps
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_rnn_float32_forward_and_lanes_call_sigmoid_once_per_step(monkeypatch, kind):
+    # Training's float32 forward and the forecast's ring run the same step, so
+    # the span counts one call per step there too, and one per tick of a ring.
+    module = REGISTRY[kind].module
+    calls = counting(monkeypatch, module, "sigmoid")
+    params = models.init_params(ModelConfig(kind=kind, hidden=3), np.random.default_rng(0))
+    steps = 7
+    models.forward(models.rebuild(params, params.theta.astype(np.float32)),
+                   np.random.default_rng(1).random((2, steps)))
+    assert len(calls) == steps
+    advance = module.lanes(params, 4)
+    for tick in range(steps):
+        advance(0.1 * tick, tick % 4)
+    assert len(calls) == 2 * steps
 
 
 @pytest.mark.parametrize("n_layers", [1, 2, 3])

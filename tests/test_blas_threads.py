@@ -7,10 +7,12 @@ by its thread count shows here as a differing array, named by kind, dtype,
 batch and parameter.
 
 The LSTM and GRU are covered at float32, the dtype they train in, and at
-float64 for batches 7, 13 and 32. Their float64 gate-major weight gradients
-at batch 256 still differ between one and two threads, a known open fault
-(ROADMAP, "Byte-identical artifacts at any BLAS thread count"), so the child
-leaves that case out.
+float64 for batches 7, 13 and 32, forward and backward. Their float64
+weight gradients can differ between one and two threads at large batches
+(LSTM batches 97 and 100, GRU batches 128 and 256 on a 2-core host), a known
+open fault (ROADMAP, "Byte-identical artifacts at any BLAS thread count")
+that no command meets, as nothing runs a float64 RNN backward; so the child
+leaves float64 batch 256 out.
 """
 
 import functools

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from seqcast import models
 from seqcast.models import ModelConfig, Params
@@ -24,7 +25,7 @@ class TestForward:
         p.head_b[0] = -0.25
         preds, cache = models.forward(p, np.array([[0.4, -0.2, 0.9]]))
         for t in range(3):
-            z, r = cache["gates"][t]
+            z, r = cache["gates"][t].reshape(2, 3, 1)
             np.testing.assert_allclose(z, 0.5, atol=1e-15)
             np.testing.assert_allclose(r, 0.5, atol=1e-15)
             np.testing.assert_allclose(cache["g"][t], 0.0, atol=1e-15)
@@ -43,9 +44,9 @@ class TestForward:
         x = np.random.default_rng(4).normal(size=(3, 9))
         _, cache = models.forward(p, x)
         for t in range(9):
-            h_prev = cache["v"][t, :, :5]
+            h_prev = cache["v"][t, :5]
             g = cache["g"][t]
-            z = cache["gates"][t, 0]
+            z = cache["gates"][t, :5]
             h_t = (1.0 - z) * h_prev + z * g
             lo = np.minimum(h_prev, g) - 1e-12
             hi = np.maximum(h_prev, g) + 1e-12
@@ -97,6 +98,17 @@ class TestBackward:
             loss_fn, analytic = mse_setup(p, x, y)
             worst = max(worst, grad_check(loss_fn, p, analytic))
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradient_with_drawn_biases_passes_the_finite_difference_check(self, seed):
+        # Every gate bias is drawn, so no bias column of the packed rows is zero.
+        rng = np.random.default_rng(seed)
+        p = models.init_params(ModelConfig(kind="gru", hidden=4), rng)
+        for bias in (p.b_z, p.b_r, p.b_h):
+            bias += rng.normal(scale=0.1, size=bias.shape)
+        x, y = rng.normal(size=(3, 5)), rng.normal(size=3)
+        loss_fn, analytic = mse_setup(p, x, y)
+        assert grad_check(loss_fn, p, analytic) < 1e-4
 
     def test_zero_upstream_gives_zero_grads(self):
         p = models.init_params(ModelConfig(kind="gru", hidden=3), np.random.default_rng(2))

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from seqcast import models
 from seqcast.models import ModelConfig, Params
@@ -24,7 +25,7 @@ class TestForward:
         p.head_b[0] = 0.37
         preds, cache = models.forward(p, np.array([[0.2, 0.8, 0.5]]))
         for t in range(3):
-            f, i, o, g = cache["gates"][t]
+            f, i, o, g = cache["gates"][t].reshape(4, 3, 1)
             np.testing.assert_allclose(f, 0.5, atol=1e-15)
             np.testing.assert_allclose(i, 0.5, atol=1e-15)
             np.testing.assert_allclose(o, 0.5, atol=1e-15)
@@ -40,7 +41,7 @@ class TestForward:
             bias[0] = 1e3
         steps = 6
         _, cache = models.forward(p, np.zeros((1, steps)))
-        f, i, _, g = cache["gates"][-1]
+        f, i, _, g = cache["gates"][-1].reshape(4, 1, 1)
         c_final = cache["c"][-2] * f + i * g
         assert abs(float(c_final[0, 0]) - steps) < 1e-6
 
@@ -77,7 +78,7 @@ class TestForward:
         x = np.random.default_rng(6).random((4, 12))
         _, cache = models.forward(p, x)
         for t in range(12):
-            f, i, _, g = cache["gates"][t]
+            f, i, _, g = cache["gates"][t].reshape(4, 6, 4)
             c_t = cache["c"][t] * f + i * g
             assert np.all(np.abs(c_t) <= t + 1 + 1e-12)
 
@@ -88,6 +89,17 @@ class TestBackward:
         p = models.init_params(ModelConfig(kind="lstm", hidden=4), rng)
         x = np.random.default_rng(21).normal(size=(3, 5))
         y = np.random.default_rng(31).normal(size=3)
+        loss_fn, analytic = mse_setup(p, x, y)
+        assert grad_check(loss_fn, p, analytic) < 1e-4
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradient_with_drawn_biases_passes_the_finite_difference_check(self, seed):
+        # Every gate bias is drawn, so no bias column of the packed rows is zero.
+        rng = np.random.default_rng(seed)
+        p = models.init_params(ModelConfig(kind="lstm", hidden=4), rng)
+        for bias in (p.b_f, p.b_i, p.b_c, p.b_o):
+            bias += rng.normal(scale=0.1, size=bias.shape)
+        x, y = rng.normal(size=(3, 5)), rng.normal(size=3)
         loss_fn, analytic = mse_setup(p, x, y)
         assert grad_check(loss_fn, p, analytic) < 1e-4
 

@@ -294,8 +294,8 @@ def test_float32_agrees_with_float64_at_float32_scale(kind, steps):
 @example(kind="gru", hidden=24, batch=40, steps=70, seed=0)
 def test_float32_rnn_layout_agrees_with_float64_at_float32_scale(kind, hidden, batch, steps,
                                                                   seed):
-    # The LSTM and GRU compute float32 feature-major and float64 gate-major:
-    # two layouts of one function. Each gate bias is drawn, so none is zero.
+    # The LSTM and GRU run one kernel at both dtypes, so float32 differs from
+    # float64 only by its rounding. Each gate bias is drawn, so none is zero.
     # A float32 sum is accurate to FLOAT32_SCALE times the size of its terms,
     # not of its value, which cancellation can make as small as it likes: so
     # the predictions are measured against the head's terms, |h_T| |head_w|'

@@ -56,20 +56,31 @@ class TestActivations:
         assert abs(s[0] + s[1] - np.float32(1.0)) <= 2**-23
 
     @settings(max_examples=300)
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
-    @example([0.0, -0.0])
-    @example([745.2, -745.2, 800.0, -800.0])
-    @example([float("inf"), float("-inf")])
-    @example([5e-324, -5e-324, 2.2250738585072009e-308, -1e-310])
-    def test_sigmoid_matches_two_branch_form_bitwise(self, values):
-        x = np.array(values)
-        # the masked two-branch form: 1/(1+exp(-x)) for x >= 0, e^x/(1+e^x) below
-        expected = np.empty_like(x)
-        pos = x >= 0
-        expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        expected[~pos] = ex / (1.0 + ex)
-        np.testing.assert_array_equal(sigmoid(x).view(np.int64), expected.view(np.int64))
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+           st.sampled_from([np.float32, np.float64]))
+    @example([0.0, -0.0], np.float64)
+    @example([745.2, -745.2, 800.0, -800.0], np.float64)
+    @example([float("inf"), float("-inf")], np.float64)
+    @example([5e-324, -5e-324, 2.2250738585072009e-308, -1e-310], np.float64)
+    @example([1e-45, -1e-45, 88.7, -104.0, 3.4e38], np.float32)
+    def test_sigmoid_matches_half_tanh_form_bitwise(self, values, dtype):
+        with np.errstate(over="ignore"):  # a float64 draw past float32's range is inf there
+            x = np.array(values, dtype=dtype)
+        half = dtype(0.5)
+        expected = half * np.tanh(half * x) + half
+        assert expected.dtype == dtype
+        np.testing.assert_array_equal(sigmoid(x).view(np.uint8), expected.view(np.uint8))
+
+    def test_sigmoid_of_a_scalar(self):
+        assert sigmoid(0.0) == 0.5 and sigmoid(np.float32(800.0)) == np.float32(1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_in_place_has_the_same_bits(self, dtype, rng):
+        x = (rng.normal(size=(7, 5)) * 10).astype(dtype)
+        expected = sigmoid(x)
+        out = sigmoid(x[2:], out=x[2:])
+        assert np.shares_memory(out, x)
+        np.testing.assert_array_equal(x[2:].view(np.uint8), expected[2:].view(np.uint8))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
     def test_float32_stays_float32_and_the_rest_is_float64(self, dtype):

@@ -41,15 +41,13 @@ def test_rebuild_over_new_theta(kind):
         models.rebuild(params, params.theta[:-1].copy())
 
 
-@pytest.mark.parametrize("halved", [0, 1, 2])
-def test_packed_rows_are_each_pairs_weight_and_bias_and_add_packed_inverts_them(halved):
+def test_packed_rows_are_each_pairs_weight_and_bias_and_add_packed_inverts_them():
     params = build("gru")
     pairs = (("w_r", "b_r"), ("w_h", "b_h"), ("w_z", "b_z"))  # any order of the layout's pairs
-    rows = params.packed(pairs, halved=halved).copy()
+    rows = params.packed(pairs).copy()
     for k, (w, b) in enumerate(pairs):
-        scale = 0.5 if k < halved else 1.0
         block = rows[4 * k : 4 * (k + 1)]
-        assert np.array_equal(block, scale * np.hstack([getattr(params, w), getattr(params, b)[:, None]]))
+        assert np.array_equal(block, np.hstack([getattr(params, w), getattr(params, b)[:, None]]))
     grads = models.rebuild(params, np.zeros_like(params.theta))
     grads.add_packed(pairs, params.packed(pairs))
     grads.add_packed(pairs, params.packed(pairs))

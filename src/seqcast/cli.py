@@ -132,7 +132,8 @@ def cmd_train(cfg: RunConfig, args) -> int:
     )
     out = _outdir(cfg)
     name = args.model
-    _, history = forecast_eval.fit(name, cfg, train_ds, val_ds, scaler, out)
+    dataset = forecast_eval.trained_on(series, cfg.horizon)
+    _, history = forecast_eval.fit(name, cfg, train_ds, val_ds, scaler, dataset, out)
     print(
         f"{name}: best epoch {history.best_epoch}/{history.n_epochs}, "
         f"val loss {history.val_loss[history.best_epoch - 1]:.6g}; "
@@ -147,7 +148,8 @@ def cmd_forecast(cfg: RunConfig, args) -> int:
     if not weights_path.is_file():
         raise ConfigError(f"weights not found: {weights_path} (run the train command first)")
     series, _ = _load_clean(cfg)
-    params, (lookback, scaler) = weights_io.load_weights(weights_path, expect_kind=name)
+    params, recipe = weights_io.load_weights(weights_path, expect_kind=name)
+    lookback, scaler = recipe.lookback, recipe.scaler
     if lookback != cfg.lookback:
         raise ValueError(f"{weights_path} was trained at lookback {lookback}, not {cfg.lookback}")
     if len(series) < lookback:
@@ -171,7 +173,14 @@ def cmd_forecast(cfg: RunConfig, args) -> int:
         {"actual": actual, name: pad + path},
     )
     (out / f"forecast-{name}.svg").write_text(chart, encoding="utf-8")
-    payload = {"model": name, "dates": future, "forecast": path, "config": config_echo(cfg)}
+    payload = {
+        "model": name,
+        "dates": future,
+        "forecast": path,
+        "training_dataset": recipe.dataset,
+        "seed_window_scaled": {"min": float(window.min()), "max": float(window.max())},
+        "config": config_echo(cfg),
+    }
     (out / f"forecast-{name}.json").write_text(_json_text(payload), encoding="utf-8")
     print(f"wrote {out / f'forecast-{name}.csv'}, .svg and .json")
     return 0

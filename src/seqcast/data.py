@@ -105,8 +105,9 @@ def _parse_column(cells, parse, repair) -> tuple[list, ValueError | None]:
 def read_text(path) -> str:
     """A file's text, read as UTF-8 with a leading BOM dropped and newlines as stored.
 
-    Every file seqcast reads goes through here. An undecodable input is a
-    ValueError that names the file and the byte.
+    Every file seqcast reads goes through here but weight files, whose bytes
+    ``weights_io`` hashes first. An undecodable input is a ValueError that
+    names the file and the byte.
     """
     try:
         return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")

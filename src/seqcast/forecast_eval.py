@@ -108,28 +108,42 @@ def weights_file(out: str | Path, kind: str) -> Path:
     return Path(out) / f"weights-{kind}.txt"
 
 
-def fit(kind: str, cfg: RunConfig, train_ds, val_ds, scaler: Scaler, out: str | Path):
+def trained_on(series: OhlcvSeries, horizon: int) -> dict:
+    """``data.fingerprint`` of the rows before the held-out last `horizon`: a weight file's dataset.
+
+    The held-out rows stay out of it, as they stay out of every training artifact.
+    """
+    return dat.fingerprint(series.slice(0, len(series) - horizon))
+
+
+def fit(kind: str, cfg: RunConfig, train_ds, val_ds, scaler: Scaler, dataset: dict,
+        out: str | Path):
     """Train one kind as cfg states it; returns (params, history).
 
-    The training log streams to out/train-<kind>.ndjson, and the weights,
-    with cfg's lookback and the training scaler, go to weights_file(out, kind).
+    The training log streams to out/train-<kind>.ndjson, and the weights go
+    to weights_file(out, kind) with their recipe: cfg's lookback, the
+    training scaler, dataset (``trained_on``'s fingerprint) and the keys of
+    cfg that cut the windows and trained the kind.
     """
     model_cfg, train_cfg = cfg.model_config(kind), cfg.train_config(kind)
     log_path = Path(out) / f"train-{kind}.ndjson"
     params, history = training.train(model_cfg, train_ds, val_ds, train_cfg, log_path=log_path)
-    weights_io.save_weights(weights_file(out, kind), params, cfg.lookback, scaler)
+    keys = {"horizon": cfg.horizon, "val_frac": cfg.val_frac, "train": train_cfg.as_dict()}
+    recipe = weights_io.Recipe(cfg.lookback, scaler, dataset, keys)
+    weights_io.save_weights(weights_file(out, kind), params, recipe)
     return params, history
 
 
-def _report_entry(kind: str, cfg: RunConfig, shared: tuple, out: str | Path) -> dict:
+def _report_entry(kind: str, cfg: RunConfig, shared: tuple, dataset: dict,
+                  out: str | Path) -> dict:
     """Fit one kind, forecast the held-out span and score it: its report entry.
 
-    shared is prepare_windows' result; an error is a TrainingError that
-    starts with the kind's name.
+    shared is prepare_windows' result and dataset ``trained_on``'s; an error
+    is a TrainingError that starts with the kind's name.
     """
     train_ds, val_ds, seed_window, scaler, test = shared
     try:
-        params, history = fit(kind, cfg, train_ds, val_ds, scaler, out)
+        params, history = fit(kind, cfg, train_ds, val_ds, scaler, dataset, out)
         path = recursive_forecast(params, seed_window, cfg.horizon, scaler)
         metrics = compute_metrics(test.close, path)
     except (TrainingError, ValueError) as exc:
@@ -189,6 +203,6 @@ def compare(series: OhlcvSeries, cfg: RunConfig, out: str | Path):
     if cfg.horizon < 2:
         raise ConfigError(f"compare needs horizon >= 2 to score a forecast, got {cfg.horizon}")
     shared = prepare_windows(series, cfg.lookback, cfg.horizon, cfg.val_frac)
-    fingerprint = dat.fingerprint(series)
-    entries = _map_kinds(lambda kind: _report_entry(kind, cfg, shared, out))
+    fingerprint, dataset = dat.fingerprint(series), trained_on(series, cfg.horizon)
+    entries = _map_kinds(lambda kind: _report_entry(kind, cfg, shared, dataset, out))
     return {"dataset": fingerprint, "models": entries, "config": config_echo(cfg)}, shared[-1]

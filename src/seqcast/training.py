@@ -137,14 +137,30 @@ def clip_global_norm(grads: Params, max_norm: float) -> float:
 def adam_step(
     theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, cfg: TrainConfig
 ) -> None:
-    """Adam update number t (1-based): theta and the moment vectors m and v change in place."""
+    """Adam update number t (1-based): theta and the moment vectors m and v change in place.
+
+    The arithmetic is that of ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``
+    after ``m = b1 m + (1 - b1) g`` and ``v = b2 v + ((1 - b2) g) g``, operation
+    for operation, with the same bits, but its temporaries are the two rows of
+    one scratch array.
+    """
+    step, denom = np.empty((2, *theta.shape), theta.dtype)
+    np.multiply(grad, 1.0 - cfg.beta1, out=step)
     m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * grad
+    m += step
+    np.multiply(grad, 1.0 - cfg.beta2, out=step)
+    step *= grad
     v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * grad * grad
+    v += step
     bc1 = 1.0 - cfg.beta1**t
     bc2 = 1.0 - cfg.beta2**t
-    theta -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+    np.divide(m, bc1, out=step)
+    step *= cfg.learning_rate
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += cfg.epsilon
+    step /= denom
+    theta -= step
 
 
 _spare = None  # the process's pool, made by the first spare_cores call

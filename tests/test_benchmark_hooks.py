@@ -65,7 +65,8 @@ def test_fit_passes_config_and_train_set_to_train_first(monkeypatch, tmp_path, k
     train_set = dat.WindowedDataset(windows.inputs[:30], windows.targets[:30])
     val_set = dat.WindowedDataset(windows.inputs[30:], windows.targets[30:])
     calls = recording(monkeypatch, training, "train")
-    forecast_eval.fit(kind, cfg, train_set, val_set, dat.Scaler(0.0, 1.0), tmp_path)
+    dataset = dat.fingerprint(dat.synth_ohlcv("sine+noise", 40, 0))
+    forecast_eval.fit(kind, cfg, train_set, val_set, dat.Scaler(0.0, 1.0), dataset, tmp_path)
     [(args, _, result)] = calls
     assert args[0] == cfg.model_config(kind) and args[0].kind == kind
     assert args[1] is train_set
@@ -79,7 +80,10 @@ def test_load_weights_by_keyword_gives_params_first(tmp_path, kind):
     dims = dict(d_model=4, d_ff=5) if kind == "transformer" else dict(hidden=3)
     params = models.init_params(ModelConfig(kind, **dims), np.random.default_rng(0))
     path = tmp_path / f"weights-{kind}.txt"
-    weights_io.save_weights(path, params, 8, dat.Scaler(0.0, 1.0))
+    dataset = dat.fingerprint(dat.synth_ohlcv("sine+noise", 40, 0))
+    training = {"horizon": 30, "val_frac": 0.1, "train": {}}
+    recipe = weights_io.Recipe(8, dat.Scaler(0.0, 1.0), dataset, training)
+    weights_io.save_weights(path, params, recipe)
     result = weights_io.load_weights(path, expect_kind=kind)
     assert isinstance(result, tuple) and len(result) == 2
     assert isinstance(result[0], models.Params)

@@ -38,6 +38,13 @@ def write_config(tmp_path, data_path, out_dir, **kwargs) -> str:
     return str(path)
 
 
+def recipe(scaler: Scaler) -> weights_io.Recipe:
+    """A hand-made model's recipe: tiny_config_text's lookback 24, scaler, stand-in provenance."""
+    dataset = {"n_rows": 1, "start_date": "2015-01-02", "end_date": "2015-01-02",
+               "sha256": "0" * 64}
+    return weights_io.Recipe(24, scaler, dataset, {"horizon": 10, "val_frac": 0.1, "train": {}})
+
+
 class TestSynth:
     def test_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "fx"
@@ -277,11 +284,43 @@ class TestForecast:
         assert first.weekday() < 5
 
         payload = json.loads((out / "forecast-gru.json").read_text())
-        assert list(payload) == ["model", "dates", "forecast", "config"]
+        assert list(payload) == [
+            "model", "dates", "forecast", "training_dataset", "seed_window_scaled", "config",
+        ]
         assert payload["model"] == "gru"
         assert payload["dates"] == [r.split(",")[0] for r in rows[1:]]
         assert payload["forecast"] == values
         assert (out / "forecast-gru.svg").read_text().startswith("<svg")
+
+    def test_forecast_names_its_training_rows_and_seed_window(self, tmp_path, sine_series):
+        # Train on the first 300 rows, then forecast a series whose last 40
+        # rows fall to half: its seed window reaches below the training low,
+        # so it scales below 0. The payload names the rows the model trained
+        # on, the 300 less the held-out 10, as the weight file states them.
+        head = sine_series.slice(0, 300)
+        dat.write_ohlcv_csv(head, tmp_path / "head.csv")
+        low = dat.OhlcvSeries(
+            sine_series.dates,
+            *(np.concatenate([getattr(sine_series, c)[:-40], getattr(sine_series, c)[-40:] / 2])
+              for c in ("open", "high", "low", "close")),
+            sine_series.volume,
+        )
+        dat.write_ohlcv_csv(low, tmp_path / "low.csv")
+        out = tmp_path / "out"
+        assert main(["train", "--config", write_config(tmp_path, str(tmp_path / "head.csv"),
+                                                      str(out)), "--model", "lstm"]) == 0
+        cfg = write_config(tmp_path, str(tmp_path / "low.csv"), str(out), horizon=5)
+        assert main(["forecast", "--config", cfg, "--model", "lstm"]) == 0
+
+        payload = json.loads((out / "forecast-lstm.json").read_text())
+        params, recipe = weights_io.load_weights(out / "weights-lstm.txt", "lstm")
+        assert payload["training_dataset"] == recipe.dataset == dat.fingerprint(head.slice(0, 290))
+        window = recipe.scaler.transform(low.close[-24:])
+        assert payload["seed_window_scaled"] == {"min": window.min(), "max": window.max()}
+        assert payload["seed_window_scaled"]["min"] < 0
+        path = forecast_eval.recursive_forecast(params, window, 5, recipe.scaler)
+        assert payload["forecast"] == path.tolist()
+        assert payload["dates"] == [d.isoformat() for d in dat.weekday_dates(low.dates[-1], 5)]
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     @settings(
@@ -298,10 +337,10 @@ class TestForecast:
         argv = ["forecast", "--config", str(tmp_path / "fc.ini"), "--model", kind]
         assert main(argv + ["--horizon", str(horizon)]) == 0
         payload = json.loads((trained / f"forecast-{kind}.json").read_text())
-        params, (lookback, scaler) = weights_io.load_weights(trained / f"weights-{kind}.txt", kind)
-        window = scaler.transform(sine_series.close[-lookback:])
+        params, recipe = weights_io.load_weights(trained / f"weights-{kind}.txt", kind)
+        window = recipe.scaler.transform(sine_series.close[-recipe.lookback:])
         assert len(payload["forecast"]) == horizon
-        assert payload["forecast"][0] == scaler.inverse(models.predict(params, window))
+        assert payload["forecast"][0] == recipe.scaler.inverse(models.predict(params, window))
 
     @pytest.mark.parametrize("lookback", [23, 25])
     def test_lookback_mismatch_is_runtime_error(self, tmp_path, trained, sine_csv, capsys, lookback):
@@ -548,7 +587,7 @@ class TestNonFinite:
         params.head_w[0, 0], params.head_b[0] = 1e308, 1.5e308
         out = tmp_path / "out"
         out.mkdir()
-        weights_io.save_weights(out / "weights-gru.txt", params, 24, Scaler(0.0, 1.0))
+        weights_io.save_weights(out / "weights-gru.txt", params, recipe(Scaler(0.0, 1.0)))
         cfg = write_config(tmp_path, sine_csv, str(out))
         done = _run_in_subprocess(["forecast", "--config", cfg, "--model", "gru"])
         assert done.returncode == 1
@@ -570,7 +609,7 @@ class TestNonFinite:
         out = tmp_path / "out"
         out.mkdir()
         train_close = dat.chronological_split(huge, 10, 0.1)[0].close
-        weights_io.save_weights(out / "weights-gru.txt", params, 24, dat.fit_scaler(train_close))
+        weights_io.save_weights(out / "weights-gru.txt", params, recipe(dat.fit_scaler(train_close)))
         cfg = write_config(tmp_path, str(tmp_path / "huge.csv"), str(out))
         done = _run_in_subprocess(["forecast", "--config", cfg, "--model", "gru"])
         assert done.returncode == 1

@@ -254,8 +254,8 @@ class TestCompare:
         # every weight file carries the scaler the models were trained with
         scaler = prepare_windows(sine_series, 24, 10, COMPARE_CFG.val_frac)[3]
         for kind in MODEL_KINDS:
-            _, (lookback, stored) = weights_io.load_weights(out / f"weights-{kind}.txt", kind)
-            assert (lookback, stored) == (24, scaler)
+            _, recipe = weights_io.load_weights(out / f"weights-{kind}.txt", kind)
+            assert (recipe.lookback, recipe.scaler) == (24, scaler)
 
     def test_entries_carry_forecast_and_metrics(self, compared):
         (report, test), _ = compared

@@ -146,11 +146,13 @@ def test_prices_times_a_power_of_two_scale_every_reported_price(seed, kind, k):
         times = run_compare(scaled, seed, Path(tmp))
     assert times["logs"] == base["logs"]
     for name in MODEL_KINDS:
-        params, (lookback, scaler) = times["weights"][name][1]
-        params0, (lookback0, scaler0) = base["weights"][name][1]
+        params, recipe = times["weights"][name][1]
+        params0, recipe0 = base["weights"][name][1]
         assert params.theta.tobytes() == params0.theta.tobytes()
-        assert lookback == lookback0
-        assert (scaler.min, scaler.max) == (scaler0.min * scale, scaler0.max * scale)
+        assert recipe.lookback == recipe0.lookback
+        assert (recipe.scaler.min, recipe.scaler.max) == (
+            recipe0.scaler.min * scale, recipe0.scaler.max * scale
+        )
     for entry, entry0 in zip(times["report"]["models"], base["report"]["models"]):
         assert entry["history"] == entry0["history"]
         assert entry["forecast"] == [v * scale for v in entry0["forecast"]]

@@ -139,6 +139,17 @@ def zero_moments(theta):
     return np.zeros_like(theta), np.zeros_like(theta)
 
 
+def adam_expressions(theta, grad, m, v, t, cfg):
+    """adam_step in its earlier form: in place, one NumPy temporary per operation."""
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * grad
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * grad * grad
+    bc1 = 1.0 - cfg.beta1**t
+    bc2 = 1.0 - cfg.beta2**t
+    theta -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+
+
 class TestAdam:
     def test_first_step_magnitude_near_learning_rate(self):
         cfg = TrainConfig(learning_rate=0.05)
@@ -182,6 +193,23 @@ class TestAdam:
             pure = adam_reference(pure_theta, grad, pure_m, pure_v, t, cfg)
             for got, want in zip((theta, m, v), pure):
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_scratch_form_has_the_bits_of_the_expression_form(self, dtype):
+        # The Transformer's 66k parameters over 19 steps, gradients spread
+        # over eleven decades, a tenth of them exactly zero.
+        cfg = TrainConfig(learning_rate=3e-3, beta1=0.8, beta2=0.99, epsilon=1e-7)
+        rng = np.random.default_rng(19)
+        theta = rng.normal(size=66_000).astype(dtype)
+        m, v = zero_moments(theta)
+        expr = (theta.copy(), m.copy(), v.copy())
+        for t in range(1, 20):
+            grad = rng.normal(size=theta.size) * 10.0 ** rng.uniform(-8, 3, size=theta.size)
+            grad = np.where(rng.random(theta.size) < 0.1, 0.0, grad).astype(dtype)
+            adam_step(theta, grad, m, v, t, cfg)
+            adam_expressions(*expr[:1], grad, *expr[1:], t, cfg)
+            for got, want in zip((theta, m, v), expr):
+                assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
     def test_zero_gradient_leaves_params_unchanged(self):
         theta = np.array([1.0, 2.0])
